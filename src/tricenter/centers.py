@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, no_grad
+from .distance import lp_cdist
 from .errors import ContractError
 from .sampling import DatasetIndex
 
@@ -96,12 +97,6 @@ def init_trainable_centers(n_classes: int, dim: int, init: str = "from_computed"
     return CenterTable(Tensor(rows, requires_grad=True), mode="trainable")
 
 
-def _distances_to_centers(embeddings: np.ndarray, matrix: np.ndarray, p_norm: int) -> np.ndarray:
-    d = np.abs(embeddings[:, None, :] - matrix[None, :, :]) ** p_norm
-    d = d.sum(axis=2)
-    return d if p_norm == 1 else d ** (1.0 / p_norm)
-
-
 def nearest_center_predict(embedding, centers: CenterTable, p_norm: int = 2):
     """Classify one embedding to the closest center; ties go to the smallest class id.
 
@@ -110,7 +105,7 @@ def nearest_center_predict(embedding, centers: CenterTable, p_norm: int = 2):
     emb = embedding.data if isinstance(embedding, Tensor) else np.asarray(embedding, dtype=np.float64)
     if emb.ndim != 1 or emb.shape[0] != centers.dim:
         raise ContractError(f"embedding shape {emb.shape} does not match center dim {centers.dim}")
-    dists = _distances_to_centers(emb[None, :], centers.matrix, p_norm)[0]
+    dists = lp_cdist(emb[None, :], centers.matrix, p_norm)[0]
     return int(np.argmin(dists)), dists
 
 
@@ -118,5 +113,5 @@ def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable,
                                  p_norm: int = 2):
     """Vectorized nearest-center prediction; returns (labels[N], distances[N, K])."""
     emb = embeddings.data if isinstance(embeddings, Tensor) else np.asarray(embeddings, dtype=np.float64)
-    dists = _distances_to_centers(emb, centers.matrix, p_norm)
+    dists = lp_cdist(emb, centers.matrix, p_norm)
     return dists.argmin(axis=1), dists

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distance import lp_cdist, lp_norm
 from .errors import ContractError
 from .sampling import DatasetIndex
 
@@ -170,17 +171,10 @@ def compactness(embeddings: np.ndarray, labels, center_matrix: np.ndarray,
     matrix = np.asarray(center_matrix, dtype=np.float64)
     if labels.max() >= matrix.shape[0]:
         raise ContractError("centers do not cover the observed classes")
-    diff = np.abs(emb - matrix[labels]) ** p_norm
-    within = diff.sum(axis=1)
-    within = within if p_norm == 1 else within ** (1.0 / p_norm)
+    within = lp_norm(emb - matrix[labels], p_norm)
     k = matrix.shape[0]
-    pair_dists = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = np.abs(matrix[i] - matrix[j]) ** p_norm
-            d = d.sum()
-            pair_dists.append(d if p_norm == 1 else d ** (1.0 / p_norm))
-    inter = float(np.mean(pair_dists)) if pair_dists else 0.0
+    pair_dists = lp_cdist(matrix, matrix, p_norm)[np.triu_indices(k, 1)]
+    inter = float(np.mean(pair_dists)) if pair_dists.size else 0.0
     return float(within.mean()), inter
 
 

@@ -316,6 +316,8 @@ def focal_loss_mean(logits: Tensor, labels, gamma: float = 2.0, weights=None) ->
         raise ContractError(f"gamma must be >= 0, got {gamma}")
     b, k = logits.data.shape
     labels = np.asarray(labels, dtype=np.intp)
+    if b == 0:
+        raise ContractError("empty logit batch")
     if labels.min() < 0 or labels.max() >= k:
         raise ContractError("label out of range")
     log_pt = _true_class_log_probs(logits, labels)

@@ -230,41 +230,65 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any malformed file raises ``DataFormatError``."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise DataFormatError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        if header.get("version") != 1:
-            raise DataFormatError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        loaded = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise DataFormatError(f"{path}: truncated checkpoint payload")
-            loaded[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        blob = fh.read()
+    magic = blob[:4]
+    if magic != _MAGIC:
+        raise DataFormatError(f"{path}: not a checkpoint file (bad magic {magic!r})")
+    if len(blob) < 8:
+        raise DataFormatError(f"{path}: truncated checkpoint header length")
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    offset = 8 + hlen
+    if len(blob) < offset:
+        raise DataFormatError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(blob[8:offset])
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: unreadable checkpoint header ({exc})") from None
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
+    if header.get("version") != 1:
+        raise DataFormatError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    try:
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        layer_sizes = header["extractor"]["layer_sizes"]
+        activation = header["extractor"]["activation"]
+        n_head_classes = None if header["head"] is None else header["head"]["n_classes"]
+        cmeta = header["centers"] or {}
+        epoch, fingerprint = header["epoch"], header["config_fingerprint"]
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint header (missing {exc})") from None
 
-    meta = header["extractor"]
-    extractor = FeatureExtractor(meta["layer_sizes"], activation=meta["activation"])
-    n_ext = len(extractor.parameters())
-    extractor.load_state([loaded[f"extractor.{i}"] for i in range(n_ext)])
+    loaded = {}
+    for name, shape in entries:
+        count = int(np.prod(shape)) if shape else 1
+        if len(blob) < offset + count * 8:
+            raise DataFormatError(f"{path}: truncated checkpoint payload")
+        loaded[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        offset += count * 8
+    if offset != len(blob):
+        raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes after the checkpoint payload")
+
+    def array(name):
+        if name not in loaded:
+            raise DataFormatError(f"{path}: checkpoint has no array {name!r}")
+        return loaded[name]
+
+    extractor = FeatureExtractor(layer_sizes, activation=activation)
+    extractor.load_state([array(f"extractor.{i}") for i in range(len(extractor.parameters()))])
 
     head = None
-    if header["head"] is not None:
-        head = LinearHead(extractor.out_dim, header["head"]["n_classes"])
-        head.load_state([loaded["head.0"], loaded["head.1"]])
+    if n_head_classes is not None:
+        head = LinearHead(extractor.out_dim, n_head_classes)
+        head.load_state([array("head.0"), array("head.1")])
 
-    centers = loaded.get("centers")
-    cmeta = header["centers"] or {}
     return Checkpoint(
         extractor=extractor,
-        epoch=header["epoch"],
-        config_fingerprint=header["config_fingerprint"],
+        epoch=epoch,
+        config_fingerprint=fingerprint,
         head=head,
-        center_matrix=centers,
+        center_matrix=loaded.get("centers"),
         center_mode=cmeta.get("mode"),
         center_source_epoch=cmeta.get("source_epoch"),
         extra=header.get("extra", {}),

@@ -7,6 +7,18 @@ Stage-2 batches are plain uniform shuffles chunked to a flat size.
 Triplets, pairs and quadruplets reference batch slots (positions inside a
 BatchPlan), not global sample ids, because balanced batches may repeat a
 sample; ``BatchPlan.indices`` maps slots back to dataset rows.
+
+The miners work on the whole batch at once, but they keep the random
+contract of a per-anchor loop: anchors in slot order, and for each anchor
+the same draws in the same order (positive, then negative or classes, then
+slots), each one ``rng.integers(n)`` over a candidate list in ascending
+slot or class order, which is what ``rng.choice`` of that list draws.  A
+seeded run therefore mines the same units and leaves the generator in the
+same state as the loop did.  Draws whose bounds are all known up front are
+made in one ``rng.integers(0, bounds)`` call, which yields the same values
+as the scalar calls one after another; a draw whose bound depends on an
+earlier draw (the semi-hard band of the drawn positive, the slots of the
+drawn classes) stays a scalar call in a loop.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tensor
+from .distance import lp_cdist
 from .errors import ContractError
 
 log = logging.getLogger(__name__)
@@ -139,10 +152,23 @@ def _embedding_values(embeddings) -> np.ndarray:
     return np.asarray(embeddings, dtype=np.float64)
 
 
-def _pairwise_distances(values: np.ndarray, p_norm: int) -> np.ndarray:
-    diff = np.abs(values[:, None, :] - values[None, :, :]) ** p_norm
-    s = diff.sum(axis=2)
-    return s if p_norm == 1 else s ** (1.0 / p_norm)
+def _class_masks(labels: np.ndarray):
+    """([N, N] different-class mask, [N, N] same-class-other-slot mask)."""
+    same = labels[:, None] == labels[None, :]
+    positive = same.copy()
+    np.fill_diagonal(positive, False)
+    return ~same, positive
+
+
+def _kth(mask: np.ndarray, k) -> np.ndarray:
+    """Column of the k-th (0-based) True entry of each row of ``mask``."""
+    return (mask.cumsum(axis=1) > np.asarray(k)[:, None]).argmax(axis=1)
+
+
+def _log_skipped(n_positives: np.ndarray):
+    skipped = np.flatnonzero(n_positives == 0)
+    if skipped.size:
+        log.debug("anchor slots %s have no in-batch positive; skipped", skipped.tolist())
 
 
 def form_triplets(batch: BatchPlan, embeddings, strategy: str,
@@ -161,29 +187,49 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     labels = batch.labels
     if len(np.unique(labels)) < 2:
         raise ContractError("triplet formation needs at least 2 classes in the batch")
-    values = _embedding_values(embeddings)
-    dist = _pairwise_distances(values, hyper.p_norm) if strategy == "random_hard" else None
-    triplets = []
-    for anchor in range(len(labels)):
-        same = np.flatnonzero(labels == labels[anchor])
-        same = same[same != anchor]
-        if len(same) == 0:
-            log.debug("anchor slot %d has no in-batch positive; skipped", anchor)
-            continue
-        positive = int(rng.choice(same))
-        negatives = np.flatnonzero(labels != labels[anchor])
-        if strategy == "random":
-            negative = int(rng.choice(negatives))
-        else:
-            d_ap = dist[anchor, positive]
-            d_an = dist[anchor, negatives]
-            band = negatives[(d_an > d_ap) & (d_an < d_ap + hyper.alpha)]
-            if len(band) > 0:
-                negative = int(rng.choice(band))
-            else:
-                negative = int(negatives[np.argmin(d_an)])
-        triplets.append(Triplet(anchor, positive, negative))
-    return triplets
+    negative_mask, positive_mask = _class_masks(labels)
+    n_pos = positive_mask.sum(axis=1)
+    _log_skipped(n_pos)
+    anchors = np.flatnonzero(n_pos)
+    if strategy == "random":
+        # Per anchor: positive draw, then negative draw; every bound is known.
+        k = rng.integers(0, np.column_stack([n_pos, negative_mask.sum(axis=1)])[anchors])
+        positives = _kth(positive_mask[anchors], k[:, 0])
+        negatives = _kth(negative_mask[anchors], k[:, 1])
+    else:
+        values = _embedding_values(embeddings)
+        dist = lp_cdist(values, values, hyper.p_norm)
+        # The semi-hard band of every (anchor, candidate positive) pair, so the
+        # loop below only draws: the band size depends on the drawn positive.
+        pair_anchor, pair_positive = np.nonzero(positive_mask)
+        d_ap = dist[pair_anchor, pair_positive][:, None]
+        d_an = dist[pair_anchor]
+        band = negative_mask[pair_anchor] & (d_an > d_ap) & (d_an < d_ap + hyper.alpha)
+        band_sizes = band.sum(axis=1).tolist()
+        first_pair = (np.cumsum(n_pos) - n_pos).tolist()
+        n_pos_list = n_pos.tolist()
+        pairs, k_band = [], []
+        for a in anchors.tolist():
+            pair = first_pair[a] + int(rng.integers(n_pos_list[a]))
+            pairs.append(pair)
+            k_band.append(int(rng.integers(band_sizes[pair])) if band_sizes[pair] else -1)
+        positives = pair_positive[pairs]
+        k_band = np.asarray(k_band, dtype=np.intp)
+        anchor_negatives = negative_mask[anchors]
+        hardest = np.where(anchor_negatives, dist[anchors], np.inf).argmin(axis=1)
+        # A row whose negatives are all at +inf puts argmin on slot 0.
+        hardest = np.where(anchor_negatives[np.arange(len(anchors)), hardest], hardest,
+                           anchor_negatives.argmax(axis=1))
+        negatives = np.where(k_band >= 0, _kth(band[pairs], k_band), hardest)
+    return [Triplet(a, p, n) for a, p, n in
+            zip(anchors.tolist(), positives.tolist(), negatives.tolist())]
+
+
+def _center_distances(embeddings, centers, p_norm: int) -> np.ndarray:
+    matrix = centers.matrix if hasattr(centers, "matrix") else np.asarray(centers, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ContractError("center table must be a K x D matrix")
+    return lp_cdist(_embedding_values(embeddings), matrix, p_norm)
 
 
 def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> list:
@@ -192,15 +238,7 @@ def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> list:
     Returns (anchor_slot, negative_class) pairs: all classes k other than the
     anchor's whose center violates ||f_a - c_own|| + alpha > ||f_a - c_k||.
     """
-    values = _embedding_values(embeddings)
-    matrix = centers.matrix if hasattr(centers, "matrix") else np.asarray(centers, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ContractError("center table must be a K x D matrix")
-    p = hyper.p_norm
-    d = np.abs(values[:, None, :] - matrix[None, :, :]) ** p
-    d = d.sum(axis=2)
-    if p != 1:
-        d = d ** (1.0 / p)
+    d = _center_distances(embeddings, centers, hyper.p_norm)
     labels = batch.labels
     own = d[np.arange(len(labels)), labels]
     margin = own[:, None] + hyper.alpha - d
@@ -214,15 +252,17 @@ def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> list:
     labels = batch.labels
     if len(np.unique(labels)) < 2:
         raise ContractError("pair formation needs at least 2 classes in the batch")
-    pairs = []
-    for a in range(len(labels)):
-        same = np.flatnonzero(labels == labels[a])
-        same = same[same != a]
-        if len(same) > 0:
-            pairs.append(Pair(a, int(rng.choice(same)), True))
-        other = np.flatnonzero(labels != labels[a])
-        pairs.append(Pair(a, int(rng.choice(other)), False))
-    return pairs
+    negative_mask, positive_mask = _class_masks(labels)
+    n_pos = positive_mask.sum(axis=1)
+    # Per slot: positive draw (when the slot has one), then negative draw.
+    drawn = np.column_stack([n_pos > 0, np.ones(len(labels), dtype=bool)])
+    k = np.zeros(drawn.shape, dtype=np.int64)
+    k[drawn] = rng.integers(0, np.column_stack([n_pos, negative_mask.sum(axis=1)])[drawn])
+    partners = np.column_stack([_kth(positive_mask, k[:, 0]), _kth(negative_mask, k[:, 1])])
+    slots = np.broadcast_to(np.arange(len(labels))[:, None], drawn.shape)
+    same_class = np.broadcast_to(np.array([True, False]), drawn.shape)
+    return [Pair(a, b, s) for a, b, s in
+            zip(slots[drawn].tolist(), partners[drawn].tolist(), same_class[drawn].tolist())]
 
 
 def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
@@ -232,21 +272,34 @@ def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
     if len(present) < 3:
         raise ContractError(
             f"quadruplet formation needs >= 3 classes in the batch, got {len(present)}")
-    quads = []
-    for anchor in range(len(labels)):
-        same = np.flatnonzero(labels == labels[anchor])
-        same = same[same != anchor]
-        if len(same) == 0:
-            log.debug("anchor slot %d has no in-batch positive; skipped", anchor)
-            continue
-        positive = int(rng.choice(same))
-        other_classes = present[present != labels[anchor]]
-        c1 = rng.choice(other_classes)
-        c2 = rng.choice(other_classes[other_classes != c1])
-        n1 = int(rng.choice(np.flatnonzero(labels == c1)))
-        n2 = int(rng.choice(np.flatnonzero(labels == c2)))
-        quads.append(Quadruplet(anchor, positive, n1, n2))
-    return quads
+    _, positive_mask = _class_masks(labels)
+    n_pos = positive_mask.sum(axis=1)
+    _log_skipped(n_pos)
+    anchors = np.flatnonzero(n_pos)
+    rank = np.searchsorted(present, labels).tolist()  # index of each slot's class in present
+    counts = np.bincount(labels)[present].tolist()
+    n_other = len(present) - 1
+    n_pos_list = n_pos.tolist()
+    # Per anchor: positive, first class, second class, then one slot of each
+    # class; the last two bounds depend on the drawn classes.
+    k = []
+    for a in anchors.tolist():
+        kp = int(rng.integers(n_pos_list[a]))
+        j1 = int(rng.integers(n_other))
+        j1 += j1 >= rank[a]
+        lo, hi = sorted((rank[a], j1))
+        j2 = int(rng.integers(n_other - 1))
+        j2 += j2 >= lo
+        j2 += j2 >= hi
+        k.append((kp, j1, j2, int(rng.integers(counts[j1])), int(rng.integers(counts[j2]))))
+    k = np.array(k, dtype=np.intp).reshape(-1, 5)
+    by_class = np.argsort(labels, kind="stable")  # slots grouped by class, ascending
+    class_start = np.cumsum(counts) - counts
+    positives = _kth(positive_mask[anchors], k[:, 0])
+    n1 = by_class[class_start[k[:, 1]] + k[:, 3]]
+    n2 = by_class[class_start[k[:, 2]] + k[:, 4]]
+    return [Quadruplet(*q) for q in
+            zip(anchors.tolist(), positives.tolist(), n1.tolist(), n2.tolist())]
 
 
 def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> list:
@@ -255,21 +308,19 @@ def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> list:
     Returns (anchor_slot, partner_class, same_class) units mirroring the
     all-qualifying-negatives rule of the center triplet stage.
     """
-    values = _embedding_values(embeddings)
-    matrix = centers.matrix if hasattr(centers, "matrix") else np.asarray(centers, dtype=np.float64)
-    p = hyper.p_norm
-    d = np.abs(values[:, None, :] - matrix[None, :, :]) ** p
-    d = d.sum(axis=2)
-    if p != 1:
-        d = d ** (1.0 / p)
+    d = _center_distances(embeddings, centers, hyper.p_norm)
     labels = batch.labels
-    units = []
-    for a in range(len(labels)):
-        units.append((a, int(labels[a]), True))
-        for k in range(matrix.shape[0]):
-            if k != labels[a] and hyper.alpha - d[a, k] > 0.0:
-                units.append((a, k, False))
-    return units
+    rows = np.arange(len(labels))
+    hit = hyper.alpha - d > 0.0
+    hit[rows, labels] = False
+    slots, classes = np.nonzero(hit)
+    # Each slot's own-center unit first, then its negatives in class order.
+    slots = np.concatenate([rows, slots])
+    order = np.argsort(slots, kind="stable")
+    slots = slots[order]
+    classes = np.concatenate([labels, classes])[order]
+    same_class = (np.arange(len(order)) < len(rows))[order]
+    return list(zip(slots.tolist(), classes.tolist(), same_class.tolist()))
 
 
 def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
@@ -285,12 +336,15 @@ def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
     if k_total < 3:
         raise ContractError("center quadruplets need at least 3 classes")
     qualifying = form_center_triplets(batch, embeddings, matrix, hyper)
-    labels = batch.labels
-    units = []
-    for slot, n1 in qualifying:
-        third = [c for c in range(k_total) if c != labels[slot] and c != n1]
-        units.append((slot, n1, int(rng.choice(third))))
-    return units
+    slots = np.array([s for s, _ in qualifying], dtype=np.intp)
+    n1 = np.array([c for _, c in qualifying], dtype=np.intp)
+    # The k-th class other than the anchor's and n1.
+    lo = np.minimum(batch.labels[slots], n1)
+    hi = np.maximum(batch.labels[slots], n1)
+    third = rng.integers(0, k_total - 2, size=len(qualifying))
+    third += third >= lo
+    third += third >= hi
+    return list(zip(slots.tolist(), n1.tolist(), third.tolist()))
 
 
 def oversample_indices(index: DatasetIndex, rng: np.random.Generator) -> np.ndarray:

@@ -335,6 +335,12 @@ def test_cross_entropy_mean_equals_unit_batch_mean():
     assert abs(batched_f - batch_mean(units_f).item()) < 1e-12
 
 
+
+@pytest.mark.parametrize("mean_loss", [cross_entropy_mean, focal_loss_mean])
+def test_empty_logit_batch_is_a_contract_error(mean_loss):
+    with pytest.raises(ContractError, match="empty logit batch"):
+        mean_loss(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.intp))
+
 # -- gradients (light check; the acceptance suite runs the full 100-point oracle)
 
 def _nudged_points(rng, count, dim=4):

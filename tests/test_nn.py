@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,55 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
+        with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path):
+        path = tmp_path / "m.ckpt"
+        fx = FeatureExtractor([3, 4, 2], rng=np.random.default_rng(5))
+        save_checkpoint(path, Checkpoint(extractor=fx, epoch=1, config_fingerprint="x",
+                                         center_matrix=np.zeros((3, 2)), center_mode="computed"))
+        return path, path.read_bytes()
+
+    @staticmethod
+    def _with_header(blob, edit):
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8:8 + hlen])
+        edit(header)
+        text = json.dumps(header).encode()
+        return blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + hlen:]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: b[:6],  # cut inside the header length field
+        lambda b: b[:20],  # cut inside the JSON header
+        lambda b: b[:8] + b"{not json" + b[17:],
+        lambda b: b[:-8],  # cut inside the payload
+        lambda b: b + b"\x00",  # trailing byte
+    ], ids=["length_field", "header", "bad_json", "payload", "trailing"])
+    def test_damaged_file_raises_data_format_error(self, tmp_path, corrupt):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(corrupt(blob))
+        with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["epoch", "config_fingerprint", "extractor", "head",
+                                     "centers", "arrays"])
+    def test_missing_header_key_raises_data_format_error(self, tmp_path, key):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(self._with_header(blob, lambda h: h.pop(key)))
+        with pytest.raises(DataFormatError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["extractor"].pop("activation"),
+        lambda h: h["arrays"][0].pop("shape"),
+        lambda h: h["arrays"].pop(0),
+        lambda h: h.update(arrays=None),
+    ], ids=["extractor_key", "array_shape", "array_entry", "array_table"])
+    def test_malformed_header_fields_raise_data_format_error(self, tmp_path, edit):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(self._with_header(blob, edit))
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
