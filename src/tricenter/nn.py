@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -109,6 +110,8 @@ class LinearHead:
 
     def load_state(self, arrays) -> None:
         for p, a in zip(self.parameters(), arrays):
+            if p.data.shape != a.shape:
+                raise ShapeError(f"state shape {a.shape} does not match parameter {p.data.shape}")
             p.data = np.array(a, dtype=np.float64)
 
 
@@ -229,8 +232,50 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             fh.write(arr.tobytes())
 
 
+def _count(x, low: int = 0) -> bool:
+    """True for a JSON integer (not a bool) of at least ``low``."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
+def _header_fields(header: dict, path):
+    """The header values ``load_checkpoint`` reads, type-checked."""
+    def malformed(reason):
+        return DataFormatError(f"{path}: malformed checkpoint header ({reason})")
+
+    try:
+        arrays, extractor, head = header["arrays"], header["extractor"], header["head"]
+        centers, epoch, fingerprint = header["centers"], header["epoch"], header["config_fingerprint"]
+    except KeyError as exc:
+        raise malformed(f"missing {exc}") from None
+    if not (isinstance(arrays, list) and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list) and all(_count(s) for s in e["shape"])
+            for e in arrays)):
+        raise malformed("arrays must list {name, shape} entries with non-negative integer extents")
+    if not (isinstance(extractor, dict) and isinstance(extractor.get("layer_sizes"), list)
+            and all(_count(s, 1) for s in extractor["layer_sizes"])
+            and isinstance(extractor.get("activation"), str)):
+        raise malformed("extractor must hold positive integer layer_sizes and an activation name")
+    if head is not None and not (isinstance(head, dict) and _count(head.get("n_classes"), 1)):
+        raise malformed("head must be null or hold a positive integer n_classes")
+    if centers is not None and not isinstance(centers, dict):
+        raise malformed("centers must be null or an object")
+    if not _count(epoch) or not isinstance(fingerprint, str):
+        raise malformed("epoch must be a non-negative integer and config_fingerprint a string")
+    if not isinstance(header.get("extra", {}), dict):
+        raise malformed("extra must be an object")
+    entries = [(e["name"], tuple(e["shape"])) for e in arrays]
+    return (entries, extractor, None if head is None else head["n_classes"], centers or {},
+            epoch, fingerprint)
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any malformed file raises ``DataFormatError``."""
+    """Read a checkpoint.
+
+    A damaged layout (cut, non-JSON or over-long file) or a header value of
+    the wrong type or shape raises ``DataFormatError``; arrays whose shapes
+    do not fit the recorded topology raise ``ShapeError``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     magic = blob[:4]
@@ -250,19 +295,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
     if header.get("version") != 1:
         raise DataFormatError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    try:
-        entries = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
-        layer_sizes = header["extractor"]["layer_sizes"]
-        activation = header["extractor"]["activation"]
-        n_head_classes = None if header["head"] is None else header["head"]["n_classes"]
-        cmeta = header["centers"] or {}
-        epoch, fingerprint = header["epoch"], header["config_fingerprint"]
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed checkpoint header (missing {exc})") from None
+    entries, extractor_meta, n_head_classes, cmeta, epoch, fingerprint = _header_fields(header, path)
 
     loaded = {}
     for name, shape in entries:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         if len(blob) < offset + count * 8:
             raise DataFormatError(f"{path}: truncated checkpoint payload")
         loaded[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
@@ -275,7 +312,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataFormatError(f"{path}: checkpoint has no array {name!r}")
         return loaded[name]
 
-    extractor = FeatureExtractor(layer_sizes, activation=activation)
+    extractor = FeatureExtractor(extractor_meta["layer_sizes"], activation=extractor_meta["activation"])
     extractor.load_state([array(f"extractor.{i}") for i in range(len(extractor.parameters()))])
 
     head = None
@@ -283,12 +320,18 @@ def load_checkpoint(path) -> Checkpoint:
         head = LinearHead(extractor.out_dim, n_head_classes)
         head.load_state([array("head.0"), array("head.1")])
 
+    center_matrix = loaded.get("centers")
+    if center_matrix is not None and (center_matrix.ndim != 2
+                                      or center_matrix.shape[1] != extractor.out_dim):
+        raise ShapeError(f"center table shape {center_matrix.shape} does not fit "
+                         f"embedding width {extractor.out_dim}")
+
     return Checkpoint(
         extractor=extractor,
         epoch=epoch,
         config_fingerprint=fingerprint,
         head=head,
-        center_matrix=loaded.get("centers"),
+        center_matrix=center_matrix,
         center_mode=cmeta.get("mode"),
         center_source_epoch=cmeta.get("source_epoch"),
         extra=header.get("extra", {}),

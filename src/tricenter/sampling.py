@@ -8,17 +8,19 @@ Triplets, pairs and quadruplets reference batch slots (positions inside a
 BatchPlan), not global sample ids, because balanced batches may repeat a
 sample; ``BatchPlan.indices`` maps slots back to dataset rows.
 
-The miners work on the whole batch at once, but they keep the random
-contract of a per-anchor loop: anchors in slot order, and for each anchor
-the same draws in the same order (positive, then negative or classes, then
-slots), each one ``rng.integers(n)`` over a candidate list in ascending
-slot or class order, which is what ``rng.choice`` of that list draws.  A
-seeded run therefore mines the same units and leaves the generator in the
-same state as the loop did.  Draws whose bounds are all known up front are
-made in one ``rng.integers(0, bounds)`` call, which yields the same values
-as the scalar calls one after another; a draw whose bound depends on an
-earlier draw (the semi-hard band of the drawn positive, the slots of the
-drawn classes) stays a scalar call in a loop.
+The semi-hard triplet, quadruplet and center-quadruplet miners work on the
+whole batch at once, but they keep the random contract of a per-anchor
+loop: anchors in slot order, and for each anchor the same draws in the same
+order (positive, then negative or classes, then slots), each one
+``rng.integers(n)`` over a candidate list in ascending slot or class order,
+which is what ``rng.choice`` of that list draws.  A seeded run therefore
+mines the same units and leaves the generator in the same state as the
+loop did.  Draws whose bounds are all known up front are made in one
+``rng.integers(0, bounds)`` call, which yields the same values as the
+scalar calls one after another; a draw whose bound depends on an earlier
+draw (the semi-hard band of the drawn positive, the slots of the drawn
+classes) stays a scalar call in a loop.  Random triplets, pairs and center
+pairs are still per-anchor loops.
 """
 
 from __future__ import annotations
@@ -187,40 +189,50 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     labels = batch.labels
     if len(np.unique(labels)) < 2:
         raise ContractError("triplet formation needs at least 2 classes in the batch")
+    if strategy == "random":
+        triplets = []
+        for anchor in range(len(labels)):
+            same = np.flatnonzero(labels == labels[anchor])
+            same = same[same != anchor]
+            if len(same) == 0:
+                log.debug("anchor slot %d has no in-batch positive; skipped", anchor)
+                continue
+            positive = int(rng.choice(same))
+            negative = int(rng.choice(np.flatnonzero(labels != labels[anchor])))
+            triplets.append(Triplet(anchor, positive, negative))
+        return triplets
     negative_mask, positive_mask = _class_masks(labels)
     n_pos = positive_mask.sum(axis=1)
     _log_skipped(n_pos)
     anchors = np.flatnonzero(n_pos)
-    if strategy == "random":
-        # Per anchor: positive draw, then negative draw; every bound is known.
-        k = rng.integers(0, np.column_stack([n_pos, negative_mask.sum(axis=1)])[anchors])
-        positives = _kth(positive_mask[anchors], k[:, 0])
-        negatives = _kth(negative_mask[anchors], k[:, 1])
-    else:
-        values = _embedding_values(embeddings)
-        dist = lp_cdist(values, values, hyper.p_norm)
-        # The semi-hard band of every (anchor, candidate positive) pair, so the
-        # loop below only draws: the band size depends on the drawn positive.
-        pair_anchor, pair_positive = np.nonzero(positive_mask)
-        d_ap = dist[pair_anchor, pair_positive][:, None]
-        d_an = dist[pair_anchor]
-        band = negative_mask[pair_anchor] & (d_an > d_ap) & (d_an < d_ap + hyper.alpha)
-        band_sizes = band.sum(axis=1).tolist()
-        first_pair = (np.cumsum(n_pos) - n_pos).tolist()
-        n_pos_list = n_pos.tolist()
-        pairs, k_band = [], []
-        for a in anchors.tolist():
-            pair = first_pair[a] + int(rng.integers(n_pos_list[a]))
-            pairs.append(pair)
-            k_band.append(int(rng.integers(band_sizes[pair])) if band_sizes[pair] else -1)
-        positives = pair_positive[pairs]
-        k_band = np.asarray(k_band, dtype=np.intp)
-        anchor_negatives = negative_mask[anchors]
-        hardest = np.where(anchor_negatives, dist[anchors], np.inf).argmin(axis=1)
-        # A row whose negatives are all at +inf puts argmin on slot 0.
-        hardest = np.where(anchor_negatives[np.arange(len(anchors)), hardest], hardest,
-                           anchor_negatives.argmax(axis=1))
-        negatives = np.where(k_band >= 0, _kth(band[pairs], k_band), hardest)
+    values = _embedding_values(embeddings)
+    dist = lp_cdist(values, values, hyper.p_norm)
+    # Each slot's negative distances in ascending order (other slots at +inf),
+    # so two binary searches count the semi-hard band of the drawn positive:
+    # its size bounds the next draw.
+    sorted_negatives = np.sort(np.where(negative_mask, dist, np.inf), axis=1)
+    positive_slots = np.nonzero(positive_mask)[1]
+    first_positive = (np.cumsum(n_pos) - n_pos).tolist()
+    n_pos_list = n_pos.tolist()
+    positives, k_band = [], []
+    for a in anchors.tolist():
+        positive = int(positive_slots[first_positive[a] + int(rng.integers(n_pos_list[a]))])
+        d_ap = dist[a, positive]
+        band_size = int(np.searchsorted(sorted_negatives[a], d_ap + hyper.alpha, "left")
+                        - np.searchsorted(sorted_negatives[a], d_ap, "right"))
+        positives.append(positive)
+        k_band.append(int(rng.integers(band_size)) if band_size > 0 else -1)
+    positives = np.asarray(positives, dtype=np.intp)
+    k_band = np.asarray(k_band, dtype=np.intp)
+    d_ap = dist[anchors, positives][:, None]
+    d_an = dist[anchors]
+    anchor_negatives = negative_mask[anchors]
+    band = anchor_negatives & (d_an > d_ap) & (d_an < d_ap + hyper.alpha)
+    hardest = np.where(anchor_negatives, d_an, np.inf).argmin(axis=1)
+    # A row whose negatives are all at +inf puts argmin on slot 0.
+    hardest = np.where(anchor_negatives[np.arange(len(anchors)), hardest], hardest,
+                       anchor_negatives.argmax(axis=1))
+    negatives = np.where(k_band >= 0, _kth(band, k_band), hardest)
     return [Triplet(a, p, n) for a, p, n in
             zip(anchors.tolist(), positives.tolist(), negatives.tolist())]
 
@@ -252,17 +264,15 @@ def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> list:
     labels = batch.labels
     if len(np.unique(labels)) < 2:
         raise ContractError("pair formation needs at least 2 classes in the batch")
-    negative_mask, positive_mask = _class_masks(labels)
-    n_pos = positive_mask.sum(axis=1)
-    # Per slot: positive draw (when the slot has one), then negative draw.
-    drawn = np.column_stack([n_pos > 0, np.ones(len(labels), dtype=bool)])
-    k = np.zeros(drawn.shape, dtype=np.int64)
-    k[drawn] = rng.integers(0, np.column_stack([n_pos, negative_mask.sum(axis=1)])[drawn])
-    partners = np.column_stack([_kth(positive_mask, k[:, 0]), _kth(negative_mask, k[:, 1])])
-    slots = np.broadcast_to(np.arange(len(labels))[:, None], drawn.shape)
-    same_class = np.broadcast_to(np.array([True, False]), drawn.shape)
-    return [Pair(a, b, s) for a, b, s in
-            zip(slots[drawn].tolist(), partners[drawn].tolist(), same_class[drawn].tolist())]
+    pairs = []
+    for a in range(len(labels)):
+        same = np.flatnonzero(labels == labels[a])
+        same = same[same != a]
+        if len(same) > 0:
+            pairs.append(Pair(a, int(rng.choice(same)), True))
+        other = np.flatnonzero(labels != labels[a])
+        pairs.append(Pair(a, int(rng.choice(other)), False))
+    return pairs
 
 
 def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
@@ -310,17 +320,13 @@ def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> list:
     """
     d = _center_distances(embeddings, centers, hyper.p_norm)
     labels = batch.labels
-    rows = np.arange(len(labels))
-    hit = hyper.alpha - d > 0.0
-    hit[rows, labels] = False
-    slots, classes = np.nonzero(hit)
-    # Each slot's own-center unit first, then its negatives in class order.
-    slots = np.concatenate([rows, slots])
-    order = np.argsort(slots, kind="stable")
-    slots = slots[order]
-    classes = np.concatenate([labels, classes])[order]
-    same_class = (np.arange(len(order)) < len(rows))[order]
-    return list(zip(slots.tolist(), classes.tolist(), same_class.tolist()))
+    units = []
+    for a in range(len(labels)):
+        units.append((a, int(labels[a]), True))
+        for k in range(d.shape[1]):
+            if k != labels[a] and hyper.alpha - d[a, k] > 0.0:
+                units.append((a, k, False))
+    return units
 
 
 def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,

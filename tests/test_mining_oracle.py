@@ -1,9 +1,11 @@
 """The vectorized miners against the per-anchor loops they replaced.
 
-The functions below ``form_triplets`` .. ``form_center_quadruplets`` are the
-loop implementations, kept verbatim as reference oracles.  Each vectorized
-miner in ``tricenter.sampling`` must return the same unit list and leave the
-generator in the same state, so seeded runs do not change.
+The functions below are the loop implementations of the semi-hard triplet,
+quadruplet and center miners, kept verbatim as reference oracles.  Each
+vectorized miner in ``tricenter.sampling`` must return the same unit list
+and leave the generator in the same state, so seeded runs do not change.
+Random triplets, pairs and center pairs are still loops in the package and
+are not compared here.
 """
 
 import logging
@@ -16,7 +18,7 @@ from tricenter.distance import lp_cdist, lp_norm
 from tricenter.errors import ContractError
 from tricenter.evaluation import compactness
 from tricenter.losses import LossHyper
-from tricenter.sampling import BatchPlan, Pair, Quadruplet, Triplet, _embedding_values
+from tricenter.sampling import BatchPlan, Quadruplet, Triplet, _embedding_values
 
 log = logging.getLogger(__name__)
 
@@ -93,22 +95,6 @@ def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> list:
     return list(zip(slots.tolist(), classes.tolist()))
 
 
-def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> list:
-    """One same-class pair (when available) and one cross-class pair per slot."""
-    labels = batch.labels
-    if len(np.unique(labels)) < 2:
-        raise ContractError("pair formation needs at least 2 classes in the batch")
-    pairs = []
-    for a in range(len(labels)):
-        same = np.flatnonzero(labels == labels[a])
-        same = same[same != a]
-        if len(same) > 0:
-            pairs.append(Pair(a, int(rng.choice(same)), True))
-        other = np.flatnonzero(labels != labels[a])
-        pairs.append(Pair(a, int(rng.choice(other)), False))
-    return pairs
-
-
 def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
     """Anchor + positive + negatives from two distinct other classes, all uniform."""
     labels = batch.labels
@@ -133,29 +119,6 @@ def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
     return quads
 
 
-def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> list:
-    """Center-involved pairs: the own center plus every margin-violating negative center.
-
-    Returns (anchor_slot, partner_class, same_class) units mirroring the
-    all-qualifying-negatives rule of the center triplet stage.
-    """
-    values = _embedding_values(embeddings)
-    matrix = centers.matrix if hasattr(centers, "matrix") else np.asarray(centers, dtype=np.float64)
-    p = hyper.p_norm
-    d = np.abs(values[:, None, :] - matrix[None, :, :]) ** p
-    d = d.sum(axis=2)
-    if p != 1:
-        d = d ** (1.0 / p)
-    labels = batch.labels
-    units = []
-    for a in range(len(labels)):
-        units.append((a, int(labels[a]), True))
-        for k in range(matrix.shape[0]):
-            if k != labels[a] and hyper.alpha - d[a, k] > 0.0:
-                units.append((a, k, False))
-    return units
-
-
 def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
                             rng: np.random.Generator) -> list:
     """Center-involved quadruplets over all qualifying first negatives.
@@ -175,7 +138,6 @@ def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
         third = [c for c in range(k_total) if c != labels[slot] and c != n1]
         units.append((slot, n1, int(rng.choice(third))))
     return units
-
 
 
 def compactness_reference(embeddings, labels, center_matrix, p_norm=2):
@@ -236,17 +198,11 @@ def batches(seed, min_classes=2):
 # -- the miners against their oracles ------------------------------------------
 
 @pytest.mark.parametrize("p_norm", [1, 2, 3])
-@pytest.mark.parametrize("strategy", ["random", "random_hard"])
-def test_triplets_match_the_loop(strategy, p_norm):
+def test_semi_hard_triplets_match_the_loop(p_norm):
     for batch, emb, alpha in batches(10 + p_norm):
         hyper = LossHyper(alpha=alpha, p_norm=p_norm)
         assert_same_draws(sampling.form_triplets, form_triplets,
-                          lambda fn, rng: fn(batch, emb, strategy, hyper, rng))
-
-
-def test_pairs_match_the_loop():
-    for batch, _, _ in batches(20):
-        assert_same_draws(sampling.form_pairs, form_pairs, lambda fn, rng: fn(batch, rng))
+                          lambda fn, rng: fn(batch, emb, "random_hard", hyper, rng))
 
 
 def test_quadruplets_match_the_loop():
@@ -264,19 +220,18 @@ def test_center_miners_match_the_loop(p_norm):
         hyper = LossHyper(alpha=alpha, p_norm=p_norm)
         assert (repr(sampling.form_center_triplets(batch, emb, centers, hyper))
                 == repr(form_center_triplets(batch, emb, centers, hyper)))
-        assert (repr(sampling.form_center_pairs(batch, emb, centers, hyper))
-                == repr(form_center_pairs(batch, emb, centers, hyper)))
         assert_same_draws(sampling.form_center_quadruplets, form_center_quadruplets,
                           lambda fn, r: fn(batch, emb, centers, hyper, r))
 
 
-def test_balanced_batches_match_the_loop():
+@pytest.mark.parametrize("m_per_class, dim", [(10, 16), (30, 3)])
+def test_balanced_batches_match_the_loop(m_per_class, dim):
     """The stage-1 shape: equal slots per class, as build_balanced_batch makes them."""
     index = sampling.DatasetIndex.from_labels(np.repeat(np.arange(7), [40, 9, 25, 3, 60, 12, 5]))
     rng = np.random.default_rng(50)
     for alpha in ALPHAS:
-        plan = sampling.build_balanced_batch(index, 10, rng)
-        emb = rng.normal(size=(len(plan), 16))
+        plan = sampling.build_balanced_batch(index, m_per_class, rng)
+        emb = np.round(rng.normal(size=(len(plan), dim)), 1)
         hyper = LossHyper(alpha=alpha)
         assert_same_draws(sampling.form_triplets, form_triplets,
                           lambda fn, r: fn(plan, emb, "random_hard", hyper, r))
@@ -306,12 +261,13 @@ def test_fallback_when_every_negative_is_infinitely_far():
                                        np.random.default_rng(0))
     assert units[:2] == [Triplet(0, 1, 2), Triplet(1, 0, 2)]
 
+
 def test_single_slot_anchors_are_skipped():
     plan = BatchPlan(indices=np.arange(5), labels=np.array([0, 1, 1, 2, 2]), stage="flat")
     emb = np.arange(10.0).reshape(5, 2)
+    assert_same_draws(sampling.form_triplets, form_triplets,
+                      lambda fn, r: fn(plan, emb, "random_hard", LossHyper(), r))
     for strategy in ("random", "random_hard"):
-        assert_same_draws(sampling.form_triplets, form_triplets,
-                          lambda fn, r: fn(plan, emb, strategy, LossHyper(), r))
         units = sampling.form_triplets(plan, emb, strategy, LossHyper(), np.random.default_rng(1))
         assert [t.anchor for t in units] == [1, 2, 3, 4]
     assert_same_draws(sampling.form_quadruplets, form_quadruplets, lambda fn, r: fn(plan, r))

@@ -178,11 +178,42 @@ class TestCheckpoint:
         lambda h: h["arrays"][0].pop("shape"),
         lambda h: h["arrays"].pop(0),
         lambda h: h.update(arrays=None),
-    ], ids=["extractor_key", "array_shape", "array_entry", "array_table"])
+        lambda h: h.update(centers=1),
+        lambda h: h.update(head=[]),
+        lambda h: h.update(head={"n_classes": "3"}),
+        lambda h: h.update(epoch="1"),
+        lambda h: h.update(extra=[]),
+        lambda h: h["extractor"].update(layer_sizes=["3", "4", "2"]),
+        lambda h: h["extractor"].update(activation=["relu"]),
+        lambda h: h["arrays"][0].update(shape=["3", 4]),
+        lambda h: h["arrays"][0].update(shape=[-3, -4]),
+        lambda h: h["arrays"][0].update(shape=[3, 5]),  # more than the payload holds
+        lambda h: h["arrays"][0].update(shape=[3, 3]),  # leaves bytes over
+        lambda h: h["arrays"][0].update(shape=[2 ** 32, 2 ** 32]),  # wraps in int64
+    ], ids=["extractor_key", "array_shape", "array_entry", "array_table", "centers_type",
+            "head_type", "head_classes_type", "epoch_type", "extra_type", "layer_sizes_type",
+            "activation_type", "shape_type", "shape_negative", "shape_too_big",
+            "shape_too_small", "shape_overflow"])
     def test_malformed_header_fields_raise_data_format_error(self, tmp_path, edit):
         path, blob = self._saved(tmp_path)
         path.write_bytes(self._with_header(blob, edit))
         with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[3, 2], [6]], ids=["head_weight", "centers_1d"])
+    def test_arrays_that_do_not_fit_the_topology_raise_shape_error(self, tmp_path, shape):
+        path = tmp_path / "m.ckpt"
+        fx = FeatureExtractor([3, 4, 2], rng=np.random.default_rng(5))
+        head = LinearHead(2, 3, rng=np.random.default_rng(6))
+        save_checkpoint(path, Checkpoint(extractor=fx, epoch=1, config_fingerprint="x", head=head,
+                                         center_matrix=np.zeros((3, 2))))
+        name = "head.0" if shape == [3, 2] else "centers"
+
+        def reshape(h):
+            entry = next(e for e in h["arrays"] if e["name"] == name)
+            entry["shape"] = shape  # same element count, wrong layout
+        path.write_bytes(self._with_header(path.read_bytes(), reshape))
+        with pytest.raises(ShapeError):
             load_checkpoint(path)
 
 
