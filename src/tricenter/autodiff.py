@@ -6,11 +6,22 @@ value, its parent tensors and a vector-Jacobian-product closure.  Calling
 that requires them.  Gradients accumulate across repeated backward calls
 until ``zero_grad`` resets them.
 
-Hinge-style ops (relu, sqrt, fractional powers, and ``abs_pow`` at p = 1)
-define their gradient as 0 at the kink; ``finite_diff_check`` refuses to
-certify gradients at points too close to such kinks and raises
-HingeKinkError instead.  ``abs_pow`` at p > 1 is smooth at 0, so it is not
-a hinge op and never raises.
+Three fused ops cover the hot subgraphs of training, each as one graph
+node: ``affine`` (the dense layer ``x @ W + b``), ``lp_dist`` (the L_p
+distance over the last axis) and ``log_softmax_pick`` (the row-wise
+log-softmax at the true class).  Each VJP replays, operation for operation
+and in the same order, the float arithmetic of the backward pass of the
+elementary-op chain it replaces, and each fused node lists its parents in
+the order that chain reaches them, so gradients accumulate in the same
+order and training stays bit for bit what the chain gave.  VJPs compute no
+gradient for a parent with ``requires_grad=False``.
+
+Hinge-style ops (relu, sqrt, fractional powers) define their gradient as 0
+at the kink; ``finite_diff_check`` refuses to certify gradients at points
+too close to such kinks and raises HingeKinkError instead.  ``lp_dist``
+flags what its chain flagged: for p = 1 every zero coordinate of x - y (the
+kink of |t|), for p > 1 only a distance of 0 (the kink of the 1/p power;
+|t|^p is smooth at 0 for p > 1).
 """
 
 from __future__ import annotations
@@ -109,7 +120,8 @@ class Tensor:
         a, b = self, other
 
         def vjp(g):
-            return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+            return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                    _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
         return Tensor._from_op(a.data + b.data, (a, b), vjp, "+")
 
@@ -130,8 +142,8 @@ class Tensor:
         a, b = self, other
 
         def vjp(g):
-            return (_unbroadcast(g * b.data, a.data.shape),
-                    _unbroadcast(g * a.data, b.data.shape))
+            return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                    _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
         return Tensor._from_op(a.data * b.data, (a, b), vjp, "*")
 
@@ -142,18 +154,24 @@ class Tensor:
             raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
         return self * (1.0 / float(other))
 
-    def __matmul__(self, other):
-        other = self._lift(other)
-        a, b = self, other
-        if a.data.ndim != 2 or b.data.ndim != 2:
+    def affine(self, weight, bias) -> "Tensor":
+        """The dense layer ``self @ weight + bias`` as one node.
+
+        ``self`` is [B, n], ``weight`` [n, m] and ``bias`` broadcasts against
+        [B, m].  The VJP is that of the matmul node followed by the add node.
+        """
+        x, w, b = self, self._lift(weight), self._lift(bias)
+        if x.data.ndim != 2 or w.data.ndim != 2:
             raise ShapeError("matmul expects 2-D operands")
-        if a.data.shape[1] != b.data.shape[0]:
-            raise ShapeError(f"matmul shapes {a.data.shape} x {b.data.shape} are incompatible")
+        if x.data.shape[1] != w.data.shape[0]:
+            raise ShapeError(f"matmul shapes {x.data.shape} x {w.data.shape} are incompatible")
 
         def vjp(g):
-            return g @ b.data.T, a.data.T @ g
+            return (g @ w.data.T if x.requires_grad else None,
+                    x.data.T @ g if w.requires_grad else None,
+                    _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-        return Tensor._from_op(a.data @ b.data, (a, b), vjp, "@")
+        return Tensor._from_op(x.data @ w.data + b.data, (x, w, b), vjp, "affine")
 
     def pow(self, p: float) -> "Tensor":
         """Elementwise power with a constant exponent.
@@ -176,26 +194,74 @@ class Tensor:
             out._kink_tol_fn = lambda tol: bool(np.any(np.abs(a.data) < tol))
         return out
 
-    def abs_pow(self, p: float) -> "Tensor":
-        """Elementwise |x|^p for a constant p >= 1.
+    def lp_dist(self, other, p: int) -> "Tensor":
+        """L_p distance (sum |x - y|^p)^(1/p) along the last axis, for an integer p >= 1.
 
-        The gradient is p|x|^(p-1) sign(x).  For p > 1 that derivative is
-        continuous and 0 at x = 0, so |x|^p is smooth there; |x|^p has a kink
-        at 0 only for p = 1.
+        One node for the chain x + (-y), |.|^p, sum over the last axis,
+        ^(1/p).  The gradient is 0 where its chain defines it so: at a zero
+        coordinate (sign 0) and, for p > 1, at a distance of 0.
         """
-        a = self
-        p = float(p)
-        if p < 1.0:
-            raise ContractError(f"abs_pow needs p >= 1, got {p}")
-        mag = np.abs(a.data)
+        x, y = self, self._lift(other)
+        if x.data.shape != y.data.shape or x.data.ndim == 0:
+            raise ShapeError(f"distance operands must share a shape with at least one axis, "
+                             f"got {x.data.shape} vs {y.data.shape}")
+        if int(p) < 1:
+            raise ContractError(f"p_norm must be >= 1, got {p}")
+        fp = float(int(p))
+        q = 1.0 / fp
+        diff = x.data + (-y.data)
+        mag = np.abs(diff)
+        s = np.power(mag, fp).sum(axis=-1)
+        data = s if fp == 1.0 else np.power(s, q)
 
         def vjp(g):
-            return (g * (p * np.power(mag, p - 1.0)) * np.sign(a.data),)
+            if fp != 1.0:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    d = q * np.power(s, q - 1.0)
+                g = g * np.where(np.isfinite(d), d, 0.0)
+            g = np.broadcast_to(np.expand_dims(g, -1), diff.shape)
+            g_diff = g * (fp * np.power(mag, fp - 1.0)) * np.sign(diff)
+            return (g_diff if x.requires_grad else None,
+                    -g_diff if y.requires_grad else None)
 
-        out = Tensor._from_op(np.power(mag, p), (a,), vjp, "abs_pow")
-        if p == 1.0:
+        out = Tensor._from_op(data, (x, y), vjp, "lp_dist")
+        if fp == 1.0:
             out._kink_tol_fn = lambda tol: bool(np.any(mag < tol))
+        else:
+            out._kink_tol_fn = lambda tol: bool(np.any(np.abs(s) < tol))
         return out
+
+    def log_softmax_pick(self, labels) -> "Tensor":
+        """log softmax(row)[label] for each row of [B, K] logits; returns shape [B].
+
+        One node for the chain: subtract the row max (a constant, so no
+        gradient flows through it), subtract the log-sum-exp, multiply by
+        the one-hot labels, sum each row.
+        """
+        a = self
+        if a.data.ndim != 2:
+            raise ShapeError(f"expected [B, K] logits, got shape {a.data.shape}")
+        b, k = a.data.shape
+        if b == 0:
+            raise ContractError("empty logit batch")
+        labels = np.asarray(labels, dtype=np.intp)
+        if labels.shape != (b,):
+            raise ShapeError(f"labels must have shape ({b},), got {labels.shape}")
+        if labels.min() < 0 or labels.max() >= k:
+            raise ContractError("label out of range")
+        onehot = np.zeros((b, k))
+        onehot[np.arange(b), labels] = 1.0
+        shifted = a.data + (-a.data.max(axis=1, keepdims=True))
+        e = np.exp(shifted)
+        s = e.sum(axis=1, keepdims=True)
+        log_probs = shifted + (-np.log(s))
+
+        def vjp(g):
+            g_pick = np.broadcast_to(np.expand_dims(g, 1), (b, k)) * onehot
+            g_lse = -_unbroadcast(g_pick, s.shape)
+            return (g_pick + np.broadcast_to(g_lse / s, (b, k)) * e,)
+
+        return Tensor._from_op((log_probs * onehot).sum(axis=1), (a,), vjp, "log_softmax_pick")
 
     def relu(self) -> "Tensor":
         a = self
@@ -265,7 +331,7 @@ class Tensor:
 
     # -- backward ----------------------------------------------------------------
 
-    def _toposort(self):
+    def _toposort(self, grad_only: bool = False):
         order, visited, stack = [], set(), [(self, False)]
         while stack:
             node, done = stack.pop()
@@ -277,7 +343,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if id(p) not in visited and (p.requires_grad or not grad_only):
                     stack.append((p, False))
         return order  # parents before children
 
@@ -287,7 +353,7 @@ class Tensor:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.data.shape}")
         if not self.requires_grad:
             raise ContractError("backward() on a tensor with no graph attached")
-        order = self._toposort()
+        order = self._toposort(grad_only=True)
         grads = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
             g = grads.pop(id(node), None)
@@ -303,7 +369,10 @@ class Tensor:
                 node.grad = g if node.grad is None else node.grad + g
 
     def graph_has_kink(self, tol: float) -> bool:
-        """True when any hinge-style op in this graph was evaluated within tol of its kink."""
+        """True when any hinge-style op in this graph was evaluated within tol of its kink.
+
+        Walks constant nodes too: a hinge op on constants still flags.
+        """
         for node in self._toposort():
             if node._kink_tol_fn is not None and node._kink_tol_fn(tol):
                 return True

@@ -111,7 +111,14 @@ def nearest_center_predict(embedding, centers: CenterTable, p_norm: int = 2):
 
 def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable,
                                  p_norm: int = 2):
-    """Vectorized nearest-center prediction; returns (labels[N], distances[N, K])."""
+    """Vectorized nearest-center prediction; returns (labels[N], distances[N, K]).
+
+    The distances are filled ``FORWARD_CHUNK`` rows at a time, so the
+    ``[rows, K, D]`` difference never spans the whole input.
+    """
     emb = embeddings.data if isinstance(embeddings, Tensor) else np.asarray(embeddings, dtype=np.float64)
-    dists = lp_cdist(emb, centers.matrix, p_norm)
+    dists = np.empty((emb.shape[0], centers.n_classes))
+    for start in range(0, emb.shape[0], FORWARD_CHUNK):
+        stop = start + FORWARD_CHUNK
+        dists[start:stop] = lp_cdist(emb[start:stop], centers.matrix, p_norm)
     return dists.argmin(axis=1), dists

@@ -1,10 +1,11 @@
 """The L_p distance kernel shared by mining, prediction and diagnostics.
 
 Every non-differentiable L_p distance in the package goes through
-``lp_norm``; the differentiable twin used by the losses is
-``losses.lp_distance_rows``.  The values are bit for bit those of the
-naive ``(np.abs(x - y) ** p).sum(-1) ** (1 / p)``, so seeded mining and
-prediction do not change with the kernel.
+``lp_norm``; the differentiable twin used by the losses is the fused
+autodiff op ``Tensor.lp_dist`` (one graph node, reached through
+``losses.lp_distance_rows`` and ``losses.lp_distance``).  The values are
+bit for bit those of the naive ``(np.abs(x - y) ** p).sum(-1) ** (1 / p)``,
+so seeded mining and prediction do not change with the kernel.
 """
 
 from __future__ import annotations

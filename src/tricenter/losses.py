@@ -50,20 +50,17 @@ def _as_tensor(x) -> Tensor:
 
 
 def lp_distance(x, y, p_norm: int = 2) -> Tensor:
-    """(sum |x_i - y_i|^p)^(1/p) between two same-shape tensors.
+    """(sum |x_i - y_i|^p)^(1/p) between two same-length vectors.
 
     For p > 1 the distance is differentiable wherever d > 0: a zero
     coordinate of x - y is not a kink, so its only kink is at d = 0.  For
     p = 1 every zero coordinate of x - y is a kink.
     """
     x, y = _as_tensor(x), _as_tensor(y)
-    if x.data.shape != y.data.shape:
-        raise ShapeError(f"distance operands differ in shape: {x.data.shape} vs {y.data.shape}")
-    p = int(p_norm)
-    if p < 1:
-        raise ContractError(f"p_norm must be >= 1, got {p_norm}")
-    s = (x - y).abs_pow(p).sum()
-    return s if p == 1 else s.pow(1.0 / p)
+    if x.data.shape != y.data.shape or x.data.ndim != 1:
+        raise ShapeError(f"distance operands must be vectors of one length, "
+                         f"got {x.data.shape} vs {y.data.shape}")
+    return x.lp_dist(y, p_norm)
 
 
 def lp_distance_rows(x: Tensor, y: Tensor, p_norm: int = 2) -> Tensor:
@@ -73,9 +70,7 @@ def lp_distance_rows(x: Tensor, y: Tensor, p_norm: int = 2) -> Tensor:
     """
     if x.data.shape != y.data.shape or x.data.ndim != 2:
         raise ShapeError(f"row distances need matching 2-D shapes, got {x.data.shape} vs {y.data.shape}")
-    p = int(p_norm)
-    s = (x - y).abs_pow(p).sum(axis=1)
-    return s if p == 1 else s.pow(1.0 / p)
+    return x.lp_dist(y, p_norm)
 
 
 def triplet_loss(f_a, f_p, f_n, hyper: LossHyper) -> Tensor:
@@ -279,51 +274,37 @@ def center_quadruplet_loss_mean(anchor_rows: Tensor, own_centers: Tensor,
     return (first + second).mean()
 
 
-def _log_softmax_rows(logits: Tensor) -> Tensor:
-    # The row max is subtracted as a constant; it cancels in both the value
-    # and the gradient of the log-softmax, so no gradient flows through it.
-    shift = logits.data.max(axis=1, keepdims=True)
-    shifted = logits - shift
-    lse = shifted.exp().sum(axis=1, keepdims=True).log()
-    return shifted - lse
-
-
-def _true_class_log_probs(logits: Tensor, labels: np.ndarray) -> Tensor:
-    b, k = logits.data.shape
-    onehot = np.zeros((b, k))
-    onehot[np.arange(b), labels] = 1.0
-    return (_log_softmax_rows(logits) * onehot).sum(axis=1)
+def _class_weights(logits: Tensor, weights):
+    """Per-class weights as a length-K array, checked against [B, K] logits."""
+    if weights is None:
+        return None
+    w = np.asarray(weights, dtype=np.float64)
+    if logits.data.ndim != 2 or w.shape != (logits.data.shape[1],):
+        raise ShapeError(f"weights must hold one entry per class of the logits "
+                         f"{logits.data.shape}, got shape {w.shape}")
+    return w
 
 
 def cross_entropy_mean(logits: Tensor, labels, weights=None) -> Tensor:
     """Mean of per-sample weighted cross entropies over a [B, K] logit tensor."""
-    b, k = logits.data.shape
+    w = _class_weights(logits, weights)
     labels = np.asarray(labels, dtype=np.intp)
-    if b == 0:
-        raise ContractError("empty logit batch")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ContractError("label out of range")
-    log_pt = _true_class_log_probs(logits, labels)
-    if weights is None:
+    log_pt = logits.log_softmax_pick(labels)
+    if w is None:
         return (-log_pt).mean()
-    w = np.asarray(weights, dtype=np.float64)[labels]
-    return ((-log_pt) * w).mean()
+    return ((-log_pt) * w[labels]).mean()
 
 
 def focal_loss_mean(logits: Tensor, labels, gamma: float = 2.0, weights=None) -> Tensor:
     """Mean of per-sample weighted focal losses over a [B, K] logit tensor."""
     if gamma < 0:
         raise ContractError(f"gamma must be >= 0, got {gamma}")
-    b, k = logits.data.shape
+    w = _class_weights(logits, weights)
     labels = np.asarray(labels, dtype=np.intp)
-    if b == 0:
-        raise ContractError("empty logit batch")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ContractError("label out of range")
-    log_pt = _true_class_log_probs(logits, labels)
+    log_pt = logits.log_softmax_pick(labels)
     nll = -log_pt
     if gamma != 0:
         nll = (1.0 - log_pt.exp()).pow(float(gamma)) * nll
-    if weights is not None:
-        nll = nll * np.asarray(weights, dtype=np.float64)[labels]
+    if w is not None:
+        nll = nll * w[labels]
     return nll.mean()

@@ -68,7 +68,7 @@ class FeatureExtractor:
         x = batch
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
+            x = x.affine(w, b)
             if i != last:
                 x = act(x)
         return x
@@ -101,7 +101,7 @@ class LinearHead:
         return [self.weight, self.bias]
 
     def forward(self, embeddings: Tensor) -> Tensor:
-        return embeddings @ self.weight + self.bias
+        return embeddings.affine(self.weight, self.bias)
 
     __call__ = forward
 
@@ -119,7 +119,11 @@ class Adam:
     """Bias-corrected Adam over a list of parameter Tensors.
 
     Defaults follow the training protocol used throughout this project:
-    learning rate 1e-4, beta1 0.9, beta2 0.99, epsilon 1e-8.
+    learning rate 1e-4, beta1 0.9, beta2 0.99, epsilon 1e-8.  Both moments
+    live in one flat vector over all parameters (in list order), so each
+    step runs its elementwise passes once, not once per parameter, into
+    reused buffers; every element sees the same arithmetic, in the same
+    order, as in a per-parameter update.
     """
 
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
@@ -127,21 +131,31 @@ class Adam:
         if lr <= 0 or epsilon <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1):
             raise ContractError("Adam hyperparameters out of range")
         self.params = list(params)
+        if not self.params:
+            raise ContractError("Adam needs at least one parameter")
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ContractError("Adam got the same parameter twice")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.step_count = 0
-        self.first_moment = [np.zeros_like(p.data) for p in self.params]
-        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+        size = sum(p.data.size for p in self.params)
+        self.first_moment = np.zeros(size)
+        self.second_moment = np.zeros(size)
+        self._scratch = np.empty((2, size))  # temporaries of the update, reused each step
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
-        """Apply one update from the gradients currently stored on the parameters."""
-        for i, p in enumerate(self.params):
+        """Apply one update from the gradients currently stored on the parameters.
+
+        Every parameter gets a fresh ``data`` array (a view into this step's
+        flat result), so arrays read before the step keep their values.
+        """
+        for p in self.params:
             if p.grad is None:
                 raise ContractError("adam step with a missing gradient; run backward first")
             if p.grad.shape != p.data.shape:
@@ -150,15 +164,24 @@ class Adam:
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            m = self.first_moment[i]
-            v = self.second_moment[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+        g = np.concatenate([p.grad.ravel() for p in self.params])
+        m, v = self.first_moment, self.second_moment
+        step, denom = self._scratch
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=step)
+        v *= self.beta2
+        v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=g), out=g)
+        # data - lr * (m / c1) / (sqrt(v / c2) + epsilon), evaluated in place
+        np.multiply(self.lr, np.divide(m, c1, out=step), out=step)
+        np.add(np.sqrt(np.divide(v, c2, out=denom), out=denom), self.epsilon, out=denom)
+        np.divide(step, denom, out=step)
+        data = np.concatenate([p.data.ravel() for p in self.params])
+        np.subtract(data, step, out=data)
+        start = 0
+        for p in self.params:
+            stop = start + p.data.size
+            p.data = data[start:stop].reshape(p.data.shape)
+            start = stop
 
 
 # ---------------------------------------------------------------------------

@@ -42,21 +42,23 @@ def test_backward_requires_scalar():
 
 def test_matmul_shape_error():
     a = Tensor(np.ones((2, 3)))
-    b = Tensor(np.ones((2, 3)))
     with pytest.raises(ShapeError):
-        a @ b
+        a.affine(np.ones((2, 3)), np.zeros(3))
+    with pytest.raises(ShapeError):
+        a.affine(np.ones(3), np.zeros(1))
 
 
 def test_matmul_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
 
-    def loss_fn(a, b):
-        return ((a @ b).relu() * rng_fixed).sum()
+    def loss_fn(a, b, c):
+        return (a.affine(b, c).relu() * rng_fixed).sum()
 
     a0 = rng.normal(size=(3, 4))
     b0 = rng.normal(size=(4, 2))
+    c0 = rng.normal(size=2)
     rng_fixed = rng.normal(size=(3, 2))
-    assert finite_diff_check(loss_fn, [a0, b0]) < 1e-6
+    assert finite_diff_check(loss_fn, [a0, b0, c0]) < 1e-6
 
 
 def test_broadcast_bias_gradient():
@@ -113,7 +115,7 @@ def test_values_stay_finite_through_forward_backward():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    out = (x @ w).tanh().pow(2.0).sum()
+    out = x.affine(w, np.zeros(2)).tanh().pow(2.0).sum()
     out.backward()
     assert np.isfinite(out.data).all()
     assert np.isfinite(x.grad).all() and np.isfinite(w.grad).all()

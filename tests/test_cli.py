@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tricenter
 from tricenter.datasets import Dataset, save_csv
@@ -32,3 +33,24 @@ def test_eval_on_a_truncated_checkpoint_reports_an_error_without_traceback(tmp_p
     assert result.stderr.startswith("error: ")
     assert "truncated checkpoint" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("run", ["loss_family = triplet", "loss_family = pairwise",
+                                 "loss_family = quadruplet", "method = baseline:oce"])
+def test_train_reruns_with_the_same_seed_are_byte_identical(tmp_path, run):
+    config = tmp_path / "config.ini"
+    config.write_text(f"[run]\n{run}\nseed = 3\n"
+                      "[data]\npreset = skin7-like\nholdout_fraction = 0.2\n"
+                      "[model]\nembedding_dim = 16\nhidden = 24\n"
+                      "[stage1]\nepochs = 2\nm_per_class = 4\n"
+                      "[stage2]\nepochs = 2\ncenter_mode = trainable\n"
+                      "[baseline]\nepochs = 4\n")
+    outputs = []
+    for rerun in ("a", "b"):
+        result = run_cli("train", "--config", config, "--out", tmp_path / rerun)
+        assert result.returncode == 0, result.stderr
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / rerun).iterdir())
+                 if p.name != "train.log"}
+        outputs.append((result.stdout, files))
+    assert "final.ckpt" in outputs[0][1] and "metrics.txt" in outputs[0][1]
+    assert outputs[0] == outputs[1]

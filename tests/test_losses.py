@@ -341,6 +341,20 @@ def test_empty_logit_batch_is_a_contract_error(mean_loss):
     with pytest.raises(ContractError, match="empty logit batch"):
         mean_loss(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.intp))
 
+
+@pytest.mark.parametrize("mean_loss", [cross_entropy_mean, focal_loss_mean])
+@pytest.mark.parametrize("labels", [[0, 1], [[0], [1], [2], [0]], 1])
+def test_labels_that_are_not_one_per_row_are_a_shape_error(mean_loss, labels):
+    with pytest.raises(ShapeError, match="labels"):
+        mean_loss(Tensor(np.zeros((4, 3))), labels)
+
+
+@pytest.mark.parametrize("mean_loss", [cross_entropy_mean, focal_loss_mean])
+@pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+def test_weights_that_are_not_one_per_class_are_a_shape_error(mean_loss, weights):
+    with pytest.raises(ShapeError, match="weights"):
+        mean_loss(Tensor(np.zeros((4, 3))), [0, 1, 2, 2], weights=weights)
+
 # -- gradients (light check; the acceptance suite runs the full 100-point oracle)
 
 def _nudged_points(rng, count, dim=4):
