@@ -55,6 +55,8 @@ def _unbroadcast(grad, shape):
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
+        if grad.shape == shape:
+            return grad
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -219,8 +221,7 @@ class Tensor:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     d = q * np.power(s, q - 1.0)
                 g = g * np.where(np.isfinite(d), d, 0.0)
-            g = np.broadcast_to(np.expand_dims(g, -1), diff.shape)
-            g_diff = g * (fp * np.power(mag, fp - 1.0)) * np.sign(diff)
+            g_diff = g[..., None] * (fp * np.power(mag, fp - 1.0)) * np.sign(diff)
             return (g_diff if x.requires_grad else None,
                     -g_diff if y.requires_grad else None)
 
@@ -257,9 +258,9 @@ class Tensor:
         log_probs = shifted + (-np.log(s))
 
         def vjp(g):
-            g_pick = np.broadcast_to(np.expand_dims(g, 1), (b, k)) * onehot
+            g_pick = g[:, None] * onehot
             g_lse = -_unbroadcast(g_pick, s.shape)
-            return (g_pick + np.broadcast_to(g_lse / s, (b, k)) * e,)
+            return (g_pick + (g_lse / s) * e,)
 
         return Tensor._from_op((log_probs * onehot).sum(axis=1), (a,), vjp, "log_softmax_pick")
 
@@ -304,10 +305,9 @@ class Tensor:
         a = self
 
         def vjp(g):
-            if axis is None:
-                return (np.broadcast_to(g, a.data.shape).copy(),)
-            ge = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(ge, a.data.shape).copy(),)
+            out = np.empty(a.data.shape)
+            out[...] = g if keepdims or axis is None else np.expand_dims(g, axis)
+            return (out,)
 
         return Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp, "sum")
 
