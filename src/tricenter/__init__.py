@@ -8,22 +8,18 @@ cross-validated evaluation harness on synthetic long-tailed data.
 
 from .autodiff import Tensor, finite_diff_check, no_grad
 from .centers import (CenterTable, compute_centers, embed_all,
-                      init_trainable_centers, nearest_center_predict,
-                      nearest_center_predict_batch)
+                      init_trainable_centers, nearest_center_predict_batch)
 from .datasets import Dataset, SyntheticSpec, gen_gaussian_imbalanced, load_csv, preset_spec, save_csv
 from .errors import (ContractError, DataFormatError, DivergenceError,
                      HingeKinkError, ShapeError)
 from .evaluation import (MetricsReport, WilcoxonResult, compactness, confusion,
                          macro_metrics, small_class_report, stratified_holdout,
                          stratified_kfold, wilcoxon_signed_rank)
-from .losses import (LossHyper, batch_mean, center_pairwise_loss,
-                     center_quadruplet_loss, center_triplet_loss, cross_entropy,
-                     focal_loss, inverse_frequency_weights, lp_distance,
-                     pairwise_loss, quadruplet_loss, triplet_loss)
+from .losses import LossHyper, inverse_frequency_weights
 from .nn import Adam, Checkpoint, FeatureExtractor, LinearHead, load_checkpoint, save_checkpoint
-from .sampling import (BatchPlan, DatasetIndex, Pair, Quadruplet, Triplet,
-                       build_balanced_batch, flat_batch_plans, form_center_triplets,
-                       form_pairs, form_quadruplets, form_triplets, oversample_indices)
+from .sampling import (BatchPlan, DatasetIndex, build_balanced_batch, flat_batch_plans,
+                       form_center_triplets, form_pairs, form_quadruplets, form_triplets,
+                       oversample_indices)
 from .training import (OptimizerConfig, RunRecord, Stage1Config, Stage2Config,
                        TrainConfig, run_baseline, run_method, run_stage1,
                        run_stage2, run_two_stage)

@@ -16,7 +16,7 @@ the order that chain reaches them, so gradients accumulate in the same
 order and training stays bit for bit what the chain gave.  VJPs compute no
 gradient for a parent with ``requires_grad=False``.
 
-Hinge-style ops (relu, sqrt, fractional powers) define their gradient as 0
+Hinge-style ops (relu, fractional powers) define their gradient as 0
 at the kink; ``finite_diff_check`` refuses to certify gradients at points
 too close to such kinks and raises HingeKinkError instead.  ``lp_dist``
 flags what its chain flagged: for p = 1 every zero coordinate of x - y (the
@@ -279,20 +279,6 @@ class Tensor:
     def log(self) -> "Tensor":
         a = self
         return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
-
-    def sqrt(self) -> "Tensor":
-        a = self
-        data = np.sqrt(a.data)
-
-        def vjp(g):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = 0.5 / data
-            d = np.where(np.isfinite(d), d, 0.0)
-            return (g * d,)
-
-        out = Tensor._from_op(data, (a,), vjp, "sqrt")
-        out._kink_tol_fn = lambda tol: bool(np.any(np.abs(a.data) < tol))
-        return out
 
     def tanh(self) -> "Tensor":
         a = self

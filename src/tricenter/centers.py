@@ -97,24 +97,13 @@ def init_trainable_centers(n_classes: int, dim: int, init: str = "from_computed"
     return CenterTable(Tensor(rows, requires_grad=True), mode="trainable")
 
 
-def nearest_center_predict(embedding, centers: CenterTable, p_norm: int = 2):
-    """Classify one embedding to the closest center; ties go to the smallest class id.
-
-    Returns (class_id, distance_vector) with one distance per class.
-    """
-    emb = embedding.data if isinstance(embedding, Tensor) else np.asarray(embedding, dtype=np.float64)
-    if emb.ndim != 1 or emb.shape[0] != centers.dim:
-        raise ContractError(f"embedding shape {emb.shape} does not match center dim {centers.dim}")
-    dists = lp_cdist(emb[None, :], centers.matrix, p_norm)[0]
-    return int(np.argmin(dists)), dists
-
-
 def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable,
                                  p_norm: int = 2):
-    """Vectorized nearest-center prediction; returns (labels[N], distances[N, K]).
+    """Nearest-center prediction; returns (labels[N], distances[N, K]).
 
-    The distances are filled ``FORWARD_CHUNK`` rows at a time, so the
-    ``[rows, K, D]`` difference never spans the whole input.
+    Ties go to the smallest class id.  The distances are filled
+    ``FORWARD_CHUNK`` rows at a time, so the ``[rows, K, D]`` difference
+    never spans the whole input.
     """
     emb = embeddings.data if isinstance(embeddings, Tensor) else np.asarray(embeddings, dtype=np.float64)
     dists = np.empty((emb.shape[0], centers.n_classes))

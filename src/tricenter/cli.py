@@ -15,13 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
+from .autodiff import Tensor
+from .centers import CenterTable
 from .config import RunSettings, echo_settings, load_settings
 from .datasets import Dataset, gen_gaussian_imbalanced, load_csv, preset_spec, save_csv
 from .errors import ContractError, DataFormatError, DivergenceError
 from .evaluation import confusion, macro_metrics, small_class_report
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
 from .training import RunRecord, run_method
-from .workflows import evaluate_record, run_crossval, run_holdout, run_sweep
+from .workflows import evaluate_record, predict, run_crossval, run_holdout, run_sweep
 
 
 def _load_dataset(settings: RunSettings, data_arg: str | None) -> Dataset:
@@ -41,7 +43,7 @@ def _echo_config(settings: RunSettings, out: Path):
     _write(out / "config.echo.ini", echo_settings(settings))
 
 
-def _record_checkpoint(record: RunRecord, path: Path, epoch: int):
+def _record_checkpoint(record: RunRecord, path: Path, epoch: int, p_norm: int):
     centers = record.centers
     ckpt = Checkpoint(
         extractor=record.extractor,
@@ -51,6 +53,7 @@ def _record_checkpoint(record: RunRecord, path: Path, epoch: int):
         center_matrix=None if centers is None else centers.matrix,
         center_mode=None if centers is None else centers.mode,
         center_source_epoch=None if centers is None else centers.source_epoch,
+        center_p_norm=p_norm,
     )
     save_checkpoint(path, ckpt)
 
@@ -99,7 +102,7 @@ def cmd_train(args) -> int:
             extractor=s1_extractor, epoch=t.stage1.epochs,
             config_fingerprint=record.config_fingerprint))
     _record_checkpoint(record, out / "final.ckpt",
-                       epoch=t.stage1.epochs + t.stage2.epochs)
+                       epoch=t.stage1.epochs + t.stage2.epochs, p_norm=t.hyper.p_norm)
 
     _write(out / "run_record.txt", reports.render_run_record(record))
     _write(out / "metrics.txt", reports.render_metrics(report, title=f"{record.method} holdout metrics"))
@@ -124,21 +127,12 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    from .centers import CenterTable, embed_all, nearest_center_predict_batch
-    from .autodiff import Tensor
-
-    emb = embed_all(ckpt.extractor, dataset.features)
+    table = None
     if ckpt.center_matrix is not None:
         table = CenterTable(Tensor(ckpt.center_matrix), mode=ckpt.center_mode or "computed",
                             source_epoch=ckpt.center_source_epoch)
-        predicted, _ = nearest_center_predict_batch(emb, table)
-        n_classes = table.n_classes
-    elif ckpt.head is not None:
-        logits = emb @ ckpt.head.weight.data + ckpt.head.bias.data
-        predicted = logits.argmax(axis=1)
-        n_classes = logits.shape[1]
-    else:
-        raise ContractError("checkpoint has neither centers nor a classifier head")
+    predicted = predict(ckpt.extractor, dataset.features, table, ckpt.head, ckpt.center_p_norm)
+    n_classes = table.n_classes if table is not None else ckpt.head.bias.data.size
     n_classes = max(n_classes, int(dataset.labels.max()) + 1)
     cm = confusion(dataset.labels, predicted, n_classes)
     report = macro_metrics(cm)

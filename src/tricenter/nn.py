@@ -194,7 +194,10 @@ class Adam:
 #   remainder    the arrays listed in header["arrays"], concatenated as raw
 #                little-endian float64, C order
 # The header records epoch, config fingerprint, extractor topology, optional
-# head and center-table metadata, and the name/shape of every array.
+# head and center-table metadata, and the name/shape of every array.  The
+# center metadata holds the table's mode, source epoch and p_norm, the L_p
+# order that nearest-center prediction must use; a file written without
+# p_norm reads as p_norm 2.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"TCK1"
@@ -209,6 +212,7 @@ class Checkpoint:
     center_matrix: np.ndarray | None = None
     center_mode: str | None = None
     center_source_epoch: int | None = None
+    center_p_norm: int = 2
     extra: dict = field(default_factory=dict)
 
 
@@ -242,7 +246,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
                       "activation": ckpt.extractor.activation},
         "head": None if ckpt.head is None else {"n_classes": int(ckpt.head.bias.data.size)},
         "centers": None if ckpt.center_matrix is None else {
-            "mode": ckpt.center_mode, "source_epoch": ckpt.center_source_epoch},
+            "mode": ckpt.center_mode, "source_epoch": ckpt.center_source_epoch,
+            "p_norm": int(ckpt.center_p_norm)},
         "extra": ckpt.extra,
         "arrays": entries,
     }
@@ -281,8 +286,9 @@ def _header_fields(header: dict, path):
         raise malformed("extractor must hold positive integer layer_sizes and an activation name")
     if head is not None and not (isinstance(head, dict) and _count(head.get("n_classes"), 1)):
         raise malformed("head must be null or hold a positive integer n_classes")
-    if centers is not None and not isinstance(centers, dict):
-        raise malformed("centers must be null or an object")
+    if centers is not None and not (isinstance(centers, dict)
+                                    and _count(centers.get("p_norm", 2), 1)):
+        raise malformed("centers must be null or an object with a positive integer p_norm")
     if not _count(epoch) or not isinstance(fingerprint, str):
         raise malformed("epoch must be a non-negative integer and config_fingerprint a string")
     if not isinstance(header.get("extra", {}), dict):
@@ -357,6 +363,7 @@ def load_checkpoint(path) -> Checkpoint:
         center_matrix=center_matrix,
         center_mode=cmeta.get("mode"),
         center_source_epoch=cmeta.get("source_epoch"),
+        center_p_norm=cmeta.get("p_norm", 2),
         extra=header.get("extra", {}),
     )
 

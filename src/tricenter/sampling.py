@@ -4,9 +4,21 @@ Stage-1 batches are class-balanced: the same number of samples from every
 class, drawn with replacement when a class is smaller than the quota.
 Stage-2 batches are plain uniform shuffles chunked to a flat size.
 
-Triplets, pairs and quadruplets reference batch slots (positions inside a
-BatchPlan), not global sample ids, because balanced batches may repeat a
-sample; ``BatchPlan.indices`` maps slots back to dataset rows.
+Every miner returns its units as an ``np.intp`` array of shape [n, k], one
+row per unit; an empty result has shape (0, k).  The layouts are:
+
+- triplets ``[anchor, positive, negative]``;
+- pairs ``[a, b, same]``, where ``same`` is 1 for a same-class pair, else 0;
+- quadruplets ``[anchor, positive, negative1, negative2]``.
+
+Stage-1 miners fill every id column with batch slots (positions inside a
+BatchPlan), not dataset rows, because balanced batches may repeat a sample;
+``BatchPlan.indices`` maps slots back to dataset rows.  The center miners
+use the same layout per family with column 0 an anchor slot and the other
+id columns class ids, so the center-involved loss is the family's loss on
+center rows: center triplets ``[anchor, own class, negative class]``,
+center pairs ``[anchor, class, same]``, center quadruplets
+``[anchor, own class, negative1 class, negative2 class]``.
 
 The semi-hard triplet, quadruplet and center-quadruplet miners work on the
 whole batch at once, but they keep the random contract of a per-anchor
@@ -26,8 +38,7 @@ pairs are still per-anchor loops.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,25 +105,6 @@ class BatchPlan:
         return len(self.indices)
 
 
-class Triplet(NamedTuple):
-    anchor: int
-    positive: int
-    negative: int
-
-
-class Pair(NamedTuple):
-    a: int
-    b: int
-    same_class: bool
-
-
-class Quadruplet(NamedTuple):
-    anchor: int
-    positive: int
-    negative1: int
-    negative2: int
-
-
 def build_balanced_batch(index: DatasetIndex, m_per_class: int,
                          rng: np.random.Generator, labels=None) -> BatchPlan:
     """Draw exactly ``m_per_class`` samples from every class and shuffle.
@@ -167,6 +159,11 @@ def _kth(mask: np.ndarray, k) -> np.ndarray:
     return (mask.cumsum(axis=1) > np.asarray(k)[:, None]).argmax(axis=1)
 
 
+def _units(*columns) -> np.ndarray:
+    """[n, k] unit array from k aligned id columns."""
+    return np.stack(columns, axis=1).astype(np.intp, copy=False)
+
+
 def _log_skipped(n_positives: np.ndarray):
     skipped = np.flatnonzero(n_positives == 0)
     if skipped.size:
@@ -174,8 +171,8 @@ def _log_skipped(n_positives: np.ndarray):
 
 
 def form_triplets(batch: BatchPlan, embeddings, strategy: str,
-                  hyper, rng: np.random.Generator) -> list:
-    """Form one triplet per anchor slot.
+                  hyper, rng: np.random.Generator) -> np.ndarray:
+    """Form one ``[anchor, positive, negative]`` triplet per anchor slot.
 
     The positive is uniform over other slots of the anchor's class.  Under
     ``random`` the negative is uniform over all other-class slots; under
@@ -199,8 +196,8 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
                 continue
             positive = int(rng.choice(same))
             negative = int(rng.choice(np.flatnonzero(labels != labels[anchor])))
-            triplets.append(Triplet(anchor, positive, negative))
-        return triplets
+            triplets.append((anchor, positive, negative))
+        return np.array(triplets, dtype=np.intp).reshape(-1, 3)
     negative_mask, positive_mask = _class_masks(labels)
     n_pos = positive_mask.sum(axis=1)
     _log_skipped(n_pos)
@@ -233,8 +230,7 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     hardest = np.where(anchor_negatives[np.arange(len(anchors)), hardest], hardest,
                        anchor_negatives.argmax(axis=1))
     negatives = np.where(k_band >= 0, _kth(band, k_band), hardest)
-    return [Triplet(a, p, n) for a, p, n in
-            zip(anchors.tolist(), positives.tolist(), negatives.tolist())]
+    return _units(anchors, positives, negatives)
 
 
 def _center_distances(embeddings, centers, p_norm: int) -> np.ndarray:
@@ -244,11 +240,12 @@ def _center_distances(embeddings, centers, p_norm: int) -> np.ndarray:
     return lp_cdist(_embedding_values(embeddings), matrix, p_norm)
 
 
-def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> list:
+def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> np.ndarray:
     """Pair every anchor with every negative center that incurs positive loss.
 
-    Returns (anchor_slot, negative_class) pairs: all classes k other than the
-    anchor's whose center violates ||f_a - c_own|| + alpha > ||f_a - c_k||.
+    Returns ``[anchor_slot, own_class, negative_class]`` units: all classes k
+    other than the anchor's whose center violates
+    ||f_a - c_own|| + alpha > ||f_a - c_k||.
     """
     d = _center_distances(embeddings, centers, hyper.p_norm)
     labels = batch.labels
@@ -256,10 +253,10 @@ def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> list:
     margin = own[:, None] + hyper.alpha - d
     margin[np.arange(len(labels)), labels] = 0.0  # own class never qualifies
     slots, classes = np.nonzero(margin > 0.0)
-    return list(zip(slots.tolist(), classes.tolist()))
+    return _units(slots, labels[slots], classes)
 
 
-def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> list:
+def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
     """One same-class pair (when available) and one cross-class pair per slot."""
     labels = batch.labels
     if len(np.unique(labels)) < 2:
@@ -269,13 +266,13 @@ def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> list:
         same = np.flatnonzero(labels == labels[a])
         same = same[same != a]
         if len(same) > 0:
-            pairs.append(Pair(a, int(rng.choice(same)), True))
+            pairs.append((a, int(rng.choice(same)), 1))
         other = np.flatnonzero(labels != labels[a])
-        pairs.append(Pair(a, int(rng.choice(other)), False))
-    return pairs
+        pairs.append((a, int(rng.choice(other)), 0))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 3)
 
 
-def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
+def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
     """Anchor + positive + negatives from two distinct other classes, all uniform."""
     labels = batch.labels
     present = np.unique(labels)
@@ -308,49 +305,47 @@ def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
     positives = _kth(positive_mask[anchors], k[:, 0])
     n1 = by_class[class_start[k[:, 1]] + k[:, 3]]
     n2 = by_class[class_start[k[:, 2]] + k[:, 4]]
-    return [Quadruplet(*q) for q in
-            zip(anchors.tolist(), positives.tolist(), n1.tolist(), n2.tolist())]
+    return _units(anchors, positives, n1, n2)
 
 
-def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> list:
+def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> np.ndarray:
     """Center-involved pairs: the own center plus every margin-violating negative center.
 
-    Returns (anchor_slot, partner_class, same_class) units mirroring the
+    Returns ``[anchor_slot, partner_class, same]`` units mirroring the
     all-qualifying-negatives rule of the center triplet stage.
     """
     d = _center_distances(embeddings, centers, hyper.p_norm)
     labels = batch.labels
     units = []
     for a in range(len(labels)):
-        units.append((a, int(labels[a]), True))
+        units.append((a, int(labels[a]), 1))
         for k in range(d.shape[1]):
             if k != labels[a] and hyper.alpha - d[a, k] > 0.0:
-                units.append((a, k, False))
-    return units
+                units.append((a, k, 0))
+    return np.array(units, dtype=np.intp).reshape(-1, 3)
 
 
 def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
-                            rng: np.random.Generator) -> list:
+                            rng: np.random.Generator) -> np.ndarray:
     """Center-involved quadruplets over all qualifying first negatives.
 
     For each anchor, every class k whose center makes the primary hinge
     positive becomes negative1; negative2 is a uniformly drawn third class.
-    Returns (anchor_slot, n1_class, n2_class) units.
+    Returns ``[anchor_slot, own_class, n1_class, n2_class]`` units.
     """
     matrix = centers.matrix if hasattr(centers, "matrix") else np.asarray(centers, dtype=np.float64)
     k_total = matrix.shape[0]
     if k_total < 3:
         raise ContractError("center quadruplets need at least 3 classes")
     qualifying = form_center_triplets(batch, embeddings, matrix, hyper)
-    slots = np.array([s for s, _ in qualifying], dtype=np.intp)
-    n1 = np.array([c for _, c in qualifying], dtype=np.intp)
+    slots, own, n1 = qualifying.T
     # The k-th class other than the anchor's and n1.
-    lo = np.minimum(batch.labels[slots], n1)
-    hi = np.maximum(batch.labels[slots], n1)
+    lo = np.minimum(own, n1)
+    hi = np.maximum(own, n1)
     third = rng.integers(0, k_total - 2, size=len(qualifying))
     third += third >= lo
     third += third >= hi
-    return list(zip(slots.tolist(), n1.tolist(), third.tolist()))
+    return _units(slots, own, n1, third)
 
 
 def oversample_indices(index: DatasetIndex, rng: np.random.Generator) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Stage 1 trains the feature extractor with a metric loss (triplet by
 default) over class-balanced batches.  Stage 2 fine-tunes it with the
-center-involved variant of the same loss family: computed centers are
-refreshed once per epoch from the parameters of the just-finished epoch,
-trainable centers are optimized jointly with the extractor.
+same family's loss, its positive and negatives replaced by class-center
+rows: computed centers are refreshed once per epoch from the parameters of
+the just-finished epoch, trainable centers are optimized jointly with the
+extractor.
 
 Baselines (bce/wce/oce/wfce) train a linear classifier head on top of the
 extractor in a single stage and predict by argmax instead of by nearest
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -182,17 +184,59 @@ def _trainable_params(extractor: FeatureExtractor, freeze_layers: int) -> list:
     return params
 
 
+@dataclass(frozen=True)
+class _Family:
+    """How one loss family mines and scores a batch in either stage.
+
+    Both miners return units in the family's layout (see ``sampling``): the
+    first ``row_columns`` columns name rows, which are gathered and passed
+    to the loss in column order, and a further column is passed as it is.
+    Miners and loss are looked up on their modules at each call, so a
+    function rebound there (by a profiler, say) is the one that runs.
+    """
+
+    mine: Callable  # (config, plan, embeddings, rng) -> stage-1 units
+    mine_centers: Callable  # (plan, embeddings, center matrix, hyper, rng) -> center units
+    loss: str  # name of the batched loss in ``losses``
+    row_columns: int
+    min_classes: int
+
+
+_FAMILIES = {
+    "triplet": _Family(
+        mine=lambda config, plan, emb, rng: sampling.form_triplets(
+            plan, emb, config.stage1.mining, config.hyper, rng),
+        mine_centers=lambda plan, emb, matrix, hyper, rng: sampling.form_center_triplets(
+            plan, emb, matrix, hyper),
+        loss="triplet_loss_mean", row_columns=3, min_classes=2),
+    "pairwise": _Family(
+        mine=lambda config, plan, emb, rng: sampling.form_pairs(plan, rng),
+        mine_centers=lambda plan, emb, matrix, hyper, rng: sampling.form_center_pairs(
+            plan, emb, matrix, hyper),
+        loss="pairwise_loss_mean", row_columns=2, min_classes=2),
+    "quadruplet": _Family(
+        mine=lambda config, plan, emb, rng: sampling.form_quadruplets(plan, rng),
+        mine_centers=lambda plan, emb, matrix, hyper, rng: sampling.form_center_quadruplets(
+            plan, emb, matrix, hyper, rng),
+        loss="quadruplet_loss_mean", row_columns=4, min_classes=3),
+}
+
+
+def _require_classes(config: TrainConfig, dataset: Dataset):
+    need = _FAMILIES[config.loss_family].min_classes
+    if dataset.n_classes < need:
+        raise ContractError(f"{config.loss_family} training needs at least {need} classes")
+
+
 def _metric_batch_loss(config: TrainConfig, emb: Tensor, plan, rng) -> Tensor | None:
-    """Stage-1 style loss over one balanced batch; None when no units formed."""
-    fam = config.loss_family
-    if fam == "triplet":
-        units = sampling.form_triplets(plan, emb.data, config.stage1.mining, config.hyper, rng)
-        return losses.triplet_loss_mean(emb, units, config.hyper) if units else None
-    if fam == "pairwise":
-        units = sampling.form_pairs(plan, rng)
-        return losses.pairwise_loss_mean(emb, units, config.hyper) if units else None
-    units = sampling.form_quadruplets(plan, rng)
-    return losses.quadruplet_loss_mean(emb, units, config.hyper) if units else None
+    """Stage-1 loss over one balanced batch; None when no units formed."""
+    family = _FAMILIES[config.loss_family]
+    units = family.mine(config, plan, emb.data, rng)
+    if not len(units):
+        return None
+    k = family.row_columns
+    rows = [emb.take(ids) for ids in units.T[:k]]
+    return getattr(losses, family.loss)(*rows, *units.T[k:], config.hyper)
 
 
 def run_stage1(config: TrainConfig, dataset: Dataset, extractor: FeatureExtractor,
@@ -205,10 +249,7 @@ def run_stage1(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
     epochs = s1.epochs if epochs is None else epochs
     if epochs == 0:
         return
-    if dataset.n_classes < 2:
-        raise ContractError("training needs at least 2 classes")
-    if config.loss_family == "quadruplet" and dataset.n_classes < 3:
-        raise ContractError("quadruplet training needs at least 3 classes")
+    _require_classes(config, dataset)
     dataset.index.require_nonempty_classes()
     if loss_sink is None:
         loss_sink = record.stage1_losses if record is not None else []
@@ -249,42 +290,15 @@ def run_stage1(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
 def _center_stage_batch_loss(config: TrainConfig, emb: Tensor, plan,
                              centers: CenterTable, hyper: LossHyper,
                              rng: np.random.Generator) -> Tensor | None:
-    """Center-involved loss over one flat batch; None when nothing qualifies."""
-    fam = config.loss_family
-
-    def center_rows(class_ids):
-        ids = np.asarray(class_ids, dtype=np.intp)
-        if centers.mode == "trainable":
-            return centers.rows(ids)
-        return Tensor(centers.matrix[ids])
-
-    if fam == "triplet":
-        units = sampling.form_center_triplets(plan, emb.data, centers.matrix, hyper)
-        if not units:
-            return None
-        slots = np.array([u[0] for u in units], dtype=np.intp)
-        neg = [u[1] for u in units]
-        anchors = emb.take(slots)
-        return losses.center_triplet_loss_mean(
-            anchors, center_rows(plan.labels[slots]), center_rows(neg), hyper)
-    if fam == "pairwise":
-        units = sampling.form_center_pairs(plan, emb.data, centers.matrix, hyper)
-        if not units:
-            return None
-        slots = np.array([u[0] for u in units], dtype=np.intp)
-        cls = [u[1] for u in units]
-        same = [u[2] for u in units]
-        return losses.center_pairwise_loss_mean(
-            emb.take(slots), center_rows(cls), same, hyper)
-    units = sampling.form_center_quadruplets(plan, emb.data, centers.matrix, hyper, rng)
-    if not units:
+    """The family's loss on the anchors and their center rows over one flat
+    batch; None when nothing qualifies."""
+    family = _FAMILIES[config.loss_family]
+    units = family.mine_centers(plan, emb.data, centers.matrix, hyper, rng)
+    if not len(units):
         return None
-    slots = np.array([u[0] for u in units], dtype=np.intp)
-    n1 = [u[1] for u in units]
-    n2 = [u[2] for u in units]
-    anchors = emb.take(slots)
-    return losses.center_quadruplet_loss_mean(
-        anchors, center_rows(plan.labels[slots]), center_rows(n1), center_rows(n2), hyper)
+    k = family.row_columns
+    rows = [emb.take(units[:, 0])] + [centers.rows(ids) for ids in units.T[1:k]]
+    return getattr(losses, family.loss)(*rows, *units.T[k:], hyper)
 
 
 def run_stage2(config: TrainConfig, dataset: Dataset, extractor: FeatureExtractor,
@@ -293,8 +307,7 @@ def run_stage2(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
     """Center-involved fine-tuning; returns the final center table."""
     s2 = config.stage2
     hyper = _stage2_hyper(config)
-    if config.loss_family == "quadruplet" and dataset.n_classes < 3:
-        raise ContractError("center quadruplet training needs at least 3 classes")
+    _require_classes(config, dataset)
     features = dataset.features
     params = _trainable_params(extractor, s2.freeze_layers)
 

@@ -16,23 +16,24 @@ import numpy as np
 from .centers import embed_all, nearest_center_predict_batch
 from .datasets import Dataset
 from .errors import ContractError
-from .evaluation import (CrossvalSummary, MetricsReport, compactness, confusion,
+from .evaluation import (CrossvalSummary, MetricsReport, confusion,
                          macro_metrics, small_class_report, stratified_holdout,
                          stratified_kfold)
 from .sampling import DatasetIndex
 from .training import RunRecord, TrainConfig, run_method
 
 
-def predict(record: RunRecord, features: np.ndarray, p_norm: int = 2) -> np.ndarray:
-    """Labels for a feature matrix; nearest-center when a table is attached,
-    otherwise argmax over the classifier head."""
-    emb = embed_all(record.extractor, np.asarray(features, dtype=np.float64))
-    if record.centers is not None:
-        labels, _ = nearest_center_predict_batch(emb, record.centers, p_norm)
+def predict(extractor, features: np.ndarray, centers=None, head=None,
+            p_norm: int = 2) -> np.ndarray:
+    """Labels for a feature matrix: the nearest L_p center when a center table
+    is given, otherwise argmax over the classifier head."""
+    emb = embed_all(extractor, np.asarray(features, dtype=np.float64))
+    if centers is not None:
+        labels, _ = nearest_center_predict_batch(emb, centers, p_norm)
         return labels
-    if record.head is None:
-        raise ContractError("run record has neither centers nor a classifier head")
-    logits = emb @ record.head.weight.data + record.head.bias.data
+    if head is None:
+        raise ContractError("model has neither centers nor a classifier head")
+    logits = emb @ head.weight.data + head.bias.data
     return logits.argmax(axis=1)
 
 
@@ -43,7 +44,7 @@ def evaluate_record(record: RunRecord, test: Dataset, *, p_norm: int = 2,
 
     ``small_index`` decides which classes count as small (defaults to the
     test set's own index; callers normally pass the full-dataset index)."""
-    predicted = predict(record, test.features, p_norm)
+    predicted = predict(record.extractor, test.features, record.centers, record.head, p_norm)
     cm = confusion(test.labels, predicted, test.n_classes)
     report = macro_metrics(cm)
     report.small_class = small_class_report(
@@ -155,21 +156,3 @@ def run_sweep(axis: str, values, config: TrainConfig, dataset: Dataset, k: int =
     else:
         rows = [_sweep_point(t) for t in tasks]
     return sorted(rows, key=lambda r: r["value"])
-
-
-def compactness_of_state(extractor_state, config: TrainConfig, dataset: Dataset):
-    """Within/inter compactness of a parameter state on a dataset.
-
-    Embeds the dataset under the given extractor parameters, derives computed
-    centers, and returns (within, inter, ratio)."""
-    from .training import build_extractor
-
-    rng = np.random.default_rng(0)
-    extractor = build_extractor(config, dataset.in_dim, rng)
-    extractor.load_state(extractor_state)
-    emb = embed_all(extractor, dataset.features)
-    rows = np.stack([emb[m].mean(axis=0) for m in dataset.index.by_class])
-    within, inter = compactness(emb, dataset.labels, rows, p_norm=config.hyper.p_norm)
-    if inter == 0:
-        raise ContractError("degenerate geometry: all centers coincide")
-    return within, inter, within / inter

@@ -3,12 +3,13 @@ import pytest
 
 from tricenter.autodiff import Tensor, finite_diff_check
 from tricenter.centers import (CenterTable, compute_centers, embed_all,
-                               init_trainable_centers, nearest_center_predict,
-                               nearest_center_predict_batch)
+                               init_trainable_centers, nearest_center_predict_batch)
 from tricenter.errors import ContractError
-from tricenter.losses import LossHyper, center_triplet_loss
+from tricenter.losses import LossHyper, triplet_loss_mean
 from tricenter.nn import Adam, FeatureExtractor
 from tricenter.sampling import DatasetIndex
+
+from scalar_oracles import nearest_center_predict
 
 
 def identity_extractor(dim):
@@ -85,12 +86,11 @@ class TestTrainableCenters:
         table = init_trainable_centers(3, 2, init="random", rng=np.random.default_rng(7))
         before = table.matrix.copy()
         opt = Adam([table.table], lr=0.01)
-        anchor = Tensor(np.array([5.0, 5.0]))
+        anchor = Tensor(np.array([[5.0, 5.0]]))
         # Row 1 (the anchor-class center) is farther from the anchor than
         # row 0 (the negative center), so the hinge is active and the table
         # gets a nonzero gradient.
-        loss = center_triplet_loss(anchor, table.rows([1]).sum(axis=0),
-                                   table.rows([0]).sum(axis=0), LossHyper())
+        loss = triplet_loss_mean(anchor, table.rows([1]), table.rows([0]), LossHyper())
         assert loss.item() > 0
         loss.backward()
         opt.step()
@@ -103,12 +103,12 @@ class TestTrainableCenters:
     def test_hinge_active_gradient_direction_on_anchor_center(self):
         # d/dc_own ||f_a - c_own|| = (c_own - f_a) / ||c_own - f_a|| when active
         rng = np.random.default_rng(8)
-        f_a = rng.normal(size=4)
+        f_a = rng.normal(size=(1, 4))
         c_own = f_a + np.array([2.0, 0.0, 0.0, 0.0])
         c_neg = f_a + np.array([0.0, 2.1, 0.0, 0.0])  # active: 2 + 0.5 - 2.1 > 0
 
         def loss_fn(c):
-            return center_triplet_loss(Tensor(f_a), c, Tensor(c_neg), LossHyper())
+            return triplet_loss_mean(Tensor(f_a), c, Tensor(c_neg), LossHyper())
 
         assert finite_diff_check(loss_fn, [c_own]) < 1e-6
         c = Tensor(c_own.copy(), requires_grad=True)
@@ -121,16 +121,20 @@ class TestNearestCenter:
     def make_table(self, rows):
         return CenterTable(Tensor(np.array(rows, dtype=float)), mode="computed")
 
+    def predict_one(self, x, table):
+        labels, dists = nearest_center_predict_batch(np.asarray(x, dtype=float)[None], table)
+        return int(labels[0]), dists[0]
+
     def test_exact_center_hit(self):
         table = self.make_table([[0, 0], [1, 1], [2, 2], [3, 3]])
-        cls, dists = nearest_center_predict(np.array([3.0, 3.0]), table)
+        cls, dists = self.predict_one(np.array([3.0, 3.0]), table)
         assert cls == 3
         assert dists[3] == 0.0
         assert len(dists) == 4
 
     def test_tie_breaks_to_smallest_class_id(self):
         table = self.make_table([[9, 9], [1, 0], [5, 5], [9, 0], [-1, 0]])
-        cls, _ = nearest_center_predict(np.array([0.0, 0.0]), table)
+        cls, _ = self.predict_one(np.array([0.0, 0.0]), table)
         assert cls == 1  # classes 1 and 4 are both at distance 1; smallest id wins
 
     def test_matches_brute_force_scan(self):
@@ -138,7 +142,7 @@ class TestNearestCenter:
         table = self.make_table(rng.normal(size=(6, 5)))
         for _ in range(100):
             x = rng.normal(size=5)
-            cls, dists = nearest_center_predict(x, table)
+            cls, dists = self.predict_one(x, table)
             brute = np.array([np.linalg.norm(x - row) for row in table.matrix])
             assert cls == int(np.argmin(brute))
             np.testing.assert_allclose(dists, brute, atol=1e-12)
@@ -158,14 +162,14 @@ class TestNearestCenter:
         rows = rng.normal(size=(5, 3))
         x = rng.normal(size=3)
         shift = rng.normal(size=3)
-        a, _ = nearest_center_predict(x, self.make_table(rows))
-        b, _ = nearest_center_predict(x + shift, self.make_table(rows + shift))
+        a, _ = self.predict_one(x, self.make_table(rows))
+        b, _ = self.predict_one(x + shift, self.make_table(rows + shift))
         assert a == b
 
     def test_scaling_invariance_of_argmin(self):
         rng = np.random.default_rng(12)
         rows = rng.normal(size=(5, 3))
         x = rng.normal(size=3)
-        a, _ = nearest_center_predict(x, self.make_table(rows))
-        b, _ = nearest_center_predict(3.7 * x, self.make_table(3.7 * rows))
+        a, _ = self.predict_one(x, self.make_table(rows))
+        b, _ = self.predict_one(3.7 * x, self.make_table(3.7 * rows))
         assert a == b

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import tricenter
-from tricenter.datasets import Dataset, save_csv
-from tricenter.nn import Checkpoint, FeatureExtractor, save_checkpoint
+from tricenter import cli
+from tricenter.centers import embed_all
+from tricenter.datasets import Dataset, load_csv, save_csv
+from tricenter.distance import lp_cdist
+from tricenter.nn import Checkpoint, FeatureExtractor, load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
@@ -54,3 +57,31 @@ def test_train_reruns_with_the_same_seed_are_byte_identical(tmp_path, run):
         outputs.append((result.stdout, files))
     assert "final.ckpt" in outputs[0][1] and "metrics.txt" in outputs[0][1]
     assert outputs[0] == outputs[1]
+
+
+def test_eval_predicts_by_the_nearest_center_under_the_trained_lp_order(tmp_path, monkeypatch):
+    assert cli.main(["gen-data", "--preset", "skin7-like", "--seed", "3", "--out", str(tmp_path)]) == 0
+    data = tmp_path / "dataset.csv"
+    config = tmp_path / "config.ini"
+    config.write_text("[run]\nseed = 3\n[data]\npreset = skin7-like\n"
+                      "[model]\nembedding_dim = 16\nhidden = 24\n[hyper]\np_norm = 1\n"
+                      "[stage1]\nepochs = 2\nm_per_class = 4\n[stage2]\nepochs = 2\n")
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--data", str(data), "--out", str(run)]) == 0
+    predicted = []
+    confusion = cli.confusion
+
+    def capture(true_labels, predicted_labels, *args):
+        predicted.append(np.asarray(predicted_labels))
+        return confusion(true_labels, predicted_labels, *args)
+
+    monkeypatch.setattr(cli, "confusion", capture)
+    assert cli.main(["eval", "--checkpoint", str(run / "final.ckpt"), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 0
+    ckpt = load_checkpoint(run / "final.ckpt")
+    emb = embed_all(ckpt.extractor, load_csv(data).features)
+    nearest = {p: lp_cdist(emb, ckpt.center_matrix, p).argmin(axis=1) for p in (1, 2)}
+    assert (nearest[1] != nearest[2]).any()  # so eval under L2 would be caught
+    assert len(predicted) == 1
+    np.testing.assert_array_equal(predicted[0], nearest[1])
+    assert ckpt.center_p_norm == 1

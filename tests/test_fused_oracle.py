@@ -18,11 +18,9 @@ from tricenter import training
 from tricenter.autodiff import Tensor
 from tricenter.centers import init_trainable_centers
 from tricenter.errors import ContractError, ShapeError
-from tricenter.losses import (LossHyper, center_quadruplet_loss_mean,
-                              center_triplet_loss_mean, cross_entropy_mean,
-                              focal_loss_mean, quadruplet_loss_mean, triplet_loss_mean)
+from tricenter.losses import (LossHyper, cross_entropy_mean, focal_loss_mean,
+                              quadruplet_loss_mean, triplet_loss_mean)
 from tricenter.nn import Adam, FeatureExtractor, LinearHead
-from tricenter.sampling import Quadruplet, Triplet
 
 
 # -- reference oracles: the chains the fused ops replace -------------------------
@@ -198,8 +196,8 @@ def chain_distances(monkeypatch):
     monkeypatch.setattr(Tensor, "lp_dist", lambda x, y, p: lp_chain(x, Tensor._lift(y), p))
 
 
-def _units(rng, n, k, cls):
-    return [cls(*rng.integers(0, n, size=k)) for _ in range(3 * n)]
+def _units(rng, n, k):
+    return np.array([rng.integers(0, n, size=k) for _ in range(3 * n)])
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -216,21 +214,21 @@ def test_shared_embeddings_accumulate_in_chain_order(p, family, monkeypatch):
               rng.normal(size=(d, 3)), rng.normal(size=3)]
     labels = rng.integers(0, 3, size=n)
     if family == "triplet":
-        units, mean_loss = _units(rng, n, 3, Triplet), triplet_loss_mean
+        units, mean_loss = _units(rng, n, 3), triplet_loss_mean
     else:
-        units, mean_loss = _units(rng, n, 4, Quadruplet), quadruplet_loss_mean
+        units, mean_loss = _units(rng, n, 4), quadruplet_loss_mean
     flags = (False, True, True, True, True)
 
     fused = leaves(arrays, flags)
     emb = fused[0].affine(fused[1], fused[2])
-    loss_f = mean_loss(emb, units, hyper) + 0.5 * cross_entropy_mean(
+    loss_f = mean_loss(*(emb.take(ids) for ids in units.T), hyper) + 0.5 * cross_entropy_mean(
         emb.affine(fused[3], fused[4]), labels)
 
     chain = leaves(arrays, flags)
     emb_c = affine_chain(*chain[:3])
     with monkeypatch.context() as patch:
         chain_distances(patch)
-        metric_c = mean_loss(emb_c, units, hyper)
+        metric_c = mean_loss(*(emb_c.take(ids) for ids in units.T), hyper)
     logits_c = affine_chain(emb_c, chain[3], chain[4])
     loss_c = metric_c + 0.5 * (-log_softmax_pick_chain(logits_c, labels)).mean()
 
@@ -254,8 +252,8 @@ def test_trainable_center_rows_accumulate_in_chain_order(monkeypatch):
         with monkeypatch.context() as patch:
             if not fuse:
                 chain_distances(patch)
-            loss = center_quadruplet_loss_mean(emb, table.take(own), table.take(n1),
-                                               table.take(n2), hyper)
+            loss = quadruplet_loss_mean(emb, table.take(own), table.take(n1),
+                                        table.take(n2), hyper)
         loss.backward()
         results.append((loss.data, emb.grad, table.grad))
     for f, c in zip(*results):
@@ -329,8 +327,8 @@ def test_flat_adam_matches_per_parameter_loop(freeze_layers):
             for p in params:
                 p.grad = None
             emb = extractor(Tensor(x))
-            loss = center_triplet_loss_mean(emb, centers.rows(labels), centers.rows((labels + 1) % 3),
-                                            hyper) + cross_entropy_mean(head(emb), labels)
+            loss = triplet_loss_mean(emb, centers.rows(labels), centers.rows((labels + 1) % 3),
+                                     hyper) + cross_entropy_mean(head(emb), labels)
             assert loss.item() > 0
             loss.backward()
             before = [p.data for p in params]

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from tricenter.autodiff import Tensor, finite_diff_check
 from tricenter.errors import ContractError, HingeKinkError, ShapeError
-from tricenter.losses import (LossHyper, batch_mean, center_pairwise_loss,
-                              center_pairwise_loss_mean, center_quadruplet_loss,
-                              center_quadruplet_loss_mean, center_triplet_loss,
-                              center_triplet_loss_mean, cross_entropy,
-                              cross_entropy_mean, focal_loss, focal_loss_mean,
-                              inverse_frequency_weights, lp_distance,
-                              lp_distance_rows, pairwise_loss, pairwise_loss_mean,
-                              quadruplet_loss, quadruplet_loss_mean, triplet_loss,
-                              triplet_loss_mean)
-from tricenter.sampling import Pair, Quadruplet, Triplet
+from tricenter.losses import (LossHyper, cross_entropy_mean, focal_loss_mean,
+                              inverse_frequency_weights, lp_distance_rows,
+                              pairwise_loss_mean, quadruplet_loss_mean, triplet_loss_mean)
+
+from scalar_oracles import (batch_mean, center_pairwise_loss, center_quadruplet_loss,
+                            center_triplet_loss, cross_entropy, focal_loss, lp_distance,
+                            pairwise_loss, quadruplet_loss, triplet_loss)
 
 H = LossHyper()  # alpha 0.5, beta 0.25, p 2
 TOL = 1e-9
@@ -265,60 +262,80 @@ def test_translation_invariance(a, p, n, shift):
 
 # -- batched forms agree with unit losses --------------------------------------
 
+def rows(values, ids):
+    """One tensor per id column of ``ids``, gathered from ``values``."""
+    return [Tensor(values).take(col) for col in np.asarray(ids).T]
+
+
 def test_triplet_mean_equals_unit_batch_mean():
     rng = np.random.default_rng(4)
-    emb = Tensor(rng.normal(size=(10, 6)))
-    trips = [Triplet(0, 1, 2), Triplet(3, 4, 5), Triplet(6, 7, 8), Triplet(1, 0, 9)]
-    batched = triplet_loss_mean(emb, trips, H).item()
-    units = [triplet_loss(Tensor(emb.data[tr.anchor]), Tensor(emb.data[tr.positive]),
-                          Tensor(emb.data[tr.negative]), H) for tr in trips]
+    emb = rng.normal(size=(10, 6))
+    trips = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (1, 0, 9)]
+    batched = triplet_loss_mean(*rows(emb, trips), H).item()
+    units = [triplet_loss(Tensor(emb[a]), Tensor(emb[p]), Tensor(emb[n]), H)
+             for a, p, n in trips]
     assert abs(batched - batch_mean(units).item()) < 1e-12
 
 
 def test_pairwise_mean_equals_unit_batch_mean():
     rng = np.random.default_rng(5)
-    emb = Tensor(rng.normal(size=(8, 5)))
-    pairs = [Pair(0, 1, True), Pair(2, 3, False), Pair(4, 5, False), Pair(6, 7, True)]
-    batched = pairwise_loss_mean(emb, pairs, H).item()
-    units = [pairwise_loss(Tensor(emb.data[p.a]), Tensor(emb.data[p.b]), p.same_class, H)
-             for p in pairs]
+    emb = rng.normal(size=(8, 5))
+    pairs = np.array([(0, 1, 1), (2, 3, 0), (4, 5, 0), (6, 7, 1)])
+    batched = pairwise_loss_mean(*rows(emb, pairs[:, :2]), pairs[:, 2], H).item()
+    units = [pairwise_loss(Tensor(emb[a]), Tensor(emb[b]), bool(same), H)
+             for a, b, same in pairs]
     assert abs(batched - batch_mean(units).item()) < 1e-12
 
 
 def test_quadruplet_mean_equals_unit_batch_mean():
     rng = np.random.default_rng(6)
-    emb = Tensor(rng.normal(size=(9, 4)))
-    quads = [Quadruplet(0, 1, 2, 3), Quadruplet(4, 5, 6, 7), Quadruplet(8, 0, 1, 2)]
-    batched = quadruplet_loss_mean(emb, quads, H).item()
-    units = [quadruplet_loss(Tensor(emb.data[q.anchor]), Tensor(emb.data[q.positive]),
-                             Tensor(emb.data[q.negative1]), Tensor(emb.data[q.negative2]), H)
-             for q in quads]
+    emb = rng.normal(size=(9, 4))
+    quads = [(0, 1, 2, 3), (4, 5, 6, 7), (8, 0, 1, 2)]
+    batched = quadruplet_loss_mean(*rows(emb, quads), H).item()
+    units = [quadruplet_loss(Tensor(emb[a]), Tensor(emb[p]), Tensor(emb[n1]), Tensor(emb[n2]), H)
+             for a, p, n1, n2 in quads]
     assert abs(batched - batch_mean(units).item()) < 1e-12
 
 
 def test_center_means_equal_unit_batch_means():
+    # Stage 2 feeds the family losses an anchor row and center rows gathered
+    # by class id: [anchor slot, own class, negative class(es)], and
+    # [anchor slot, class, same] for pairs.
     rng = np.random.default_rng(7)
-    anchors = Tensor(rng.normal(size=(5, 4)))
-    own = Tensor(rng.normal(size=(5, 4)))
-    neg = Tensor(rng.normal(size=(5, 4)))
-    neg2 = Tensor(rng.normal(size=(5, 4)))
-    same = [True, False, True, False, False]
+    emb, table = rng.normal(size=(5, 4)), rng.normal(size=(4, 4))
+    slots = np.arange(5)
+    own, neg, neg2 = np.array([0, 1, 2, 3, 0]), np.array([1, 2, 3, 0, 2]), np.array([2, 3, 0, 1, 3])
+    same = np.array([1, 0, 1, 0, 0])
+    anchors = Tensor(emb).take(slots)
 
-    batched = center_triplet_loss_mean(anchors, own, neg, H).item()
-    units = [center_triplet_loss(Tensor(anchors.data[i]), Tensor(own.data[i]),
-                                 Tensor(neg.data[i]), H) for i in range(5)]
+    def center(ids):
+        return Tensor(table).take(ids)
+
+    batched = triplet_loss_mean(anchors, center(own), center(neg), H).item()
+    units = [center_triplet_loss(Tensor(emb[i]), Tensor(table[own[i]]), Tensor(table[neg[i]]), H,
+                                 anchor_class=own[i], neg_class=neg[i]) for i in slots]
     assert abs(batched - batch_mean(units).item()) < 1e-12
 
-    batched = center_pairwise_loss_mean(anchors, own, same, H).item()
-    units = [center_pairwise_loss(Tensor(anchors.data[i]), Tensor(own.data[i]), same[i], H)
-             for i in range(5)]
+    partner = np.where(same == 1, own, neg)
+    batched = pairwise_loss_mean(anchors, center(partner), same, H).item()
+    units = [center_pairwise_loss(Tensor(emb[i]), Tensor(table[partner[i]]), bool(same[i]), H)
+             for i in slots]
     assert abs(batched - batch_mean(units).item()) < 1e-12
 
-    batched = center_quadruplet_loss_mean(anchors, own, neg, neg2, H).item()
-    units = [center_quadruplet_loss(Tensor(anchors.data[i]), Tensor(own.data[i]),
-                                    Tensor(neg.data[i]), Tensor(neg2.data[i]), H)
-             for i in range(5)]
+    batched = quadruplet_loss_mean(anchors, center(own), center(neg), center(neg2), H).item()
+    units = [center_quadruplet_loss(Tensor(emb[i]), Tensor(table[own[i]]), Tensor(table[neg[i]]),
+                                    Tensor(table[neg2[i]]), H, classes=(own[i], neg[i], neg2[i]))
+             for i in slots]
     assert abs(batched - batch_mean(units).item()) < 1e-12
+
+
+def test_an_empty_unit_batch_is_a_contract_error():
+    empty = Tensor(np.zeros((0, 3)))
+    for call in (lambda: triplet_loss_mean(empty, empty, empty, H),
+                 lambda: pairwise_loss_mean(empty, empty, np.zeros(0), H),
+                 lambda: quadruplet_loss_mean(empty, empty, empty, empty, H)):
+        with pytest.raises(ContractError, match="no units"):
+            call()
 
 
 def test_cross_entropy_mean_equals_unit_batch_mean():
@@ -360,7 +377,7 @@ def test_weights_that_are_not_one_per_class_are_a_shape_error(mean_loss, weights
 def _nudged_points(rng, count, dim=4):
     pts = []
     while len(pts) < count:
-        candidate = [rng.normal(size=dim) for _ in range(4)]
+        candidate = [rng.normal(size=(1, dim)) for _ in range(4)]
         pts.append(candidate)
     return pts
 
@@ -369,11 +386,12 @@ def test_losses_match_finite_differences_at_random_points():
     rng = np.random.default_rng(123)
     checks = 0
     for a, p, n, n2 in _nudged_points(rng, 8):
-        for fn in (lambda x, y, z: triplet_loss(x, y, z, H),
-                   lambda x, y, z: center_triplet_loss(x, y, z, H),
-                   lambda x, y, z: pairwise_loss(x, y, False, H) + pairwise_loss(y, z, True, H)):
+        for fn in (lambda x, y, z, w: triplet_loss_mean(x, y, z, H),
+                   lambda x, y, z, w: quadruplet_loss_mean(x, y, z, w, H),
+                   lambda x, y, z, w: (pairwise_loss_mean(x, y, [0], H)
+                                       + pairwise_loss_mean(y, z, [1], H))):
             try:
-                err = finite_diff_check(fn, [a, p, n])
+                err = finite_diff_check(fn, [a, p, n, n2])
             except HingeKinkError:
                 continue
             assert err < 1e-4

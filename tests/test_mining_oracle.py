@@ -1,9 +1,12 @@
 """The vectorized miners against the per-anchor loops they replaced.
 
 The functions below are the loop implementations of the semi-hard triplet,
-quadruplet and center miners, kept verbatim as reference oracles.  Each
-vectorized miner in ``tricenter.sampling`` must return the same unit list
-and leave the generator in the same state, so seeded runs do not change.
+quadruplet and center miners, kept as reference oracles; they return lists
+of unit tuples.  Each vectorized miner in ``tricenter.sampling`` must
+return the same units, as rows of an ``np.intp`` array, and leave the
+generator in the same state, so seeded runs do not change.  The center
+miners' arrays also carry the anchor's own class in column 1, which the
+oracles leave out.
 Random triplets, pairs and center pairs are still loops in the package and
 are not compared here.
 """
@@ -18,7 +21,7 @@ from tricenter.distance import lp_cdist, lp_norm
 from tricenter.errors import ContractError
 from tricenter.evaluation import compactness
 from tricenter.losses import LossHyper
-from tricenter.sampling import BatchPlan, Quadruplet, Triplet, _embedding_values
+from tricenter.sampling import BatchPlan, _embedding_values
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +71,7 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
                 negative = int(rng.choice(band))
             else:
                 negative = int(negatives[np.argmin(d_an)])
-        triplets.append(Triplet(anchor, positive, negative))
+        triplets.append((anchor, positive, negative))
     return triplets
 
 
@@ -115,7 +118,7 @@ def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
         c2 = rng.choice(other_classes[other_classes != c1])
         n1 = int(rng.choice(np.flatnonzero(labels == c1)))
         n2 = int(rng.choice(np.flatnonzero(labels == c2)))
-        quads.append(Quadruplet(anchor, positive, n1, n2))
+        quads.append((anchor, positive, n1, n2))
     return quads
 
 
@@ -179,12 +182,24 @@ def random_embeddings(rng, n, dim):
     return np.round(rng.normal(size=(n, dim)), 1)
 
 
-def assert_same_draws(new, old, call):
-    """``call(fn, rng)`` on both miners: same units, same types, same final generator state."""
+def assert_same_units(got, want, k):
+    """``got`` is the [n, k] intp array whose rows are the unit tuples ``want``."""
+    assert got.dtype == np.intp and got.shape == (len(want), k)
+    assert got.tolist() == [[int(x) for x in unit] for unit in want]
+
+
+def assert_same_draws(new, old, call, k, expected=list):
+    """``call(fn, rng)`` on both miners: the same units (``expected`` maps the
+    oracle's tuples to the array layout) and the same final generator state."""
     rng_new, rng_old = np.random.default_rng(99), np.random.default_rng(99)
     got, want = call(new, rng_new), call(old, rng_old)
-    assert repr(got) == repr(want)
+    assert_same_units(got, expected(want), k)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def with_own_class(batch):
+    """Map oracle center units ``(slot, *classes)`` to ``(slot, own class, *classes)``."""
+    return lambda units: [(slot, batch.labels[slot], *rest) for slot, *rest in units]
 
 
 def batches(seed, min_classes=2):
@@ -202,13 +217,13 @@ def test_semi_hard_triplets_match_the_loop(p_norm):
     for batch, emb, alpha in batches(10 + p_norm):
         hyper = LossHyper(alpha=alpha, p_norm=p_norm)
         assert_same_draws(sampling.form_triplets, form_triplets,
-                          lambda fn, rng: fn(batch, emb, "random_hard", hyper, rng))
+                          lambda fn, rng: fn(batch, emb, "random_hard", hyper, rng), 3)
 
 
 def test_quadruplets_match_the_loop():
     for batch, _, _ in batches(30, min_classes=3):
         assert_same_draws(sampling.form_quadruplets, form_quadruplets,
-                          lambda fn, rng: fn(batch, rng))
+                          lambda fn, rng: fn(batch, rng), 4)
 
 
 @pytest.mark.parametrize("p_norm", [1, 2, 3])
@@ -218,10 +233,11 @@ def test_center_miners_match_the_loop(p_norm):
         k = int(batch.labels.max()) + 1 + int(rng.integers(0, 2))
         centers = random_embeddings(rng, k, emb.shape[1])
         hyper = LossHyper(alpha=alpha, p_norm=p_norm)
-        assert (repr(sampling.form_center_triplets(batch, emb, centers, hyper))
-                == repr(form_center_triplets(batch, emb, centers, hyper)))
+        own = with_own_class(batch)
+        assert_same_units(sampling.form_center_triplets(batch, emb, centers, hyper),
+                          own(form_center_triplets(batch, emb, centers, hyper)), 3)
         assert_same_draws(sampling.form_center_quadruplets, form_center_quadruplets,
-                          lambda fn, r: fn(batch, emb, centers, hyper, r))
+                          lambda fn, r: fn(batch, emb, centers, hyper, r), 4, own)
 
 
 @pytest.mark.parametrize("m_per_class, dim", [(10, 16), (30, 3)])
@@ -234,9 +250,9 @@ def test_balanced_batches_match_the_loop(m_per_class, dim):
         emb = np.round(rng.normal(size=(len(plan), dim)), 1)
         hyper = LossHyper(alpha=alpha)
         assert_same_draws(sampling.form_triplets, form_triplets,
-                          lambda fn, r: fn(plan, emb, "random_hard", hyper, r))
+                          lambda fn, r: fn(plan, emb, "random_hard", hyper, r), 3)
         assert_same_draws(sampling.form_quadruplets, form_quadruplets,
-                          lambda fn, r: fn(plan, r))
+                          lambda fn, r: fn(plan, r), 4)
 
 
 def test_empty_band_falls_back_to_the_hardest_negative():
@@ -246,9 +262,9 @@ def test_empty_band_falls_back_to_the_hardest_negative():
     hyper = LossHyper(alpha=0.0)
     got = sampling.form_triplets(plan, emb, "random_hard", hyper, np.random.default_rng(0))
     want = form_triplets(plan, emb, "random_hard", hyper, np.random.default_rng(0))
-    assert got == want
+    assert_same_units(got, want, 3)
     # Anchor 0 at 0.0: negatives at 3.0, 0.5, 3.0, 0.5; the tie goes to the first slot.
-    assert got[0] == Triplet(0, 1, 3)
+    assert got[0].tolist() == [0, 1, 3]
 
 
 def test_fallback_when_every_negative_is_infinitely_far():
@@ -256,25 +272,24 @@ def test_fallback_when_every_negative_is_infinitely_far():
     emb = np.array([[0.0], [1.0], [1e200], [1e200]])  # squares overflow to inf
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_draws(sampling.form_triplets, form_triplets,
-                          lambda fn, r: fn(plan, emb, "random_hard", LossHyper(), r))
+                          lambda fn, r: fn(plan, emb, "random_hard", LossHyper(), r), 3)
         units = sampling.form_triplets(plan, emb, "random_hard", LossHyper(),
                                        np.random.default_rng(0))
-    assert units[:2] == [Triplet(0, 1, 2), Triplet(1, 0, 2)]
+    assert units[:2].tolist() == [[0, 1, 2], [1, 0, 2]]
 
 
 def test_single_slot_anchors_are_skipped():
     plan = BatchPlan(indices=np.arange(5), labels=np.array([0, 1, 1, 2, 2]), stage="flat")
     emb = np.arange(10.0).reshape(5, 2)
     assert_same_draws(sampling.form_triplets, form_triplets,
-                      lambda fn, r: fn(plan, emb, "random_hard", LossHyper(), r))
+                      lambda fn, r: fn(plan, emb, "random_hard", LossHyper(), r), 3)
     for strategy in ("random", "random_hard"):
         units = sampling.form_triplets(plan, emb, strategy, LossHyper(), np.random.default_rng(1))
-        assert [t.anchor for t in units] == [1, 2, 3, 4]
-    assert_same_draws(sampling.form_quadruplets, form_quadruplets, lambda fn, r: fn(plan, r))
+        assert units[:, 0].tolist() == [1, 2, 3, 4]
+    assert_same_draws(sampling.form_quadruplets, form_quadruplets, lambda fn, r: fn(plan, r), 4)
     pairs = sampling.form_pairs(plan, np.random.default_rng(1))
-    assert [(p.a, p.same_class) for p in pairs] == [
-        (0, False), (1, True), (1, False), (2, True), (2, False), (3, True), (3, False),
-        (4, True), (4, False)]
+    assert pairs[:, [0, 2]].tolist() == [
+        [0, 0], [1, 1], [1, 0], [2, 1], [2, 0], [3, 1], [3, 0], [4, 1], [4, 0]]
 
 
 def test_batch_without_positives_draws_nothing():
@@ -283,9 +298,9 @@ def test_batch_without_positives_draws_nothing():
     for strategy in ("random", "random_hard"):
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        assert sampling.form_triplets(plan, emb, strategy, LossHyper(), rng) == []
+        assert sampling.form_triplets(plan, emb, strategy, LossHyper(), rng).shape == (0, 3)
         assert rng.bit_generator.state == before
-    assert sampling.form_quadruplets(plan, np.random.default_rng(3)) == []
+    assert sampling.form_quadruplets(plan, np.random.default_rng(3)).shape == (0, 4)
 
 
 def test_too_few_classes_still_rejected():

@@ -110,7 +110,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, Checkpoint(extractor=fx, epoch=7, config_fingerprint="abc123",
                                          head=head, center_matrix=centers,
-                                         center_mode="computed", center_source_epoch=6))
+                                         center_mode="computed", center_source_epoch=6,
+                                         center_p_norm=3))
         loaded = load_checkpoint(path)
         for a, b in zip(fx.state(), loaded.extractor.state()):
             assert np.array_equal(a, b)
@@ -120,6 +121,12 @@ class TestCheckpoint:
         assert loaded.epoch == 7
         assert loaded.config_fingerprint == "abc123"
         assert loaded.center_mode == "computed"
+        assert loaded.center_p_norm == 3
+
+    def test_centers_written_without_p_norm_read_as_p_norm_two(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(self._with_header(blob, lambda h: h["centers"].pop("p_norm")))
+        assert load_checkpoint(path).center_p_norm == 2
 
     def test_forward_identical_after_round_trip(self, tmp_path):
         fx = FeatureExtractor([6, 10, 4], activation="tanh", rng=np.random.default_rng(1))
@@ -190,10 +197,15 @@ class TestCheckpoint:
         lambda h: h["arrays"][0].update(shape=[3, 5]),  # more than the payload holds
         lambda h: h["arrays"][0].update(shape=[3, 3]),  # leaves bytes over
         lambda h: h["arrays"][0].update(shape=[2 ** 32, 2 ** 32]),  # wraps in int64
+        lambda h: h["centers"].update(p_norm="2"),
+        lambda h: h["centers"].update(p_norm=0),
+        lambda h: h["centers"].update(p_norm=True),
+        lambda h: h["centers"].update(p_norm=1.5),
     ], ids=["extractor_key", "array_shape", "array_entry", "array_table", "centers_type",
             "head_type", "head_classes_type", "epoch_type", "extra_type", "layer_sizes_type",
             "activation_type", "shape_type", "shape_negative", "shape_too_big",
-            "shape_too_small", "shape_overflow"])
+            "shape_too_small", "shape_overflow", "p_norm_type", "p_norm_zero", "p_norm_bool",
+            "p_norm_float"])
     def test_malformed_header_fields_raise_data_format_error(self, tmp_path, edit):
         path, blob = self._saved(tmp_path)
         path.write_bytes(self._with_header(blob, edit))

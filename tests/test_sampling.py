@@ -86,18 +86,18 @@ class TestFormTriplets:
         emb = np.random.default_rng(0).normal(size=(4, 3))
         triplets = form_triplets(plan, emb, "random", H, np.random.default_rng(1))
         assert len(triplets) == 4
-        assert [tr.anchor for tr in triplets] == [0, 1, 2, 3]
-        for tr in triplets:
-            assert plan.labels[tr.anchor] == plan.labels[tr.positive]
-            assert tr.anchor != tr.positive
-            assert plan.labels[tr.anchor] != plan.labels[tr.negative]
+        assert triplets[:, 0].tolist() == [0, 1, 2, 3]
+        for anchor, positive, negative in triplets:
+            assert plan.labels[anchor] == plan.labels[positive]
+            assert anchor != positive
+            assert plan.labels[anchor] != plan.labels[negative]
 
     def test_singleton_class_anchor_skipped(self):
         plan = BatchPlan(indices=np.arange(3), labels=np.array([0, 0, 1]),
                          stage="balanced", m_per_class=1)
         emb = np.random.default_rng(0).normal(size=(3, 2))
         triplets = form_triplets(plan, emb, "random", H, np.random.default_rng(0))
-        assert [tr.anchor for tr in triplets] == [0, 1]
+        assert triplets[:, 0].tolist() == [0, 1]
 
     def test_semi_hard_selects_the_single_band_negative(self):
         # anchor 0 with positive at distance 1; negatives at 1.2 (band) and 5 (outside)
@@ -108,8 +108,8 @@ class TestFormTriplets:
         rng = np.random.default_rng(0)
         for _ in range(10):
             triplets = form_triplets(plan, emb, "random_hard", hyper, rng)
-            anchor0 = [tr for tr in triplets if tr.anchor == 0][0]
-            assert anchor0.negative == 2
+            anchor0 = triplets[triplets[:, 0] == 0][0]
+            assert anchor0[2] == 2
 
     def test_fully_separated_falls_back_to_hardest(self):
         plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]),
@@ -118,10 +118,10 @@ class TestFormTriplets:
         emb = np.array([[0.0, 0.0], [0.1, 0.0], [3.0, 0.0], [9.0, 0.0]])
         rng = np.random.default_rng(0)
         triplets = form_triplets(plan, emb, "random_hard", LossHyper(alpha=0.5), rng)
-        anchor0 = [tr for tr in triplets if tr.anchor == 0][0]
+        anchor0 = triplets[triplets[:, 0] == 0][0]
         # brute-force oracle: semi-hard band empty -> argmin distance among negatives
         d = np.linalg.norm(emb[0] - emb[2:], axis=1)
-        assert anchor0.negative == 2 + int(np.argmin(d))
+        assert anchor0[2] == 2 + int(np.argmin(d))
 
     def test_single_class_batch_rejected(self):
         plan = BatchPlan(indices=np.arange(4), labels=np.zeros(4, dtype=int),
@@ -135,14 +135,14 @@ class TestFormCenterTriplets:
         plan = BatchPlan(indices=np.array([0]), labels=np.array([0]), stage="flat", batch_size=1)
         emb = np.array([[0.0, 0.0]])
         centers = np.array([[0.0, 0.0], [9.0, 0.0]])
-        assert form_center_triplets(plan, emb, centers, H) == []
+        assert form_center_triplets(plan, emb, centers, H).shape == (0, 3)
 
     def test_single_close_center_qualifies(self):
         plan = BatchPlan(indices=np.array([0]), labels=np.array([0]), stage="flat", batch_size=1)
         emb = np.array([[0.0, 0.0]])
         centers = np.array([[0.0, 0.0], [0.25, 0.0], [9.0, 0.0]])
         units = form_center_triplets(plan, emb, centers, H)
-        assert units == [(0, 1)]
+        assert units.tolist() == [[0, 0, 1]]  # anchor slot, own class, negative class
 
     def test_matches_brute_force_on_random_geometry(self):
         rng = np.random.default_rng(5)
@@ -154,7 +154,7 @@ class TestFormCenterTriplets:
             emb = rng.normal(size=(b, d))
             centers = rng.normal(size=(k, d))
             plan = BatchPlan(indices=np.arange(b), labels=labels, stage="flat", batch_size=b)
-            got = set(form_center_triplets(plan, emb, centers, H))
+            got = {tuple(u) for u in form_center_triplets(plan, emb, centers, H).tolist()}
             expected = set()
             for i in range(b):
                 own = np.linalg.norm(emb[i] - centers[labels[i]])
@@ -162,7 +162,7 @@ class TestFormCenterTriplets:
                     if c == labels[i]:
                         continue
                     if own + H.alpha - np.linalg.norm(emb[i] - centers[c]) > 0:
-                        expected.add((i, c))
+                        expected.add((i, labels[i], c))
             assert got == expected
 
 
@@ -171,28 +171,25 @@ class TestFormPairs:
         plan = two_by_two_plan()
         pairs = form_pairs(plan, np.random.default_rng(0))
         assert len(pairs) == 8
-        same = [p for p in pairs if p.same_class]
-        diff = [p for p in pairs if not p.same_class]
-        assert len(same) == 4 and len(diff) == 4
-        for p in pairs:
-            expected_same = plan.labels[p.a] == plan.labels[p.b]
-            assert p.same_class == expected_same
+        assert (pairs[:, 2] == 1).sum() == 4 and (pairs[:, 2] == 0).sum() == 4
+        for a, b, same in pairs:
+            assert same == (plan.labels[a] == plan.labels[b])
 
     def test_singleton_class_gets_only_cross_pairs(self):
         plan = BatchPlan(indices=np.arange(3), labels=np.array([0, 0, 1]),
                          stage="balanced", m_per_class=1)
         pairs = form_pairs(plan, np.random.default_rng(0))
-        for p in pairs:
-            if p.a == 2:
-                assert not p.same_class
+        for a, _, same in pairs:
+            if a == 2:
+                assert not same
 
     def test_membership_oracle_on_random_batches(self):
         rng = np.random.default_rng(7)
         index, labels = make_index([20, 8, 5])
         for _ in range(20):
             plan = build_balanced_batch(index, 4, rng)
-            for p in form_pairs(plan, rng):
-                assert p.same_class == (labels[plan.indices[p.a]] == labels[plan.indices[p.b]])
+            for a, b, same in form_pairs(plan, rng):
+                assert same == (labels[plan.indices[a]] == labels[plan.indices[b]])
 
 
 class TestFormQuadruplets:
@@ -207,10 +204,10 @@ class TestFormQuadruplets:
                          stage="balanced", m_per_class=3)
         rng = np.random.default_rng(1)
         for _ in range(30):
-            for q in form_quadruplets(plan, rng):
-                la = plan.labels[q.anchor]
-                l1, l2 = plan.labels[q.negative1], plan.labels[q.negative2]
-                assert plan.labels[q.positive] == la
+            for anchor, positive, n1, n2 in form_quadruplets(plan, rng):
+                la = plan.labels[anchor]
+                l1, l2 = plan.labels[n1], plan.labels[n2]
+                assert plan.labels[positive] == la
                 assert l1 != la and l2 != la and l1 != l2
 
     def test_two_classes_rejected(self):
@@ -226,10 +223,10 @@ class TestFormQuadruplets:
         counts = {}
         draws = 0
         for _ in range(1250):
-            for q in form_quadruplets(plan, rng):
-                if plan.labels[q.anchor] != 0:
+            for anchor, _, n1, n2 in form_quadruplets(plan, rng):
+                if plan.labels[anchor] != 0:
                     continue
-                key = (int(plan.labels[q.negative1]), int(plan.labels[q.negative2]))
+                key = (int(plan.labels[n1]), int(plan.labels[n2]))
                 counts[key] = counts.get(key, 0) + 1
                 draws += 1
         assert draws >= 2000
@@ -244,10 +241,10 @@ class TestCenterPairs:
         plan = BatchPlan(indices=np.array([0]), labels=np.array([0]), stage="flat", batch_size=1)
         emb = np.array([[0.0, 0.0]])
         centers = np.array([[1.0, 0.0], [0.3, 0.0], [2.0, 0.0]])
-        units = form_center_pairs(plan, emb, centers, H)
-        assert (0, 0, True) in units
-        assert (0, 1, False) in units  # distance 0.3 < alpha
-        assert (0, 2, False) not in units  # distance 2 > alpha
+        units = form_center_pairs(plan, emb, centers, H).tolist()
+        assert [0, 0, 1] in units  # own center, same = 1
+        assert [0, 1, 0] in units  # distance 0.3 < alpha
+        assert [0, 2, 0] not in units  # distance 2 > alpha
 
 
 class TestOversample:
@@ -292,4 +289,4 @@ def test_seeded_determinism_of_samplers():
     emb = np.random.default_rng(0).normal(size=(18, 4))
     ta = form_triplets(a, emb, "random_hard", H, np.random.default_rng(7))
     tb = form_triplets(b, emb, "random_hard", H, np.random.default_rng(7))
-    assert ta == tb
+    np.testing.assert_array_equal(ta, tb)
