@@ -2,6 +2,9 @@ import pytest
 
 from tricenter.config import echo_settings, load_settings
 from tricenter.errors import ContractError
+from tricenter.nn import config_fingerprint
+
+DEFAULT = "[data]\npreset = skin7-like\n"
 
 NON_DEFAULT = """\
 [run]
@@ -64,14 +67,77 @@ def write(tmp_path, text, name="config.ini"):
     return path
 
 
-@pytest.mark.parametrize("text", ["[data]\npreset = skin7-like\n", NON_DEFAULT],
-                         ids=["default", "non_default"])
+DEFAULT_ECHO = """\
+[run]
+method = two_stage
+loss_family = triplet
+centered = true
+seed = 0
+
+[data]
+preset = skin7-like
+holdout_fraction = 0.2
+small_class_threshold = 20
+
+[model]
+embedding_dim = 128
+hidden = 64,64
+activation = tanh
+
+[stage1]
+epochs = 200
+m_per_class = 10
+mining = random_hard
+lambda_ce = 0.0
+
+[stage2]
+epochs = 200
+batch_size = 16
+center_mode = computed
+center_init = from_computed
+refresh_each_epoch = true
+freeze_layers = 0
+final_centers = default
+
+[hyper]
+alpha = 0.5
+beta = 0.25
+p_norm = 2
+
+[optimizer]
+lr = 0.0001
+beta1 = 0.9
+beta2 = 0.99
+epsilon = 1e-08
+
+[baseline]
+batch_size = 32
+focal_gamma = 2.0
+
+[eval]
+k_folds = 5
+"""
+
+
+@pytest.mark.parametrize("text", [DEFAULT, NON_DEFAULT], ids=["default", "non_default"])
 def test_echo_load_echo_is_a_fixpoint(tmp_path, text):
     settings = load_settings(write(tmp_path, text))
     echo = echo_settings(settings)
     reloaded = load_settings(write(tmp_path, echo, "echo.ini"))
     assert reloaded == settings
     assert echo_settings(reloaded) == echo
+
+
+def test_default_echo_is_pinned(tmp_path):
+    assert echo_settings(load_settings(write(tmp_path, DEFAULT))) == DEFAULT_ECHO
+
+
+@pytest.mark.parametrize("text, fingerprint", [(DEFAULT, "1ebb8e576dae365a"),
+                                               (NON_DEFAULT, "916332baebe966fc")],
+                         ids=["default", "non_default"])
+def test_config_fingerprints_are_pinned(tmp_path, text, fingerprint):
+    """Checkpoint headers carry this hash; a schema refactor must not move it."""
+    assert config_fingerprint(load_settings(write(tmp_path, text)).train.to_dict()) == fingerprint
 
 
 def test_non_default_config_is_read_as_written(tmp_path):
@@ -98,7 +164,11 @@ def test_unknown_sections_and_keys_are_rejected(tmp_path, text, message):
     ("stage1", "epochs", "2.5"),
     ("hyper", "alpha", "wide"),
     ("optimizer", "lr", "1e-4x"),
-], ids=["bool", "bool_digit", "int", "int_float", "float", "float_suffix"])
+    ("hyper", "alpha", "-1"),
+    ("hyper", "beta", "-0.1"),
+    ("hyper", "p_norm", "0"),
+], ids=["bool", "bool_digit", "int", "int_float", "float", "float_suffix",
+        "negative_alpha", "negative_beta", "zero_p_norm"])
 def test_bad_values_raise_contract_error(tmp_path, section, key, value):
     text = f"[data]\npreset = skin7-like\n[{section}]\n{key} = {value}\n"
     with pytest.raises(ContractError):
