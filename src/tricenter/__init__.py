@@ -4,26 +4,38 @@ The package couples a small numpy reverse-mode autodiff engine with
 class-balanced triplet learning, center-involved fine-tuning losses,
 nearest-class-center inference, classic imbalance baselines, and a
 cross-validated evaluation harness on synthetic long-tailed data.
+
+Public API (``__all__``); everything else is imported from its module:
+
+- running: run_method, run_holdout, run_crossval, run_sweep, RunRecord
+- predicting: predict, compute_centers, CenterTable, evaluate_record
+- configs: TrainConfig, Stage1Config, Stage2Config, LossHyper,
+  OptimizerConfig, and the INI file's RunSettings via load_settings
+- datasets: Dataset, preset_spec, gen_gaussian_imbalanced, load_csv, save_csv
+- checkpoints: Checkpoint, save_checkpoint, load_checkpoint
+- errors: ContractError, DataFormatError, DivergenceError, HingeKinkError,
+  ShapeError
 """
 
-from .autodiff import Tensor, finite_diff_check, no_grad
-from .centers import (CenterTable, compute_centers, embed_all,
-                      init_trainable_centers, nearest_center_predict_batch)
-from .datasets import Dataset, SyntheticSpec, gen_gaussian_imbalanced, load_csv, preset_spec, save_csv
+from .centers import CenterTable, compute_centers
+from .config import RunSettings, load_settings
+from .datasets import Dataset, gen_gaussian_imbalanced, load_csv, preset_spec, save_csv
 from .errors import (ContractError, DataFormatError, DivergenceError,
                      HingeKinkError, ShapeError)
-from .evaluation import (MetricsReport, WilcoxonResult, compactness, confusion,
-                         macro_metrics, small_class_report, stratified_holdout,
-                         stratified_kfold, wilcoxon_signed_rank)
-from .losses import LossHyper, inverse_frequency_weights
-from .nn import Adam, Checkpoint, FeatureExtractor, LinearHead, load_checkpoint, save_checkpoint
-from .sampling import (BatchPlan, DatasetIndex, build_balanced_batch, flat_batch_plans,
-                       form_center_triplets, form_pairs, form_quadruplets, form_triplets,
-                       oversample_indices)
+from .losses import LossHyper
+from .nn import Checkpoint, load_checkpoint, save_checkpoint
 from .training import (OptimizerConfig, RunRecord, Stage1Config, Stage2Config,
-                       TrainConfig, run_baseline, run_method, run_stage1,
-                       run_stage2, run_two_stage)
-from .workflows import (evaluate_record, predict, run_crossval, run_holdout,
-                        run_sweep)
+                       TrainConfig, run_method)
+from .workflows import evaluate_record, predict, run_crossval, run_holdout, run_sweep
+
+__all__ = [
+    "run_method", "run_holdout", "run_crossval", "run_sweep", "RunRecord",
+    "predict", "compute_centers", "CenterTable", "evaluate_record",
+    "TrainConfig", "Stage1Config", "Stage2Config", "LossHyper", "OptimizerConfig",
+    "RunSettings", "load_settings",
+    "Dataset", "preset_spec", "gen_gaussian_imbalanced", "load_csv", "save_csv",
+    "Checkpoint", "save_checkpoint", "load_checkpoint",
+    "ContractError", "DataFormatError", "DivergenceError", "HingeKinkError", "ShapeError",
+]
 
 __version__ = "0.1.0"

@@ -106,9 +106,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 

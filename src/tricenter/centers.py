@@ -8,7 +8,7 @@ updated by the optimizer together with the extractor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

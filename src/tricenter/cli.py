@@ -9,10 +9,9 @@ same seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import reports
 from .autodiff import Tensor
@@ -22,7 +21,7 @@ from .datasets import Dataset, gen_gaussian_imbalanced, load_csv, preset_spec, s
 from .errors import ContractError, DataFormatError, DivergenceError
 from .evaluation import confusion, macro_metrics, small_class_report
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
-from .training import RunRecord, run_method
+from .training import run_method
 from .workflows import evaluate_record, predict, run_crossval, run_holdout, run_sweep
 
 
@@ -39,23 +38,18 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _echo_config(settings: RunSettings, out: Path):
+def _setup(args) -> tuple[RunSettings, Dataset, Path]:
+    """Settings with the --seed (and --k) overrides, the dataset, and --out holding the echo."""
+    settings = load_settings(args.config)
+    if args.seed is not None:
+        settings.train.seed = args.seed
+    if getattr(args, "k", None) is not None:
+        settings.k_folds = args.k
+    settings.validate()
+    dataset = _load_dataset(settings, args.data)
+    out = Path(args.out)
     _write(out / "config.echo.ini", echo_settings(settings))
-
-
-def _record_checkpoint(record: RunRecord, path: Path, epoch: int, p_norm: int):
-    centers = record.centers
-    ckpt = Checkpoint(
-        extractor=record.extractor,
-        epoch=epoch,
-        config_fingerprint=record.config_fingerprint,
-        head=record.head,
-        center_matrix=None if centers is None else centers.matrix,
-        center_mode=None if centers is None else centers.mode,
-        center_source_epoch=None if centers is None else centers.source_epoch,
-        center_p_norm=p_norm,
-    )
-    save_checkpoint(path, ckpt)
+    return settings, dataset, out
 
 
 def cmd_gen_data(args) -> int:
@@ -70,15 +64,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings = load_settings(args.config)
-    if args.seed is not None:
-        settings.train.seed = args.seed
-    settings.validate()
-    dataset = _load_dataset(settings, args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(settings, out)
-
+    settings, dataset, out = _setup(args)
     log_lines = []
 
     if settings.holdout_fraction > 0:
@@ -95,14 +81,19 @@ def cmd_train(args) -> int:
     t = settings.train
     if t.method == "two_stage" and record.stage1_state is not None:
         # snapshot of the extractor right after stage 1
-        from .training import build_extractor
-        s1_extractor = build_extractor(t, dataset.in_dim, np.random.default_rng(0))
+        s1_extractor = copy.deepcopy(record.extractor)
         s1_extractor.load_state(record.stage1_state)
         save_checkpoint(out / "stage1.ckpt", Checkpoint(
             extractor=s1_extractor, epoch=t.stage1.epochs,
             config_fingerprint=record.config_fingerprint))
-    _record_checkpoint(record, out / "final.ckpt",
-                       epoch=t.stage1.epochs + t.stage2.epochs, p_norm=t.hyper.p_norm)
+    centers = record.centers
+    save_checkpoint(out / "final.ckpt", Checkpoint(
+        extractor=record.extractor, epoch=t.stage1.epochs + t.stage2.epochs,
+        config_fingerprint=record.config_fingerprint, head=record.head,
+        center_matrix=None if centers is None else centers.matrix,
+        center_mode=None if centers is None else centers.mode,
+        center_source_epoch=None if centers is None else centers.source_epoch,
+        center_p_norm=t.hyper.p_norm))
 
     _write(out / "run_record.txt", reports.render_run_record(record))
     _write(out / "metrics.txt", reports.render_metrics(report, title=f"{record.method} holdout metrics"))
@@ -125,7 +116,6 @@ def cmd_eval(args) -> int:
         raise ContractError(f"dataset width {dataset.in_dim} does not match "
                             f"checkpoint input dim {ckpt.extractor.in_dim}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     table = None
     if ckpt.center_matrix is not None:
@@ -144,15 +134,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    settings = load_settings(args.config)
-    if args.seed is not None:
-        settings.train.seed = args.seed
-    settings.validate()
-    dataset = _load_dataset(settings, args.data)
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(settings, out)
+    settings, dataset, out = _setup(args)
     rows = run_sweep(args.axis, values, settings.train, dataset,
                      k=settings.k_folds, small_threshold=settings.small_class_threshold,
                      jobs=args.jobs)
@@ -163,16 +146,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    settings = load_settings(args.config)
-    if args.seed is not None:
-        settings.train.seed = args.seed
-    if args.k is not None:
-        settings.k_folds = args.k
-    settings.validate()
-    dataset = _load_dataset(settings, args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(settings, out)
+    settings, dataset, out = _setup(args)
     result = run_crossval(settings.train, dataset, k=settings.k_folds,
                           small_threshold=settings.small_class_threshold, jobs=args.jobs)
     _write(out / "crossval.txt", reports.render_crossval(result.summary, result.small_summary))

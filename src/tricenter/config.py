@@ -1,44 +1,28 @@
 """Run-configuration files: flat INI sections with key=value lines.
 
-Unknown sections or keys are rejected so typos fail loudly.  The effective
-configuration (defaults resolved) is echoed into every run's output
-directory for reproducibility.
+``_SCHEMA`` is the one place a key is declared.  Each row names an INI
+``[section] key``, the dotted ``RunSettings`` attribute it sets and the
+parser for that attribute's annotated type.  The ``stage1``, ``stage2``,
+``hyper`` and ``optimizer`` rows are the fields of their dataclasses, and
+every default is the dataclass default.  Unknown sections or keys are
+rejected so typos fail loudly.  The effective configuration (defaults
+resolved) is echoed in schema order into every run's output directory.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ContractError
 from .losses import LossHyper
-from .training import (BASELINES, LOSS_FAMILIES, OptimizerConfig, Stage1Config,
-                       Stage2Config, TrainConfig)
-
-_KNOWN_KEYS = {
-    "run": {"method", "loss_family", "centered", "seed"},
-    "data": {"source", "preset", "holdout_fraction", "small_class_threshold"},
-    "model": {"embedding_dim", "hidden", "activation"},
-    "stage1": {"epochs", "m_per_class", "mining", "lambda_ce"},
-    "stage2": {"epochs", "batch_size", "center_mode", "center_init", "alpha", "lr",
-               "refresh_each_epoch", "freeze_layers", "final_centers"},
-    "hyper": {"alpha", "beta", "p_norm"},
-    "optimizer": {"lr", "beta1", "beta2", "epsilon"},
-    "baseline": {"epochs", "batch_size", "focal_gamma"},
-    "eval": {"k_folds"},
-}
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(text: str, where: str) -> bool:
-    low = text.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ContractError(f"{where}: expected a boolean, got {text!r}")
+from .training import OptimizerConfig, Stage1Config, Stage2Config, TrainConfig
 
 
 @dataclass
@@ -64,159 +48,124 @@ class RunSettings:
             raise ContractError("k_folds must be >= 2")
 
 
-def _reject_unknown(parser: configparser.ConfigParser, path):
+_hints = cache(get_type_hints)  # resolved field annotations of a dataclass
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
+
+
+def _parse_ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+def _parser(attr: str):
+    """The parser of a dotted RunSettings attribute, from its annotated type."""
+    kind = RunSettings
+    for name in attr.split("."):
+        kind = _hints(kind)[name]
+    if isinstance(kind, types.UnionType):  # ``X | None`` parses as X
+        kind = next(k for k in get_args(kind) if k is not type(None))
+    return {bool: _parse_bool, tuple: _parse_ints}.get(kind, kind)
+
+
+def _rows(section: str, prefix: str, keys) -> list:
+    """Rows of keys named like their attributes; a dataclass stands for its fields."""
+    if is_dataclass(keys):
+        keys = [f.name for f in fields(keys)]
+    return [(section, key, prefix + key) for key in keys]
+
+
+# (section, key, dotted RunSettings attribute, parser), in echo order.
+_SCHEMA = tuple((section, key, attr, _parser(attr)) for section, key, attr in [
+    *_rows("run", "train.", ["method", "loss_family", "centered", "seed"]),
+    ("data", "source", "data_source"),
+    ("data", "preset", "data_preset"),
+    *_rows("data", "", ["holdout_fraction", "small_class_threshold"]),
+    *_rows("model", "train.", ["embedding_dim", "hidden", "activation"]),
+    *_rows("stage1", "train.stage1.", Stage1Config),
+    *_rows("stage2", "train.stage2.", Stage2Config),
+    *_rows("hyper", "train.hyper.", LossHyper),
+    *_rows("optimizer", "train.optimizer.", OptimizerConfig),
+    ("baseline", "epochs", "train.baseline_epochs"),
+    ("baseline", "batch_size", "train.baseline_batch_size"),
+    ("baseline", "focal_gamma", "train.focal_gamma"),
+    *_rows("eval", "", ["k_folds"]),
+])
+_KEYS_OF = {section: {key for _, key, _, _ in rows}
+            for section, rows in groupby(_SCHEMA, key=itemgetter(0))}
+
+
+def _read(path) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError:
+        raise ContractError(f"config file {path} not found") from None
+    except UnicodeDecodeError:
+        raise ContractError(f"{path}: config file is not UTF-8 text") from None
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ContractError(f"{path}: malformed config: {exc}") from None
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS_OF:
             raise ContractError(f"{path}: unknown config section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+        unknown = set(parser[section]) - _KEYS_OF[section]
         if unknown:
             raise ContractError(
                 f"{path}: unknown key(s) {sorted(unknown)} in section [{section}]")
+    return parser
+
+
+def _build(cls, values: dict, prefix: str = ""):
+    """``cls`` from the ``values`` under ``prefix``; dataclass fields are built in turn."""
+    kwargs = {}
+    for name, kind in _hints(cls).items():
+        if is_dataclass(kind):
+            kwargs[name] = _build(kind, values, f"{prefix}{name}.")
+        elif prefix + name in values:
+            kwargs[name] = values[prefix + name]
+    return cls(**kwargs)
 
 
 def load_settings(path) -> RunSettings:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ContractError(f"config file {path} not found")
-    _reject_unknown(parser, path)
-
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return cast(raw)
-            except ContractError:
-                raise
-            except ValueError:
-                raise ContractError(f"{path}: [{section}] {key}={raw!r} is not a valid value")
-        return default
-
-    boolean = lambda raw: _parse_bool(raw, path)
-    hidden = get("model", "hidden", lambda s: tuple(int(x) for x in s.split(",") if x.strip()), (64, 64))
-    optional_float = lambda raw: float(raw)
-
-    train = TrainConfig(
-        method=get("run", "method", str, "two_stage"),
-        loss_family=get("run", "loss_family", str, "triplet"),
-        centered=get("run", "centered", boolean, True),
-        seed=get("run", "seed", int, 0),
-        embedding_dim=get("model", "embedding_dim", int, 128),
-        hidden=hidden,
-        activation=get("model", "activation", str, "tanh"),
-        stage1=Stage1Config(
-            epochs=get("stage1", "epochs", int, 200),
-            m_per_class=get("stage1", "m_per_class", int, 10),
-            mining=get("stage1", "mining", str, "random_hard"),
-            lambda_ce=get("stage1", "lambda_ce", float, 0.0),
-        ),
-        stage2=Stage2Config(
-            epochs=get("stage2", "epochs", int, 200),
-            batch_size=get("stage2", "batch_size", int, 16),
-            center_mode=get("stage2", "center_mode", str, "computed"),
-            center_init=get("stage2", "center_init", str, "from_computed"),
-            alpha=get("stage2", "alpha", optional_float, None),
-            lr=get("stage2", "lr", optional_float, None),
-            refresh_each_epoch=get("stage2", "refresh_each_epoch", boolean, True),
-            freeze_layers=get("stage2", "freeze_layers", int, 0),
-            final_centers=get("stage2", "final_centers", str, "default"),
-        ),
-        hyper=LossHyper(
-            alpha=get("hyper", "alpha", float, 0.5),
-            beta=get("hyper", "beta", float, 0.25),
-            p_norm=get("hyper", "p_norm", int, 2),
-        ),
-        optimizer=OptimizerConfig(
-            lr=get("optimizer", "lr", float, 1e-4),
-            beta1=get("optimizer", "beta1", float, 0.9),
-            beta2=get("optimizer", "beta2", float, 0.99),
-            epsilon=get("optimizer", "epsilon", float, 1e-8),
-        ),
-        focal_gamma=get("baseline", "focal_gamma", float, 2.0),
-        baseline_epochs=get("baseline", "epochs", int, None),
-        baseline_batch_size=get("baseline", "batch_size", int, 32),
-    )
-    if train.hyper.beta < 0:
+    parser = _read(path)
+    values = {}
+    for section, key, attr, parse in _SCHEMA:
+        if not parser.has_option(section, key):
+            continue
+        try:
+            values[attr] = parse(parser.get(section, key))
+        except (ValueError, configparser.Error):
+            raw = parser.get(section, key, raw=True)
+            raise ContractError(f"{path}: [{section}] {key}={raw!r} is not a valid value") from None
+    settings = _build(RunSettings, values)
+    if settings.train.hyper.beta < 0:
         raise ContractError(f"{path}: [hyper] beta must be >= 0")
-    settings = RunSettings(
-        train=train,
-        data_source=get("data", "source", str, None),
-        data_preset=get("data", "preset", str, None),
-        holdout_fraction=get("data", "holdout_fraction", float, 0.2),
-        small_class_threshold=get("data", "small_class_threshold", int, 20),
-        k_folds=get("eval", "k_folds", int, 5),
-    )
     settings.validate()
     return settings
 
 
+def _render(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
 def echo_settings(settings: RunSettings) -> str:
-    """Render the fully resolved configuration, suitable for re-loading."""
-    t = settings.train
-    lines = [
-        "[run]",
-        f"method = {t.method}",
-        f"loss_family = {t.loss_family}",
-        f"centered = {str(t.centered).lower()}",
-        f"seed = {t.seed}",
-        "",
-        "[data]",
-    ]
-    if settings.data_source is not None:
-        lines.append(f"source = {settings.data_source}")
-    if settings.data_preset is not None:
-        lines.append(f"preset = {settings.data_preset}")
-    lines += [
-        f"holdout_fraction = {settings.holdout_fraction}",
-        f"small_class_threshold = {settings.small_class_threshold}",
-        "",
-        "[model]",
-        f"embedding_dim = {t.embedding_dim}",
-        f"hidden = {','.join(str(h) for h in t.hidden)}",
-        f"activation = {t.activation}",
-        "",
-        "[stage1]",
-        f"epochs = {t.stage1.epochs}",
-        f"m_per_class = {t.stage1.m_per_class}",
-        f"mining = {t.stage1.mining}",
-        f"lambda_ce = {t.stage1.lambda_ce}",
-        "",
-        "[stage2]",
-        f"epochs = {t.stage2.epochs}",
-        f"batch_size = {t.stage2.batch_size}",
-        f"center_mode = {t.stage2.center_mode}",
-        f"center_init = {t.stage2.center_init}",
-    ]
-    if t.stage2.alpha is not None:
-        lines.append(f"alpha = {t.stage2.alpha}")
-    if t.stage2.lr is not None:
-        lines.append(f"lr = {t.stage2.lr}")
-    lines += [
-        f"refresh_each_epoch = {str(t.stage2.refresh_each_epoch).lower()}",
-        f"freeze_layers = {t.stage2.freeze_layers}",
-        f"final_centers = {t.stage2.final_centers}",
-        "",
-        "[hyper]",
-        f"alpha = {t.hyper.alpha}",
-        f"beta = {t.hyper.beta}",
-        f"p_norm = {t.hyper.p_norm}",
-        "",
-        "[optimizer]",
-        f"lr = {t.optimizer.lr}",
-        f"beta1 = {t.optimizer.beta1}",
-        f"beta2 = {t.optimizer.beta2}",
-        f"epsilon = {t.optimizer.epsilon}",
-        "",
-        "[baseline]",
-    ]
-    if t.baseline_epochs is not None:
-        lines.append(f"epochs = {t.baseline_epochs}")
-    lines += [
-        f"batch_size = {t.baseline_batch_size}",
-        f"focal_gamma = {t.focal_gamma}",
-        "",
-        "[eval]",
-        f"k_folds = {settings.k_folds}",
-        "",
-    ]
-    return "\n".join(lines)
+    """Render the fully resolved configuration, suitable for re-loading.
+
+    Keys whose value is None (an unset source, preset or override) are left out.
+    """
+    blocks = []
+    for section, rows in groupby(_SCHEMA, key=itemgetter(0)):
+        values = [(key, attrgetter(attr)(settings)) for _, key, attr, _ in rows]
+        blocks.append("\n".join([f"[{section}]", *(f"{key} = {_render(value)}"
+                                                   for key, value in values if value is not None)]))
+    return "\n\n".join(blocks) + "\n"

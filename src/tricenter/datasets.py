@@ -55,12 +55,6 @@ class SyntheticSpec:
         return {"name": self.name, "sizes": self.sizes, "seed": self.seed,
                 "means": self.means.tolist(), "sigmas": self.sigmas.tolist()}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(sizes=d["sizes"], means=np.array(d["means"]),
-                   sigmas=np.array(d["sigmas"]), seed=int(d["seed"]),
-                   name=d.get("name", "custom"))
-
 
 @dataclass
 class Dataset:
@@ -152,8 +146,11 @@ def save_csv(dataset: Dataset, path, spec: SyntheticSpec | None = None) -> None:
 
 def load_csv(path) -> Dataset:
     """Parse a ``label,f0,f1,...`` file; raises DataFormatError with the bad line number."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = lines[0].split(",")

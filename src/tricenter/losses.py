@@ -40,8 +40,12 @@ class LossHyper:
     def __post_init__(self):
         if self.alpha < 0:
             raise ContractError(f"alpha must be nonnegative, got {self.alpha}")
-        if int(self.p_norm) < 1:
-            raise ContractError(f"p_norm must be a positive integer, got {self.p_norm}")
+        try:
+            integral = int(self.p_norm) == self.p_norm
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral or self.p_norm < 1:
+            raise ContractError(f"p_norm must be a positive integer, got {self.p_norm!r}")
         self.p_norm = int(self.p_norm)
 
     def require_quadruplet_margins(self):

@@ -7,8 +7,6 @@ Percentages are printed with two decimals.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .evaluation import CrossvalSummary, MetricsReport
 from .training import RunRecord
 

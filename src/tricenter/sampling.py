@@ -77,10 +77,6 @@ class DatasetIndex:
     def sizes(self) -> np.ndarray:
         return np.array([len(ix) for ix in self.by_class], dtype=np.intp)
 
-    @property
-    def n_samples(self) -> int:
-        return int(self.sizes.sum())
-
     def require_nonempty_classes(self):
         empty = [c for c, ix in enumerate(self.by_class) if len(ix) == 0]
         if empty:

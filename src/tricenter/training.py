@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -76,6 +76,8 @@ class Stage2Config:
 
 @dataclass
 class OptimizerConfig:
+    """Adam's keyword arguments."""
+
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.99
@@ -111,23 +113,7 @@ class TrainConfig:
         self.stage2.validate()
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "loss_family": self.loss_family,
-            "centered": self.centered,
-            "stage1": vars(self.stage1).copy(),
-            "stage2": vars(self.stage2).copy(),
-            "hyper": {"alpha": self.hyper.alpha, "beta": self.hyper.beta,
-                      "p_norm": self.hyper.p_norm},
-            "optimizer": vars(self.optimizer).copy(),
-            "seed": self.seed,
-            "embedding_dim": self.embedding_dim,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-            "focal_gamma": self.focal_gamma,
-            "baseline_epochs": self.baseline_epochs,
-            "baseline_batch_size": self.baseline_batch_size,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -147,8 +133,6 @@ class RunRecord:
     center_refreshes: list = field(default_factory=list)  # (epoch, source params fingerprint)
     stage1_state: list | None = None  # extractor parameters right after stage 1
     status: str = "completed"
-    report = None  # filled by evaluation workflows
-    small_report = None
 
 
 def _check_finite(value: float, context: str):
@@ -156,7 +140,29 @@ def _check_finite(value: float, context: str):
         raise DivergenceError(f"non-finite loss during {context}; aborting run")
 
 
-def _progress(verbose, stage, epoch, mean_loss, seconds):
+def _steps(opt: Adam, plans, batch_loss: Callable, context: str) -> list:
+    """One Adam step per plan whose batch loss is not None; returns the loss values."""
+    values = []
+    for plan in plans:
+        opt.zero_grad()
+        loss = batch_loss(plan)
+        if loss is None:
+            continue
+        value = loss.item()
+        _check_finite(value, context)
+        loss.backward()
+        opt.step()
+        values.append(value)
+    return values
+
+
+def _end_epoch(values: list, t0: float, loss_sink: list, time_sink: list,
+               verbose: bool, stage: str, epoch: int):
+    """Record an epoch's mean batch loss (0.0 when no batch stepped) and wall time."""
+    mean_loss = float(np.mean(values)) if values else 0.0
+    seconds = time.perf_counter() - t0
+    loss_sink.append(mean_loss)
+    time_sink.append(seconds)
     if verbose:
         print(f"{stage} epoch {epoch}  loss {mean_loss:.6f}  time {seconds:.3f}s", flush=True)
 
@@ -173,12 +179,8 @@ def _stage2_hyper(config: TrainConfig) -> LossHyper:
 
 
 def _trainable_params(extractor: FeatureExtractor, freeze_layers: int) -> list:
-    if freeze_layers <= 0:
-        return extractor.parameters()
-    params = []
-    for i, (w, b) in enumerate(zip(extractor.weights, extractor.biases)):
-        if i >= freeze_layers:
-            params.extend((w, b))
+    """The (weight, bias) pairs of every layer after the first ``freeze_layers``."""
+    params = extractor.parameters()[2 * max(freeze_layers, 0):]
     if not params:
         raise ContractError("freeze_layers leaves nothing to train")
     return params
@@ -258,33 +260,23 @@ def run_stage1(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
     params = extractor.parameters()
     if head is not None:
         params = params + head.parameters()
-    opt = Adam(params, lr=config.optimizer.lr, beta1=config.optimizer.beta1,
-               beta2=config.optimizer.beta2, epsilon=config.optimizer.epsilon)
+    opt = Adam(params, **asdict(config.optimizer))
     batch_size = dataset.n_classes * s1.m_per_class
     n_batches = max(1, math.ceil(dataset.features.shape[0] / batch_size))
-    features = dataset.features
+
+    def batch_loss(plan):
+        emb = extractor(Tensor(dataset.features[plan.indices]))
+        loss = _metric_batch_loss(config, emb, plan, rng)
+        if loss is not None and s1.lambda_ce > 0:
+            loss = loss + s1.lambda_ce * losses.cross_entropy_mean(head(emb), plan.labels)
+        return loss
+
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        batch_losses = []
-        for _ in range(n_batches):
-            plan = sampling.build_balanced_batch(dataset.index, s1.m_per_class, rng)
-            opt.zero_grad()
-            emb = extractor(Tensor(features[plan.indices]))
-            loss = _metric_batch_loss(config, emb, plan, rng)
-            if loss is None:
-                continue
-            if s1.lambda_ce > 0:
-                loss = loss + s1.lambda_ce * losses.cross_entropy_mean(head(emb), plan.labels)
-            value = loss.item()
-            _check_finite(value, "stage 1")
-            loss.backward()
-            opt.step()
-            batch_losses.append(value)
-        mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
-        dt = time.perf_counter() - t0
-        loss_sink.append(mean_loss)
-        time_sink.append(dt)
-        _progress(verbose, "stage1", epoch, mean_loss, dt)
+        plans = (sampling.build_balanced_batch(dataset.index, s1.m_per_class, rng)
+                 for _ in range(n_batches))
+        values = _steps(opt, plans, batch_loss, "stage 1")
+        _end_epoch(values, t0, loss_sink, time_sink, verbose, "stage1", epoch)
 
 
 def _center_stage_batch_loss(config: TrainConfig, emb: Tensor, plan,
@@ -324,9 +316,12 @@ def run_stage2(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
                                              init="random", rng=rng)
         params = params + [centers.table]
 
-    lr = s2.lr if s2.lr is not None else config.optimizer.lr
-    opt = Adam(params, lr=lr, beta1=config.optimizer.beta1,
-               beta2=config.optimizer.beta2, epsilon=config.optimizer.epsilon)
+    optimizer = config.optimizer if s2.lr is None else replace(config.optimizer, lr=s2.lr)
+    opt = Adam(params, **asdict(optimizer))
+
+    def batch_loss(plan):  # reads the current ``centers``
+        emb = extractor(Tensor(features[plan.indices]))
+        return _center_stage_batch_loss(config, emb, plan, centers, hyper, rng)
 
     for epoch in range(s2.epochs):
         t0 = time.perf_counter()
@@ -335,24 +330,11 @@ def run_stage2(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
             centers = compute_centers(extractor, features, dataset.index,
                                       source_epoch=epoch - 1, source_fingerprint=fingerprint)
             record.center_refreshes.append((epoch, fingerprint))
-        batch_losses = []
-        for plan in sampling.flat_batch_plans(dataset.labels, s2.batch_size, rng):
-            opt.zero_grad()
-            emb = extractor(Tensor(features[plan.indices]))
-            loss = _center_stage_batch_loss(config, emb, plan, centers, hyper, rng)
-            if loss is None:
-                continue
-            value = loss.item()
-            _check_finite(value, "stage 2")
-            loss.backward()
-            opt.step()
-            batch_losses.append(value)
-        mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
-        dt = time.perf_counter() - t0
-        record.stage2_losses.append(mean_loss)
-        record.stage2_epoch_times.append(dt)
-        _progress(verbose, "stage2", epoch, mean_loss, dt)
-        if not batch_losses:
+        plans = sampling.flat_batch_plans(dataset.labels, s2.batch_size, rng)
+        values = _steps(opt, plans, batch_loss, "stage 2")
+        _end_epoch(values, t0, record.stage2_losses, record.stage2_epoch_times,
+                   verbose, "stage2", epoch)
+        if not values:
             record.status = "converged_early"
             break
     return centers
@@ -427,11 +409,17 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset,
     epochs = config.baseline_epochs
     if epochs is None:
         epochs = config.stage1.epochs + config.stage2.epochs
-    opt = Adam(extractor.parameters() + head.parameters(), lr=config.optimizer.lr,
-               beta1=config.optimizer.beta1, beta2=config.optimizer.beta2,
-               epsilon=config.optimizer.epsilon)
+    opt = Adam(extractor.parameters() + head.parameters(), **asdict(config.optimizer))
     features = dataset.features
     b = config.baseline_batch_size
+
+    def batch_loss(plan):
+        logits = head(extractor(Tensor(features[plan.indices])))
+        if strategy == "wfce":
+            return losses.focal_loss_mean(logits, plan.labels,
+                                          gamma=config.focal_gamma, weights=weights)
+        return losses.cross_entropy_mean(logits, plan.labels, weights=weights)
+
     for epoch in range(epochs):
         t0 = time.perf_counter()
         if strategy == "oce":
@@ -442,25 +430,9 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset,
                      for i in range(0, len(stream), b)]
         else:
             plans = sampling.flat_batch_plans(dataset.labels, b, rng)
-        batch_losses = []
-        for plan in plans:
-            opt.zero_grad()
-            logits = head(extractor(Tensor(features[plan.indices])))
-            if strategy == "wfce":
-                loss = losses.focal_loss_mean(logits, plan.labels,
-                                              gamma=config.focal_gamma, weights=weights)
-            else:
-                loss = losses.cross_entropy_mean(logits, plan.labels, weights=weights)
-            value = loss.item()
-            _check_finite(value, f"baseline {strategy}")
-            loss.backward()
-            opt.step()
-            batch_losses.append(value)
-        mean_loss = float(np.mean(batch_losses))
-        dt = time.perf_counter() - t0
-        record.stage1_losses.append(mean_loss)
-        record.stage1_epoch_times.append(dt)
-        _progress(verbose, strategy, epoch, mean_loss, dt)
+        values = _steps(opt, plans, batch_loss, f"baseline {strategy}")
+        _end_epoch(values, t0, record.stage1_losses, record.stage1_epoch_times,
+                   verbose, strategy, epoch)
     return record
 
 

@@ -65,20 +65,20 @@ class CrossvalResult:
     summary: CrossvalSummary
     small_summary: CrossvalSummary | None
 
-    @property
-    def mf1_mean(self) -> float:
-        return self.summary.mf1_mean
+
+def _train_and_score(config: TrainConfig, dataset: Dataset, train_rows, test_rows,
+                     small_threshold: int, verbose: bool) -> tuple[RunRecord, MetricsReport]:
+    """Train on ``train_rows``, score ``test_rows``; small classes are those of ``dataset``."""
+    record = run_method(config, dataset.subset(train_rows), verbose=verbose)
+    report = evaluate_record(record, dataset.subset(test_rows), p_norm=config.hyper.p_norm,
+                             small_threshold=small_threshold, small_index=dataset.index)
+    return record, report
 
 
 def _run_fold(args):
     config, dataset, train_rows, test_rows, fold, small_threshold, verbose = args
-    fold_config = replace(config, seed=config.seed + fold)
-    train = dataset.subset(train_rows)
-    test = dataset.subset(test_rows)
-    record = run_method(fold_config, train, verbose=verbose)
-    report = evaluate_record(record, test, p_norm=config.hyper.p_norm,
-                             small_threshold=small_threshold,
-                             small_index=dataset.index)
+    record, report = _train_and_score(replace(config, seed=config.seed + fold), dataset,
+                                      train_rows, test_rows, small_threshold, verbose)
     return FoldResult(fold=fold, record=record, report=report)
 
 
@@ -113,11 +113,8 @@ def run_holdout(config: TrainConfig, dataset: Dataset, test_fraction: float = 0.
                 small_threshold: int = 20, verbose: bool = False) -> HoldoutResult:
     """Single stratified train/test split, train once, evaluate the test side."""
     train_rows, test_rows = stratified_holdout(dataset.index, test_fraction, seed=config.seed)
-    record = run_method(config, dataset.subset(train_rows), verbose=verbose)
-    report = evaluate_record(record, dataset.subset(test_rows),
-                             p_norm=config.hyper.p_norm,
-                             small_threshold=small_threshold,
-                             small_index=dataset.index)
+    record, report = _train_and_score(config, dataset, train_rows, test_rows,
+                                      small_threshold, verbose)
     return HoldoutResult(record=record, report=report,
                          train_rows=train_rows, test_rows=test_rows)
 

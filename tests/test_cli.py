@@ -85,3 +85,47 @@ def test_eval_predicts_by_the_nearest_center_under_the_trained_lp_order(tmp_path
     assert len(predicted) == 1
     np.testing.assert_array_equal(predicted[0], nearest[1])
     assert ckpt.center_p_norm == 1
+
+
+GOOD_CONFIG = b"[data]\npreset = skin7-like\n"
+
+
+@pytest.mark.parametrize("config, csv", [
+    (GOOD_CONFIG + b"# caf\xe9\n", None),
+    (b"preset = skin7-like\n", None),
+    (GOOD_CONFIG + b"preset = skin7-like\n", None),
+    (GOOD_CONFIG, b"label,f0,f1\n0,1.0,2.0\n1,\xff,3.0\n"),
+], ids=["ini_not_utf8", "ini_no_section_header", "ini_duplicate_key", "csv_not_utf8"])
+def test_malformed_inputs_report_an_error_without_traceback(tmp_path, config, csv):
+    (tmp_path / "config.ini").write_bytes(config)
+    argv = ["train", "--config", tmp_path / "config.ini", "--out", tmp_path / "out"]
+    if csv is not None:
+        (tmp_path / "data.csv").write_bytes(csv)
+        argv += ["--data", tmp_path / "data.csv"]
+    result = run_cli(*argv)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):
+    runs = {}
+    for stage2_epochs in (2, 0):
+        config = tmp_path / f"config{stage2_epochs}.ini"
+        config.write_text("[run]\nseed = 5\n[data]\npreset = skin7-like\n"
+                          "[model]\nembedding_dim = 8\nhidden = 12\n"
+                          f"[stage1]\nepochs = 3\nm_per_class = 4\n[stage2]\nepochs = {stage2_epochs}\n")
+        out = tmp_path / f"run{stage2_epochs}"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+        runs[stage2_epochs] = out
+    stage1 = load_checkpoint(runs[2] / "stage1.ckpt")
+    final = load_checkpoint(runs[2] / "final.ckpt")
+    after_stage1 = load_checkpoint(runs[0] / "final.ckpt")
+    assert stage1.epoch == 3 and final.epoch == 5
+    assert stage1.config_fingerprint == final.config_fingerprint
+    assert stage1.head is None and stage1.center_matrix is None
+    assert stage1.extractor.layer_sizes == final.extractor.layer_sizes == [16, 12, 8]
+    for got, want, trained in zip(stage1.extractor.state(), after_stage1.extractor.state(),
+                                  final.extractor.state()):
+        np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(got, trained)

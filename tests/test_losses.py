@@ -406,3 +406,15 @@ def test_lp_distance_rows_matches_scalar_path():
         rows = lp_distance_rows(Tensor(x), Tensor(y), p).data
         scalars = [lp_distance(Tensor(x[i]), Tensor(y[i]), p).item() for i in range(7)]
         np.testing.assert_allclose(rows, scalars, atol=1e-12)
+
+
+@pytest.mark.parametrize("p_norm", [2.7, 0.5, "2", None, float("nan"), float("inf"), 0, -1])
+def test_a_non_integral_or_non_positive_p_norm_is_a_contract_error(p_norm):
+    with pytest.raises(ContractError, match="p_norm"):
+        LossHyper(p_norm=p_norm)
+
+
+@pytest.mark.parametrize("p_norm", [1, 2, np.int64(3), 4.0])
+def test_an_integral_p_norm_is_stored_as_int(p_norm):
+    stored = LossHyper(p_norm=p_norm).p_norm
+    assert stored == p_norm and type(stored) is int

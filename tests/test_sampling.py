@@ -22,7 +22,7 @@ class TestDatasetIndex:
         index, labels = make_index([3, 2, 4])
         assert index.n_classes == 3
         assert list(index.sizes) == [3, 2, 4]
-        assert index.n_samples == 9
+        assert index.sizes.sum() == len(labels) == 9
 
     def test_duplicate_membership_rejected(self):
         with pytest.raises(ContractError):
