@@ -414,7 +414,7 @@ def test_a_non_integral_or_non_positive_p_norm_is_a_contract_error(p_norm):
         LossHyper(p_norm=p_norm)
 
 
-@pytest.mark.parametrize("p_norm", [1, 2, np.int64(3), 4.0])
+@pytest.mark.parametrize("p_norm", [1, 2, np.int64(3), 4.0], ids=["1", "2", "int64", "4.0"])
 def test_an_integral_p_norm_is_stored_as_int(p_norm):
     stored = LossHyper(p_norm=p_norm).p_norm
     assert stored == p_norm and type(stored) is int
