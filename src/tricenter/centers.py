@@ -17,7 +17,7 @@ from .distance import lp_cdist
 from .errors import ContractError
 from .sampling import DatasetIndex
 
-FORWARD_CHUNK = 512  # bounds memory of full-dataset passes
+FORWARD_CHUNK = 512  # rows per forward pass in embed_all; bounds its memory
 
 
 @dataclass
@@ -101,13 +101,9 @@ def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable,
                                  p_norm: int = 2):
     """Nearest-center prediction; returns (labels[N], distances[N, K]).
 
-    Ties go to the smallest class id.  The distances are filled
-    ``FORWARD_CHUNK`` rows at a time, so the ``[rows, K, D]`` difference
-    never spans the whole input.
+    Ties go to the smallest class id.  ``lp_cdist`` blocks the ``[rows, K, D]``
+    difference to cache size, so it never spans the whole input.
     """
     emb = embeddings.data if isinstance(embeddings, Tensor) else np.asarray(embeddings, dtype=np.float64)
-    dists = np.empty((emb.shape[0], centers.n_classes))
-    for start in range(0, emb.shape[0], FORWARD_CHUNK):
-        stop = start + FORWARD_CHUNK
-        dists[start:stop] = lp_cdist(emb[start:stop], centers.matrix, p_norm)
+    dists = lp_cdist(emb, centers.matrix, p_norm)
     return dists.argmin(axis=1), dists

@@ -134,7 +134,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ContractError(f"--values: {exc}") from None
     settings, dataset, out = _setup(args)
     rows = run_sweep(args.axis, values, settings.train, dataset,
                      k=settings.k_folds, small_threshold=settings.small_class_threshold,

@@ -145,18 +145,37 @@ def save_csv(dataset: Dataset, path, spec: SyntheticSpec | None = None) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Parse a ``label,f0,f1,...`` file; raises DataFormatError with the bad line number."""
+    """Parse a ``label,f0,f1,...`` file; raises DataFormatError with the bad line number.
+
+    Each non-blank line after the header holds as many comma-separated fields
+    as the header: a nonnegative label as ``int()`` reads it, then features as
+    ``float()`` reads them; no quoting, no comments.  The line loop defines a
+    valid row.  One ``np.loadtxt`` call parses the rows first (equal values on
+    every spelling it accepts); when it refuses the file, which includes
+    ``1_0`` and non-ASCII digits, or a width or label is wrong, the loop decides.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    lines = text.splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = lines[0].split(",")
     if header[0] != "label" or len(header) < 2:
         raise DataFormatError(f"{path}: line 1: header must be 'label,f0,f1,...'")
     width = len(header) - 1
+    body = [line for line in lines[1:] if line.strip()]
+    # numpy also strips the unit separator \x1f around a number; float() refuses it
+    if body and "\x1f" not in text:
+        try:
+            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            labels = [int(line.partition(",")[0]) for line in body]
+        except ValueError:  # the line loop below reports the bad line
+            table = None
+        if table is not None and table.shape[1] == width + 1 and min(labels) >= 0:
+            return Dataset(np.ascontiguousarray(table[:, 1:]), np.array(labels))
     labels, rows = [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -5,12 +5,15 @@ Every non-differentiable L_p distance in the package goes through
 autodiff op ``Tensor.lp_dist`` (one graph node, reached through
 ``losses.lp_distance_rows`` and ``losses.lp_distance``).  The values are
 bit for bit those of the naive ``(np.abs(x - y) ** p).sum(-1) ** (1 / p)``,
-so seeded mining and prediction do not change with the kernel.
+so seeded mining and prediction do not change with the kernel, nor with the
+``max(1, BLOCK_FLOATS // (M * D))`` rows per block of ``lp_cdist`` (rows are independent).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BLOCK_FLOATS = 1 << 17  # float64 values (1 MB) per [rows, M, D] difference block
 
 
 def lp_norm(diff: np.ndarray, p: int) -> np.ndarray:
@@ -39,4 +42,8 @@ def lp_cdist(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     which moves anchors across the edges of the semi-hard band and changes
     which triplets a seeded run mines.
     """
-    return lp_norm(a[:, None, :] - b[None, :, :], p)
+    rows = max(1, BLOCK_FLOATS // max(1, b.size))
+    out = np.empty((a.shape[0], b.shape[0]))
+    for start in range(0, a.shape[0], rows):
+        out[start:start + rows] = lp_norm(a[start:start + rows, None, :] - b[None, :, :], p)
+    return out

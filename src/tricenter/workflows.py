@@ -146,6 +146,9 @@ def run_sweep(axis: str, values, config: TrainConfig, dataset: Dataset, k: int =
     values = list(values)
     if not values:
         raise ContractError("sweep needs at least one value")
+    bad = [v for v in values if axis == "dimension" and not (float(v).is_integer() and v >= 1)]
+    if bad:
+        raise ContractError(f"dimension must be a positive integer, got {bad[0]!r}")
     tasks = [(axis, v, config, dataset, k, small_threshold) for v in values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -4,6 +4,7 @@ import pytest
 from tricenter.autodiff import Tensor, finite_diff_check
 from tricenter.centers import (CenterTable, compute_centers, embed_all,
                                init_trainable_centers, nearest_center_predict_batch)
+from tricenter.distance import BLOCK_FLOATS
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper, triplet_loss_mean
 from tricenter.nn import Adam, FeatureExtractor
@@ -156,6 +157,19 @@ class TestNearestCenter:
             cls, dists = nearest_center_predict(x[i], table)
             assert batch_labels[i] == cls
             np.testing.assert_allclose(batch_d[i], dists, atol=1e-12)
+
+    @pytest.mark.parametrize("p_norm", [1, 2, 3])
+    def test_more_rows_than_one_block_equal_the_naive_argmin(self, p_norm):
+        rng = np.random.default_rng(13)
+        table = self.make_table(rng.normal(size=(7, 128)))
+        x = rng.normal(size=(1000, 128))  # about 7 blocks of BLOCK_FLOATS // (7 * 128) rows
+        assert x.shape[0] > BLOCK_FLOATS // table.matrix.size
+        naive = (np.abs(x[:, None, :] - table.matrix[None, :, :]) ** p_norm).sum(axis=2)
+        if p_norm != 1:
+            naive = naive ** (1.0 / p_norm)
+        labels, dists = nearest_center_predict_batch(x, table, p_norm)
+        assert dists.tobytes() == naive.tobytes()
+        np.testing.assert_array_equal(labels, naive.argmin(axis=1))
 
     def test_translation_invariance_of_argmin(self):
         rng = np.random.default_rng(11)

@@ -129,3 +129,20 @@ def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):
                                   final.extractor.state()):
         np.testing.assert_array_equal(got, want)
         assert not np.array_equal(got, trained)
+
+
+@pytest.mark.parametrize("axis, values, bad", [
+    ("margin", "0.1,abc", "'abc'"),
+    ("dimension", "2.5", "2.5"),
+    ("dimension", "4,0", "0.0"),
+], ids=["non_numeric", "non_integral_dimension", "zero_dimension"])
+def test_a_bad_sweep_value_reports_an_error_without_traceback(tmp_path, axis, values, bad):
+    (tmp_path / "config.ini").write_bytes(GOOD_CONFIG)
+    result = run_cli("sweep", "--axis", axis, "--values", values,
+                     "--config", tmp_path / "config.ini", "--out", tmp_path / "out")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert bad in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert not (tmp_path / "out" / "sweep.csv").exists()

@@ -1,0 +1,145 @@
+import numpy as np
+import pytest
+
+from tricenter import datasets
+from tricenter.datasets import (SKIN7_LIKE_IN_DIM, SKIN7_LIKE_SEPARATION, SKIN7_LIKE_SIZES,
+                                Dataset, SyntheticSpec, gen_gaussian_imbalanced, load_csv,
+                                preset_spec, save_csv, simplex_means)
+from tricenter.errors import ContractError, DataFormatError
+
+HEADER = "label,f0,f1,f2\n"
+
+
+def write(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def good_rows(n):
+    rng = np.random.default_rng(n)
+    return [f"{i % 3}," + ",".join(repr(float(v)) for v in rng.normal(size=3)) + "\n"
+            for i in range(n)]
+
+
+def load_by_the_line_loop(path):
+    """``load_csv`` with the numpy parse refusing every file, so its line loop decides."""
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets.np, "loadtxt", refuse)
+        return load_csv(path)
+
+
+def assert_same_dataset(got: Dataset, want: Dataset):
+    assert got.features.dtype == want.features.dtype == np.float64
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.features.flags.c_contiguous
+    assert got.labels.dtype == want.labels.dtype
+    np.testing.assert_array_equal(got.labels, want.labels)
+
+
+def bulk_spec(scale, seed):
+    k = len(SKIN7_LIKE_SIZES)
+    return SyntheticSpec(sizes=[n * scale for n in SKIN7_LIKE_SIZES],
+                         means=simplex_means(k, SKIN7_LIKE_IN_DIM, SKIN7_LIKE_SEPARATION),
+                         sigmas=np.full(k, 1.0), seed=seed)
+
+
+@pytest.mark.parametrize("spec", [preset_spec("skin7-like", seed=4), bulk_spec(30, seed=5)],
+                         ids=["skin7_like", "rows_20400"])
+def test_gen_save_load_is_a_bit_exact_round_trip(tmp_path, spec):
+    data = gen_gaussian_imbalanced(spec)
+    save_csv(data, tmp_path / "data.csv")
+    loaded = load_csv(tmp_path / "data.csv")
+    assert loaded.features.shape == (sum(spec.sizes), SKIN7_LIKE_IN_DIM)
+    assert_same_dataset(loaded, data)
+    assert_same_dataset(load_by_the_line_loop(tmp_path / "data.csv"), data)
+
+
+# Each bad row is line 151 of a 200-row file: past line 2, so the numpy parse
+# has read good rows before it refuses and the line loop reports the line.
+@pytest.mark.parametrize("row, message", [
+    ("0,1.0,2.0\n", "expected 4 fields, got 3"),
+    ("0,1.0,2.0,3.0,\n", "expected 4 fields, got 5"),
+    ("0,1.0,,3.0\n", "non-numeric feature value"),
+    ("-1,1.0,2.0,3.0\n", "label '-1' is not a nonnegative integer"),
+    ("3.0,1.0,2.0,3.0\n", "label '3.0' is not a nonnegative integer"),
+    ("0,1.0,abc,3.0\n", "non-numeric feature value"),
+    ("0,1.0,2.0#3,3.0\n", "non-numeric feature value"),
+    ("0,1.0,\x1f2.0,3.0\n", "non-numeric feature value"),
+], ids=["field_count", "trailing_comma", "empty_field", "negative_label", "float_label",
+        "non_numeric_feature", "hash_in_field", "unit_separator"])
+def test_a_malformed_row_raises_the_loop_message_with_its_line(tmp_path, row, message):
+    rows = good_rows(200)
+    rows[149] = row
+    path = write(tmp_path / "data.csv", HEADER + "".join(rows))
+    with pytest.raises(DataFormatError) as exc:
+        load_csv(path)
+    assert str(exc.value) == f"{path}: line 151: {message}"
+
+
+@pytest.mark.parametrize("spelling, value", [("1_0", 10.0), ("٣", 3.0), ("１", 1.0)],
+                         ids=["underscore", "arabic_indic_digit", "fullwidth_digit"])
+def test_spellings_only_float_reads_load_as_float_reads_them(tmp_path, spelling, value):
+    rows = good_rows(50)
+    rows[40] = f"2,0.5,{spelling},-1.25\n"
+    path = write(tmp_path / "data.csv", HEADER + "".join(rows))
+    loaded = load_csv(path)
+    assert loaded.features[40].tolist() == [0.5, value, -1.25]
+    assert_same_dataset(loaded, load_by_the_line_loop(path))
+
+
+def test_blank_and_whitespace_only_lines_are_skipped(tmp_path):
+    rows = good_rows(6)
+    plain = load_csv(write(tmp_path / "plain.csv", HEADER + "".join(rows)))
+    spaced = HEADER + "\n" + rows[0] + "   \n" + "".join(rows[1:4]) + "\t\n\n" + "".join(rows[4:]) + " \n"
+    assert_same_dataset(load_csv(write(tmp_path / "spaced.csv", spaced)), plain)
+
+
+def test_crlf_line_ends_load_like_lf(tmp_path):
+    text = HEADER + "".join(good_rows(30))
+    plain = load_csv(write(tmp_path / "lf.csv", text))
+    assert_same_dataset(load_csv(write(tmp_path / "crlf.csv", text.replace("\n", "\r\n"))), plain)
+
+
+@pytest.mark.parametrize("body", ["", "\n  \n"], ids=["header_only", "blank_lines_only"])
+def test_a_file_without_rows_is_rejected(tmp_path, body):
+    path = write(tmp_path / "data.csv", HEADER + body)
+    with pytest.raises(DataFormatError, match="no data rows"):
+        load_csv(path)
+
+
+def test_a_nan_feature_is_a_contract_error(tmp_path):
+    rows = good_rows(20)
+    rows[10] = "1,0.5,nan,2.0\n"
+    with pytest.raises(ContractError, match="non-finite"):
+        load_csv(write(tmp_path / "data.csv", HEADER + "".join(rows)))
+
+
+def test_random_valid_tables_load_as_the_line_loop_reads_them(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    feature = st.one_of(
+        finite.map(repr),
+        finite.map(lambda v: f"{v:.6e}"),
+        finite.map(lambda v: f" {v!r}\t"),
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from(["1_0", "٣", "+.5", "1.", "-0", "1e-400", "1E5"]),
+    )
+    label = st.one_of(st.integers(0, 50).map(str), st.sampled_from([" 3", "+1", "007"]))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.tuples(label, st.lists(feature, min_size=width, max_size=width)),
+        min_size=1, max_size=12)))
+    def check(rows):
+        width = len(rows[0][1])
+        text = "label," + ",".join(f"f{i}" for i in range(width)) + "\n" + "".join(
+            lab + "," + ",".join(fields) + "\n" for lab, fields in rows)
+        path = write(tmp_path / "data.csv", text)
+        assert_same_dataset(load_csv(path), load_by_the_line_loop(path))
+
+    check()

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tricenter import sampling
-from tricenter.distance import lp_cdist, lp_norm
+from tricenter.distance import BLOCK_FLOATS, lp_cdist, lp_norm
 from tricenter.errors import ContractError
 from tricenter.evaluation import compactness
 from tricenter.losses import LossHyper
@@ -317,11 +317,19 @@ def test_too_few_classes_still_rejected():
 @pytest.mark.parametrize("p_norm", [1, 2, 3])
 def test_lp_cdist_equals_the_naive_formula_exactly(p_norm):
     rng = np.random.default_rng(60 + p_norm)
-    a, b = rng.normal(size=(9, 37)), rng.normal(size=(5, 37))
-    naive = (np.abs(a[:, None, :] - b[None, :, :]) ** p_norm).sum(axis=2)
-    if p_norm != 1:
-        naive = naive ** (1.0 / p_norm)
-    np.testing.assert_array_equal(lp_cdist(a, b, p_norm), naive)
+    # (rows of a, rows of b, D): one block; several blocks with a ragged last
+    # one; a single row over the block budget; no rows at all
+    shapes = [(9, 5, 37), (700, 7, 128), (3, 130, 1100), (0, 5, 37)]
+    assert 700 * 7 * 128 > 2 * BLOCK_FLOATS and 130 * 1100 > BLOCK_FLOATS
+    for n, m, dim in shapes:
+        a, b = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+        naive = (np.abs(a[:, None, :] - b[None, :, :]) ** p_norm).sum(axis=2)
+        if p_norm != 1:
+            naive = naive ** (1.0 / p_norm)
+        got = lp_cdist(a, b, p_norm)
+        assert got.shape == (n, m) and got.dtype == naive.dtype
+        assert got.tobytes() == naive.tobytes()
+    a, b = rng.normal(size=(2, 37)), rng.normal(size=(2, 37))
     row = np.abs(a[0] - b[0]) ** p_norm
     assert lp_norm(a[0] - b[0], p_norm) == (row.sum() if p_norm == 1 else row.sum() ** (1.0 / p_norm))
 

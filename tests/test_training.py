@@ -15,7 +15,7 @@ from tricenter.datasets import Dataset, gen_gaussian_imbalanced, preset_spec
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper
 from tricenter.training import Stage1Config, Stage2Config, TrainConfig, run_two_stage
-from tricenter.workflows import run_holdout
+from tricenter.workflows import run_holdout, run_sweep
 
 H = LossHyper()
 
@@ -121,3 +121,9 @@ def test_miners_return_shape_zero_by_k_when_nothing_is_mined(name):
         batch, emb = plan([0, 1, 2]), FAR.copy()
     units = mine(batch, emb, FAR, np.random.default_rng(0))
     assert units.dtype == np.intp and units.shape == (0, k)
+
+
+@pytest.mark.parametrize("value", [2.5, 0, -3, float("nan")])
+def test_a_sweep_dimension_must_be_a_positive_integer(dataset, value):
+    with pytest.raises(ContractError, match="dimension must be a positive integer"):
+        run_sweep("dimension", [8, value], config(), dataset, k=2)
