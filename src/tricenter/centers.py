@@ -18,6 +18,7 @@ from .errors import ContractError
 from .sampling import DatasetIndex
 
 FORWARD_CHUNK = 512  # rows per forward pass in embed_all; bounds its memory
+CENTER_MODES = ("computed", "trainable")
 
 
 @dataclass
@@ -25,12 +26,12 @@ class CenterTable:
     """K x D class-center matrix, either computed or trainable."""
 
     table: Tensor
-    mode: str  # "computed" | "trainable"
+    mode: str  # one of CENTER_MODES
     source_epoch: int | None = None
     source_fingerprint: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("computed", "trainable"):
+        if self.mode not in CENTER_MODES:
             raise ContractError(f"unknown center mode {self.mode!r}")
         if self.table.data.ndim != 2:
             raise ContractError("center table must be a K x D matrix")

@@ -14,15 +14,15 @@ import sys
 from pathlib import Path
 
 from . import reports
-from .autodiff import Tensor
-from .centers import CenterTable
 from .config import RunSettings, echo_settings, load_settings
 from .datasets import Dataset, gen_gaussian_imbalanced, load_csv, preset_spec, save_csv
 from .errors import ContractError, DataFormatError, DivergenceError
-from .evaluation import confusion, macro_metrics, small_class_report
+# Unused here; the Probe in benchmarks/workloads.py reads ``cli.confusion`` to
+# count the rows each confusion matrix scores.
+from .evaluation import confusion  # noqa: F401
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
 from .training import run_method
-from .workflows import evaluate_record, predict, run_crossval, run_holdout, run_sweep
+from .workflows import evaluate_record, run_crossval, run_holdout, run_sweep
 
 
 def _load_dataset(settings: RunSettings, data_arg: str | None) -> Dataset:
@@ -75,8 +75,7 @@ def cmd_train(args) -> int:
     else:
         record = run_method(settings.train, dataset)
         report = evaluate_record(record, dataset, p_norm=settings.train.hyper.p_norm,
-                                 small_threshold=settings.small_class_threshold,
-                                 small_index=dataset.index)
+                                 small_threshold=settings.small_class_threshold)
 
     t = settings.train
     if t.method == "two_stage" and record.stage1_state is not None:
@@ -86,14 +85,10 @@ def cmd_train(args) -> int:
         save_checkpoint(out / "stage1.ckpt", Checkpoint(
             extractor=s1_extractor, epoch=t.stage1.epochs,
             config_fingerprint=record.config_fingerprint))
-    centers = record.centers
     save_checkpoint(out / "final.ckpt", Checkpoint(
         extractor=record.extractor, epoch=t.stage1.epochs + t.stage2.epochs,
         config_fingerprint=record.config_fingerprint, head=record.head,
-        center_matrix=None if centers is None else centers.matrix,
-        center_mode=None if centers is None else centers.mode,
-        center_source_epoch=None if centers is None else centers.source_epoch,
-        center_p_norm=t.hyper.p_norm))
+        centers=record.centers, p_norm=t.hyper.p_norm))
 
     _write(out / "run_record.txt", reports.render_run_record(record))
     _write(out / "metrics.txt", reports.render_metrics(report, title=f"{record.method} holdout metrics"))
@@ -115,18 +110,9 @@ def cmd_eval(args) -> int:
     if dataset.in_dim != ckpt.extractor.in_dim:
         raise ContractError(f"dataset width {dataset.in_dim} does not match "
                             f"checkpoint input dim {ckpt.extractor.in_dim}")
+    report = evaluate_record(ckpt, dataset, p_norm=ckpt.p_norm,
+                             small_threshold=args.small_class_threshold)
     out = Path(args.out)
-
-    table = None
-    if ckpt.center_matrix is not None:
-        table = CenterTable(Tensor(ckpt.center_matrix), mode=ckpt.center_mode or "computed",
-                            source_epoch=ckpt.center_source_epoch)
-    predicted = predict(ckpt.extractor, dataset.features, table, ckpt.head, ckpt.center_p_norm)
-    n_classes = table.n_classes if table is not None else ckpt.head.bias.data.size
-    n_classes = max(n_classes, int(dataset.labels.max()) + 1)
-    cm = confusion(dataset.labels, predicted, n_classes)
-    report = macro_metrics(cm)
-    report.small_class = small_class_report(report, dataset.index, args.small_class_threshold)
     _write(out / "metrics.txt", reports.render_metrics(report, title="evaluation"))
     _write(out / "per_class.csv", reports.render_per_class_csv(report))
     print(f"MF1 {report.mf1:.2f}  MCP {report.mcp:.2f}  MCR {report.mcr:.2f}")

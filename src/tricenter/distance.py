@@ -3,7 +3,7 @@
 Every non-differentiable L_p distance in the package goes through
 ``lp_norm``; the differentiable twin used by the losses is the fused
 autodiff op ``Tensor.lp_dist`` (one graph node, reached through
-``losses.lp_distance_rows`` and ``losses.lp_distance``).  The values are
+``losses.lp_distance_rows``).  The values are
 bit for bit those of the naive ``(np.abs(x - y) ** p).sum(-1) ** (1 / p)``,
 so seeded mining and prediction do not change with the kernel, nor with the
 ``max(1, BLOCK_FLOATS // (M * D))`` rows per block of ``lp_cdist`` (rows are independent).

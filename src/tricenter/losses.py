@@ -16,6 +16,7 @@ mean of its scalar form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ class LossHyper:
     p_norm: int = 2
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ContractError(f"alpha must be nonnegative, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0 and math.isfinite(self.beta)):
+            raise ContractError(f"margins must be finite and alpha nonnegative, "
+                                f"got alpha={self.alpha}, beta={self.beta}")
         try:
             integral = int(self.p_norm) == self.p_norm
         except (TypeError, ValueError, OverflowError):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+from .centers import CENTER_MODES, CenterTable
 from .errors import ContractError, DataFormatError, ShapeError
 
 _ACTIVATIONS = {"relu": Tensor.relu, "tanh": Tensor.tanh}
@@ -194,10 +195,7 @@ class Adam:
 #   remainder    the arrays listed in header["arrays"], concatenated as raw
 #                little-endian float64, C order
 # The header records epoch, config fingerprint, extractor topology, optional
-# head and center-table metadata, and the name/shape of every array.  The
-# center metadata holds the table's mode, source epoch and p_norm, the L_p
-# order that nearest-center prediction must use; a file written without
-# p_norm reads as p_norm 2.
+# head and center-table metadata, and the name/shape of every array.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"TCK1"
@@ -205,14 +203,17 @@ _MAGIC = b"TCK1"
 
 @dataclass
 class Checkpoint:
+    """A model on disk.  ``centers`` is the ``centers`` array plus a header
+    object of its mode and source epoch and ``p_norm``, the L_p order that
+    nearest-center prediction must use (a file without it reads as 2).  A
+    table's source fingerprint is not stored."""
+
     extractor: FeatureExtractor
     epoch: int
     config_fingerprint: str
     head: LinearHead | None = None
-    center_matrix: np.ndarray | None = None
-    center_mode: str | None = None
-    center_source_epoch: int | None = None
-    center_p_norm: int = 2
+    centers: CenterTable | None = None
+    p_norm: int = 2
     extra: dict = field(default_factory=dict)
 
 
@@ -235,8 +236,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     if ckpt.head is not None:
         for i, arr in enumerate(ckpt.head.state()):
             add(f"head.{i}", arr)
-    if ckpt.center_matrix is not None:
-        add("centers", ckpt.center_matrix)
+    if ckpt.centers is not None:
+        add("centers", ckpt.centers.matrix)
 
     header = {
         "version": 1,
@@ -245,9 +246,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "extractor": {"layer_sizes": ckpt.extractor.layer_sizes,
                       "activation": ckpt.extractor.activation},
         "head": None if ckpt.head is None else {"n_classes": int(ckpt.head.bias.data.size)},
-        "centers": None if ckpt.center_matrix is None else {
-            "mode": ckpt.center_mode, "source_epoch": ckpt.center_source_epoch,
-            "p_norm": int(ckpt.center_p_norm)},
+        "centers": None if ckpt.centers is None else {
+            "mode": ckpt.centers.mode, "source_epoch": ckpt.centers.source_epoch,
+            "p_norm": int(ckpt.p_norm)},
         "extra": ckpt.extra,
         "arrays": entries,
     }
@@ -287,14 +288,16 @@ def _header_fields(header: dict, path):
     if head is not None and not (isinstance(head, dict) and _count(head.get("n_classes"), 1)):
         raise malformed("head must be null or hold a positive integer n_classes")
     if centers is not None and not (isinstance(centers, dict)
+                                    and centers.get("mode") in CENTER_MODES
                                     and _count(centers.get("p_norm", 2), 1)):
-        raise malformed("centers must be null or an object with a positive integer p_norm")
+        raise malformed(f"centers must be null or an object with a mode in {CENTER_MODES} "
+                        "and a positive integer p_norm")
     if not _count(epoch) or not isinstance(fingerprint, str):
         raise malformed("epoch must be a non-negative integer and config_fingerprint a string")
     if not isinstance(header.get("extra", {}), dict):
         raise malformed("extra must be an object")
     entries = [(e["name"], tuple(e["shape"])) for e in arrays]
-    return (entries, extractor, None if head is None else head["n_classes"], centers or {},
+    return (entries, extractor, None if head is None else head["n_classes"], centers,
             epoch, fingerprint)
 
 
@@ -349,21 +352,22 @@ def load_checkpoint(path) -> Checkpoint:
         head = LinearHead(extractor.out_dim, n_head_classes)
         head.load_state([array("head.0"), array("head.1")])
 
-    center_matrix = loaded.get("centers")
-    if center_matrix is not None and (center_matrix.ndim != 2
-                                      or center_matrix.shape[1] != extractor.out_dim):
-        raise ShapeError(f"center table shape {center_matrix.shape} does not fit "
-                         f"embedding width {extractor.out_dim}")
+    centers = None
+    if cmeta is not None:
+        matrix = array("centers")
+        if matrix.ndim != 2 or matrix.shape[1] != extractor.out_dim:
+            raise ShapeError(f"center table shape {matrix.shape} does not fit "
+                             f"embedding width {extractor.out_dim}")
+        centers = CenterTable(Tensor(matrix), mode=cmeta["mode"],
+                              source_epoch=cmeta.get("source_epoch"))
 
     return Checkpoint(
         extractor=extractor,
         epoch=epoch,
         config_fingerprint=fingerprint,
         head=head,
-        center_matrix=center_matrix,
-        center_mode=cmeta.get("mode"),
-        center_source_epoch=cmeta.get("source_epoch"),
-        center_p_norm=cmeta.get("p_norm", 2),
+        centers=centers,
+        p_norm=2 if cmeta is None else cmeta.get("p_norm", 2),
         extra=header.get("extra", {}),
     )
 

@@ -85,24 +85,18 @@ class DatasetIndex:
 
 @dataclass
 class BatchPlan:
-    """Ordered sample indices for one optimization step.
-
-    ``indices`` are dataset rows, ``labels`` the class of each slot.  Stage
-    is "balanced" (m_per_class set) or "flat" (batch_size set).
-    """
+    """One optimization step's slots: ``indices`` are dataset rows, ``labels``
+    the class of each slot."""
 
     indices: np.ndarray
     labels: np.ndarray
-    stage: str
-    m_per_class: int | None = None
-    batch_size: int | None = None
 
     def __len__(self):
         return len(self.indices)
 
 
 def build_balanced_batch(index: DatasetIndex, m_per_class: int,
-                         rng: np.random.Generator, labels=None) -> BatchPlan:
+                         rng: np.random.Generator) -> BatchPlan:
     """Draw exactly ``m_per_class`` samples from every class and shuffle.
 
     Classes smaller than the quota are drawn with replacement so every batch
@@ -118,21 +112,22 @@ def build_balanced_batch(index: DatasetIndex, m_per_class: int,
     flat = np.concatenate(chosen)
     slot_labels = np.repeat(np.arange(index.n_classes, dtype=np.intp), m_per_class)
     order = rng.permutation(len(flat))
-    return BatchPlan(indices=flat[order], labels=slot_labels[order],
-                     stage="balanced", m_per_class=m_per_class)
+    return BatchPlan(indices=flat[order], labels=slot_labels[order])
 
 
-def flat_batch_plans(labels, batch_size: int, rng: np.random.Generator) -> list:
-    """Shuffle the whole dataset and chunk it into flat batches of ``batch_size``."""
+def flat_batch_plans(labels, batch_size: int, rng: np.random.Generator,
+                     order: np.ndarray | None = None) -> list:
+    """Chunk ``order`` (default: a shuffle of every row drawn from ``rng``)
+    into flat batches of ``batch_size``."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     labels = np.asarray(labels, dtype=np.intp)
-    order = rng.permutation(len(labels))
+    if order is None:
+        order = rng.permutation(len(labels))
     plans = []
     for start in range(0, len(order), batch_size):
         chunk = order[start:start + batch_size]
-        plans.append(BatchPlan(indices=chunk, labels=labels[chunk],
-                               stage="flat", batch_size=batch_size))
+        plans.append(BatchPlan(indices=chunk, labels=labels[chunk]))
     return plans
 
 

@@ -14,6 +14,7 @@ center.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -23,11 +24,13 @@ import numpy as np
 
 from . import losses, sampling
 from .autodiff import Tensor
-from .centers import CenterTable, compute_centers, init_trainable_centers
+from .centers import CENTER_MODES, CenterTable, compute_centers, init_trainable_centers
 from .datasets import Dataset
 from .errors import ContractError, DivergenceError
 from .losses import LossHyper
 from .nn import Adam, FeatureExtractor, LinearHead, config_fingerprint, params_fingerprint
+
+log = logging.getLogger(__name__)
 
 BASELINES = ("bce", "wce", "oce", "wfce")
 LOSS_FAMILIES = ("triplet", "pairwise", "quadruplet")
@@ -66,7 +69,9 @@ class Stage2Config:
             raise ContractError("stage2 epochs must be >= 0")
         if self.batch_size < 1:
             raise ContractError("stage2 batch_size must be >= 1")
-        if self.center_mode not in ("computed", "trainable"):
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ContractError(f"stage2 alpha must be finite and nonnegative, got {self.alpha}")
+        if self.center_mode not in CENTER_MODES:
             raise ContractError(f"unknown center mode {self.center_mode!r}")
         if self.center_init not in ("from_computed", "random"):
             raise ContractError(f"unknown center init {self.center_init!r}")
@@ -157,14 +162,14 @@ def _steps(opt: Adam, plans, batch_loss: Callable, context: str) -> list:
 
 
 def _end_epoch(values: list, t0: float, loss_sink: list, time_sink: list,
-               verbose: bool, stage: str, epoch: int):
-    """Record an epoch's mean batch loss (0.0 when no batch stepped) and wall time."""
+               stage: str, epoch: int):
+    """Record an epoch's mean batch loss (0.0 when no batch stepped) and wall
+    time, and log them at INFO level."""
     mean_loss = float(np.mean(values)) if values else 0.0
     seconds = time.perf_counter() - t0
     loss_sink.append(mean_loss)
     time_sink.append(seconds)
-    if verbose:
-        print(f"{stage} epoch {epoch}  loss {mean_loss:.6f}  time {seconds:.3f}s", flush=True)
+    log.info("%s epoch %d  loss %.6f  time %.3fs", stage, epoch, mean_loss, seconds)
 
 
 def build_extractor(config: TrainConfig, in_dim: int, rng: np.random.Generator) -> FeatureExtractor:
@@ -242,21 +247,16 @@ def _metric_batch_loss(config: TrainConfig, emb: Tensor, plan, rng) -> Tensor | 
 
 
 def run_stage1(config: TrainConfig, dataset: Dataset, extractor: FeatureExtractor,
-               rng: np.random.Generator, head: LinearHead | None = None,
-               epochs: int | None = None, verbose: bool = False,
-               record: RunRecord | None = None, loss_sink: list | None = None,
-               time_sink: list | None = None) -> None:
-    """Balanced-batch metric training; mutates the extractor in place."""
+               rng: np.random.Generator, loss_sink: list, time_sink: list,
+               head: LinearHead | None = None, epochs: int | None = None) -> None:
+    """Balanced-batch metric training; mutates the extractor in place and
+    appends each epoch's mean loss and wall time to the two sinks."""
     s1 = config.stage1
     epochs = s1.epochs if epochs is None else epochs
     if epochs == 0:
         return
     _require_classes(config, dataset)
     dataset.index.require_nonempty_classes()
-    if loss_sink is None:
-        loss_sink = record.stage1_losses if record is not None else []
-    if time_sink is None:
-        time_sink = record.stage1_epoch_times if record is not None else []
     params = extractor.parameters()
     if head is not None:
         params = params + head.parameters()
@@ -276,7 +276,7 @@ def run_stage1(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
         plans = (sampling.build_balanced_batch(dataset.index, s1.m_per_class, rng)
                  for _ in range(n_batches))
         values = _steps(opt, plans, batch_loss, "stage 1")
-        _end_epoch(values, t0, loss_sink, time_sink, verbose, "stage1", epoch)
+        _end_epoch(values, t0, loss_sink, time_sink, "stage1", epoch)
 
 
 def _center_stage_batch_loss(config: TrainConfig, emb: Tensor, plan,
@@ -294,8 +294,7 @@ def _center_stage_batch_loss(config: TrainConfig, emb: Tensor, plan,
 
 
 def run_stage2(config: TrainConfig, dataset: Dataset, extractor: FeatureExtractor,
-               rng: np.random.Generator, record: RunRecord,
-               verbose: bool = False) -> CenterTable | None:
+               rng: np.random.Generator, record: RunRecord) -> CenterTable | None:
     """Center-involved fine-tuning; returns the final center table."""
     s2 = config.stage2
     hyper = _stage2_hyper(config)
@@ -332,15 +331,14 @@ def run_stage2(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
             record.center_refreshes.append((epoch, fingerprint))
         plans = sampling.flat_batch_plans(dataset.labels, s2.batch_size, rng)
         values = _steps(opt, plans, batch_loss, "stage 2")
-        _end_epoch(values, t0, record.stage2_losses, record.stage2_epoch_times,
-                   verbose, "stage2", epoch)
+        _end_epoch(values, t0, record.stage2_losses, record.stage2_epoch_times, "stage2", epoch)
         if not values:
             record.status = "converged_early"
             break
     return centers
 
 
-def run_two_stage(config: TrainConfig, dataset: Dataset, verbose: bool = False) -> RunRecord:
+def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     """Stage-1 balanced metric training followed by the center-involved stage.
 
     With ``centered=False`` the stage-2 budget is spent on more stage-1 style
@@ -360,17 +358,17 @@ def run_two_stage(config: TrainConfig, dataset: Dataset, verbose: bool = False) 
                        config_fingerprint=config_fingerprint(config.to_dict()),
                        extractor=extractor, head=head)
 
-    run_stage1(config, dataset, extractor, rng, head=head, verbose=verbose, record=record)
+    run_stage1(config, dataset, extractor, rng, record.stage1_losses, record.stage1_epoch_times,
+               head=head)
     record.stage1_state = extractor.state()
 
     centers = None
     if config.stage2.epochs > 0:
         if config.centered:
-            centers = run_stage2(config, dataset, extractor, rng, record, verbose=verbose)
+            centers = run_stage2(config, dataset, extractor, rng, record)
         else:
-            run_stage1(config, dataset, extractor, rng, head=head,
-                       epochs=config.stage2.epochs, verbose=verbose, record=record,
-                       loss_sink=record.stage2_losses, time_sink=record.stage2_epoch_times)
+            run_stage1(config, dataset, extractor, rng, record.stage2_losses,
+                       record.stage2_epoch_times, head=head, epochs=config.stage2.epochs)
 
     final_choice = config.stage2.final_centers
     keep_learned = (centers is not None and centers.mode == "trainable"
@@ -385,8 +383,7 @@ def run_two_stage(config: TrainConfig, dataset: Dataset, verbose: bool = False) 
     return record
 
 
-def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset,
-                 verbose: bool = False) -> RunRecord:
+def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset) -> RunRecord:
     """Single-stage classifier training with one of the imbalance strategies.
 
     bce: plain cross entropy; wce: inverse-frequency weighted cross entropy;
@@ -411,7 +408,6 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset,
         epochs = config.stage1.epochs + config.stage2.epochs
     opt = Adam(extractor.parameters() + head.parameters(), **asdict(config.optimizer))
     features = dataset.features
-    b = config.baseline_batch_size
 
     def batch_loss(plan):
         logits = head(extractor(Tensor(features[plan.indices])))
@@ -422,23 +418,17 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset,
 
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        if strategy == "oce":
-            stream = sampling.oversample_indices(dataset.index, rng)
-            plans = [sampling.BatchPlan(indices=stream[i:i + b],
-                                        labels=dataset.labels[stream[i:i + b]],
-                                        stage="flat", batch_size=b)
-                     for i in range(0, len(stream), b)]
-        else:
-            plans = sampling.flat_batch_plans(dataset.labels, b, rng)
+        order = sampling.oversample_indices(dataset.index, rng) if strategy == "oce" else None
+        plans = sampling.flat_batch_plans(dataset.labels, config.baseline_batch_size, rng,
+                                          order=order)
         values = _steps(opt, plans, batch_loss, f"baseline {strategy}")
-        _end_epoch(values, t0, record.stage1_losses, record.stage1_epoch_times,
-                   verbose, strategy, epoch)
+        _end_epoch(values, t0, record.stage1_losses, record.stage1_epoch_times, strategy, epoch)
     return record
 
 
-def run_method(config: TrainConfig, dataset: Dataset, verbose: bool = False) -> RunRecord:
+def run_method(config: TrainConfig, dataset: Dataset) -> RunRecord:
     """Dispatch on config.method."""
     config.validate()
     if config.method == "two_stage":
-        return run_two_stage(config, dataset, verbose=verbose)
-    return run_baseline(config.method.split(":", 1)[1], config, dataset, verbose=verbose)
+        return run_two_stage(config, dataset)
+    return run_baseline(config.method.split(":", 1)[1], config, dataset)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -37,18 +38,23 @@ def predict(extractor, features: np.ndarray, centers=None, head=None,
     return logits.argmax(axis=1)
 
 
-def evaluate_record(record: RunRecord, test: Dataset, *, p_norm: int = 2,
+def evaluate_record(model, test: Dataset, *, p_norm: int = 2,
                     small_threshold: int = 20,
                     small_index: DatasetIndex | None = None) -> MetricsReport:
     """Confusion + macro metrics on a held-out set, with a small-class sub-report.
 
-    ``small_index`` decides which classes count as small (defaults to the
-    test set's own index; callers normally pass the full-dataset index)."""
-    predicted = predict(record.extractor, test.features, record.centers, record.head, p_norm)
-    cm = confusion(test.labels, predicted, test.n_classes)
-    report = macro_metrics(cm)
-    report.small_class = small_class_report(
-        report, small_index if small_index is not None else test.index, small_threshold)
+    ``model`` has ``extractor``, ``centers`` and ``head``: a ``RunRecord`` or
+    a ``Checkpoint``.  The report spans max(model classes, test.n_classes)
+    classes.  ``small_index`` decides which classes count as small; it
+    defaults to the test labels indexed over that count."""
+    predicted = predict(model.extractor, test.features, model.centers, model.head, p_norm)
+    model_classes = (model.centers.n_classes if model.centers is not None
+                     else model.head.bias.data.size)
+    n_classes = max(model_classes, test.n_classes)
+    report = macro_metrics(confusion(test.labels, predicted, n_classes))
+    if small_index is None:
+        small_index = DatasetIndex.from_labels(test.labels, n_classes)
+    report.small_class = small_class_report(report, small_index, small_threshold)
     return report
 
 
@@ -67,38 +73,53 @@ class CrossvalResult:
 
 
 def _train_and_score(config: TrainConfig, dataset: Dataset, train_rows, test_rows,
-                     small_threshold: int, verbose: bool) -> tuple[RunRecord, MetricsReport]:
+                     small_threshold: int) -> tuple[RunRecord, MetricsReport]:
     """Train on ``train_rows``, score ``test_rows``; small classes are those of ``dataset``."""
-    record = run_method(config, dataset.subset(train_rows), verbose=verbose)
+    record = run_method(config, dataset.subset(train_rows))
     report = evaluate_record(record, dataset.subset(test_rows), p_norm=config.hyper.p_norm,
                              small_threshold=small_threshold, small_index=dataset.index)
     return record, report
 
 
 def _run_fold(args):
-    config, dataset, train_rows, test_rows, fold, small_threshold, verbose = args
+    config, dataset, train_rows, test_rows, fold, small_threshold = args
     record, report = _train_and_score(replace(config, seed=config.seed + fold), dataset,
-                                      train_rows, test_rows, small_threshold, verbose)
+                                      train_rows, test_rows, small_threshold)
     return FoldResult(fold=fold, record=record, report=report)
 
 
-def run_crossval(config: TrainConfig, dataset: Dataset, k: int = 5,
-                 small_threshold: int = 20, jobs: int = 1,
-                 verbose: bool = False) -> CrossvalResult:
-    """k-fold stratified cross-validation of one training configuration."""
-    folds = stratified_kfold(dataset.index, k, seed=config.seed)
-    tasks = [(config, dataset, tr, te, f, small_threshold, verbose)
-             for f, (tr, te) in enumerate(folds)]
+def _crossval_result(folds: list) -> CrossvalResult:
+    small_reports = [f.report.small_class for f in folds
+                     if f.report.small_class is not None and f.report.small_class.status == "ok"]
+    return CrossvalResult(folds=folds, summary=CrossvalSummary([f.report for f in folds]),
+                          small_summary=CrossvalSummary(small_reports) if small_reports else None)
+
+
+def _run_cells(configs: list, dataset: Dataset, k: int, small_threshold: int,
+               jobs: int) -> list:
+    """k-fold cross-validation of each config, validated before any cell trains.
+
+    Folds split with the config's seed and fold f trains with seed + f, so each
+    (config, fold) cell is fixed by its arguments and ``jobs`` processes cannot
+    change a result."""
+    for config in configs:
+        config.validate()
+    cells = [(config, dataset, train_rows, test_rows, fold, small_threshold)
+             for config in configs
+             for fold, (train_rows, test_rows)
+             in enumerate(stratified_kfold(dataset.index, k, seed=config.seed))]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_fold, tasks))
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+            folds = list(pool.map(_run_fold, cells))
     else:
-        results = [_run_fold(t) for t in tasks]
-    summary = CrossvalSummary([r.report for r in results])
-    small_reports = [r.report.small_class for r in results
-                     if r.report.small_class is not None and r.report.small_class.status == "ok"]
-    small_summary = CrossvalSummary(small_reports) if small_reports else None
-    return CrossvalResult(folds=results, summary=summary, small_summary=small_summary)
+        folds = [_run_fold(cell) for cell in cells]
+    return [_crossval_result(folds[i:i + k]) for i in range(0, len(folds), k)]
+
+
+def run_crossval(config: TrainConfig, dataset: Dataset, k: int = 5,
+                 small_threshold: int = 20, jobs: int = 1) -> CrossvalResult:
+    """k-fold stratified cross-validation of one training configuration."""
+    return _run_cells([config], dataset, k, small_threshold, jobs)[0]
 
 
 @dataclass
@@ -110,11 +131,10 @@ class HoldoutResult:
 
 
 def run_holdout(config: TrainConfig, dataset: Dataset, test_fraction: float = 0.2,
-                small_threshold: int = 20, verbose: bool = False) -> HoldoutResult:
+                small_threshold: int = 20) -> HoldoutResult:
     """Single stratified train/test split, train once, evaluate the test side."""
     train_rows, test_rows = stratified_holdout(dataset.index, test_fraction, seed=config.seed)
-    record, report = _train_and_score(config, dataset, train_rows, test_rows,
-                                      small_threshold, verbose)
+    record, report = _train_and_score(config, dataset, train_rows, test_rows, small_threshold)
     return HoldoutResult(record=record, report=report,
                          train_rows=train_rows, test_rows=test_rows)
 
@@ -122,20 +142,9 @@ def run_holdout(config: TrainConfig, dataset: Dataset, test_fraction: float = 0.
 SWEEP_AXES = ("margin", "dimension")
 
 
-def _sweep_point(args):
-    axis, value, config, dataset, k, small_threshold = args
-    if axis == "margin":
-        point_config = replace(config, stage2=replace(config.stage2, alpha=float(value)))
-    else:
-        point_config = replace(config, embedding_dim=int(value))
-    result = run_crossval(point_config, dataset, k=k, small_threshold=small_threshold)
-    return {"value": float(value), "mf1": result.summary.mf1_mean,
-            "mcp": result.summary.mcp_mean, "mcr": result.summary.mcr_mean}
-
-
 def run_sweep(axis: str, values, config: TrainConfig, dataset: Dataset, k: int = 5,
               small_threshold: int = 20, jobs: int = 1) -> list:
-    """One cross-validated run per axis value; rows come back sorted by value.
+    """``run_crossval`` of each axis value's config; rows come back sorted by value.
 
     The margin axis varies the center-stage margin only; the stage-1 margin
     stays at its configured value.  The dimension axis varies the embedding
@@ -149,10 +158,11 @@ def run_sweep(axis: str, values, config: TrainConfig, dataset: Dataset, k: int =
     bad = [v for v in values if axis == "dimension" and not (float(v).is_integer() and v >= 1)]
     if bad:
         raise ContractError(f"dimension must be a positive integer, got {bad[0]!r}")
-    tasks = [(axis, v, config, dataset, k, small_threshold) for v in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+    if axis == "margin":
+        configs = [replace(config, stage2=replace(config.stage2, alpha=float(v))) for v in values]
     else:
-        rows = [_sweep_point(t) for t in tasks]
+        configs = [replace(config, embedding_dim=int(v)) for v in values]
+    results = _run_cells(configs, dataset, k, small_threshold, jobs)
+    rows = [{"value": float(v), "mf1": r.summary.mf1_mean, "mcp": r.summary.mcp_mean,
+             "mcr": r.summary.mcr_mean} for v, r in zip(values, results)]
     return sorted(rows, key=lambda r: r["value"])

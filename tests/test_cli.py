@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import tricenter
-from tricenter import cli
-from tricenter.centers import embed_all
+from tricenter import cli, workflows
+from tricenter.autodiff import Tensor
+from tricenter.centers import CenterTable, embed_all
 from tricenter.datasets import Dataset, load_csv, save_csv
 from tricenter.distance import lp_cdist
 from tricenter.nn import Checkpoint, FeatureExtractor, load_checkpoint, save_checkpoint
@@ -28,8 +29,8 @@ def test_eval_on_a_truncated_checkpoint_reports_an_error_without_traceback(tmp_p
     save_csv(Dataset(features=features, labels=np.array([0, 0, 1, 1, 2, 2])), data)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, Checkpoint(extractor=FeatureExtractor([3, 4, 2]), epoch=0,
-                                     config_fingerprint="x", center_matrix=np.zeros((3, 2)),
-                                     center_mode="computed"))
+                                     config_fingerprint="x",
+                                     centers=CenterTable(Tensor(np.zeros((3, 2))), mode="computed")))
     ckpt.write_bytes(ckpt.read_bytes()[:6])
     result = run_cli("eval", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "out")
     assert result.returncode != 0
@@ -69,22 +70,41 @@ def test_eval_predicts_by_the_nearest_center_under_the_trained_lp_order(tmp_path
     run = tmp_path / "run"
     assert cli.main(["train", "--config", str(config), "--data", str(data), "--out", str(run)]) == 0
     predicted = []
-    confusion = cli.confusion
+    confusion = workflows.confusion
 
     def capture(true_labels, predicted_labels, *args):
         predicted.append(np.asarray(predicted_labels))
         return confusion(true_labels, predicted_labels, *args)
 
-    monkeypatch.setattr(cli, "confusion", capture)
+    monkeypatch.setattr(workflows, "confusion", capture)
     assert cli.main(["eval", "--checkpoint", str(run / "final.ckpt"), "--data", str(data),
                      "--out", str(tmp_path / "eval")]) == 0
     ckpt = load_checkpoint(run / "final.ckpt")
     emb = embed_all(ckpt.extractor, load_csv(data).features)
-    nearest = {p: lp_cdist(emb, ckpt.center_matrix, p).argmin(axis=1) for p in (1, 2)}
+    nearest = {p: lp_cdist(emb, ckpt.centers.matrix, p).argmin(axis=1) for p in (1, 2)}
     assert (nearest[1] != nearest[2]).any()  # so eval under L2 would be caught
     assert len(predicted) == 1
     np.testing.assert_array_equal(predicted[0], nearest[1])
-    assert ckpt.center_p_norm == 1
+    assert ckpt.p_norm == 1
+
+
+def test_eval_on_a_csv_without_the_highest_class_scores_every_model_class(tmp_path):
+    assert cli.main(["gen-data", "--preset", "skin7-like", "--seed", "2", "--out", str(tmp_path)]) == 0
+    config = tmp_path / "config.ini"
+    config.write_text("[run]\nseed = 2\n[data]\npreset = skin7-like\n"
+                      "[model]\nembedding_dim = 8\nhidden = 12\n"
+                      "[stage1]\nepochs = 1\nm_per_class = 4\n[stage2]\nepochs = 1\n")
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    full = load_csv(tmp_path / "dataset.csv")
+    keep = full.labels < full.n_classes - 1
+    save_csv(Dataset(full.features[keep], full.labels[keep]), tmp_path / "lacking.csv")
+    result = run_cli("eval", "--checkpoint", tmp_path / "run" / "final.ckpt",
+                     "--data", tmp_path / "lacking.csv", "--out", tmp_path / "eval")
+    assert result.returncode == 0, result.stderr
+    classes = [row.split(",")[0] for row in
+               (tmp_path / "eval" / "per_class.csv").read_text().splitlines()[1:-1]]
+    assert classes == [str(c) for c in range(full.n_classes)]  # every class of the model
+    assert (tmp_path / "eval" / "metrics.txt").read_text().startswith("# evaluation")
 
 
 GOOD_CONFIG = b"[data]\npreset = skin7-like\n"
@@ -123,7 +143,7 @@ def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):
     after_stage1 = load_checkpoint(runs[0] / "final.ckpt")
     assert stage1.epoch == 3 and final.epoch == 5
     assert stage1.config_fingerprint == final.config_fingerprint
-    assert stage1.head is None and stage1.center_matrix is None
+    assert stage1.head is None and stage1.centers is None
     assert stage1.extractor.layer_sizes == final.extractor.layer_sizes == [16, 12, 8]
     for got, want, trained in zip(stage1.extractor.state(), after_stage1.extractor.state(),
                                   final.extractor.state()):
@@ -135,7 +155,8 @@ def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):
     ("margin", "0.1,abc", "'abc'"),
     ("dimension", "2.5", "2.5"),
     ("dimension", "4,0", "0.0"),
-], ids=["non_numeric", "non_integral_dimension", "zero_dimension"])
+    ("margin", "0.1,nan", "nan"),
+], ids=["non_numeric", "non_integral_dimension", "zero_dimension", "nan_margin"])
 def test_a_bad_sweep_value_reports_an_error_without_traceback(tmp_path, axis, values, bad):
     (tmp_path / "config.ini").write_bytes(GOOD_CONFIG)
     result = run_cli("sweep", "--axis", axis, "--values", values,

@@ -167,8 +167,12 @@ def test_unknown_sections_and_keys_are_rejected(tmp_path, text, message):
     ("hyper", "alpha", "-1"),
     ("hyper", "beta", "-0.1"),
     ("hyper", "p_norm", "0"),
+    ("hyper", "alpha", "nan"),
+    ("hyper", "beta", "inf"),
+    ("stage2", "alpha", "nan"),
 ], ids=["bool", "bool_digit", "int", "int_float", "float", "float_suffix",
-        "negative_alpha", "negative_beta", "zero_p_norm"])
+        "negative_alpha", "negative_beta", "zero_p_norm", "nan_alpha", "inf_beta",
+        "nan_stage2_alpha"])
 def test_bad_values_raise_contract_error(tmp_path, section, key, value):
     text = f"[data]\npreset = skin7-like\n[{section}]\n{key} = {value}\n"
     with pytest.raises(ContractError):

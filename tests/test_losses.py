@@ -414,6 +414,15 @@ def test_a_non_integral_or_non_positive_p_norm_is_a_contract_error(p_norm):
         LossHyper(p_norm=p_norm)
 
 
+@pytest.mark.parametrize("margin, value", [("alpha", float("nan")), ("alpha", float("inf")),
+                                           ("alpha", -0.1), ("beta", float("nan")),
+                                           ("beta", float("-inf"))],
+                         ids=["alpha_nan", "alpha_inf", "alpha_negative", "beta_nan", "beta_neg_inf"])
+def test_a_non_finite_margin_or_a_negative_alpha_is_a_contract_error(margin, value):
+    with pytest.raises(ContractError, match=f"margins must be finite.*{margin}={value}"):
+        LossHyper(**{margin: value})
+
+
 @pytest.mark.parametrize("p_norm", [1, 2, np.int64(3), 4.0], ids=["1", "2", "int64", "4.0"])
 def test_an_integral_p_norm_is_stored_as_int(p_norm):
     stored = LossHyper(p_norm=p_norm).p_norm

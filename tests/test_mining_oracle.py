@@ -174,7 +174,7 @@ def random_batch(rng, min_classes=2):
         n = int(rng.integers(min_classes, 30))
         labels = rng.integers(0, k, size=n)
         if len(np.unique(labels)) >= min_classes:
-            return BatchPlan(indices=np.arange(n), labels=labels, stage="flat", batch_size=n)
+            return BatchPlan(indices=np.arange(n), labels=labels)
 
 
 def random_embeddings(rng, n, dim):
@@ -257,7 +257,7 @@ def test_balanced_batches_match_the_loop(m_per_class, dim):
 
 def test_empty_band_falls_back_to_the_hardest_negative():
     # alpha = 0 leaves every semi-hard band empty, so every negative is the argmin.
-    plan = BatchPlan(indices=np.arange(6), labels=np.array([0, 0, 1, 1, 1, 2]), stage="flat")
+    plan = BatchPlan(indices=np.arange(6), labels=np.array([0, 0, 1, 1, 1, 2]))
     emb = np.array([[0.0], [1.0], [3.0], [0.5], [3.0], [0.5]])
     hyper = LossHyper(alpha=0.0)
     got = sampling.form_triplets(plan, emb, "random_hard", hyper, np.random.default_rng(0))
@@ -268,7 +268,7 @@ def test_empty_band_falls_back_to_the_hardest_negative():
 
 
 def test_fallback_when_every_negative_is_infinitely_far():
-    plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]), stage="flat")
+    plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]))
     emb = np.array([[0.0], [1.0], [1e200], [1e200]])  # squares overflow to inf
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_draws(sampling.form_triplets, form_triplets,
@@ -279,7 +279,7 @@ def test_fallback_when_every_negative_is_infinitely_far():
 
 
 def test_single_slot_anchors_are_skipped():
-    plan = BatchPlan(indices=np.arange(5), labels=np.array([0, 1, 1, 2, 2]), stage="flat")
+    plan = BatchPlan(indices=np.arange(5), labels=np.array([0, 1, 1, 2, 2]))
     emb = np.arange(10.0).reshape(5, 2)
     assert_same_draws(sampling.form_triplets, form_triplets,
                       lambda fn, r: fn(plan, emb, "random_hard", LossHyper(), r), 3)
@@ -293,7 +293,7 @@ def test_single_slot_anchors_are_skipped():
 
 
 def test_batch_without_positives_draws_nothing():
-    plan = BatchPlan(indices=np.arange(3), labels=np.array([0, 1, 2]), stage="flat")
+    plan = BatchPlan(indices=np.arange(3), labels=np.array([0, 1, 2]))
     emb = np.eye(3)
     for strategy in ("random", "random_hard"):
         rng = np.random.default_rng(3)
@@ -304,7 +304,7 @@ def test_batch_without_positives_draws_nothing():
 
 
 def test_too_few_classes_still_rejected():
-    plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]), stage="flat")
+    plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]))
     with pytest.raises(ContractError):
         sampling.form_quadruplets(plan, np.random.default_rng(0))
     with pytest.raises(ContractError):

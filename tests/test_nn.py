@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tricenter.autodiff import Tensor
+from tricenter.centers import CenterTable
 from tricenter.errors import ContractError, DataFormatError, ShapeError
 from tricenter.nn import (Adam, Checkpoint, FeatureExtractor, LinearHead,
                           config_fingerprint, load_checkpoint, params_fingerprint,
@@ -109,24 +110,24 @@ class TestCheckpoint:
         centers = np.random.default_rng(13).normal(size=(5, 3))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, Checkpoint(extractor=fx, epoch=7, config_fingerprint="abc123",
-                                         head=head, center_matrix=centers,
-                                         center_mode="computed", center_source_epoch=6,
-                                         center_p_norm=3))
+                                         head=head, p_norm=3,
+                                         centers=CenterTable(Tensor(centers), mode="computed",
+                                                             source_epoch=6)))
         loaded = load_checkpoint(path)
         for a, b in zip(fx.state(), loaded.extractor.state()):
             assert np.array_equal(a, b)
         for a, b in zip(head.state(), loaded.head.state()):
             assert np.array_equal(a, b)
-        assert np.array_equal(loaded.center_matrix, centers)
+        assert np.array_equal(loaded.centers.matrix, centers)
         assert loaded.epoch == 7
         assert loaded.config_fingerprint == "abc123"
-        assert loaded.center_mode == "computed"
-        assert loaded.center_p_norm == 3
+        assert loaded.centers.mode == "computed" and loaded.centers.source_epoch == 6
+        assert loaded.p_norm == 3
 
     def test_centers_written_without_p_norm_read_as_p_norm_two(self, tmp_path):
         path, blob = self._saved(tmp_path)
         path.write_bytes(self._with_header(blob, lambda h: h["centers"].pop("p_norm")))
-        assert load_checkpoint(path).center_p_norm == 2
+        assert load_checkpoint(path).p_norm == 2
 
     def test_forward_identical_after_round_trip(self, tmp_path):
         fx = FeatureExtractor([6, 10, 4], activation="tanh", rng=np.random.default_rng(1))
@@ -148,7 +149,8 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         fx = FeatureExtractor([3, 4, 2], rng=np.random.default_rng(5))
         save_checkpoint(path, Checkpoint(extractor=fx, epoch=1, config_fingerprint="x",
-                                         center_matrix=np.zeros((3, 2)), center_mode="computed"))
+                                         centers=CenterTable(Tensor(np.zeros((3, 2))),
+                                                             mode="computed")))
         return path, path.read_bytes()
 
     @staticmethod
@@ -201,11 +203,13 @@ class TestCheckpoint:
         lambda h: h["centers"].update(p_norm=0),
         lambda h: h["centers"].update(p_norm=True),
         lambda h: h["centers"].update(p_norm=1.5),
+        lambda h: h["centers"].update(mode="learned"),
+        lambda h: h["centers"].pop("mode"),
     ], ids=["extractor_key", "array_shape", "array_entry", "array_table", "centers_type",
             "head_type", "head_classes_type", "epoch_type", "extra_type", "layer_sizes_type",
             "activation_type", "shape_type", "shape_negative", "shape_too_big",
             "shape_too_small", "shape_overflow", "p_norm_type", "p_norm_zero", "p_norm_bool",
-            "p_norm_float"])
+            "p_norm_float", "center_mode_unknown", "center_mode_missing"])
     def test_malformed_header_fields_raise_data_format_error(self, tmp_path, edit):
         path, blob = self._saved(tmp_path)
         path.write_bytes(self._with_header(blob, edit))
@@ -218,7 +222,8 @@ class TestCheckpoint:
         fx = FeatureExtractor([3, 4, 2], rng=np.random.default_rng(5))
         head = LinearHead(2, 3, rng=np.random.default_rng(6))
         save_checkpoint(path, Checkpoint(extractor=fx, epoch=1, config_fingerprint="x", head=head,
-                                         center_matrix=np.zeros((3, 2))))
+                                         centers=CenterTable(Tensor(np.zeros((3, 2))),
+                                                             mode="computed")))
         name = "head.0" if shape == [3, 2] else "centers"
 
         def reshape(h):

@@ -76,8 +76,7 @@ class TestBalancedBatch:
 
 def two_by_two_plan():
     # 2 classes x 2 slots
-    return BatchPlan(indices=np.array([0, 1, 2, 3]), labels=np.array([0, 0, 1, 1]),
-                     stage="balanced", m_per_class=2)
+    return BatchPlan(indices=np.array([0, 1, 2, 3]), labels=np.array([0, 0, 1, 1]))
 
 
 class TestFormTriplets:
@@ -93,16 +92,14 @@ class TestFormTriplets:
             assert plan.labels[anchor] != plan.labels[negative]
 
     def test_singleton_class_anchor_skipped(self):
-        plan = BatchPlan(indices=np.arange(3), labels=np.array([0, 0, 1]),
-                         stage="balanced", m_per_class=1)
+        plan = BatchPlan(indices=np.arange(3), labels=np.array([0, 0, 1]))
         emb = np.random.default_rng(0).normal(size=(3, 2))
         triplets = form_triplets(plan, emb, "random", H, np.random.default_rng(0))
         assert triplets[:, 0].tolist() == [0, 1]
 
     def test_semi_hard_selects_the_single_band_negative(self):
         # anchor 0 with positive at distance 1; negatives at 1.2 (band) and 5 (outside)
-        plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]),
-                         stage="balanced", m_per_class=2)
+        plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]))
         emb = np.array([[0.0, 0.0], [1.0, 0.0], [1.2, 0.0], [5.0, 0.0]])
         hyper = LossHyper(alpha=0.5)
         rng = np.random.default_rng(0)
@@ -112,8 +109,7 @@ class TestFormTriplets:
             assert anchor0[2] == 2
 
     def test_fully_separated_falls_back_to_hardest(self):
-        plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]),
-                         stage="balanced", m_per_class=2)
+        plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]))
         # both negatives beyond d_ap + alpha; hardest (closest) is slot 2
         emb = np.array([[0.0, 0.0], [0.1, 0.0], [3.0, 0.0], [9.0, 0.0]])
         rng = np.random.default_rng(0)
@@ -124,21 +120,20 @@ class TestFormTriplets:
         assert anchor0[2] == 2 + int(np.argmin(d))
 
     def test_single_class_batch_rejected(self):
-        plan = BatchPlan(indices=np.arange(4), labels=np.zeros(4, dtype=int),
-                         stage="balanced", m_per_class=4)
+        plan = BatchPlan(indices=np.arange(4), labels=np.zeros(4, dtype=int))
         with pytest.raises(ContractError):
             form_triplets(plan, np.zeros((4, 2)), "random", H, np.random.default_rng(0))
 
 
 class TestFormCenterTriplets:
     def test_anchor_at_center_with_far_negatives_yields_nothing(self):
-        plan = BatchPlan(indices=np.array([0]), labels=np.array([0]), stage="flat", batch_size=1)
+        plan = BatchPlan(indices=np.array([0]), labels=np.array([0]))
         emb = np.array([[0.0, 0.0]])
         centers = np.array([[0.0, 0.0], [9.0, 0.0]])
         assert form_center_triplets(plan, emb, centers, H).shape == (0, 3)
 
     def test_single_close_center_qualifies(self):
-        plan = BatchPlan(indices=np.array([0]), labels=np.array([0]), stage="flat", batch_size=1)
+        plan = BatchPlan(indices=np.array([0]), labels=np.array([0]))
         emb = np.array([[0.0, 0.0]])
         centers = np.array([[0.0, 0.0], [0.25, 0.0], [9.0, 0.0]])
         units = form_center_triplets(plan, emb, centers, H)
@@ -153,7 +148,7 @@ class TestFormCenterTriplets:
             labels = rng.integers(0, k, size=b)
             emb = rng.normal(size=(b, d))
             centers = rng.normal(size=(k, d))
-            plan = BatchPlan(indices=np.arange(b), labels=labels, stage="flat", batch_size=b)
+            plan = BatchPlan(indices=np.arange(b), labels=labels)
             got = {tuple(u) for u in form_center_triplets(plan, emb, centers, H).tolist()}
             expected = set()
             for i in range(b):
@@ -176,8 +171,7 @@ class TestFormPairs:
             assert same == (plan.labels[a] == plan.labels[b])
 
     def test_singleton_class_gets_only_cross_pairs(self):
-        plan = BatchPlan(indices=np.arange(3), labels=np.array([0, 0, 1]),
-                         stage="balanced", m_per_class=1)
+        plan = BatchPlan(indices=np.arange(3), labels=np.array([0, 0, 1]))
         pairs = form_pairs(plan, np.random.default_rng(0))
         for a, _, same in pairs:
             if a == 2:
@@ -194,14 +188,12 @@ class TestFormPairs:
 
 class TestFormQuadruplets:
     def test_counts_three_classes(self):
-        plan = BatchPlan(indices=np.arange(6), labels=np.array([0, 0, 1, 1, 2, 2]),
-                         stage="balanced", m_per_class=2)
+        plan = BatchPlan(indices=np.arange(6), labels=np.array([0, 0, 1, 1, 2, 2]))
         quads = form_quadruplets(plan, np.random.default_rng(0))
         assert len(quads) == 6
 
     def test_class_distinctness(self):
-        plan = BatchPlan(indices=np.arange(9), labels=np.repeat([0, 1, 2], 3),
-                         stage="balanced", m_per_class=3)
+        plan = BatchPlan(indices=np.arange(9), labels=np.repeat([0, 1, 2], 3))
         rng = np.random.default_rng(1)
         for _ in range(30):
             for anchor, positive, n1, n2 in form_quadruplets(plan, rng):
@@ -217,8 +209,7 @@ class TestFormQuadruplets:
 
     def test_negative_class_pairs_uniform_chi_square(self):
         # anchor class 0; ordered pairs over classes {1,2,3}: 6 cells, df=5.
-        plan = BatchPlan(indices=np.arange(8), labels=np.array([0, 0, 1, 1, 2, 2, 3, 3]),
-                         stage="balanced", m_per_class=2)
+        plan = BatchPlan(indices=np.arange(8), labels=np.array([0, 0, 1, 1, 2, 2, 3, 3]))
         rng = np.random.default_rng(123)
         counts = {}
         draws = 0
@@ -238,7 +229,7 @@ class TestFormQuadruplets:
 
 class TestCenterPairs:
     def test_own_center_always_included_and_negatives_by_margin(self):
-        plan = BatchPlan(indices=np.array([0]), labels=np.array([0]), stage="flat", batch_size=1)
+        plan = BatchPlan(indices=np.array([0]), labels=np.array([0]))
         emb = np.array([[0.0, 0.0]])
         centers = np.array([[1.0, 0.0], [0.3, 0.0], [2.0, 0.0]])
         units = form_center_pairs(plan, emb, centers, H).tolist()

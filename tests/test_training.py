@@ -85,7 +85,7 @@ def test_quadruplet_training_needs_three_classes_in_either_stage(stage1_epochs):
 
 def plan(labels):
     labels = np.asarray(labels)
-    return sampling.BatchPlan(indices=np.arange(len(labels)), labels=labels, stage="flat")
+    return sampling.BatchPlan(indices=np.arange(len(labels)), labels=labels)
 
 
 NEAR = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])  # centers inside every margin
