@@ -3,7 +3,8 @@
 A computed table holds the per-class mean embedding of the training set
 under a fixed extractor state (the state of the previous epoch during
 stage-2 training).  A trainable table is an ordinary parameter matrix
-updated by the optimizer together with the extractor.
+updated by the optimizer together with the extractor.  Either table carries
+the L_p order it was trained under, and nearest-center prediction uses it.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ CENTER_MODES = ("computed", "trainable")
 
 @dataclass
 class CenterTable:
-    """K x D class-center matrix, either computed or trainable."""
+    """K x D class-center matrix, either computed or trainable, and the
+    L_p order ``p_norm`` that distances to its rows are measured in."""
 
     table: Tensor
     mode: str  # one of CENTER_MODES
     source_epoch: int | None = None
-    source_fingerprint: str | None = None
+    p_norm: int = 2
 
     def __post_init__(self):
         if self.mode not in CENTER_MODES:
@@ -37,6 +39,8 @@ class CenterTable:
             raise ContractError("center table must be a K x D matrix")
         if not np.all(np.isfinite(self.table.data)):
             raise ContractError("center table holds non-finite values")
+        if not (isinstance(self.p_norm, int) and self.p_norm >= 1):
+            raise ContractError(f"center p_norm must be a positive integer, got {self.p_norm!r}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -66,19 +70,17 @@ def embed_all(extractor, features: np.ndarray, chunk: int = FORWARD_CHUNK) -> np
 
 
 def compute_centers(extractor, features: np.ndarray, index: DatasetIndex,
-                    source_epoch: int | None = None,
-                    source_fingerprint: str | None = None) -> CenterTable:
+                    source_epoch: int | None = None, p_norm: int = 2) -> CenterTable:
     """Average the embeddings of each class's training samples into a center row."""
     index.require_nonempty_classes()
     emb = embed_all(extractor, features)
     rows = np.stack([emb[members].mean(axis=0) for members in index.by_class])
-    return CenterTable(Tensor(rows), mode="computed",
-                       source_epoch=source_epoch, source_fingerprint=source_fingerprint)
+    return CenterTable(Tensor(rows), mode="computed", source_epoch=source_epoch, p_norm=p_norm)
 
 
 def init_trainable_centers(n_classes: int, dim: int, init: str = "from_computed",
                            rng: np.random.Generator | None = None,
-                           source: CenterTable | None = None) -> CenterTable:
+                           source: CenterTable | None = None, p_norm: int = 2) -> CenterTable:
     """Create a trainable table, warm-started from a computed one or random."""
     if n_classes < 1 or dim < 1:
         raise ContractError("center table needs n_classes >= 1 and dim >= 1")
@@ -95,16 +97,15 @@ def init_trainable_centers(n_classes: int, dim: int, init: str = "from_computed"
         rows = rng.standard_normal((n_classes, dim))
     else:
         raise ContractError(f"unknown center init {init!r}")
-    return CenterTable(Tensor(rows, requires_grad=True), mode="trainable")
+    return CenterTable(Tensor(rows, requires_grad=True), mode="trainable", p_norm=p_norm)
 
 
-def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable,
-                                 p_norm: int = 2):
-    """Nearest-center prediction; returns (labels[N], distances[N, K]).
+def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable):
+    """Nearest-center prediction under the table's L_p order; returns
+    (labels[N], distances[N, K]).
 
     Ties go to the smallest class id.  ``lp_cdist`` blocks the ``[rows, K, D]``
     difference to cache size, so it never spans the whole input.
     """
-    emb = embeddings.data if isinstance(embeddings, Tensor) else np.asarray(embeddings, dtype=np.float64)
-    dists = lp_cdist(emb, centers.matrix, p_norm)
+    dists = lp_cdist(embeddings, centers.matrix, centers.p_norm)
     return dists.argmin(axis=1), dists

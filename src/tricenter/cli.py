@@ -74,8 +74,7 @@ def cmd_train(args) -> int:
         record, report = result.record, result.report
     else:
         record = run_method(settings.train, dataset)
-        report = evaluate_record(record, dataset, p_norm=settings.train.hyper.p_norm,
-                                 small_threshold=settings.small_class_threshold)
+        report = evaluate_record(record, dataset, small_threshold=settings.small_class_threshold)
 
     t = settings.train
     if t.method == "two_stage" and record.stage1_state is not None:
@@ -88,7 +87,7 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "final.ckpt", Checkpoint(
         extractor=record.extractor, epoch=t.stage1.epochs + t.stage2.epochs,
         config_fingerprint=record.config_fingerprint, head=record.head,
-        centers=record.centers, p_norm=t.hyper.p_norm))
+        centers=record.centers))
 
     _write(out / "run_record.txt", reports.render_run_record(record))
     _write(out / "metrics.txt", reports.render_metrics(report, title=f"{record.method} holdout metrics"))
@@ -110,8 +109,7 @@ def cmd_eval(args) -> int:
     if dataset.in_dim != ckpt.extractor.in_dim:
         raise ContractError(f"dataset width {dataset.in_dim} does not match "
                             f"checkpoint input dim {ckpt.extractor.in_dim}")
-    report = evaluate_record(ckpt, dataset, p_norm=ckpt.p_norm,
-                             small_threshold=args.small_class_threshold)
+    report = evaluate_record(ckpt, dataset, small_threshold=args.small_class_threshold)
     out = Path(args.out)
     _write(out / "metrics.txt", reports.render_metrics(report, title="evaluation"))
     _write(out / "per_class.csv", reports.render_per_class_csv(report))

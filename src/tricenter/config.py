@@ -143,10 +143,13 @@ def load_settings(path) -> RunSettings:
         except (ValueError, configparser.Error):
             raw = parser.get(section, key, raw=True)
             raise ContractError(f"{path}: [{section}] {key}={raw!r} is not a valid value") from None
-    settings = _build(RunSettings, values)
-    if settings.train.hyper.beta < 0:
-        raise ContractError(f"{path}: [hyper] beta must be >= 0")
-    settings.validate()
+    try:
+        settings = _build(RunSettings, values)
+        if settings.train.hyper.beta < 0:
+            raise ContractError("[hyper] beta must be >= 0")
+        settings.validate()
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
     return settings
 
 

@@ -204,16 +204,14 @@ _MAGIC = b"TCK1"
 @dataclass
 class Checkpoint:
     """A model on disk.  ``centers`` is the ``centers`` array plus a header
-    object of its mode and source epoch and ``p_norm``, the L_p order that
-    nearest-center prediction must use (a file without it reads as 2).  A
-    table's source fingerprint is not stored."""
+    object of the table's mode, source epoch and ``p_norm`` (a file without
+    ``p_norm`` reads as 2)."""
 
     extractor: FeatureExtractor
     epoch: int
     config_fingerprint: str
     head: LinearHead | None = None
     centers: CenterTable | None = None
-    p_norm: int = 2
     extra: dict = field(default_factory=dict)
 
 
@@ -248,7 +246,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "head": None if ckpt.head is None else {"n_classes": int(ckpt.head.bias.data.size)},
         "centers": None if ckpt.centers is None else {
             "mode": ckpt.centers.mode, "source_epoch": ckpt.centers.source_epoch,
-            "p_norm": int(ckpt.p_norm)},
+            "p_norm": int(ckpt.centers.p_norm)},
         "extra": ckpt.extra,
         "arrays": entries,
     }
@@ -359,7 +357,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise ShapeError(f"center table shape {matrix.shape} does not fit "
                              f"embedding width {extractor.out_dim}")
         centers = CenterTable(Tensor(matrix), mode=cmeta["mode"],
-                              source_epoch=cmeta.get("source_epoch"))
+                              source_epoch=cmeta.get("source_epoch"),
+                              p_norm=cmeta.get("p_norm", 2))
 
     return Checkpoint(
         extractor=extractor,
@@ -367,7 +366,6 @@ def load_checkpoint(path) -> Checkpoint:
         config_fingerprint=fingerprint,
         head=head,
         centers=centers,
-        p_norm=2 if cmeta is None else cmeta.get("p_norm", 2),
         extra=header.get("extra", {}),
     )
 

@@ -20,8 +20,8 @@ center rows: center triplets ``[anchor, own class, negative class]``,
 center pairs ``[anchor, class, same]``, center quadruplets
 ``[anchor, own class, negative1 class, negative2 class]``.
 
-The semi-hard triplet, quadruplet and center-quadruplet miners work on the
-whole batch at once, but they keep the random contract of a per-anchor
+Miners take the batch embeddings and a center table as float arrays
+(``[N, D]`` and ``[K, D]``).  They keep the random contract of a per-anchor
 loop: anchors in slot order, and for each anchor the same draws in the same
 order (positive, then negative or classes, then slots), each one
 ``rng.integers(n)`` over a candidate list in ascending slot or class order,
@@ -29,10 +29,10 @@ which is what ``rng.choice`` of that list draws.  A seeded run therefore
 mines the same units and leaves the generator in the same state as the
 loop did.  Draws whose bounds are all known up front are made in one
 ``rng.integers(0, bounds)`` call, which yields the same values as the
-scalar calls one after another; a draw whose bound depends on an earlier
-draw (the semi-hard band of the drawn positive, the slots of the drawn
-classes) stays a scalar call in a loop.  Random triplets, pairs and center
-pairs are still per-anchor loops.
+scalar calls one after another, and ``_kth`` reads each drawn slot off the
+candidate mask.  Only a draw whose bound depends on an earlier draw (the
+semi-hard band of the drawn positive, the slots of the drawn quadruplet
+classes) stays a scalar call in a loop.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .distance import lp_cdist
 from .errors import ContractError
 
@@ -67,6 +66,8 @@ class DatasetIndex:
         if labels.size and labels.min() < 0:
             raise ContractError("labels must be nonnegative")
         k = int(n_classes) if n_classes is not None else (int(labels.max()) + 1 if labels.size else 0)
+        if labels.size and labels.max() >= k:
+            raise ContractError(f"label {labels.max()} is out of range for {k} classes")
         return cls([np.flatnonzero(labels == c) for c in range(k)])
 
     @property
@@ -131,12 +132,6 @@ def flat_batch_plans(labels, batch_size: int, rng: np.random.Generator,
     return plans
 
 
-def _embedding_values(embeddings) -> np.ndarray:
-    if isinstance(embeddings, Tensor):
-        return embeddings.data
-    return np.asarray(embeddings, dtype=np.float64)
-
-
 def _class_masks(labels: np.ndarray):
     """([N, N] different-class mask, [N, N] same-class-other-slot mask)."""
     same = labels[:, None] == labels[None, :]
@@ -177,24 +172,15 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     labels = batch.labels
     if len(np.unique(labels)) < 2:
         raise ContractError("triplet formation needs at least 2 classes in the batch")
-    if strategy == "random":
-        triplets = []
-        for anchor in range(len(labels)):
-            same = np.flatnonzero(labels == labels[anchor])
-            same = same[same != anchor]
-            if len(same) == 0:
-                log.debug("anchor slot %d has no in-batch positive; skipped", anchor)
-                continue
-            positive = int(rng.choice(same))
-            negative = int(rng.choice(np.flatnonzero(labels != labels[anchor])))
-            triplets.append((anchor, positive, negative))
-        return np.array(triplets, dtype=np.intp).reshape(-1, 3)
     negative_mask, positive_mask = _class_masks(labels)
     n_pos = positive_mask.sum(axis=1)
     _log_skipped(n_pos)
     anchors = np.flatnonzero(n_pos)
-    values = _embedding_values(embeddings)
-    dist = lp_cdist(values, values, hyper.p_norm)
+    if strategy == "random":
+        k = rng.integers(0, np.stack([n_pos, negative_mask.sum(axis=1)], axis=1)[anchors])
+        return _units(anchors, _kth(positive_mask[anchors], k[:, 0]),
+                      _kth(negative_mask[anchors], k[:, 1]))
+    dist = lp_cdist(embeddings, embeddings, hyper.p_norm)
     # Each slot's negative distances in ascending order (other slots at +inf),
     # so two binary searches count the semi-hard band of the drawn positive:
     # its size bounds the next draw.
@@ -224,13 +210,6 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     return _units(anchors, positives, negatives)
 
 
-def _center_distances(embeddings, centers, p_norm: int) -> np.ndarray:
-    matrix = centers.matrix if hasattr(centers, "matrix") else np.asarray(centers, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ContractError("center table must be a K x D matrix")
-    return lp_cdist(_embedding_values(embeddings), matrix, p_norm)
-
-
 def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> np.ndarray:
     """Pair every anchor with every negative center that incurs positive loss.
 
@@ -238,7 +217,7 @@ def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> np.nda
     other than the anchor's whose center violates
     ||f_a - c_own|| + alpha > ||f_a - c_k||.
     """
-    d = _center_distances(embeddings, centers, hyper.p_norm)
+    d = lp_cdist(embeddings, centers, hyper.p_norm)
     labels = batch.labels
     own = d[np.arange(len(labels)), labels]
     margin = own[:, None] + hyper.alpha - d
@@ -252,15 +231,13 @@ def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
     labels = batch.labels
     if len(np.unique(labels)) < 2:
         raise ContractError("pair formation needs at least 2 classes in the batch")
-    pairs = []
-    for a in range(len(labels)):
-        same = np.flatnonzero(labels == labels[a])
-        same = same[same != a]
-        if len(same) > 0:
-            pairs.append((a, int(rng.choice(same)), 1))
-        other = np.flatnonzero(labels != labels[a])
-        pairs.append((a, int(rng.choice(other)), 0))
-    return np.array(pairs, dtype=np.intp).reshape(-1, 3)
+    negative_mask, positive_mask = _class_masks(labels)
+    # Per slot a positive draw (when the slot has one), then a negative draw.
+    bounds = np.stack([positive_mask.sum(axis=1), negative_mask.sum(axis=1)], axis=1)
+    slots, column = np.nonzero(bounds)
+    k = rng.integers(0, bounds[slots, column])
+    partners = _kth(np.stack([positive_mask, negative_mask], axis=1)[slots, column], k)
+    return _units(slots, partners, 1 - column)
 
 
 def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
@@ -305,15 +282,13 @@ def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> np.ndarra
     Returns ``[anchor_slot, partner_class, same]`` units mirroring the
     all-qualifying-negatives rule of the center triplet stage.
     """
-    d = _center_distances(embeddings, centers, hyper.p_norm)
+    d = lp_cdist(embeddings, centers, hyper.p_norm)
     labels = batch.labels
-    units = []
-    for a in range(len(labels)):
-        units.append((a, int(labels[a]), 1))
-        for k in range(d.shape[1]):
-            if k != labels[a] and hyper.alpha - d[a, k] > 0.0:
-                units.append((a, k, 0))
-    return np.array(units, dtype=np.intp).reshape(-1, 3)
+    # Column 0 is the own center, column 1 + k is class k.
+    keep = np.concatenate([np.ones((len(labels), 1), dtype=bool), hyper.alpha - d > 0.0], axis=1)
+    keep[np.arange(len(labels)), 1 + labels] = False
+    slots, column = np.nonzero(keep)
+    return _units(slots, np.where(column == 0, labels[slots], column - 1), column == 0)
 
 
 def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
@@ -324,11 +299,10 @@ def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
     positive becomes negative1; negative2 is a uniformly drawn third class.
     Returns ``[anchor_slot, own_class, n1_class, n2_class]`` units.
     """
-    matrix = centers.matrix if hasattr(centers, "matrix") else np.asarray(centers, dtype=np.float64)
-    k_total = matrix.shape[0]
+    k_total = centers.shape[0]
     if k_total < 3:
         raise ContractError("center quadruplets need at least 3 classes")
-    qualifying = form_center_triplets(batch, embeddings, matrix, hyper)
+    qualifying = form_center_triplets(batch, embeddings, centers, hyper)
     slots, own, n1 = qualifying.T
     # The k-th class other than the anchor's and n1.
     lo = np.minimum(own, n1)

@@ -305,14 +305,13 @@ def run_stage2(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
     centers: CenterTable | None = None
     if s2.center_mode == "trainable":
         if s2.center_init == "from_computed":
-            source = compute_centers(extractor, features, dataset.index,
-                                     source_epoch=-1,
-                                     source_fingerprint=params_fingerprint(extractor.state()))
+            source = compute_centers(extractor, features, dataset.index, source_epoch=-1)
             centers = init_trainable_centers(dataset.n_classes, extractor.out_dim,
-                                             init="from_computed", source=source)
+                                             init="from_computed", source=source,
+                                             p_norm=hyper.p_norm)
         else:
             centers = init_trainable_centers(dataset.n_classes, extractor.out_dim,
-                                             init="random", rng=rng)
+                                             init="random", rng=rng, p_norm=hyper.p_norm)
         params = params + [centers.table]
 
     optimizer = config.optimizer if s2.lr is None else replace(config.optimizer, lr=s2.lr)
@@ -327,7 +326,7 @@ def run_stage2(config: TrainConfig, dataset: Dataset, extractor: FeatureExtracto
         if s2.center_mode == "computed" and (s2.refresh_each_epoch or centers is None):
             fingerprint = params_fingerprint(extractor.state())
             centers = compute_centers(extractor, features, dataset.index,
-                                      source_epoch=epoch - 1, source_fingerprint=fingerprint)
+                                      source_epoch=epoch - 1, p_norm=hyper.p_norm)
             record.center_refreshes.append((epoch, fingerprint))
         plans = sampling.flat_batch_plans(dataset.labels, s2.batch_size, rng)
         values = _steps(opt, plans, batch_loss, "stage 2")
@@ -376,10 +375,9 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     if keep_learned:
         record.centers = centers
     else:
-        record.centers = compute_centers(
-            extractor, dataset.features, dataset.index,
-            source_epoch=config.stage2.epochs,
-            source_fingerprint=params_fingerprint(extractor.state()))
+        record.centers = compute_centers(extractor, dataset.features, dataset.index,
+                                         source_epoch=config.stage2.epochs,
+                                         p_norm=config.hyper.p_norm)
     return record
 
 

@@ -24,13 +24,12 @@ from .sampling import DatasetIndex
 from .training import RunRecord, TrainConfig, run_method
 
 
-def predict(extractor, features: np.ndarray, centers=None, head=None,
-            p_norm: int = 2) -> np.ndarray:
-    """Labels for a feature matrix: the nearest L_p center when a center table
-    is given, otherwise argmax over the classifier head."""
+def predict(extractor, features: np.ndarray, centers=None, head=None) -> np.ndarray:
+    """Labels for a feature matrix: the nearest center under the table's L_p
+    order when a center table is given, otherwise argmax over the classifier head."""
     emb = embed_all(extractor, np.asarray(features, dtype=np.float64))
     if centers is not None:
-        labels, _ = nearest_center_predict_batch(emb, centers, p_norm)
+        labels, _ = nearest_center_predict_batch(emb, centers)
         return labels
     if head is None:
         raise ContractError("model has neither centers nor a classifier head")
@@ -38,8 +37,7 @@ def predict(extractor, features: np.ndarray, centers=None, head=None,
     return logits.argmax(axis=1)
 
 
-def evaluate_record(model, test: Dataset, *, p_norm: int = 2,
-                    small_threshold: int = 20,
+def evaluate_record(model, test: Dataset, *, small_threshold: int = 20,
                     small_index: DatasetIndex | None = None) -> MetricsReport:
     """Confusion + macro metrics on a held-out set, with a small-class sub-report.
 
@@ -47,7 +45,7 @@ def evaluate_record(model, test: Dataset, *, p_norm: int = 2,
     a ``Checkpoint``.  The report spans max(model classes, test.n_classes)
     classes.  ``small_index`` decides which classes count as small; it
     defaults to the test labels indexed over that count."""
-    predicted = predict(model.extractor, test.features, model.centers, model.head, p_norm)
+    predicted = predict(model.extractor, test.features, model.centers, model.head)
     model_classes = (model.centers.n_classes if model.centers is not None
                      else model.head.bias.data.size)
     n_classes = max(model_classes, test.n_classes)
@@ -76,7 +74,7 @@ def _train_and_score(config: TrainConfig, dataset: Dataset, train_rows, test_row
                      small_threshold: int) -> tuple[RunRecord, MetricsReport]:
     """Train on ``train_rows``, score ``test_rows``; small classes are those of ``dataset``."""
     record = run_method(config, dataset.subset(train_rows))
-    report = evaluate_record(record, dataset.subset(test_rows), p_norm=config.hyper.p_norm,
+    report = evaluate_record(record, dataset.subset(test_rows),
                              small_threshold=small_threshold, small_index=dataset.index)
     return record, report
 

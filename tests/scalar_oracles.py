@@ -154,13 +154,14 @@ def batch_mean(unit_losses) -> Tensor:
     return total * (1.0 / len(units))
 
 
-def nearest_center_predict(embedding, centers: CenterTable, p_norm: int = 2):
-    """Classify one embedding to the closest center; ties go to the smallest class id.
+def nearest_center_predict(embedding, centers: CenterTable):
+    """Classify one embedding to the closest center under the table's L_p
+    order; ties go to the smallest class id.
 
     Returns (class_id, distance_vector) with one distance per class.
     """
     emb = embedding.data if isinstance(embedding, Tensor) else np.asarray(embedding, dtype=np.float64)
     if emb.ndim != 1 or emb.shape[0] != centers.dim:
         raise ContractError(f"embedding shape {emb.shape} does not match center dim {centers.dim}")
-    dists = lp_cdist(emb[None, :], centers.matrix, p_norm)[0]
+    dists = lp_cdist(emb[None, :], centers.matrix, centers.p_norm)[0]
     return int(np.argmin(dists)), dists

@@ -101,6 +101,11 @@ class TestTrainableCenters:
         with pytest.raises(ContractError):
             init_trainable_centers(2, 2, init="from_computed")
 
+    @pytest.mark.parametrize("p_norm", [0, -1, 1.5, "2"])
+    def test_a_table_rejects_a_non_positive_or_non_integral_p_norm(self, p_norm):
+        with pytest.raises(ContractError, match="p_norm must be a positive integer"):
+            CenterTable(Tensor(np.zeros((2, 3))), mode="computed", p_norm=p_norm)
+
     def test_hinge_active_gradient_direction_on_anchor_center(self):
         # d/dc_own ||f_a - c_own|| = (c_own - f_a) / ||c_own - f_a|| when active
         rng = np.random.default_rng(8)
@@ -119,8 +124,8 @@ class TestTrainableCenters:
 
 
 class TestNearestCenter:
-    def make_table(self, rows):
-        return CenterTable(Tensor(np.array(rows, dtype=float)), mode="computed")
+    def make_table(self, rows, p_norm=2):
+        return CenterTable(Tensor(np.array(rows, dtype=float)), mode="computed", p_norm=p_norm)
 
     def predict_one(self, x, table):
         labels, dists = nearest_center_predict_batch(np.asarray(x, dtype=float)[None], table)
@@ -161,13 +166,13 @@ class TestNearestCenter:
     @pytest.mark.parametrize("p_norm", [1, 2, 3])
     def test_more_rows_than_one_block_equal_the_naive_argmin(self, p_norm):
         rng = np.random.default_rng(13)
-        table = self.make_table(rng.normal(size=(7, 128)))
+        table = self.make_table(rng.normal(size=(7, 128)), p_norm)
         x = rng.normal(size=(1000, 128))  # about 7 blocks of BLOCK_FLOATS // (7 * 128) rows
         assert x.shape[0] > BLOCK_FLOATS // table.matrix.size
         naive = (np.abs(x[:, None, :] - table.matrix[None, :, :]) ** p_norm).sum(axis=2)
         if p_norm != 1:
             naive = naive ** (1.0 / p_norm)
-        labels, dists = nearest_center_predict_batch(x, table, p_norm)
+        labels, dists = nearest_center_predict_batch(x, table)
         assert dists.tobytes() == naive.tobytes()
         np.testing.assert_array_equal(labels, naive.argmin(axis=1))
 

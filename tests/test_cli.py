@@ -85,7 +85,7 @@ def test_eval_predicts_by_the_nearest_center_under_the_trained_lp_order(tmp_path
     assert (nearest[1] != nearest[2]).any()  # so eval under L2 would be caught
     assert len(predicted) == 1
     np.testing.assert_array_equal(predicted[0], nearest[1])
-    assert ckpt.p_norm == 1
+    assert ckpt.centers.p_norm == 1
 
 
 def test_eval_on_a_csv_without_the_highest_class_scores_every_model_class(tmp_path):
@@ -149,6 +149,24 @@ def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):
                                   final.extractor.state()):
         np.testing.assert_array_equal(got, want)
         assert not np.array_equal(got, trained)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("hyper", "alpha", "nan", "margins must be finite"),
+    ("stage1", "epochs", "-1", "stage1 epochs must be >= 0"),
+    ("stage2", "center_mode", "nope", "unknown center mode 'nope'"),
+    ("hyper", "p_norm", "0", "p_norm must be a positive integer"),
+    ("hyper", "beta", "-0.1", "beta must be >= 0"),
+], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "zero_p_norm", "negative_beta"])
+def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, section, key,
+                                                          value, message):
+    config = tmp_path / "config.ini"
+    config.write_bytes(GOOD_CONFIG + f"[{section}]\n{key} = {value}\n".encode())
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("axis, values, bad", [

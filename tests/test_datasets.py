@@ -111,6 +111,11 @@ def test_a_file_without_rows_is_rejected(tmp_path, body):
         load_csv(path)
 
 
+def test_a_dataset_never_drops_rows_beyond_its_forced_class_count():
+    with pytest.raises(ContractError, match="out of range"):
+        datasets.Dataset(np.zeros((4, 2)), [0, 1, 2, 2], forced_n_classes=2)
+
+
 def test_a_nan_feature_is_a_contract_error(tmp_path):
     rows = good_rows(20)
     rows[10] = "1,0.5,nan,2.0\n"

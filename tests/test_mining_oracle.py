@@ -1,14 +1,12 @@
 """The vectorized miners against the per-anchor loops they replaced.
 
-The functions below are the loop implementations of the semi-hard triplet,
-quadruplet and center miners, kept as reference oracles; they return lists
-of unit tuples.  Each vectorized miner in ``tricenter.sampling`` must
-return the same units, as rows of an ``np.intp`` array, and leave the
-generator in the same state, so seeded runs do not change.  The center
-miners' arrays also carry the anchor's own class in column 1, which the
-oracles leave out.
-Random triplets, pairs and center pairs are still loops in the package and
-are not compared here.
+The functions below are the loop implementations of the triplet (random
+and semi-hard), pair, quadruplet and center miners, kept as reference
+oracles; they return lists of unit tuples.  Each vectorized miner in
+``tricenter.sampling`` must return the same units, as rows of an
+``np.intp`` array, and leave the generator in the same state, so seeded
+runs do not change.  The center triplet and quadruplet miners' arrays also
+carry the anchor's own class in column 1, which those oracles leave out.
 """
 
 import logging
@@ -21,7 +19,7 @@ from tricenter.distance import BLOCK_FLOATS, lp_cdist, lp_norm
 from tricenter.errors import ContractError
 from tricenter.evaluation import compactness
 from tricenter.losses import LossHyper
-from tricenter.sampling import BatchPlan, _embedding_values
+from tricenter.sampling import BatchPlan
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +48,7 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     labels = batch.labels
     if len(np.unique(labels)) < 2:
         raise ContractError("triplet formation needs at least 2 classes in the batch")
-    values = _embedding_values(embeddings)
+    values = np.asarray(embeddings, dtype=np.float64)
     dist = _pairwise_distances(values, hyper.p_norm) if strategy == "random_hard" else None
     triplets = []
     for anchor in range(len(labels)):
@@ -81,7 +79,7 @@ def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> list:
     Returns (anchor_slot, negative_class) pairs: all classes k other than the
     anchor's whose center violates ||f_a - c_own|| + alpha > ||f_a - c_k||.
     """
-    values = _embedding_values(embeddings)
+    values = np.asarray(embeddings, dtype=np.float64)
     matrix = centers.matrix if hasattr(centers, "matrix") else np.asarray(centers, dtype=np.float64)
     if matrix.ndim != 2:
         raise ContractError("center table must be a K x D matrix")
@@ -96,6 +94,22 @@ def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> list:
     margin[np.arange(len(labels)), labels] = 0.0  # own class never qualifies
     slots, classes = np.nonzero(margin > 0.0)
     return list(zip(slots.tolist(), classes.tolist()))
+
+
+def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> list:
+    """One same-class pair (when available) and one cross-class pair per slot."""
+    labels = batch.labels
+    if len(np.unique(labels)) < 2:
+        raise ContractError("pair formation needs at least 2 classes in the batch")
+    pairs = []
+    for a in range(len(labels)):
+        same = np.flatnonzero(labels == labels[a])
+        same = same[same != a]
+        if len(same) > 0:
+            pairs.append((a, int(rng.choice(same)), 1))
+        other = np.flatnonzero(labels != labels[a])
+        pairs.append((a, int(rng.choice(other)), 0))
+    return pairs
 
 
 def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
@@ -120,6 +134,23 @@ def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> list:
         n2 = int(rng.choice(np.flatnonzero(labels == c2)))
         quads.append((anchor, positive, n1, n2))
     return quads
+
+
+def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> list:
+    """Center-involved pairs: the own center plus every margin-violating negative center.
+
+    Returns (anchor_slot, partner_class, same) units mirroring the
+    all-qualifying-negatives rule of the center triplet stage.
+    """
+    d = lp_cdist(np.asarray(embeddings, dtype=np.float64), centers, hyper.p_norm)
+    labels = batch.labels
+    units = []
+    for a in range(len(labels)):
+        units.append((a, int(labels[a]), 1))
+        for k in range(d.shape[1]):
+            if k != labels[a] and hyper.alpha - d[a, k] > 0.0:
+                units.append((a, k, 0))
+    return units
 
 
 def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
@@ -220,6 +251,20 @@ def test_semi_hard_triplets_match_the_loop(p_norm):
                           lambda fn, rng: fn(batch, emb, "random_hard", hyper, rng), 3)
 
 
+@pytest.mark.parametrize("p_norm", [1, 2, 3])
+def test_random_triplets_pairs_and_center_pairs_match_the_loop(p_norm):
+    rng = np.random.default_rng(20 + p_norm)
+    for batch, emb, alpha in batches(20 + p_norm):
+        hyper = LossHyper(alpha=alpha, p_norm=p_norm)
+        assert_same_draws(sampling.form_triplets, form_triplets,
+                          lambda fn, r: fn(batch, emb, "random", hyper, r), 3)
+        assert_same_draws(sampling.form_pairs, form_pairs, lambda fn, r: fn(batch, r), 3)
+        centers = random_embeddings(rng, int(batch.labels.max()) + 1 + int(rng.integers(0, 2)),
+                                    emb.shape[1])
+        assert_same_units(sampling.form_center_pairs(batch, emb, centers, hyper),
+                          form_center_pairs(batch, emb, centers, hyper), 3)
+
+
 def test_quadruplets_match_the_loop():
     for batch, _, _ in batches(30, min_classes=3):
         assert_same_draws(sampling.form_quadruplets, form_quadruplets,
@@ -249,10 +294,12 @@ def test_balanced_batches_match_the_loop(m_per_class, dim):
         plan = sampling.build_balanced_batch(index, m_per_class, rng)
         emb = np.round(rng.normal(size=(len(plan), dim)), 1)
         hyper = LossHyper(alpha=alpha)
-        assert_same_draws(sampling.form_triplets, form_triplets,
-                          lambda fn, r: fn(plan, emb, "random_hard", hyper, r), 3)
+        for strategy in ("random", "random_hard"):
+            assert_same_draws(sampling.form_triplets, form_triplets,
+                              lambda fn, r: fn(plan, emb, strategy, hyper, r), 3)
         assert_same_draws(sampling.form_quadruplets, form_quadruplets,
                           lambda fn, r: fn(plan, r), 4)
+        assert_same_draws(sampling.form_pairs, form_pairs, lambda fn, r: fn(plan, r), 3)
 
 
 def test_empty_band_falls_back_to_the_hardest_negative():

@@ -110,9 +110,9 @@ class TestCheckpoint:
         centers = np.random.default_rng(13).normal(size=(5, 3))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, Checkpoint(extractor=fx, epoch=7, config_fingerprint="abc123",
-                                         head=head, p_norm=3,
+                                         head=head,
                                          centers=CenterTable(Tensor(centers), mode="computed",
-                                                             source_epoch=6)))
+                                                             source_epoch=6, p_norm=3)))
         loaded = load_checkpoint(path)
         for a, b in zip(fx.state(), loaded.extractor.state()):
             assert np.array_equal(a, b)
@@ -122,12 +122,12 @@ class TestCheckpoint:
         assert loaded.epoch == 7
         assert loaded.config_fingerprint == "abc123"
         assert loaded.centers.mode == "computed" and loaded.centers.source_epoch == 6
-        assert loaded.p_norm == 3
+        assert loaded.centers.p_norm == 3
 
     def test_centers_written_without_p_norm_read_as_p_norm_two(self, tmp_path):
         path, blob = self._saved(tmp_path)
         path.write_bytes(self._with_header(blob, lambda h: h["centers"].pop("p_norm")))
-        assert load_checkpoint(path).p_norm == 2
+        assert load_checkpoint(path).centers.p_norm == 2
 
     def test_forward_identical_after_round_trip(self, tmp_path):
         fx = FeatureExtractor([6, 10, 4], activation="tanh", rng=np.random.default_rng(1))

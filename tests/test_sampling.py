@@ -28,6 +28,10 @@ class TestDatasetIndex:
         with pytest.raises(ContractError):
             DatasetIndex([[0, 1], [1, 2]])
 
+    def test_a_label_beyond_n_classes_is_rejected(self):
+        with pytest.raises(ContractError, match="label 2 is out of range for 2 classes"):
+            DatasetIndex.from_labels([0, 1, 2, 2], n_classes=2)
+
     def test_empty_class_flagged(self):
         index = DatasetIndex.from_labels([0, 0, 2, 2], n_classes=3)
         with pytest.raises(ContractError):
