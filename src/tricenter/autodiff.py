@@ -64,7 +64,7 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op", "_kink_tol_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_kink_tol_fn")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -72,7 +72,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._vjp = None
-        self._op = ""
         self._kink_tol_fn = None
 
     # -- construction helpers -------------------------------------------------
@@ -82,13 +81,12 @@ class Tensor:
         return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
     @classmethod
-    def _from_op(cls, data, parents, vjp, op=""):
+    def _from_op(cls, data, parents, vjp):
         out = cls(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._vjp = vjp
-            out._op = op
         return out
 
     # -- basic protocol --------------------------------------------------------
@@ -122,13 +120,13 @@ class Tensor:
             return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
                     _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-        return Tensor._from_op(a.data + b.data, (a, b), vjp, "+")
+        return Tensor._from_op(a.data + b.data, (a, b), vjp)
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self
-        return Tensor._from_op(-a.data, (a,), lambda g: (-g,), "neg")
+        return Tensor._from_op(-a.data, (a,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -144,14 +142,9 @@ class Tensor:
             return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
                     _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
-        return Tensor._from_op(a.data * b.data, (a, b), vjp, "*")
+        return Tensor._from_op(a.data * b.data, (a, b), vjp)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return self * (1.0 / float(other))
 
     def affine(self, weight, bias) -> "Tensor":
         """The dense layer ``self @ weight + bias`` as one node.
@@ -170,7 +163,7 @@ class Tensor:
                     x.data.T @ g if w.requires_grad else None,
                     _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-        return Tensor._from_op(x.data @ w.data + b.data, (x, w, b), vjp, "affine")
+        return Tensor._from_op(x.data @ w.data + b.data, (x, w, b), vjp)
 
     def pow(self, p: float) -> "Tensor":
         """Elementwise power with a constant exponent.
@@ -188,7 +181,7 @@ class Tensor:
             d = np.where(np.isfinite(d), d, 0.0)
             return (g * d,)
 
-        out = Tensor._from_op(data, (a,), vjp, "pow")
+        out = Tensor._from_op(data, (a,), vjp)
         if p < 1.0 and p != 0.0:
             out._kink_tol_fn = lambda tol: bool(np.any(np.abs(a.data) < tol))
         return out
@@ -222,7 +215,7 @@ class Tensor:
             return (g_diff if x.requires_grad else None,
                     -g_diff if y.requires_grad else None)
 
-        out = Tensor._from_op(data, (x, y), vjp, "lp_dist")
+        out = Tensor._from_op(data, (x, y), vjp)
         if fp == 1.0:
             out._kink_tol_fn = lambda tol: bool(np.any(mag < tol))
         else:
@@ -259,28 +252,27 @@ class Tensor:
             g_lse = -_unbroadcast(g_pick, s.shape)
             return (g_pick + (g_lse / s) * e,)
 
-        return Tensor._from_op((log_probs * onehot).sum(axis=1), (a,), vjp, "log_softmax_pick")
+        return Tensor._from_op((log_probs * onehot).sum(axis=1), (a,), vjp)
 
     def relu(self) -> "Tensor":
         a = self
-        out = Tensor._from_op(np.maximum(a.data, 0.0), (a,),
-                              lambda g: (g * (a.data > 0.0),), "relu")
+        out = Tensor._from_op(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
         out._kink_tol_fn = lambda tol: bool(np.any(np.abs(a.data) < tol))
         return out
 
     def exp(self) -> "Tensor":
         a = self
         data = np.exp(a.data)
-        return Tensor._from_op(data, (a,), lambda g: (g * data,), "exp")
+        return Tensor._from_op(data, (a,), lambda g: (g * data,))
 
     def log(self) -> "Tensor":
         a = self
-        return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
+        return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
     def tanh(self) -> "Tensor":
         a = self
         data = np.tanh(a.data)
-        return Tensor._from_op(data, (a,), lambda g: (g * (1.0 - data * data),), "tanh")
+        return Tensor._from_op(data, (a,), lambda g: (g * (1.0 - data * data),))
 
     # -- reductions and indexing -------------------------------------------------
 
@@ -292,7 +284,7 @@ class Tensor:
             out[...] = g if keepdims or axis is None else np.expand_dims(g, axis)
             return (out,)
 
-        return Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp, "sum")
+        return Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
     def mean(self, axis=None) -> "Tensor":
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -310,7 +302,7 @@ class Tensor:
             np.add.at(out, idx, g)
             return (out,)
 
-        return Tensor._from_op(a.data.take(idx, axis=0), (a,), vjp, "take")
+        return Tensor._from_op(a.data.take(idx, axis=0), (a,), vjp)
 
     # -- backward ----------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import reports
@@ -42,10 +43,9 @@ def _setup(args) -> tuple[RunSettings, Dataset, Path]:
     """Settings with the --seed (and --k) overrides, the dataset, and --out holding the echo."""
     settings = load_settings(args.config)
     if args.seed is not None:
-        settings.train.seed = args.seed
+        settings = replace(settings, train=replace(settings.train, seed=args.seed))
     if getattr(args, "k", None) is not None:
-        settings.k_folds = args.k
-    settings.validate()
+        settings = replace(settings, k_folds=args.k)
     dataset = _load_dataset(settings, args.data)
     out = Path(args.out)
     _write(out / "config.echo.ini", echo_settings(settings))

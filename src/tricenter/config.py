@@ -1,12 +1,12 @@
 """Run-configuration files: flat INI sections with key=value lines.
 
-``_SCHEMA`` is the one place a key is declared.  Each row names an INI
+``_SCHEMA`` is the one place a key is declared: each row names an INI
 ``[section] key``, the dotted ``RunSettings`` attribute it sets and the
-parser for that attribute's annotated type.  The ``stage1``, ``stage2``,
-``hyper`` and ``optimizer`` rows are the fields of their dataclasses, and
-every default is the dataclass default.  Unknown sections or keys are
-rejected so typos fail loudly.  The effective configuration (defaults
-resolved) is echoed in schema order into every run's output directory.
+parser for that attribute's type; every default is the dataclass default.
+Each dataclass checks its own fields when it is built, so a loaded config is
+valid and a bad value names the file before any training.  Unknown sections
+or keys are rejected so typos fail loudly.  The effective configuration
+(defaults resolved) is echoed in schema order into every run's output.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ class RunSettings:
     small_class_threshold: int = 20
     k_folds: int = 5
 
-    def validate(self):
-        self.train.validate()
+    def __post_init__(self):
         if self.data_source is None and self.data_preset is None:
             raise ContractError("config needs [data] source=<csv> or preset=<name>")
         if not 0.0 <= self.holdout_fraction < 1.0:
@@ -100,7 +99,8 @@ _KEYS_OF = {section: {key for _, key, _, _ in rows}
 
 
 def _read(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: a "%" is read as written, so every value echoes as it was read.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError:
@@ -138,19 +138,15 @@ def load_settings(path) -> RunSettings:
     for section, key, attr, parse in _SCHEMA:
         if not parser.has_option(section, key):
             continue
+        text = parser.get(section, key)
         try:
-            values[attr] = parse(parser.get(section, key))
-        except (ValueError, configparser.Error):
-            raw = parser.get(section, key, raw=True)
-            raise ContractError(f"{path}: [{section}] {key}={raw!r} is not a valid value") from None
+            values[attr] = parse(text)
+        except ValueError:
+            raise ContractError(f"{path}: [{section}] {key}={text!r} is not a valid value") from None
     try:
-        settings = _build(RunSettings, values)
-        if settings.train.hyper.beta < 0:
-            raise ContractError("[hyper] beta must be >= 0")
-        settings.validate()
+        return _build(RunSettings, values)
     except ContractError as exc:
         raise ContractError(f"{path}: {exc}") from None
-    return settings
 
 
 def _render(value) -> str:

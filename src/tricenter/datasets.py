@@ -32,6 +32,8 @@ class SyntheticSpec:
         self.sizes = [int(n) for n in self.sizes]
         self.means = np.asarray(self.means, dtype=np.float64)
         self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if any(n < 1 for n in self.sizes):
             raise ContractError("every class size must be >= 1")
         if self.means.ndim != 2 or self.means.shape[0] != len(self.sizes):

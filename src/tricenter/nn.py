@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,7 +212,6 @@ class Checkpoint:
     config_fingerprint: str
     head: LinearHead | None = None
     centers: CenterTable | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def config_fingerprint(config_dict: dict) -> str:
@@ -247,7 +246,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "centers": None if ckpt.centers is None else {
             "mode": ckpt.centers.mode, "source_epoch": ckpt.centers.source_epoch,
             "p_norm": int(ckpt.centers.p_norm)},
-        "extra": ckpt.extra,
+        "extra": {},
         "arrays": entries,
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -360,14 +359,8 @@ def load_checkpoint(path) -> Checkpoint:
                               source_epoch=cmeta.get("source_epoch"),
                               p_norm=cmeta.get("p_norm", 2))
 
-    return Checkpoint(
-        extractor=extractor,
-        epoch=epoch,
-        config_fingerprint=fingerprint,
-        head=head,
-        centers=centers,
-        extra=header.get("extra", {}),
-    )
+    return Checkpoint(extractor=extractor, epoch=epoch, config_fingerprint=fingerprint,
+                      head=head, centers=centers)
 
 
 def params_fingerprint(arrays) -> str:

@@ -43,13 +43,15 @@ class Stage1Config:
     mining: str = "random_hard"  # "random" | "random_hard"
     lambda_ce: float = 0.0  # weight of an optional cross-entropy term
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 0:
             raise ContractError("stage1 epochs must be >= 0")
+        if self.m_per_class < 1:
+            raise ContractError(f"m_per_class must be >= 1, got {self.m_per_class}")
         if self.mining not in ("random", "random_hard"):
             raise ContractError(f"unknown mining strategy {self.mining!r}")
-        if self.lambda_ce < 0:
-            raise ContractError("lambda_ce must be >= 0")
+        if not (math.isfinite(self.lambda_ce) and self.lambda_ce >= 0):
+            raise ContractError(f"lambda_ce must be finite and >= 0, got {self.lambda_ce}")
 
 
 @dataclass
@@ -64,13 +66,17 @@ class Stage2Config:
     freeze_layers: int = 0  # leave the first n layers of the extractor fixed
     final_centers: str = "default"  # "default" | "learned" | "recomputed"
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 0:
             raise ContractError("stage2 epochs must be >= 0")
         if self.batch_size < 1:
             raise ContractError("stage2 batch_size must be >= 1")
         if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ContractError(f"stage2 alpha must be finite and nonnegative, got {self.alpha}")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractError(f"stage2 lr must be finite and positive, got {self.lr}")
+        if self.freeze_layers < 0:
+            raise ContractError(f"freeze_layers must be >= 0, got {self.freeze_layers}")
         if self.center_mode not in CENTER_MODES:
             raise ContractError(f"unknown center mode {self.center_mode!r}")
         if self.center_init not in ("from_computed", "random"):
@@ -87,6 +93,11 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.99
     epsilon: float = 1e-8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0 and self.epsilon > 0
+                and 0 < self.beta1 < 1 and 0 < self.beta2 < 1):
+            raise ContractError(f"optimizer settings out of range: {self}")
 
 
 @dataclass
@@ -106,16 +117,34 @@ class TrainConfig:
     baseline_epochs: int | None = None  # default: stage1.epochs + stage2.epochs
     baseline_batch_size: int = 32
 
-    def validate(self):
+    def __post_init__(self):
         if self.method != "two_stage" and not (
                 self.method.startswith("baseline:") and self.method.split(":", 1)[1] in BASELINES):
             raise ContractError(f"unknown method {self.method!r}")
         if self.loss_family not in LOSS_FAMILIES:
             raise ContractError(f"unknown loss family {self.loss_family!r}")
-        if self.hyper.beta < 0 and self.loss_family == "quadruplet":
-            raise ContractError("beta must be >= 0 for quadruplet training")
-        self.stage1.validate()
-        self.stage2.validate()
+        if self.hyper.beta < 0:
+            raise ContractError(f"beta must be >= 0, got {self.hyper.beta}")
+        if self.loss_family == "quadruplet":
+            self.hyper.require_quadruplet_margins()
+            _stage2_hyper(self).require_quadruplet_margins()
+        if self.loss_family != "pairwise" and self.stage1.m_per_class < 2:
+            raise ContractError(f"{self.loss_family} batches need m_per_class >= 2, "
+                                f"got {self.stage1.m_per_class}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        if not (self.embedding_dim >= 1 and self.embedding_dim % 1 == 0):  # nan and inf fail too
+            raise ContractError(f"embedding dimension must be a positive integer, got {self.embedding_dim!r}")
+        self.embedding_dim = int(self.embedding_dim)
+        if self.stage2.freeze_layers > len(self.hidden):
+            raise ContractError(f"freeze_layers = {self.stage2.freeze_layers} leaves none of "
+                                f"the {len(self.hidden) + 1} layers to train")
+        if self.baseline_epochs is not None and self.baseline_epochs < 0:
+            raise ContractError(f"baseline epochs must be >= 0, got {self.baseline_epochs}")
+        if self.baseline_batch_size < 1:
+            raise ContractError("baseline batch_size must be >= 1")
+        if not (math.isfinite(self.focal_gamma) and self.focal_gamma >= 0):
+            raise ContractError(f"focal_gamma must be finite and >= 0, got {self.focal_gamma}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,11 +169,6 @@ class RunRecord:
     status: str = "completed"
 
 
-def _check_finite(value: float, context: str):
-    if not math.isfinite(value):
-        raise DivergenceError(f"non-finite loss during {context}; aborting run")
-
-
 def _steps(opt: Adam, plans, batch_loss: Callable, context: str) -> list:
     """One Adam step per plan whose batch loss is not None; returns the loss values."""
     values = []
@@ -154,7 +178,8 @@ def _steps(opt: Adam, plans, batch_loss: Callable, context: str) -> list:
         if loss is None:
             continue
         value = loss.item()
-        _check_finite(value, context)
+        if not math.isfinite(value):
+            raise DivergenceError(f"non-finite loss during {context}; aborting run")
         loss.backward()
         opt.step()
         values.append(value)
@@ -185,10 +210,7 @@ def _stage2_hyper(config: TrainConfig) -> LossHyper:
 
 def _trainable_params(extractor: FeatureExtractor, freeze_layers: int) -> list:
     """The (weight, bias) pairs of every layer after the first ``freeze_layers``."""
-    params = extractor.parameters()[2 * max(freeze_layers, 0):]
-    if not params:
-        raise ContractError("freeze_layers leaves nothing to train")
-    return params
+    return extractor.parameters()[2 * freeze_layers:]
 
 
 @dataclass(frozen=True)
@@ -347,7 +369,6 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     the final parameters over the whole training set, trainable-center runs
     keep their learned rows.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     extractor = build_extractor(config, dataset.in_dim, rng)
     head = None
@@ -426,7 +447,6 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset) -> RunRec
 
 def run_method(config: TrainConfig, dataset: Dataset) -> RunRecord:
     """Dispatch on config.method."""
-    config.validate()
     if config.method == "two_stage":
         return run_two_stage(config, dataset)
     return run_baseline(config.method.split(":", 1)[1], config, dataset)

@@ -151,22 +151,58 @@ def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):
         assert not np.array_equal(got, trained)
 
 
-@pytest.mark.parametrize("section, key, value, message", [
-    ("hyper", "alpha", "nan", "margins must be finite"),
-    ("stage1", "epochs", "-1", "stage1 epochs must be >= 0"),
-    ("stage2", "center_mode", "nope", "unknown center mode 'nope'"),
-    ("hyper", "p_norm", "0", "p_norm must be a positive integer"),
-    ("hyper", "beta", "-0.1", "beta must be >= 0"),
-], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "zero_p_norm", "negative_beta"])
-def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, section, key,
-                                                          value, message):
-    config = tmp_path / "config.ini"
-    config.write_bytes(GOOD_CONFIG + f"[{section}]\n{key} = {value}\n".encode())
+SHORT = {"data": {"preset": "skin7-like"}, "stage1": {"epochs": "2"}, "stage2": {"epochs": "2"}}
+
+
+def write_ini(path, *layers):
+    """An INI of the sections of ``layers``, later layers overriding earlier keys."""
+    sections = {}
+    for layer in layers:
+        for name, keys in layer.items():
+            sections.setdefault(name, {}).update(keys)
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                            for name, keys in sections.items()))
+    return path
+
+
+# From negative_stage2_lr on, each value used to fail only once a run reached it
+# (after stage 1, say) or to pass silently; the config now refuses it when built.
+@pytest.mark.parametrize("sections, message", [
+    ({"hyper": {"alpha": "nan"}}, "margins must be finite"),
+    ({"stage1": {"epochs": "-1"}}, "stage1 epochs must be >= 0"),
+    ({"stage2": {"center_mode": "nope"}}, "unknown center mode 'nope'"),
+    ({"hyper": {"p_norm": "0"}}, "p_norm must be a positive integer"),
+    ({"hyper": {"beta": "-0.1"}}, "beta must be >= 0"),
+    ({"stage2": {"lr": "-1"}}, "stage2 lr must be finite and positive, got -1.0"),
+    ({"stage2": {"freeze_layers": "3"}}, "freeze_layers = 3 leaves none of the 3 layers to train"),
+    ({"run": {"loss_family": "quadruplet"}, "stage2": {"alpha": "0.2"}},
+     "quadruplet losses need beta < alpha, got beta=0.25 alpha=0.2"),
+    ({"run": {"loss_family": "quadruplet"}, "hyper": {"alpha": "0.25"}},
+     "quadruplet losses need beta < alpha, got beta=0.25 alpha=0.25"),
+    ({"run": {"method": "baseline:oce"}, "baseline": {"epochs": "-3"}},
+     "baseline epochs must be >= 0, got -3"),
+    ({"stage1": {"m_per_class": "1"}}, "triplet batches need m_per_class >= 2, got 1"),
+    ({"run": {"loss_family": "quadruplet"}, "stage1": {"m_per_class": "1"}},
+     "quadruplet batches need m_per_class >= 2, got 1"),
+    ({"run": {"loss_family": "pairwise"}, "stage1": {"m_per_class": "0"}},
+     "m_per_class must be >= 1, got 0"),
+    ({"stage2": {"freeze_layers": "-1"}}, "freeze_layers must be >= 0, got -1"),
+    ({"run": {"seed": "-1"}}, "seed must be >= 0, got -1"),
+    ({"optimizer": {"lr": "nan"}}, "optimizer settings out of range"),
+    ({"run": {"method": "baseline:wfce"}, "baseline": {"focal_gamma": "nan"}},
+     "focal_gamma must be finite and >= 0, got nan"),
+], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "zero_p_norm", "negative_beta",
+        "negative_stage2_lr", "freeze_every_layer", "quadruplet_stage2_alpha_below_beta",
+        "quadruplet_alpha_at_beta", "negative_baseline_epochs", "triplet_one_per_class",
+        "quadruplet_one_per_class", "pairwise_zero_per_class", "negative_freeze_layers",
+        "negative_seed", "nan_optimizer_lr", "nan_focal_gamma"])
+def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sections, message):
+    config = write_ini(tmp_path / "config.ini", SHORT, sections)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: ")
     assert message in err
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()  # no stage1.ckpt or final.ckpt, not even the echo
 
 
 @pytest.mark.parametrize("axis, values, bad", [
@@ -185,3 +221,32 @@ def test_a_bad_sweep_value_reports_an_error_without_traceback(tmp_path, axis, va
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv, run", [
+    (["gen-data", "--preset", "skin7-like", "--seed", "-1"], {}),
+    (["train"], {"seed": "-1"}),
+    (["train", "--seed", "-1"], {}),
+    (["crossval", "--seed", "-5"], {}),
+    (["sweep", "--axis", "margin", "--values", "0.1", "--seed", "-2"], {}),
+], ids=["gen_data_flag", "train_ini", "train_flag", "crossval_flag", "sweep_flag"])
+def test_a_negative_seed_reports_an_error_without_traceback(tmp_path, argv, run):
+    if argv[0] != "gen-data":
+        argv = argv + ["--config", write_ini(tmp_path / "config.ini", SHORT, {"run": run})]
+    result = run_cli(*argv, "--out", tmp_path / "out")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "seed must be >= 0, got -" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["crossval", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_an_error(tmp_path, capsys, command, jobs):
+    config = write_ini(tmp_path / "config.ini", SHORT)
+    argv = [command, "--config", str(config), "--jobs", jobs, "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "margin", "--values", "0.1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+    assert not list((tmp_path / "out").glob("*.csv")) and not (tmp_path / "out" / "crossval.txt").exists()

@@ -1,6 +1,9 @@
+import re
+from itertools import groupby
+
 import pytest
 
-from tricenter.config import echo_settings, load_settings
+from tricenter.config import _SCHEMA, echo_settings, load_settings
 from tricenter.errors import ContractError
 from tricenter.nn import config_fingerprint
 
@@ -177,3 +180,50 @@ def test_bad_values_raise_contract_error(tmp_path, section, key, value):
     text = f"[data]\npreset = skin7-like\n[{section}]\n{key} = {value}\n"
     with pytest.raises(ContractError):
         load_settings(write(tmp_path, text))
+
+
+def test_a_loaded_config_echoes_to_a_file_that_reloads_to_it(tmp_path):
+    """Random text in any few schema keys: ``load_settings`` rejects the file
+    with a ContractError, or the settings it returns survive echo and reload."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = st.one_of(
+        st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"), max_size=12),
+        st.sampled_from(["", "true", "no", "3,4", "1e400", "baseline:wfce", "pairwise",
+                         "quadruplet", "random", "trainable", "learned", "relu", "x%y", "a ;b"]))
+    numbers = {int: st.integers(-3, 300).map(str),
+               float: st.one_of(st.floats().map(repr), st.sampled_from(["nan", "inf", "-0.0"]))}
+    entry = st.sampled_from(_SCHEMA).flatmap(lambda row: st.tuples(
+        st.just(row[:2]), st.one_of(text, numbers.get(row[3], text))))
+    accepted = []
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.lists(entry, max_size=3))
+    @hypothesis.example([(("data", "source"), "x%%y")])  # a "%" reloads as written
+    def check(entries):
+        values = {("data", "preset"): "skin7-like", **dict(entries)}
+        lines = []
+        for section, rows in groupby(sorted(values.items()), key=lambda kv: kv[0][0]):
+            lines += [f"[{section}]", *(f"{key} = {v}" for (_, key), v in rows)]
+        path = tmp_path / "config.ini"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            settings = load_settings(path)
+        except ContractError:
+            return
+        accepted.append(entries)
+        assert load_settings(write(tmp_path, echo_settings(settings), "echo.ini")) == settings
+
+    check()
+    assert accepted
+
+
+@pytest.mark.parametrize("section, key", [row[:2] for row in _SCHEMA if row[3] is float])
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_every_float_key_rejects_nan_and_minus_infinity(tmp_path, section, key, value):
+    """A nan would also break the echo fixpoint: it never equals its reload."""
+    sections = {"data": "preset = skin7-like\n"}
+    sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+    path = write(tmp_path, "".join(f"[{name}]\n{body}" for name, body in sections.items()))
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}: "):
+        load_settings(path)

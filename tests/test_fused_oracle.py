@@ -29,7 +29,7 @@ def matmul(a, b):
     def vjp(g):
         return g @ b.data.T, a.data.T @ g
 
-    return Tensor._from_op(a.data @ b.data, (a, b), vjp, "@")
+    return Tensor._from_op(a.data @ b.data, (a, b), vjp)
 
 
 def abs_pow(a, p):
@@ -39,7 +39,7 @@ def abs_pow(a, p):
     def vjp(g):
         return (g * (p * np.power(mag, p - 1.0)) * np.sign(a.data),)
 
-    out = Tensor._from_op(np.power(mag, p), (a,), vjp, "abs_pow")
+    out = Tensor._from_op(np.power(mag, p), (a,), vjp)
     if p == 1.0:
         out._kink_tol_fn = lambda tol: bool(np.any(mag < tol))
     return out

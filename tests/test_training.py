@@ -81,6 +81,21 @@ def test_quadruplet_training_needs_three_classes_in_either_stage(stage1_epochs):
         run_two_stage(cfg, two_classes)
 
 
+def test_a_pairwise_config_with_one_sample_per_class_still_mines_negative_pairs(dataset):
+    cfg = config(loss_family="pairwise", stage1=Stage1Config(epochs=1, m_per_class=1))
+    rng = np.random.default_rng(cfg.seed)
+    batch = sampling.build_balanced_batch(dataset.index, cfg.stage1.m_per_class, rng)
+    units = sampling.form_pairs(batch, rng)
+    assert len(units) == len(batch.labels) == dataset.n_classes
+    assert not units[:, 2].any()  # every pair is a cross-class pair
+
+
+@pytest.mark.parametrize("family", ["triplet", "quadruplet"])
+def test_triplet_and_quadruplet_configs_need_two_samples_per_class(family):
+    with pytest.raises(ContractError, match=f"{family} batches need m_per_class >= 2, got 1"):
+        config(loss_family=family, stage1=Stage1Config(m_per_class=1))
+
+
 # -- the miner output contract ---------------------------------------------------
 
 def plan(labels):

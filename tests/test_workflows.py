@@ -6,8 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tricenter import workflows
 from tricenter.datasets import gen_gaussian_imbalanced, preset_spec
 from tricenter.errors import ContractError
+from tricenter.losses import LossHyper
+from tricenter.nn import config_fingerprint
 from tricenter.training import Stage1Config, Stage2Config, TrainConfig
 from tricenter.workflows import run_crossval, run_sweep
 
@@ -55,3 +58,31 @@ def test_sweep_rows_are_the_crossval_of_each_point_in_serial_and_pooled_runs(dat
 def test_a_sweep_margin_must_be_finite_and_nonnegative(dataset, value):
     with pytest.raises(ContractError, match="stage2 alpha must be finite and nonnegative"):
         run_sweep("margin", [0.1, value], CONFIG, dataset, k=2, jobs=2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_quadruplet_margin_sweep_below_beta_fails_before_any_cell(dataset, monkeypatch, jobs):
+    calls = []
+    monkeypatch.setattr(workflows, "_run_fold", lambda cell: calls.append(cell))
+    quadruplet = replace(CONFIG, loss_family="quadruplet")
+    with pytest.raises(ContractError, match="quadruplet losses need beta < alpha, got beta=0.25 alpha=0.1"):
+        run_sweep("margin", [0.4, 0.1], quadruplet, dataset, k=2, jobs=jobs)
+    assert calls == []
+
+
+def test_a_dimension_sweep_point_has_the_fingerprint_of_its_integer_config():
+    point = replace(CONFIG, embedding_dim=16.0)
+    assert type(point.embedding_dim) is int
+    assert config_fingerprint(point.to_dict()) == config_fingerprint(
+        replace(CONFIG, embedding_dim=16).to_dict())
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(hyper=LossHyper(beta=-0.1)), "beta must be >= 0, got -0.1"),
+    (dict(hidden=(12,), stage2=Stage2Config(freeze_layers=2)),
+     "freeze_layers = 2 leaves none of the 2 layers to train"),
+], ids=["negative_beta", "freeze_every_layer"])
+def test_a_train_config_rejects_what_the_ini_rejects(change, message):
+    """LossHyper alone accepts a negative beta; a TrainConfig holding one does not."""
+    with pytest.raises(ContractError, match=message):
+        replace(CONFIG, **change)
