@@ -13,15 +13,13 @@ Public API (``__all__``); everything else is imported from its module:
   OptimizerConfig, and the INI file's RunSettings via load_settings
 - datasets: Dataset, preset_spec, gen_gaussian_imbalanced, load_csv, save_csv
 - checkpoints: Checkpoint, save_checkpoint, load_checkpoint
-- errors: ContractError, DataFormatError, DivergenceError, HingeKinkError,
-  ShapeError
+- errors: ContractError, DataFormatError, DivergenceError, ShapeError
 """
 
 from .centers import CenterTable, compute_centers
 from .config import RunSettings, load_settings
 from .datasets import Dataset, gen_gaussian_imbalanced, load_csv, preset_spec, save_csv
-from .errors import (ContractError, DataFormatError, DivergenceError,
-                     HingeKinkError, ShapeError)
+from .errors import ContractError, DataFormatError, DivergenceError, ShapeError
 from .losses import LossHyper
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
 from .training import (OptimizerConfig, RunRecord, Stage1Config, Stage2Config,
@@ -35,7 +33,7 @@ __all__ = [
     "RunSettings", "load_settings",
     "Dataset", "preset_spec", "gen_gaussian_imbalanced", "load_csv", "save_csv",
     "Checkpoint", "save_checkpoint", "load_checkpoint",
-    "ContractError", "DataFormatError", "DivergenceError", "HingeKinkError", "ShapeError",
+    "ContractError", "DataFormatError", "DivergenceError", "ShapeError",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ A Tensor wraps a float64 ndarray (row-major) and records, for each derived
 value, its parent tensors and a vector-Jacobian-product closure.  Calling
 ``backward()`` on a scalar propagates gradients to every tensor in the graph
 that requires them.  Gradients accumulate across repeated backward calls
-until ``zero_grad`` resets them.
+until the caller resets ``grad`` to None.
 
 Three fused ops cover the hot subgraphs of training, each as one graph
 node: ``affine`` (the dense layer ``x @ W + b``), ``lp_dist`` (the L_p
@@ -16,19 +16,16 @@ the order that chain reaches them, so gradients accumulate in the same
 order and training stays bit for bit what the chain gave.  VJPs compute no
 gradient for a parent with ``requires_grad=False``.
 
-Hinge-style ops (relu, fractional powers) define their gradient as 0
-at the kink; ``finite_diff_check`` refuses to certify gradients at points
-too close to such kinks and raises HingeKinkError instead.  ``lp_dist``
-flags what its chain flagged: for p = 1 every zero coordinate of x - y (the
-kink of |t|), for p > 1 only a distance of 0 (the kink of the 1/p power;
-|t|^p is smooth at 0 for p > 1).
+Where an op is not differentiable its gradient is defined as 0: relu at
+0, ``lp_dist`` at a zero coordinate of x - y for p = 1 and at a distance
+of 0 for p > 1, and ``pow`` with an exponent below 1 at 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, HingeKinkError, ShapeError
+from .errors import ContractError, ShapeError
 
 _grad_enabled = True
 
@@ -64,7 +61,7 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_kink_tol_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -72,7 +69,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._vjp = None
-        self._kink_tol_fn = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -91,21 +87,10 @@ class Tensor:
 
     # -- basic protocol --------------------------------------------------------
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return self.data.item()
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -169,7 +154,7 @@ class Tensor:
         """Elementwise power with a constant exponent.
 
         For p < 1 the derivative is unbounded at 0; the gradient there is
-        defined as 0 and the point is treated as a kink.
+        defined as 0.
         """
         a = self
         p = float(p)
@@ -181,10 +166,7 @@ class Tensor:
             d = np.where(np.isfinite(d), d, 0.0)
             return (g * d,)
 
-        out = Tensor._from_op(data, (a,), vjp)
-        if p < 1.0 and p != 0.0:
-            out._kink_tol_fn = lambda tol: bool(np.any(np.abs(a.data) < tol))
-        return out
+        return Tensor._from_op(data, (a,), vjp)
 
     def lp_dist(self, other, p: int) -> "Tensor":
         """L_p distance (sum |x - y|^p)^(1/p) along the last axis, for an integer p >= 1.
@@ -215,12 +197,7 @@ class Tensor:
             return (g_diff if x.requires_grad else None,
                     -g_diff if y.requires_grad else None)
 
-        out = Tensor._from_op(data, (x, y), vjp)
-        if fp == 1.0:
-            out._kink_tol_fn = lambda tol: bool(np.any(mag < tol))
-        else:
-            out._kink_tol_fn = lambda tol: bool(np.any(np.abs(s) < tol))
-        return out
+        return Tensor._from_op(data, (x, y), vjp)
 
     def log_softmax_pick(self, labels) -> "Tensor":
         """log softmax(row)[label] for each row of [B, K] logits; returns shape [B].
@@ -256,18 +233,12 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         a = self
-        out = Tensor._from_op(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
-        out._kink_tol_fn = lambda tol: bool(np.any(np.abs(a.data) < tol))
-        return out
+        return Tensor._from_op(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
 
     def exp(self) -> "Tensor":
         a = self
         data = np.exp(a.data)
         return Tensor._from_op(data, (a,), lambda g: (g * data,))
-
-    def log(self) -> "Tensor":
-        a = self
-        return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
     def tanh(self) -> "Tensor":
         a = self
@@ -306,7 +277,7 @@ class Tensor:
 
     # -- backward ----------------------------------------------------------------
 
-    def _toposort(self, grad_only: bool = False):
+    def _toposort(self):
         order, visited, stack = [], set(), [(self, False)]
         while stack:
             node, done = stack.pop()
@@ -318,7 +289,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited and (p.requires_grad or not grad_only):
+                if id(p) not in visited and p.requires_grad:
                     stack.append((p, False))
         return order  # parents before children
 
@@ -328,7 +299,7 @@ class Tensor:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.data.shape}")
         if not self.requires_grad:
             raise ContractError("backward() on a tensor with no graph attached")
-        order = self._toposort(grad_only=True)
+        order = self._toposort()
         grads = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
             g = grads.pop(id(node), None)
@@ -342,57 +313,3 @@ class Tensor:
                     grads[key] = grads[key] + pg if key in grads else pg
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
-
-    def graph_has_kink(self, tol: float) -> bool:
-        """True when any hinge-style op in this graph was evaluated within tol of its kink.
-
-        Walks constant nodes too: a hinge op on constants still flags.
-        """
-        for node in self._toposort():
-            if node._kink_tol_fn is not None and node._kink_tol_fn(tol):
-                return True
-        return False
-
-
-def finite_diff_check(loss_fn, point, step: float = 1e-5, kink_tol: float | None = None) -> float:
-    """Compare analytic gradients of ``loss_fn`` against central finite differences.
-
-    ``point`` is a sequence of numpy arrays; ``loss_fn`` receives one Tensor per
-    array and must return a scalar Tensor.  Returns the max over all coordinates
-    of |analytic - numeric| / max(1, |numeric|).  Raises HingeKinkError when the
-    loss graph at ``point`` passes within ``kink_tol`` (default 100*step) of a
-    nondifferentiable point; callers are expected to perturb and retry.
-    """
-    if kink_tol is None:
-        kink_tol = 100.0 * step
-    arrays = [np.asarray(a, dtype=np.float64) for a in point]
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    loss = loss_fn(*leaves)
-    if not isinstance(loss, Tensor) or loss.data.size != 1:
-        raise ContractError("loss_fn must return a scalar Tensor")
-    if loss.graph_has_kink(kink_tol):
-        raise HingeKinkError("gradient check requested at a hinge kink; perturb the point")
-    loss.backward()
-
-    def value_at(mutated):
-        with no_grad():
-            return loss_fn(*[Tensor(a) for a in mutated]).item()
-
-    worst = 0.0
-    for i, a in enumerate(arrays):
-        analytic = leaves[i].grad
-        if analytic is None:
-            analytic = np.zeros_like(a)
-        flat = a.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            up = value_at(arrays)
-            flat[j] = orig - step
-            down = value_at(arrays)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * step)
-            err = abs(analytic.reshape(-1)[j] - numeric) / max(1.0, abs(numeric))
-            if err > worst:
-                worst = err
-    return worst

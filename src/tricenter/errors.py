@@ -15,7 +15,3 @@ class DataFormatError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or parameter."""
-
-
-class HingeKinkError(RuntimeError):
-    """A gradient check was attempted at (or too near) a nondifferentiable point."""

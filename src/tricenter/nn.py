@@ -14,7 +14,7 @@ from .autodiff import Tensor
 from .centers import CENTER_MODES, CenterTable
 from .errors import ContractError, DataFormatError, ShapeError
 
-_ACTIVATIONS = {"relu": Tensor.relu, "tanh": Tensor.tanh}
+ACTIVATIONS = {"relu": Tensor.relu, "tanh": Tensor.tanh}
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -22,7 +22,24 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
-class FeatureExtractor:
+class _Module:
+    """Copying out and loading back the arrays of ``parameters()``."""
+
+    def state(self) -> list[np.ndarray]:
+        return [p.data.copy() for p in self.parameters()]
+
+    def load_state(self, arrays) -> None:
+        params = self.parameters()
+        if len(arrays) != len(params):
+            raise ContractError(f"state holds {len(arrays)} arrays for {len(params)} parameters")
+        for p, a in zip(params, arrays):
+            if p.data.shape != a.shape:
+                raise ShapeError(f"state shape {a.shape} does not match parameter {p.data.shape}")
+        for p, a in zip(params, arrays):
+            p.data = np.array(a, dtype=np.float64)
+
+
+class FeatureExtractor(_Module):
     """MLP mapping input rows to embedding rows.
 
     ``layer_sizes`` runs from the input width to the embedding dimension.
@@ -33,7 +50,7 @@ class FeatureExtractor:
     def __init__(self, layer_sizes, activation: str = "relu", rng: np.random.Generator | None = None):
         if len(layer_sizes) < 2 or any(int(s) < 1 for s in layer_sizes):
             raise ContractError(f"layer_sizes must hold >= 2 positive extents, got {layer_sizes}")
-        if activation not in _ACTIVATIONS:
+        if activation not in ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")
         if rng is None:
             rng = np.random.default_rng(0)
@@ -65,7 +82,7 @@ class FeatureExtractor:
         if batch.data.ndim != 2 or batch.data.shape[1] != self.in_dim:
             raise ShapeError(
                 f"expected batch of shape [B, {self.in_dim}], got {batch.data.shape}")
-        act = _ACTIVATIONS[self.activation]
+        act = ACTIVATIONS[self.activation]
         x = batch
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -76,20 +93,8 @@ class FeatureExtractor:
 
     __call__ = forward
 
-    def state(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
 
-    def load_state(self, arrays) -> None:
-        params = self.parameters()
-        if len(arrays) != len(params):
-            raise ContractError("state length does not match parameter count")
-        for p, a in zip(params, arrays):
-            if p.data.shape != a.shape:
-                raise ShapeError(f"state shape {a.shape} does not match parameter {p.data.shape}")
-            p.data = np.array(a, dtype=np.float64)
-
-
-class LinearHead:
+class LinearHead(_Module):
     """Single linear layer producing class logits from embeddings."""
 
     def __init__(self, in_dim: int, n_classes: int, rng: np.random.Generator | None = None):
@@ -106,15 +111,6 @@ class LinearHead:
 
     __call__ = forward
 
-    def state(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
-
-    def load_state(self, arrays) -> None:
-        for p, a in zip(self.parameters(), arrays):
-            if p.data.shape != a.shape:
-                raise ShapeError(f"state shape {a.shape} does not match parameter {p.data.shape}")
-            p.data = np.array(a, dtype=np.float64)
-
 
 class Adam:
     """Bias-corrected Adam over a list of parameter Tensors.
@@ -129,8 +125,10 @@ class Adam:
 
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.99, epsilon: float = 1e-8):
-        if lr <= 0 or epsilon <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1):
-            raise ContractError("Adam hyperparameters out of range")
+        if not (math.isfinite(lr) and lr > 0 and math.isfinite(epsilon) and epsilon > 0
+                and 0 < beta1 < 1 and 0 < beta2 < 1):
+            raise ContractError(f"Adam hyperparameters out of range: lr={lr} beta1={beta1} "
+                                f"beta2={beta2} epsilon={epsilon}")
         self.params = list(params)
         if not self.params:
             raise ContractError("Adam needs at least one parameter")

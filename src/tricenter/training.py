@@ -28,7 +28,8 @@ from .centers import CENTER_MODES, CenterTable, compute_centers, init_trainable_
 from .datasets import Dataset
 from .errors import ContractError, DivergenceError
 from .losses import LossHyper
-from .nn import Adam, FeatureExtractor, LinearHead, config_fingerprint, params_fingerprint
+from .nn import (ACTIVATIONS, Adam, FeatureExtractor, LinearHead, config_fingerprint,
+                 params_fingerprint)
 
 log = logging.getLogger(__name__)
 
@@ -136,6 +137,11 @@ class TrainConfig:
         if not (self.embedding_dim >= 1 and self.embedding_dim % 1 == 0):  # nan and inf fail too
             raise ContractError(f"embedding dimension must be a positive integer, got {self.embedding_dim!r}")
         self.embedding_dim = int(self.embedding_dim)
+        if not all(isinstance(h, (int, np.integer)) and h >= 1 for h in self.hidden):
+            raise ContractError(f"hidden widths must be positive integers, got {self.hidden!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ContractError(f"unknown activation {self.activation!r}; expected one of "
+                                f"{sorted(ACTIVATIONS)}")
         if self.stage2.freeze_layers > len(self.hidden):
             raise ContractError(f"freeze_layers = {self.stage2.freeze_layers} leaves none of "
                                 f"the {len(self.hidden) + 1} layers to train")

@@ -5,7 +5,8 @@ predicts batch-wise (``centers.nearest_center_predict_batch``).  These are
 the one-unit forms, written as the formulas read: the three metric losses,
 their center-involved variants, cross entropy, focal loss, the mean of a
 list of unit losses, and the nearest center of one embedding.  The tests
-pin the batched code to them.
+pin the batched code to them.  ``log`` is the graph node the log-sum-exp
+oracles need.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from tricenter.losses import LossHyper
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+
+
+def log(a: Tensor) -> Tensor:
+    """Elementwise natural log as a graph node; the engine has no log op."""
+    return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def lp_distance(x, y, p_norm: int = 2) -> Tensor:
@@ -109,7 +115,7 @@ def cross_entropy(logits, label: int, weights=None) -> Tensor:
         raise ContractError(f"label {label} out of range for {k} classes")
     shift = float(np.max(logits.data))  # constant, cancels in value and gradient
     shifted = logits - shift
-    log_probs = shifted - shifted.exp().sum().log()
+    log_probs = shifted - log(shifted.exp().sum())
     onehot = np.zeros(k)
     onehot[int(label)] = 1.0
     nll = -(log_probs * onehot).sum()
@@ -131,7 +137,7 @@ def focal_loss(logits, label: int, gamma: float = 2.0, weights=None) -> Tensor:
         raise ContractError(f"label {label} out of range for {k} classes")
     shift = float(np.max(logits.data))
     shifted = logits - shift
-    log_probs = shifted - shifted.exp().sum().log()
+    log_probs = shifted - log(shifted.exp().sum())
     onehot = np.zeros(k)
     onehot[int(label)] = 1.0
     log_pt = (log_probs * onehot).sum()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from tricenter.autodiff import Tensor, finite_diff_check, no_grad
-from tricenter.errors import ContractError, HingeKinkError, ShapeError
+from tricenter.autodiff import Tensor, no_grad
+from tricenter.errors import ContractError, ShapeError
+
+from gradcheck import HingeKinkError, finite_diff_check
+from scalar_oracles import log
 
 
 def test_add_mul_backward():
@@ -104,9 +107,17 @@ def test_finite_diff_flags_hinge_kink():
         finite_diff_check(loss_fn, [np.array([0.5, -0.5])])
 
 
+def test_finite_diff_ignores_a_kink_no_input_reaches():
+    # relu of a constant at its hinge: the loss is smooth in v all the same
+    def loss_fn(v):
+        return (v * v).sum() + Tensor(0.0).relu()
+
+    assert finite_diff_check(loss_fn, [np.array([0.3, -1.2])]) < 1e-8
+
+
 def test_exp_log_chain():
     def loss_fn(v):
-        return (v.exp() + 1.0).log().sum()
+        return log(v.exp() + 1.0).sum()
 
     assert finite_diff_check(loss_fn, [np.array([0.1, -0.7, 1.3])]) < 1e-8
 

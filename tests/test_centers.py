@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tricenter.autodiff import Tensor, finite_diff_check
+from tricenter.autodiff import Tensor
 from tricenter.centers import (CenterTable, compute_centers, embed_all,
                                init_trainable_centers, nearest_center_predict_batch)
 from tricenter.distance import BLOCK_FLOATS
@@ -10,6 +10,7 @@ from tricenter.losses import LossHyper, triplet_loss_mean
 from tricenter.nn import Adam, FeatureExtractor
 from tricenter.sampling import DatasetIndex
 
+from gradcheck import finite_diff_check
 from scalar_oracles import nearest_center_predict
 
 

@@ -191,11 +191,14 @@ def write_ini(path, *layers):
     ({"optimizer": {"lr": "nan"}}, "optimizer settings out of range"),
     ({"run": {"method": "baseline:wfce"}, "baseline": {"focal_gamma": "nan"}},
      "focal_gamma must be finite and >= 0, got nan"),
+    ({"model": {"activation": "sigmoid"}}, "unknown activation 'sigmoid'"),
+    ({"model": {"hidden": "0,8"}}, "hidden widths must be positive integers, got (0, 8)"),
 ], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "zero_p_norm", "negative_beta",
         "negative_stage2_lr", "freeze_every_layer", "quadruplet_stage2_alpha_below_beta",
         "quadruplet_alpha_at_beta", "negative_baseline_epochs", "triplet_one_per_class",
         "quadruplet_one_per_class", "pairwise_zero_per_class", "negative_freeze_layers",
-        "negative_seed", "nan_optimizer_lr", "nan_focal_gamma"])
+        "negative_seed", "nan_optimizer_lr", "nan_focal_gamma", "unknown_activation",
+        "zero_hidden_width"])
 def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sections, message):
     config = write_ini(tmp_path / "config.ini", SHORT, sections)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1

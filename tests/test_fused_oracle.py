@@ -3,10 +3,12 @@
 The functions below are the elementary-op chains that ``Tensor.affine``,
 ``Tensor.lp_dist`` and ``Tensor.log_softmax_pick`` fold into one node, and
 the per-parameter Adam loop; ``matmul`` and ``abs_pow`` are the removed
-``Tensor`` methods, kept verbatim.  A fused op must give the same value,
-the same gradient for every operand and the same kink flags, all bit for
-bit: gradients accumulate into shared tensors in graph order, so a single
-reordered float operation or parent would change seeded training runs.
+``Tensor`` methods, kept verbatim, and ``log`` comes from the scalar
+oracles.  A fused op must give the same value and the same gradient for
+every operand, all bit for bit: gradients accumulate into shared tensors
+in graph order, so a single reordered float operation or parent would
+change seeded training runs.  Where the ops have kinks, the numerical
+check of ``gradcheck`` must find them at the same points.
 """
 
 import itertools
@@ -21,6 +23,9 @@ from tricenter.errors import ContractError, ShapeError
 from tricenter.losses import (LossHyper, cross_entropy_mean, focal_loss_mean,
                               quadruplet_loss_mean, triplet_loss_mean)
 from tricenter.nn import Adam, FeatureExtractor, LinearHead
+
+from gradcheck import HingeKinkError, finite_diff_check
+from scalar_oracles import log
 
 
 # -- reference oracles: the chains the fused ops replace -------------------------
@@ -39,10 +44,7 @@ def abs_pow(a, p):
     def vjp(g):
         return (g * (p * np.power(mag, p - 1.0)) * np.sign(a.data),)
 
-    out = Tensor._from_op(np.power(mag, p), (a,), vjp)
-    if p == 1.0:
-        out._kink_tol_fn = lambda tol: bool(np.any(mag < tol))
-    return out
+    return Tensor._from_op(np.power(mag, p), (a,), vjp)
 
 
 def affine_chain(x, w, b):
@@ -58,7 +60,7 @@ def lp_chain(x, y, p):
 def log_softmax_pick_chain(logits, labels):
     shift = logits.data.max(axis=1, keepdims=True)
     shifted = logits - shift
-    log_probs = shifted - shifted.exp().sum(axis=1, keepdims=True).log()
+    log_probs = shifted - log(shifted.exp().sum(axis=1, keepdims=True))
     b, k = logits.data.shape
     onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
@@ -163,21 +165,27 @@ def test_lp_dist_matches_chain(p, flags, shape):
     (d_f * weights).sum().backward()
     (d_c * weights).sum().backward()
     assert_same_grads(fused, chain)
-    for tol in (0.0, 1e-3, 0.05, 0.5):
-        assert d_f.graph_has_kink(tol) == d_c.graph_has_kink(tol)
+
+
+def fused_and_chain_distance(y, p):
+    """The summed distance to ``y``, once through ``lp_dist`` and once through its chain."""
+    return (lambda x: x.lp_dist(y, p).sum(), lambda x: lp_chain(x, Tensor(y), p).sum())
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_lp_dist_kink_flags_at_zero_distance_and_zero_coordinate(p):
-    same = Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]), requires_grad=True)
-    d = same.lp_dist(np.array([[1.0, -2.0], [0.0, 0.0]]), p)  # row 0 at d = 0
-    assert d.graph_has_kink(1e-3)
-    assert lp_chain(same, Tensor(np.array([[1.0, -2.0], [0.0, 0.0]])), p).graph_has_kink(1e-3)
+    x = np.array([[1.0, -2.0], [3.0, 4.0]])
+    for loss_fn in fused_and_chain_distance(np.array([[1.0, -2.0], [0.0, 0.0]]), p):  # row 0 at d = 0
+        with pytest.raises(HingeKinkError):
+            finite_diff_check(loss_fn, [x])
     # x - y = (2, 0, 0): a kink of |t| for p = 1 only
-    x = Tensor(np.array([3.0, 1.0, -1.0]), requires_grad=True)
-    y = np.array([1.0, 1.0, -1.0])
-    assert x.lp_dist(y, p).graph_has_kink(1e-3) == (p == 1)
-    assert lp_chain(x, Tensor(y), p).graph_has_kink(1e-3) == (p == 1)
+    x = np.array([3.0, 1.0, -1.0])
+    for loss_fn in fused_and_chain_distance(np.array([1.0, 1.0, -1.0]), p):
+        if p == 1:
+            with pytest.raises(HingeKinkError):
+                finite_diff_check(loss_fn, [x])
+        else:
+            assert finite_diff_check(loss_fn, [x]) < 1e-8
 
 
 def test_lp_dist_rejects_bad_operands():
@@ -276,7 +284,8 @@ def test_log_softmax_pick_matches_chain(k):
     (out_f * weights).sum().backward()
     (out_c * weights).sum().backward()
     assert_same_bits(fused.grad, chain.grad)
-    assert not out_f.graph_has_kink(1.0)
+    # the row max is a constant shift, so a tie for it is no kink
+    assert finite_diff_check(lambda v: (v.log_softmax_pick(labels) * weights).sum(), [logits0]) < 1e-6
 
 
 @pytest.mark.parametrize("gamma", [0.0, 2.0])

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricenter.autodiff import Tensor, finite_diff_check
-from tricenter.errors import ContractError, HingeKinkError, ShapeError
+from tricenter.autodiff import Tensor
+from tricenter.errors import ContractError, ShapeError
 from tricenter.losses import (LossHyper, cross_entropy_mean, focal_loss_mean,
                               inverse_frequency_weights, lp_distance_rows,
                               pairwise_loss_mean, quadruplet_loss_mean, triplet_loss_mean)
 
+from gradcheck import HingeKinkError, finite_diff_check
 from scalar_oracles import (batch_mean, center_pairwise_loss, center_quadruplet_loss,
                             center_triplet_loss, cross_entropy, focal_loss, lp_distance,
                             pairwise_loss, quadruplet_loss, triplet_loss)

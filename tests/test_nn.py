@@ -96,11 +96,37 @@ class TestAdam:
         with pytest.raises(ContractError):
             opt.step()
 
+    @pytest.mark.parametrize("setting", [{"lr": float("nan")}, {"lr": float("inf")},
+                                         {"lr": 0.0}, {"epsilon": float("nan")},
+                                         {"epsilon": float("inf")}, {"epsilon": -1e-8}],
+                             ids=["nan_lr", "inf_lr", "zero_lr", "nan_epsilon", "inf_epsilon",
+                                  "negative_epsilon"])
+    def test_a_non_finite_or_non_positive_lr_or_epsilon_is_rejected(self, setting):
+        with pytest.raises(ContractError, match="Adam hyperparameters out of range"):
+            Adam([Tensor([1.0, -2.0], requires_grad=True)], **setting)
+
     def test_grads_untouched_by_step(self):
         p = Tensor([1.0], requires_grad=True)
         p.grad = np.array([0.5])
         Adam([p], lr=0.1).step()
         np.testing.assert_array_equal(p.grad, [0.5])
+
+
+@pytest.mark.parametrize("make", [lambda: FeatureExtractor([3, 4, 2], rng=np.random.default_rng(0)),
+                                  lambda: LinearHead(3, 2, rng=np.random.default_rng(0))],
+                         ids=["extractor", "head"])
+def test_load_state_rejects_a_short_or_misshapen_state(make):
+    module = make()
+    before = module.state()
+    with pytest.raises(ContractError, match="state holds 1 arrays for"):
+        module.load_state(before[:1])
+    with pytest.raises(ShapeError, match="state shape"):
+        module.load_state(before[:-1] + [np.zeros(7)])
+    for a, b in zip(before, module.state()):
+        assert np.array_equal(a, b)  # a refused state loads nothing
+    module.load_state([a + 1.0 for a in before])
+    for a, b in zip(before, module.state()):
+        assert np.array_equal(a + 1.0, b)
 
 
 class TestCheckpoint:
