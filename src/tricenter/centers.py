@@ -54,10 +54,6 @@ class CenterTable:
     def dim(self) -> int:
         return self.table.data.shape[1]
 
-    def rows(self, class_ids) -> Tensor:
-        """Differentiable row gather; gradients reach the table in trainable mode."""
-        return self.table.take(np.asarray(class_ids, dtype=np.intp))
-
 
 def embed_all(extractor, features: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.ndarray:
     """Forward a whole feature matrix without building a graph."""
@@ -76,28 +72,6 @@ def compute_centers(extractor, features: np.ndarray, index: DatasetIndex,
     emb = embed_all(extractor, features)
     rows = np.stack([emb[members].mean(axis=0) for members in index.by_class])
     return CenterTable(Tensor(rows), mode="computed", source_epoch=source_epoch, p_norm=p_norm)
-
-
-def init_trainable_centers(n_classes: int, dim: int, init: str = "from_computed",
-                           rng: np.random.Generator | None = None,
-                           source: CenterTable | None = None, p_norm: int = 2) -> CenterTable:
-    """Create a trainable table, warm-started from a computed one or random."""
-    if n_classes < 1 or dim < 1:
-        raise ContractError("center table needs n_classes >= 1 and dim >= 1")
-    if init == "from_computed":
-        if source is None:
-            raise ContractError("init='from_computed' needs a source table")
-        if source.matrix.shape != (n_classes, dim):
-            raise ContractError(f"source table shape {source.matrix.shape} does not match "
-                                f"({n_classes}, {dim})")
-        rows = source.matrix.copy()
-    elif init == "random":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        rows = rng.standard_normal((n_classes, dim))
-    else:
-        raise ContractError(f"unknown center init {init!r}")
-    return CenterTable(Tensor(rows, requires_grad=True), mode="trainable", p_norm=p_norm)
 
 
 def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable):

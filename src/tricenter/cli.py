@@ -76,16 +76,15 @@ def cmd_train(args) -> int:
         record = run_method(settings.train, dataset)
         report = evaluate_record(record, dataset, small_threshold=settings.small_class_threshold)
 
-    t = settings.train
-    if t.method == "two_stage" and record.stage1_state is not None:
+    if record.stage1_state is not None:
         # snapshot of the extractor right after stage 1
         s1_extractor = copy.deepcopy(record.extractor)
         s1_extractor.load_state(record.stage1_state)
         save_checkpoint(out / "stage1.ckpt", Checkpoint(
-            extractor=s1_extractor, epoch=t.stage1.epochs,
+            extractor=s1_extractor, epoch=len(record.stage1_losses),
             config_fingerprint=record.config_fingerprint))
     save_checkpoint(out / "final.ckpt", Checkpoint(
-        extractor=record.extractor, epoch=t.stage1.epochs + t.stage2.epochs,
+        extractor=record.extractor, epoch=len(record.stage1_losses) + len(record.stage2_losses),
         config_fingerprint=record.config_fingerprint, head=record.head,
         centers=record.centers))
 

@@ -14,4 +14,4 @@ class DataFormatError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or parameter."""
+    """Training produced a non-finite loss."""

@@ -10,6 +10,11 @@ extractor.
 Baselines (bce/wce/oce/wfce) train a linear classifier head on top of the
 extractor in a single stage and predict by argmax instead of by nearest
 center.
+
+Every stage and baseline runs the same epoch loop, ``_fit``, with one stop
+rule: an epoch that steps no batch ends that loop and marks the run
+``converged_early``.  Only stage 2 meets it in practice (no center unit
+qualifies); stage-1 miners and the baselines score every valid batch.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import losses, sampling
 from .autodiff import Tensor
-from .centers import CENTER_MODES, CenterTable, compute_centers, init_trainable_centers
+from .centers import CENTER_MODES, CenterTable, compute_centers
 from .datasets import Dataset
 from .errors import ContractError, DivergenceError
 from .losses import LossHyper
@@ -175,34 +180,6 @@ class RunRecord:
     status: str = "completed"
 
 
-def _steps(opt: Adam, plans, batch_loss: Callable, context: str) -> list:
-    """One Adam step per plan whose batch loss is not None; returns the loss values."""
-    values = []
-    for plan in plans:
-        opt.zero_grad()
-        loss = batch_loss(plan)
-        if loss is None:
-            continue
-        value = loss.item()
-        if not math.isfinite(value):
-            raise DivergenceError(f"non-finite loss during {context}; aborting run")
-        loss.backward()
-        opt.step()
-        values.append(value)
-    return values
-
-
-def _end_epoch(values: list, t0: float, loss_sink: list, time_sink: list,
-               stage: str, epoch: int):
-    """Record an epoch's mean batch loss (0.0 when no batch stepped) and wall
-    time, and log them at INFO level."""
-    mean_loss = float(np.mean(values)) if values else 0.0
-    seconds = time.perf_counter() - t0
-    loss_sink.append(mean_loss)
-    time_sink.append(seconds)
-    log.info("%s epoch %d  loss %.6f  time %.3fs", stage, epoch, mean_loss, seconds)
-
-
 def build_extractor(config: TrainConfig, in_dim: int, rng: np.random.Generator) -> FeatureExtractor:
     sizes = [in_dim, *config.hidden, config.embedding_dim]
     return FeatureExtractor(sizes, activation=config.activation, rng=rng)
@@ -236,6 +213,15 @@ class _Family:
     row_columns: int
     min_classes: int
 
+    def score(self, units: np.ndarray, sources: list, hyper: LossHyper) -> Tensor | None:
+        """The loss on gathered rows: id column ``i`` of ``units`` gathers
+        rows of ``sources[i]``, the batch embeddings or the center table (so
+        a trainable table gets the gradient); None when no units formed."""
+        if not len(units):
+            return None
+        rows = [source.take(ids) for source, ids in zip(sources, units.T)]
+        return getattr(losses, self.loss)(*rows, *units.T[self.row_columns:], hyper)
+
 
 _FAMILIES = {
     "triplet": _Family(
@@ -267,44 +253,7 @@ def _metric_batch_loss(config: TrainConfig, emb: Tensor, plan, rng) -> Tensor | 
     """Stage-1 loss over one balanced batch; None when no units formed."""
     family = _FAMILIES[config.loss_family]
     units = family.mine(config, plan, emb.data, rng)
-    if not len(units):
-        return None
-    k = family.row_columns
-    rows = [emb.take(ids) for ids in units.T[:k]]
-    return getattr(losses, family.loss)(*rows, *units.T[k:], config.hyper)
-
-
-def run_stage1(config: TrainConfig, dataset: Dataset, extractor: FeatureExtractor,
-               rng: np.random.Generator, loss_sink: list, time_sink: list,
-               head: LinearHead | None = None, epochs: int | None = None) -> None:
-    """Balanced-batch metric training; mutates the extractor in place and
-    appends each epoch's mean loss and wall time to the two sinks."""
-    s1 = config.stage1
-    epochs = s1.epochs if epochs is None else epochs
-    if epochs == 0:
-        return
-    _require_classes(config, dataset)
-    dataset.index.require_nonempty_classes()
-    params = extractor.parameters()
-    if head is not None:
-        params = params + head.parameters()
-    opt = Adam(params, **asdict(config.optimizer))
-    batch_size = dataset.n_classes * s1.m_per_class
-    n_batches = max(1, math.ceil(dataset.features.shape[0] / batch_size))
-
-    def batch_loss(plan):
-        emb = extractor(Tensor(dataset.features[plan.indices]))
-        loss = _metric_batch_loss(config, emb, plan, rng)
-        if loss is not None and s1.lambda_ce > 0:
-            loss = loss + s1.lambda_ce * losses.cross_entropy_mean(head(emb), plan.labels)
-        return loss
-
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        plans = (sampling.build_balanced_batch(dataset.index, s1.m_per_class, rng)
-                 for _ in range(n_batches))
-        values = _steps(opt, plans, batch_loss, "stage 1")
-        _end_epoch(values, t0, loss_sink, time_sink, "stage1", epoch)
+    return family.score(units, [emb] * family.row_columns, config.hyper)
 
 
 def _center_stage_batch_loss(config: TrainConfig, emb: Tensor, plan,
@@ -314,54 +263,125 @@ def _center_stage_batch_loss(config: TrainConfig, emb: Tensor, plan,
     batch; None when nothing qualifies."""
     family = _FAMILIES[config.loss_family]
     units = family.mine_centers(plan, emb.data, centers.matrix, hyper, rng)
-    if not len(units):
-        return None
-    k = family.row_columns
-    rows = [emb.take(units[:, 0])] + [centers.rows(ids) for ids in units.T[1:k]]
-    return getattr(losses, family.loss)(*rows, *units.T[k:], hyper)
+    return family.score(units, [emb] + [centers.table] * (family.row_columns - 1), hyper)
 
 
-def run_stage2(config: TrainConfig, dataset: Dataset, extractor: FeatureExtractor,
-               rng: np.random.Generator, record: RunRecord) -> CenterTable | None:
-    """Center-involved fine-tuning; returns the final center table."""
+def _start(config: TrainConfig, dataset: Dataset, method: str,
+           head: bool) -> tuple[np.random.Generator, RunRecord]:
+    """The run's generator and a record holding a fresh extractor, and a
+    classifier head when ``head`` is set, both drawn from that generator."""
+    rng = np.random.default_rng(config.seed)
+    extractor = build_extractor(config, dataset.in_dim, rng)
+    return rng, RunRecord(
+        method=method, seed=config.seed, config_fingerprint=config_fingerprint(config.to_dict()),
+        extractor=extractor,
+        head=LinearHead(extractor.out_dim, dataset.n_classes, rng=rng) if head else None)
+
+
+def _fit(record: RunRecord, stage: int, epochs: int, opt: Adam, epoch_plans: Callable,
+         batch_loss: Callable, label: str) -> None:
+    """The epoch loop of every trainer: one Adam step per plan of
+    ``epoch_plans(epoch)`` whose ``batch_loss`` is not None.
+
+    Each epoch's mean batch loss (0.0 when no batch stepped) and wall time
+    go to the record's lists of ``stage`` (1 or 2) and to the INFO log.  An
+    epoch that steps no batch ends the loop and marks the run
+    ``converged_early``.
+    """
+    loss_sink, time_sink = ((record.stage1_losses, record.stage1_epoch_times) if stage == 1
+                            else (record.stage2_losses, record.stage2_epoch_times))
+    for epoch in range(epochs):
+        t0 = time.perf_counter()
+        values = []
+        for plan in epoch_plans(epoch):
+            opt.zero_grad()
+            loss = batch_loss(plan)
+            if loss is None:
+                continue
+            values.append(loss.item())
+            if not math.isfinite(values[-1]):
+                raise DivergenceError(f"non-finite loss during {label}; aborting run")
+            loss.backward()
+            opt.step()
+        loss_sink.append(float(np.mean(values)) if values else 0.0)
+        time_sink.append(time.perf_counter() - t0)
+        log.info("%s epoch %d  loss %.6f  time %.3fs", label, epoch, loss_sink[-1], time_sink[-1])
+        if not values:
+            record.status = "converged_early"
+            return
+
+
+def run_stage1(config: TrainConfig, dataset: Dataset, record: RunRecord,
+               rng: np.random.Generator, stage: int = 1) -> None:
+    """Balanced-batch metric training of the record's extractor, and of its
+    head under ``lambda_ce``, in place.
+
+    ``stage=2`` spends the stage-2 budget on this training instead of the
+    center stage (``centered = false``) and records into the stage-2 lists.
+    Each call starts a fresh optimizer.
+    """
+    s1 = config.stage1
+    epochs = s1.epochs if stage == 1 else config.stage2.epochs
+    if epochs == 0:
+        return
+    _require_classes(config, dataset)
+    dataset.index.require_nonempty_classes()
+    extractor, head = record.extractor, record.head
+    params = extractor.parameters() + (head.parameters() if head is not None else [])
+    opt = Adam(params, **asdict(config.optimizer))
+    batch_size = dataset.n_classes * s1.m_per_class
+    n_batches = max(1, math.ceil(dataset.features.shape[0] / batch_size))
+
+    def epoch_plans(epoch):  # lazy: each batch draw precedes that batch's mining draws
+        return (sampling.build_balanced_batch(dataset.index, s1.m_per_class, rng)
+                for _ in range(n_batches))
+
+    def batch_loss(plan):
+        emb = extractor(Tensor(dataset.features[plan.indices]))
+        loss = _metric_batch_loss(config, emb, plan, rng)
+        if loss is not None and head is not None:
+            loss = loss + s1.lambda_ce * losses.cross_entropy_mean(head(emb), plan.labels)
+        return loss
+
+    _fit(record, stage, epochs, opt, epoch_plans, batch_loss, "stage 1")
+
+
+def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
+               rng: np.random.Generator) -> CenterTable | None:
+    """Center-involved fine-tuning of the record's extractor; returns the
+    final center table."""
     s2 = config.stage2
     hyper = _stage2_hyper(config)
     _require_classes(config, dataset)
-    features = dataset.features
+    extractor, features = record.extractor, dataset.features
     params = _trainable_params(extractor, s2.freeze_layers)
 
     centers: CenterTable | None = None
     if s2.center_mode == "trainable":
         if s2.center_init == "from_computed":
-            source = compute_centers(extractor, features, dataset.index, source_epoch=-1)
-            centers = init_trainable_centers(dataset.n_classes, extractor.out_dim,
-                                             init="from_computed", source=source,
-                                             p_norm=hyper.p_norm)
+            rows = compute_centers(extractor, features, dataset.index).matrix
         else:
-            centers = init_trainable_centers(dataset.n_classes, extractor.out_dim,
-                                             init="random", rng=rng, p_norm=hyper.p_norm)
+            rows = rng.standard_normal((dataset.n_classes, extractor.out_dim))
+        centers = CenterTable(Tensor(rows, requires_grad=True), "trainable", p_norm=hyper.p_norm)
         params = params + [centers.table]
 
     optimizer = config.optimizer if s2.lr is None else replace(config.optimizer, lr=s2.lr)
     opt = Adam(params, **asdict(optimizer))
 
-    def batch_loss(plan):  # reads the current ``centers``
-        emb = extractor(Tensor(features[plan.indices]))
-        return _center_stage_batch_loss(config, emb, plan, centers, hyper, rng)
-
-    for epoch in range(s2.epochs):
-        t0 = time.perf_counter()
+    def epoch_plans(epoch):
+        nonlocal centers
         if s2.center_mode == "computed" and (s2.refresh_each_epoch or centers is None):
             fingerprint = params_fingerprint(extractor.state())
             centers = compute_centers(extractor, features, dataset.index,
                                       source_epoch=epoch - 1, p_norm=hyper.p_norm)
             record.center_refreshes.append((epoch, fingerprint))
-        plans = sampling.flat_batch_plans(dataset.labels, s2.batch_size, rng)
-        values = _steps(opt, plans, batch_loss, "stage 2")
-        _end_epoch(values, t0, record.stage2_losses, record.stage2_epoch_times, "stage2", epoch)
-        if not values:
-            record.status = "converged_early"
-            break
+        return sampling.flat_batch_plans(dataset.labels, s2.batch_size, rng)
+
+    def batch_loss(plan):  # reads the current ``centers``
+        emb = extractor(Tensor(features[plan.indices]))
+        return _center_stage_batch_loss(config, emb, plan, centers, hyper, rng)
+
+    _fit(record, 2, s2.epochs, opt, epoch_plans, batch_loss, "stage 2")
     return centers
 
 
@@ -375,26 +395,15 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     the final parameters over the whole training set, trainable-center runs
     keep their learned rows.
     """
-    rng = np.random.default_rng(config.seed)
-    extractor = build_extractor(config, dataset.in_dim, rng)
-    head = None
-    if config.stage1.lambda_ce > 0:
-        head = LinearHead(extractor.out_dim, dataset.n_classes, rng=rng)
-    record = RunRecord(method=config.method, seed=config.seed,
-                       config_fingerprint=config_fingerprint(config.to_dict()),
-                       extractor=extractor, head=head)
-
-    run_stage1(config, dataset, extractor, rng, record.stage1_losses, record.stage1_epoch_times,
-               head=head)
-    record.stage1_state = extractor.state()
+    rng, record = _start(config, dataset, config.method, head=config.stage1.lambda_ce > 0)
+    run_stage1(config, dataset, record, rng)
+    record.stage1_state = record.extractor.state()
 
     centers = None
-    if config.stage2.epochs > 0:
-        if config.centered:
-            centers = run_stage2(config, dataset, extractor, rng, record)
-        else:
-            run_stage1(config, dataset, extractor, rng, record.stage2_losses,
-                       record.stage2_epoch_times, head=head, epochs=config.stage2.epochs)
+    if not config.centered:
+        run_stage1(config, dataset, record, rng, stage=2)
+    elif config.stage2.epochs > 0:
+        centers = run_stage2(config, dataset, record, rng)
 
     final_choice = config.stage2.final_centers
     keep_learned = (centers is not None and centers.mode == "trainable"
@@ -402,7 +411,7 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     if keep_learned:
         record.centers = centers
     else:
-        record.centers = compute_centers(extractor, dataset.features, dataset.index,
+        record.centers = compute_centers(record.extractor, dataset.features, dataset.index,
                                          source_epoch=config.stage2.epochs,
                                          p_norm=config.hyper.p_norm)
     return record
@@ -417,12 +426,7 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset) -> RunRec
     """
     if strategy not in BASELINES:
         raise ContractError(f"unknown baseline {strategy!r}; expected one of {BASELINES}")
-    rng = np.random.default_rng(config.seed)
-    extractor = build_extractor(config, dataset.in_dim, rng)
-    head = LinearHead(extractor.out_dim, dataset.n_classes, rng=rng)
-    record = RunRecord(method=f"baseline:{strategy}", seed=config.seed,
-                       config_fingerprint=config_fingerprint(config.to_dict()),
-                       extractor=extractor, head=head)
+    rng, record = _start(config, dataset, f"baseline:{strategy}", head=True)
     dataset.index.require_nonempty_classes()
 
     weights = None
@@ -431,23 +435,22 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset) -> RunRec
     epochs = config.baseline_epochs
     if epochs is None:
         epochs = config.stage1.epochs + config.stage2.epochs
+    extractor, head = record.extractor, record.head
     opt = Adam(extractor.parameters() + head.parameters(), **asdict(config.optimizer))
-    features = dataset.features
+
+    def epoch_plans(epoch):
+        order = sampling.oversample_indices(dataset.index, rng) if strategy == "oce" else None
+        return sampling.flat_batch_plans(dataset.labels, config.baseline_batch_size, rng,
+                                         order=order)
 
     def batch_loss(plan):
-        logits = head(extractor(Tensor(features[plan.indices])))
+        logits = head(extractor(Tensor(dataset.features[plan.indices])))
         if strategy == "wfce":
             return losses.focal_loss_mean(logits, plan.labels,
                                           gamma=config.focal_gamma, weights=weights)
         return losses.cross_entropy_mean(logits, plan.labels, weights=weights)
 
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        order = sampling.oversample_indices(dataset.index, rng) if strategy == "oce" else None
-        plans = sampling.flat_batch_plans(dataset.labels, config.baseline_batch_size, rng,
-                                          order=order)
-        values = _steps(opt, plans, batch_loss, f"baseline {strategy}")
-        _end_epoch(values, t0, record.stage1_losses, record.stage1_epoch_times, strategy, epoch)
+    _fit(record, 1, epochs, opt, epoch_plans, batch_loss, f"baseline {strategy}")
     return record
 
 

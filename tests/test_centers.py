@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tricenter.autodiff import Tensor
-from tricenter.centers import (CenterTable, compute_centers, embed_all,
-                               init_trainable_centers, nearest_center_predict_batch)
+from tricenter.centers import CenterTable, compute_centers, embed_all, nearest_center_predict_batch
 from tricenter.distance import BLOCK_FLOATS
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper, triplet_loss_mean
@@ -69,38 +68,20 @@ class TestComputeCenters:
 
 
 class TestTrainableCenters:
-    def test_from_computed_copies_rows(self):
-        fx = identity_extractor(2)
-        features = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0]])
-        index = DatasetIndex.from_labels([0, 0, 1])
-        source = compute_centers(fx, features, index)
-        table = init_trainable_centers(2, 2, init="from_computed", source=source)
-        np.testing.assert_array_equal(table.matrix, source.matrix)
-        assert table.mode == "trainable"
-        assert table.table.requires_grad
-
-    def test_random_init_reproducible(self):
-        a = init_trainable_centers(3, 4, init="random", rng=np.random.default_rng(6))
-        b = init_trainable_centers(3, 4, init="random", rng=np.random.default_rng(6))
-        np.testing.assert_array_equal(a.matrix, b.matrix)
-
     def test_adam_step_moves_rows(self):
-        table = init_trainable_centers(3, 2, init="random", rng=np.random.default_rng(7))
+        draws = np.random.default_rng(7).standard_normal((3, 2))
+        table = CenterTable(Tensor(draws, requires_grad=True), "trainable")
         before = table.matrix.copy()
         opt = Adam([table.table], lr=0.01)
         anchor = Tensor(np.array([[5.0, 5.0]]))
         # Row 1 (the anchor-class center) is farther from the anchor than
         # row 0 (the negative center), so the hinge is active and the table
         # gets a nonzero gradient.
-        loss = triplet_loss_mean(anchor, table.rows([1]), table.rows([0]), LossHyper())
+        loss = triplet_loss_mean(anchor, table.table.take([1]), table.table.take([0]), LossHyper())
         assert loss.item() > 0
         loss.backward()
         opt.step()
         assert not np.array_equal(table.matrix, before)
-
-    def test_from_computed_requires_source(self):
-        with pytest.raises(ContractError):
-            init_trainable_centers(2, 2, init="from_computed")
 
     @pytest.mark.parametrize("p_norm", [0, -1, 1.5, "2"])
     def test_a_table_rejects_a_non_positive_or_non_integral_p_norm(self, p_norm):

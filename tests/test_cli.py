@@ -10,7 +10,8 @@ import tricenter
 from tricenter import cli, workflows
 from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable, embed_all
-from tricenter.datasets import Dataset, load_csv, save_csv
+from tricenter.datasets import (Dataset, SyntheticSpec, gen_gaussian_imbalanced, load_csv, save_csv,
+                                simplex_means)
 from tricenter.distance import lp_cdist
 from tricenter.nn import Checkpoint, FeatureExtractor, load_checkpoint, save_checkpoint
 
@@ -152,6 +153,33 @@ def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):
 
 
 SHORT = {"data": {"preset": "skin7-like"}, "stage1": {"epochs": "2"}, "stage2": {"epochs": "2"}}
+
+
+# A baseline trains its own [baseline] epochs; at alpha = 0 no stage-2 unit
+# qualifies on three far-apart classes, so stage 2 stops after one epoch.
+@pytest.mark.parametrize("run, epochs", [
+    ({"run": {"method": "baseline:oce"}, "baseline": {"epochs": "2"}}, 2),
+    ({"stage2": {"alpha": "0"}}, 3 + 1),
+], ids=["short_baseline", "stage2_stops_early"])
+def test_the_final_checkpoint_records_the_epochs_trained(tmp_path, run, epochs):
+    data = tmp_path / "far.csv"
+    save_csv(gen_gaussian_imbalanced(SyntheticSpec(sizes=[20, 10, 5], means=simplex_means(3, 4, 50.0),
+                                                   sigmas=np.full(3, 0.1))), data)
+    config = write_ini(tmp_path / "config.ini", {
+        "data": {"source": data}, "model": {"embedding_dim": "8", "hidden": "12"},
+        "stage1": {"epochs": "3", "m_per_class": "4"}, "stage2": {"epochs": "4"}}, run)
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert load_checkpoint(tmp_path / "out" / "final.ckpt").epoch == epochs
+
+
+# The overflow that makes the loss non-finite warns first.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_run_reports_an_error_without_traceback(tmp_path, capsys):
+    config = write_ini(tmp_path / "config.ini", SHORT, {"optimizer": {"lr": "1e300"}})
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss during stage 1") and "Traceback" not in err
+    assert not (tmp_path / "out" / "final.ckpt").exists()
 
 
 def write_ini(path, *layers):

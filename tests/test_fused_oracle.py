@@ -18,7 +18,7 @@ import pytest
 
 from tricenter import training
 from tricenter.autodiff import Tensor
-from tricenter.centers import init_trainable_centers
+from tricenter.centers import CenterTable
 from tricenter.errors import ContractError, ShapeError
 from tricenter.losses import (LossHyper, cross_entropy_mean, focal_loss_mean,
                               quadruplet_loss_mean, triplet_loss_mean)
@@ -312,7 +312,7 @@ def test_batch_losses_over_the_pick_match_chain(gamma):
 def _center_stage(seed, freeze_layers):
     rng = np.random.default_rng(seed)
     extractor = FeatureExtractor([6, 9, 8, 4], activation="tanh", rng=rng)
-    centers = init_trainable_centers(3, 4, init="random", rng=rng)
+    centers = CenterTable(Tensor(rng.standard_normal((3, 4)), requires_grad=True), "trainable")
     head = LinearHead(4, 3, rng=rng)
     params = training._trainable_params(extractor, freeze_layers) + [centers.table] + head.parameters()
     return extractor, centers, head, params
@@ -336,7 +336,8 @@ def test_flat_adam_matches_per_parameter_loop(freeze_layers):
             for p in params:
                 p.grad = None
             emb = extractor(Tensor(x))
-            loss = triplet_loss_mean(emb, centers.rows(labels), centers.rows((labels + 1) % 3),
+            loss = triplet_loss_mean(emb, centers.table.take(labels),
+                                     centers.table.take((labels + 1) % 3),
                                      hyper) + cross_entropy_mean(head(emb), labels)
             assert loss.item() > 0
             loss.backward()

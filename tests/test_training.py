@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from tricenter import sampling
-from tricenter.datasets import Dataset, gen_gaussian_imbalanced, preset_spec
-from tricenter.errors import ContractError
+from tricenter.centers import compute_centers
+from tricenter.datasets import (Dataset, SyntheticSpec, gen_gaussian_imbalanced, preset_spec,
+                                simplex_means)
+from tricenter.errors import ContractError, DivergenceError
 from tricenter.losses import LossHyper
-from tricenter.training import Stage1Config, Stage2Config, TrainConfig, run_two_stage
+from tricenter.training import (OptimizerConfig, Stage1Config, Stage2Config, TrainConfig,
+                                run_method, run_two_stage)
 from tricenter.workflows import run_holdout, run_sweep
 
 H = LossHyper()
@@ -94,6 +97,66 @@ def test_a_pairwise_config_with_one_sample_per_class_still_mines_negative_pairs(
 def test_triplet_and_quadruplet_configs_need_two_samples_per_class(family):
     with pytest.raises(ContractError, match=f"{family} batches need m_per_class >= 2, got 1"):
         config(loss_family=family, stage1=Stage1Config(m_per_class=1))
+
+
+def far_apart_classes() -> Dataset:
+    """Three tight classes far apart: no center-stage unit qualifies at alpha = 0."""
+    return gen_gaussian_imbalanced(SyntheticSpec(sizes=[20, 10, 5], means=simplex_means(3, 4, 50.0),
+                                                 sigmas=np.full(3, 0.1)))
+
+
+@pytest.mark.parametrize("center_mode", ["computed", "trainable"])
+def test_a_stage_two_that_mines_nothing_converges_early(center_mode):
+    data = far_apart_classes()
+    record = run_two_stage(config(stage2=Stage2Config(epochs=3, alpha=0.0,
+                                                      center_mode=center_mode)), data)
+    assert record.status == "converged_early"
+    assert record.stage2_losses == [0.0]
+    if center_mode == "trainable":  # no step moved the table off its computed start
+        final = compute_centers(record.extractor, data.features, data.index)
+        np.testing.assert_array_equal(record.centers.matrix, final.matrix)
+
+
+def _first_layer_kept(record, cfg, dataset):
+    return all(np.array_equal(a, b) for a, b in zip(record.extractor.state()[:2],
+                                                    record.stage1_state[:2]))
+
+
+# 1+2 epochs, so that a second stage-2 epoch can skip its center refresh.
+CONFIG_PATHS = {
+    "uncentered": (dict(centered=False),
+                   lambda r, cfg, ds: not r.center_refreshes and len(r.stage2_losses) == 2),
+    "lambda_ce": (dict(stage1=Stage1Config(epochs=1, m_per_class=4, lambda_ce=0.5)),
+                  lambda r, cfg, ds: r.head is not None),
+    "freeze_layers": (dict(stage2=Stage2Config(epochs=2, freeze_layers=1)), _first_layer_kept),
+    "no_refresh": (dict(stage2=Stage2Config(epochs=2, refresh_each_epoch=False)),
+                   lambda r, cfg, ds: len(r.center_refreshes) == 1),
+    "random_init": (dict(stage2=Stage2Config(epochs=2, center_mode="trainable",
+                                             center_init="random")),
+                    lambda r, cfg, ds: np.array_equal(run_two_stage(cfg, ds).centers.matrix,
+                                                      r.centers.matrix)),
+    "recomputed": (dict(stage2=Stage2Config(epochs=2, center_mode="trainable",
+                                            final_centers="recomputed")),
+                   lambda r, cfg, ds: r.centers.mode == "computed"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_PATHS))
+def test_each_config_path_trains(dataset, path):
+    overrides, check = CONFIG_PATHS[path]
+    cfg = config(**{"stage1": Stage1Config(epochs=1, m_per_class=4),
+                    "stage2": Stage2Config(epochs=2), **overrides})
+    assert check(run_two_stage(cfg, dataset), cfg, dataset)
+
+
+# The overflow that makes the loss non-finite warns first.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method, during", [("two_stage", "stage 1"),
+                                            ("baseline:wfce", "baseline wfce")])
+def test_a_non_finite_loss_aborts_the_run(dataset, method, during):
+    cfg = config(method=method, optimizer=OptimizerConfig(lr=1e300))
+    with pytest.raises(DivergenceError, match=f"non-finite loss during {during}"):
+        run_method(cfg, dataset)
 
 
 # -- the miner output contract ---------------------------------------------------
