@@ -23,7 +23,7 @@ from .errors import ContractError, DataFormatError, DivergenceError
 from .evaluation import confusion  # noqa: F401
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
 from .training import run_method
-from .workflows import evaluate_record, run_crossval, run_holdout, run_sweep
+from .workflows import SWEEP_AXES, evaluate_record, run_crossval, run_holdout, run_sweep
 
 
 def _load_dataset(settings: RunSettings, data_arg: str | None) -> Dataset:
@@ -37,6 +37,12 @@ def _load_dataset(settings: RunSettings, data_arg: str | None) -> Dataset:
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def _write_report(out: Path, report, title: str, prefix: str = ""):
+    """``{prefix}metrics.txt`` and ``{prefix}per_class.csv`` of one report under ``out``."""
+    _write(out / f"{prefix}metrics.txt", reports.render_metrics(report, title=title))
+    _write(out / f"{prefix}per_class.csv", reports.render_per_class_csv(report))
 
 
 def _setup(args) -> tuple[RunSettings, Dataset, Path]:
@@ -89,8 +95,7 @@ def cmd_train(args) -> int:
         centers=record.centers))
 
     _write(out / "run_record.txt", reports.render_run_record(record))
-    _write(out / "metrics.txt", reports.render_metrics(report, title=f"{record.method} holdout metrics"))
-    _write(out / "per_class.csv", reports.render_per_class_csv(report))
+    _write_report(out, report, f"{record.method} holdout metrics")
 
     for stage, losses, times in (("stage1", record.stage1_losses, record.stage1_epoch_times),
                                  ("stage2", record.stage2_losses, record.stage2_epoch_times)):
@@ -109,9 +114,7 @@ def cmd_eval(args) -> int:
         raise ContractError(f"dataset width {dataset.in_dim} does not match "
                             f"checkpoint input dim {ckpt.extractor.in_dim}")
     report = evaluate_record(ckpt, dataset, small_threshold=args.small_class_threshold)
-    out = Path(args.out)
-    _write(out / "metrics.txt", reports.render_metrics(report, title="evaluation"))
-    _write(out / "per_class.csv", reports.render_per_class_csv(report))
+    _write_report(Path(args.out), report, "evaluation")
     print(f"MF1 {report.mf1:.2f}  MCP {report.mcp:.2f}  MCR {report.mcr:.2f}")
     return 0
 
@@ -137,9 +140,7 @@ def cmd_crossval(args) -> int:
                           small_threshold=settings.small_class_threshold, jobs=args.jobs)
     _write(out / "crossval.txt", reports.render_crossval(result.summary, result.small_summary))
     for i, fold in enumerate(result.folds):
-        _write(out / f"fold{i}_metrics.txt",
-               reports.render_metrics(fold.report, title=f"fold {i}"))
-        _write(out / f"fold{i}_per_class.csv", reports.render_per_class_csv(fold.report))
+        _write_report(out, fold.report, f"fold {i}", prefix=f"fold{i}_")
     print(f"MF1 {result.summary.mf1_mean:.2f} ({result.summary.mf1_std:.2f}) over {settings.k_folds} folds")
     return 0
 
@@ -156,11 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train one model and report holdout metrics")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", help="dataset csv (overrides [data] source)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # the options of every configured run
+    run.add_argument("--config", required=True)
+    run.add_argument("--data", help="dataset csv (overrides [data] source)")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--out", required=True)
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--jobs", type=int, default=1)
+
+    p = sub.add_parser("train", parents=[run], help="train one model and report holdout metrics")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -170,23 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="cross-validated sweep over margin or dimension")
-    p.add_argument("--axis", choices=("margin", "dimension"), required=True)
+    p = sub.add_parser("sweep", parents=[run, pool],
+                       help="cross-validated sweep over margin or dimension")
+    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("crossval", help="stratified k-fold cross-validation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data")
+    p = sub.add_parser("crossval", parents=[run, pool], help="stratified k-fold cross-validation")
     p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_crossval)
     return parser
 

@@ -9,9 +9,11 @@ the center-involved losses are defined.  Distances are true L_p norms,
 never squared and never normalized.  Hinges use max(0, .) with gradient 0
 at the kink.
 
-The per-unit scalar forms of these losses, of cross entropy and of focal
-loss live in the tests as oracles; the tests pin each batched loss to the
-mean of its scalar form.
+One classification loss, ``cross_entropy_mean`` with an optional focal
+factor, serves every baseline and the stage-1 ``lambda_ce`` term.  The
+per-unit scalar forms of all these losses, focal loss included, live in the
+tests as oracles; the tests pin each batched loss to the mean of its scalar
+form.
 """
 
 from __future__ import annotations
@@ -122,18 +124,10 @@ def _class_weights(logits: Tensor, weights):
     return w
 
 
-def cross_entropy_mean(logits: Tensor, labels, weights=None) -> Tensor:
-    """Mean of per-sample weighted cross entropies over a [B, K] logit tensor."""
-    w = _class_weights(logits, weights)
-    labels = np.asarray(labels, dtype=np.intp)
-    log_pt = logits.log_softmax_pick(labels)
-    if w is None:
-        return (-log_pt).mean()
-    return ((-log_pt) * w[labels]).mean()
-
-
-def focal_loss_mean(logits: Tensor, labels, gamma: float = 2.0, weights=None) -> Tensor:
-    """Mean of per-sample weighted focal losses over a [B, K] logit tensor."""
+def cross_entropy_mean(logits: Tensor, labels, weights=None, gamma: float = 0.0) -> Tensor:
+    """Mean of per-sample weighted focal losses -(1 - p_t)^gamma log p_t over a
+    [B, K] logit tensor.  At gamma = 0 no focal factor is formed: this is plain
+    (weighted) cross entropy, node for node."""
     if gamma < 0:
         raise ContractError(f"gamma must be >= 0, got {gamma}")
     w = _class_weights(logits, weights)

@@ -112,32 +112,37 @@ class LinearHead(_Module):
     __call__ = forward
 
 
+@dataclass
+class OptimizerConfig:
+    """Adam's learning rate, moment decays and epsilon."""
+
+    lr: float = 1e-4
+    beta1: float = 0.9
+    beta2: float = 0.99
+    epsilon: float = 1e-8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0 and math.isfinite(self.epsilon)
+                and self.epsilon > 0 and 0 < self.beta1 < 1 and 0 < self.beta2 < 1):
+            raise ContractError(f"optimizer settings out of range: {self}")
+
+
 class Adam:
     """Bias-corrected Adam over a list of parameter Tensors.
 
-    Defaults follow the training protocol used throughout this project:
-    learning rate 1e-4, beta1 0.9, beta2 0.99, epsilon 1e-8.  Both moments
-    live in one flat vector over all parameters (in list order), so each
-    step runs its elementwise passes once, not once per parameter, into
-    reused buffers; every element sees the same arithmetic, in the same
-    order, as in a per-parameter update.
+    Both moments live in one flat vector over all parameters (in list
+    order), so each step runs its elementwise passes once, not once per
+    parameter, into reused buffers; every element sees the same arithmetic,
+    in the same order, as in a per-parameter update.
     """
 
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.99, epsilon: float = 1e-8):
-        if not (math.isfinite(lr) and lr > 0 and math.isfinite(epsilon) and epsilon > 0
-                and 0 < beta1 < 1 and 0 < beta2 < 1):
-            raise ContractError(f"Adam hyperparameters out of range: lr={lr} beta1={beta1} "
-                                f"beta2={beta2} epsilon={epsilon}")
+    def __init__(self, params, settings: OptimizerConfig):
         self.params = list(params)
         if not self.params:
             raise ContractError("Adam needs at least one parameter")
         if len({id(p) for p in self.params}) != len(self.params):
             raise ContractError("Adam got the same parameter twice")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+        self.settings = settings
         self.step_count = 0
         size = sum(p.data.size for p in self.params)
         self.first_moment = np.zeros(size)
@@ -161,18 +166,19 @@ class Adam:
                 raise ShapeError("gradient shape does not match parameter shape")
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        s = self.settings
+        c1 = 1.0 - s.beta1 ** t
+        c2 = 1.0 - s.beta2 ** t
         g = np.concatenate([p.grad.ravel() for p in self.params])
         m, v = self.first_moment, self.second_moment
         step, denom = self._scratch
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=step)
-        v *= self.beta2
-        v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=g), out=g)
+        m *= s.beta1
+        m += np.multiply(1.0 - s.beta1, g, out=step)
+        v *= s.beta2
+        v += np.multiply(1.0 - s.beta2, np.multiply(g, g, out=g), out=g)
         # data - lr * (m / c1) / (sqrt(v / c2) + epsilon), evaluated in place
-        np.multiply(self.lr, np.divide(m, c1, out=step), out=step)
-        np.add(np.sqrt(np.divide(v, c2, out=denom), out=denom), self.epsilon, out=denom)
+        np.multiply(s.lr, np.divide(m, c1, out=step), out=step)
+        np.add(np.sqrt(np.divide(v, c2, out=denom), out=denom), s.epsilon, out=denom)
         np.divide(step, denom, out=step)
         data = np.concatenate([p.data.ravel() for p in self.params])
         np.subtract(data, step, out=data)

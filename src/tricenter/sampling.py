@@ -47,6 +47,8 @@ from .errors import ContractError
 
 log = logging.getLogger(__name__)
 
+MINING_STRATEGIES = ("random", "random_hard")  # stage-1 negative choice of ``form_triplets``
+
 
 @dataclass
 class DatasetIndex:
@@ -167,7 +169,7 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     negative when the semi-hard band is empty.  Anchors whose class has a
     single slot in the batch are skipped.
     """
-    if strategy not in ("random", "random_hard"):
+    if strategy not in MINING_STRATEGIES:
         raise ContractError(f"unknown mining strategy {strategy!r}")
     labels = batch.labels
     if len(np.unique(labels)) < 2:

@@ -33,13 +33,12 @@ from .centers import CENTER_MODES, CenterTable, compute_centers
 from .datasets import Dataset
 from .errors import ContractError, DivergenceError
 from .losses import LossHyper
-from .nn import (ACTIVATIONS, Adam, FeatureExtractor, LinearHead, config_fingerprint,
-                 params_fingerprint)
+from .nn import (ACTIVATIONS, Adam, FeatureExtractor, LinearHead, OptimizerConfig,
+                 config_fingerprint, params_fingerprint)
 
 log = logging.getLogger(__name__)
 
 BASELINES = ("bce", "wce", "oce", "wfce")
-LOSS_FAMILIES = ("triplet", "pairwise", "quadruplet")
 
 
 @dataclass
@@ -54,7 +53,7 @@ class Stage1Config:
             raise ContractError("stage1 epochs must be >= 0")
         if self.m_per_class < 1:
             raise ContractError(f"m_per_class must be >= 1, got {self.m_per_class}")
-        if self.mining not in ("random", "random_hard"):
+        if self.mining not in sampling.MINING_STRATEGIES:
             raise ContractError(f"unknown mining strategy {self.mining!r}")
         if not (math.isfinite(self.lambda_ce) and self.lambda_ce >= 0):
             raise ContractError(f"lambda_ce must be finite and >= 0, got {self.lambda_ce}")
@@ -70,7 +69,7 @@ class Stage2Config:
     lr: float | None = None  # learning-rate override for the center stage
     refresh_each_epoch: bool = True  # computed mode: recompute centers every epoch
     freeze_layers: int = 0  # leave the first n layers of the extractor fixed
-    final_centers: str = "default"  # "default" | "learned" | "recomputed"
+    final_centers: str = "default"  # "default" | "recomputed"; see run_two_stage
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -87,23 +86,8 @@ class Stage2Config:
             raise ContractError(f"unknown center mode {self.center_mode!r}")
         if self.center_init not in ("from_computed", "random"):
             raise ContractError(f"unknown center init {self.center_init!r}")
-        if self.final_centers not in ("default", "learned", "recomputed"):
+        if self.final_centers not in ("default", "recomputed"):
             raise ContractError(f"unknown final_centers choice {self.final_centers!r}")
-
-
-@dataclass
-class OptimizerConfig:
-    """Adam's keyword arguments."""
-
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.99
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lr) and self.lr > 0 and self.epsilon > 0
-                and 0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ContractError(f"optimizer settings out of range: {self}")
 
 
 @dataclass
@@ -127,7 +111,7 @@ class TrainConfig:
         if self.method != "two_stage" and not (
                 self.method.startswith("baseline:") and self.method.split(":", 1)[1] in BASELINES):
             raise ContractError(f"unknown method {self.method!r}")
-        if self.loss_family not in LOSS_FAMILIES:
+        if self.loss_family not in _FAMILIES:
             raise ContractError(f"unknown loss family {self.loss_family!r}")
         if self.hyper.beta < 0:
             raise ContractError(f"beta must be >= 0, got {self.hyper.beta}")
@@ -328,7 +312,7 @@ def run_stage1(config: TrainConfig, dataset: Dataset, record: RunRecord,
     dataset.index.require_nonempty_classes()
     extractor, head = record.extractor, record.head
     params = extractor.parameters() + (head.parameters() if head is not None else [])
-    opt = Adam(params, **asdict(config.optimizer))
+    opt = Adam(params, config.optimizer)
     batch_size = dataset.n_classes * s1.m_per_class
     n_batches = max(1, math.ceil(dataset.features.shape[0] / batch_size))
 
@@ -366,7 +350,7 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
         params = params + [centers.table]
 
     optimizer = config.optimizer if s2.lr is None else replace(config.optimizer, lr=s2.lr)
-    opt = Adam(params, **asdict(optimizer))
+    opt = Adam(params, optimizer)
 
     def epoch_plans(epoch):
         nonlocal centers
@@ -391,9 +375,9 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     With ``centered=False`` the stage-2 budget is spent on more stage-1 style
     training instead, which is the budget-matched plain-loss baseline for the
     loss-family extension comparisons.  Nearest-center prediction data is
-    always attached: computed-center runs recompute the final centers from
-    the final parameters over the whole training set, trainable-center runs
-    keep their learned rows.
+    always attached: trainable-center runs keep their learned rows unless
+    ``final_centers = recomputed``; otherwise the final centers are computed
+    from the final parameters over the whole training set.
     """
     rng, record = _start(config, dataset, config.method, head=config.stage1.lambda_ce > 0)
     run_stage1(config, dataset, record, rng)
@@ -405,14 +389,12 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     elif config.stage2.epochs > 0:
         centers = run_stage2(config, dataset, record, rng)
 
-    final_choice = config.stage2.final_centers
-    keep_learned = (centers is not None and centers.mode == "trainable"
-                    and final_choice in ("default", "learned"))
-    if keep_learned:
+    if (centers is not None and centers.mode == "trainable"
+            and config.stage2.final_centers == "default"):
         record.centers = centers
     else:
         record.centers = compute_centers(record.extractor, dataset.features, dataset.index,
-                                         source_epoch=config.stage2.epochs,
+                                         source_epoch=len(record.stage2_losses),
                                          p_norm=config.hyper.p_norm)
     return record
 
@@ -432,11 +414,12 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset) -> RunRec
     weights = None
     if strategy in ("wce", "wfce"):
         weights = losses.inverse_frequency_weights(dataset.index.sizes)
+    gamma = config.focal_gamma if strategy == "wfce" else 0.0
     epochs = config.baseline_epochs
     if epochs is None:
         epochs = config.stage1.epochs + config.stage2.epochs
     extractor, head = record.extractor, record.head
-    opt = Adam(extractor.parameters() + head.parameters(), **asdict(config.optimizer))
+    opt = Adam(extractor.parameters() + head.parameters(), config.optimizer)
 
     def epoch_plans(epoch):
         order = sampling.oversample_indices(dataset.index, rng) if strategy == "oce" else None
@@ -445,10 +428,7 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset) -> RunRec
 
     def batch_loss(plan):
         logits = head(extractor(Tensor(dataset.features[plan.indices])))
-        if strategy == "wfce":
-            return losses.focal_loss_mean(logits, plan.labels,
-                                          gamma=config.focal_gamma, weights=weights)
-        return losses.cross_entropy_mean(logits, plan.labels, weights=weights)
+        return losses.cross_entropy_mean(logits, plan.labels, weights, gamma)
 
     _fit(record, 1, epochs, opt, epoch_plans, batch_loss, f"baseline {strategy}")
     return record

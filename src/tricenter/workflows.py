@@ -14,6 +14,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from .autodiff import Tensor, no_grad
 from .centers import embed_all, nearest_center_predict_batch
 from .datasets import Dataset
 from .errors import ContractError
@@ -33,8 +34,8 @@ def predict(extractor, features: np.ndarray, centers=None, head=None) -> np.ndar
         return labels
     if head is None:
         raise ContractError("model has neither centers nor a classifier head")
-    logits = emb @ head.weight.data + head.bias.data
-    return logits.argmax(axis=1)
+    with no_grad():
+        return head(Tensor(emb)).data.argmax(axis=1)
 
 
 def evaluate_record(model, test: Dataset, *, small_threshold: int = 20,

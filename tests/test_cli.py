@@ -156,12 +156,13 @@ SHORT = {"data": {"preset": "skin7-like"}, "stage1": {"epochs": "2"}, "stage2": 
 
 
 # A baseline trains its own [baseline] epochs; at alpha = 0 no stage-2 unit
-# qualifies on three far-apart classes, so stage 2 stops after one epoch.
-@pytest.mark.parametrize("run, epochs", [
-    ({"run": {"method": "baseline:oce"}, "baseline": {"epochs": "2"}}, 2),
-    ({"stage2": {"alpha": "0"}}, 3 + 1),
+# qualifies on three far-apart classes, so stage 2 stops after one epoch, and
+# the final centers are recomputed after that epoch.
+@pytest.mark.parametrize("run, epochs, source_epoch", [
+    ({"run": {"method": "baseline:oce"}, "baseline": {"epochs": "2"}}, 2, None),
+    ({"stage2": {"alpha": "0"}}, 3 + 1, 1),
 ], ids=["short_baseline", "stage2_stops_early"])
-def test_the_final_checkpoint_records_the_epochs_trained(tmp_path, run, epochs):
+def test_the_final_checkpoint_records_the_epochs_trained(tmp_path, run, epochs, source_epoch):
     data = tmp_path / "far.csv"
     save_csv(gen_gaussian_imbalanced(SyntheticSpec(sizes=[20, 10, 5], means=simplex_means(3, 4, 50.0),
                                                    sigmas=np.full(3, 0.1))), data)
@@ -169,7 +170,9 @@ def test_the_final_checkpoint_records_the_epochs_trained(tmp_path, run, epochs):
         "data": {"source": data}, "model": {"embedding_dim": "8", "hidden": "12"},
         "stage1": {"epochs": "3", "m_per_class": "4"}, "stage2": {"epochs": "4"}}, run)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert load_checkpoint(tmp_path / "out" / "final.ckpt").epoch == epochs
+    final = load_checkpoint(tmp_path / "out" / "final.ckpt")
+    assert final.epoch == epochs
+    assert (final.centers.source_epoch if final.centers else None) == source_epoch
 
 
 # The overflow that makes the loss non-finite warns first.
@@ -221,12 +224,14 @@ def write_ini(path, *layers):
      "focal_gamma must be finite and >= 0, got nan"),
     ({"model": {"activation": "sigmoid"}}, "unknown activation 'sigmoid'"),
     ({"model": {"hidden": "0,8"}}, "hidden widths must be positive integers, got (0, 8)"),
+    ({"optimizer": {"epsilon": "inf"}}, "optimizer settings out of range"),
+    ({"stage2": {"final_centers": "learned"}}, "unknown final_centers choice 'learned'"),
 ], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "zero_p_norm", "negative_beta",
         "negative_stage2_lr", "freeze_every_layer", "quadruplet_stage2_alpha_below_beta",
         "quadruplet_alpha_at_beta", "negative_baseline_epochs", "triplet_one_per_class",
         "quadruplet_one_per_class", "pairwise_zero_per_class", "negative_freeze_layers",
         "negative_seed", "nan_optimizer_lr", "nan_focal_gamma", "unknown_activation",
-        "zero_hidden_width"])
+        "zero_hidden_width", "inf_optimizer_epsilon", "learned_final_centers"])
 def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sections, message):
     config = write_ini(tmp_path / "config.ini", SHORT, sections)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1

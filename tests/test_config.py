@@ -219,9 +219,10 @@ def test_a_loaded_config_echoes_to_a_file_that_reloads_to_it(tmp_path):
 
 
 @pytest.mark.parametrize("section, key", [row[:2] for row in _SCHEMA if row[3] is float])
-@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
 def test_every_float_key_rejects_nan_and_minus_infinity(tmp_path, section, key, value):
-    """A nan would also break the echo fixpoint: it never equals its reload."""
+    """Every float key rejects each non-finite value when the file loads.  A nan
+    would also break the echo fixpoint: it never equals its reload."""
     sections = {"data": "preset = skin7-like\n"}
     sections[section] = sections.get(section, "") + f"{key} = {value}\n"
     path = write(tmp_path, "".join(f"[{name}]\n{body}" for name, body in sections.items()))

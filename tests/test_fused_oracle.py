@@ -20,9 +20,9 @@ from tricenter import training
 from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable
 from tricenter.errors import ContractError, ShapeError
-from tricenter.losses import (LossHyper, cross_entropy_mean, focal_loss_mean,
-                              quadruplet_loss_mean, triplet_loss_mean)
-from tricenter.nn import Adam, FeatureExtractor, LinearHead
+from tricenter.losses import (LossHyper, cross_entropy_mean, quadruplet_loss_mean,
+                              triplet_loss_mean)
+from tricenter.nn import Adam, FeatureExtractor, LinearHead, OptimizerConfig
 
 from gradcheck import HingeKinkError, finite_diff_check
 from scalar_oracles import log
@@ -70,9 +70,10 @@ def log_softmax_pick_chain(logits, labels):
 class LoopAdam:
     """Adam with one moment pair per parameter, updated parameter by parameter."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.99, epsilon=1e-8):
+    def __init__(self, params, settings):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.epsilon = lr, beta1, beta2, epsilon
+        self.lr, self.beta1 = settings.lr, settings.beta1
+        self.beta2, self.epsilon = settings.beta2, settings.epsilon
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
@@ -295,7 +296,7 @@ def test_batch_losses_over_the_pick_match_chain(gamma):
     labels = rng.integers(0, 4, size=16)
     w = rng.random(4) + 0.5
     fused, chain = Tensor(logits0.copy(), requires_grad=True), Tensor(logits0.copy(), requires_grad=True)
-    loss_f = focal_loss_mean(fused, labels, gamma=gamma, weights=w)
+    loss_f = cross_entropy_mean(fused, labels, weights=w, gamma=gamma)
     log_pt = log_softmax_pick_chain(chain, labels)
     nll = -log_pt
     if gamma != 0:
@@ -327,7 +328,7 @@ def test_flat_adam_matches_per_parameter_loop(freeze_layers):
         frozen = [p for p in extractor.parameters() if all(p is not q for q in params)]
         frozen_data = [p.data for p in frozen]
         assert len(frozen) == 2 * freeze_layers
-        opt = optimizer(params, lr=0.01, beta1=0.8, beta2=0.95, epsilon=1e-6)
+        opt = optimizer(params, OptimizerConfig(lr=0.01, beta1=0.8, beta2=0.95, epsilon=1e-6))
         steps = []
         for step in range(6):
             draw = np.random.default_rng(step)
@@ -358,6 +359,6 @@ def test_flat_adam_matches_per_parameter_loop(freeze_layers):
 def test_adam_rejects_an_empty_or_repeated_parameter_list():
     p = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(ContractError):
-        Adam([])
+        Adam([], OptimizerConfig())
     with pytest.raises(ContractError):
-        Adam([p, p])
+        Adam([p, p], OptimizerConfig())

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from tricenter.autodiff import Tensor
 from tricenter.errors import ContractError, ShapeError
-from tricenter.losses import (LossHyper, cross_entropy_mean, focal_loss_mean,
-                              inverse_frequency_weights, lp_distance_rows,
-                              pairwise_loss_mean, quadruplet_loss_mean, triplet_loss_mean)
+from tricenter.losses import (LossHyper, cross_entropy_mean, inverse_frequency_weights,
+                              lp_distance_rows, pairwise_loss_mean, quadruplet_loss_mean,
+                              triplet_loss_mean)
 
 from gradcheck import HingeKinkError, finite_diff_check
 from scalar_oracles import (batch_mean, center_pairwise_loss, center_quadruplet_loss,
@@ -347,27 +348,30 @@ def test_cross_entropy_mean_equals_unit_batch_mean():
     batched = cross_entropy_mean(logits, labels, weights=w).item()
     units = [cross_entropy(Tensor(logits.data[i]), int(labels[i]), weights=w) for i in range(6)]
     assert abs(batched - batch_mean(units).item()) < 1e-12
-    batched_f = focal_loss_mean(logits, labels, gamma=2.0, weights=w).item()
+    batched_f = cross_entropy_mean(logits, labels, weights=w, gamma=2.0).item()
     units_f = [focal_loss(Tensor(logits.data[i]), int(labels[i]), gamma=2.0, weights=w)
                for i in range(6)]
     assert abs(batched_f - batch_mean(units_f).item()) < 1e-12
 
 
+MEAN_LOSSES = [pytest.param(cross_entropy_mean, id="cross_entropy_mean"),
+               pytest.param(partial(cross_entropy_mean, gamma=2.0), id="focal_loss_mean")]
 
-@pytest.mark.parametrize("mean_loss", [cross_entropy_mean, focal_loss_mean])
+
+@pytest.mark.parametrize("mean_loss", MEAN_LOSSES)
 def test_empty_logit_batch_is_a_contract_error(mean_loss):
     with pytest.raises(ContractError, match="empty logit batch"):
         mean_loss(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.intp))
 
 
-@pytest.mark.parametrize("mean_loss", [cross_entropy_mean, focal_loss_mean])
+@pytest.mark.parametrize("mean_loss", MEAN_LOSSES)
 @pytest.mark.parametrize("labels", [[0, 1], [[0], [1], [2], [0]], 1])
 def test_labels_that_are_not_one_per_row_are_a_shape_error(mean_loss, labels):
     with pytest.raises(ShapeError, match="labels"):
         mean_loss(Tensor(np.zeros((4, 3))), labels)
 
 
-@pytest.mark.parametrize("mean_loss", [cross_entropy_mean, focal_loss_mean])
+@pytest.mark.parametrize("mean_loss", MEAN_LOSSES)
 @pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
 def test_weights_that_are_not_one_per_class_are_a_shape_error(mean_loss, weights):
     with pytest.raises(ShapeError, match="weights"):

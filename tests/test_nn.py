@@ -7,7 +7,7 @@ import pytest
 from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable
 from tricenter.errors import ContractError, DataFormatError, ShapeError
-from tricenter.nn import (Adam, Checkpoint, FeatureExtractor, LinearHead,
+from tricenter.nn import (Adam, Checkpoint, FeatureExtractor, LinearHead, OptimizerConfig,
                           config_fingerprint, load_checkpoint, params_fingerprint,
                           save_checkpoint)
 
@@ -61,14 +61,14 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         p = Tensor([1.0, -2.0], requires_grad=True)
         p.grad = np.zeros(2)
-        opt = Adam([p], lr=0.1)
+        opt = Adam([p], OptimizerConfig(lr=0.1))
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
         assert opt.step_count == 1
 
     def test_constant_positive_gradient_decreases_parameter(self):
         p = Tensor([1.0], requires_grad=True)
-        opt = Adam([p], lr=0.01)
+        opt = Adam([p], OptimizerConfig(lr=0.01))
         values = [p.data.item()]
         for _ in range(50):
             p.grad = np.array([2.5])
@@ -83,7 +83,7 @@ class TestAdam:
         v = (1 - b2) * g * g
         expected_delta = lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
         p = Tensor([0.0], requires_grad=True)
-        opt = Adam([p], lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+        opt = Adam([p], OptimizerConfig(lr=lr, beta1=b1, beta2=b2, epsilon=eps))
         p.grad = np.array([g])
         opt.step()
         np.testing.assert_allclose(-p.data.item(), expected_delta, rtol=1e-12)
@@ -92,7 +92,7 @@ class TestAdam:
 
     def test_missing_gradient_raises(self):
         p = Tensor([1.0], requires_grad=True)
-        opt = Adam([p])
+        opt = Adam([p], OptimizerConfig())
         with pytest.raises(ContractError):
             opt.step()
 
@@ -102,13 +102,13 @@ class TestAdam:
                              ids=["nan_lr", "inf_lr", "zero_lr", "nan_epsilon", "inf_epsilon",
                                   "negative_epsilon"])
     def test_a_non_finite_or_non_positive_lr_or_epsilon_is_rejected(self, setting):
-        with pytest.raises(ContractError, match="Adam hyperparameters out of range"):
-            Adam([Tensor([1.0, -2.0], requires_grad=True)], **setting)
+        with pytest.raises(ContractError, match="optimizer settings out of range"):
+            OptimizerConfig(**setting)
 
     def test_grads_untouched_by_step(self):
         p = Tensor([1.0], requires_grad=True)
         p.grad = np.array([0.5])
-        Adam([p], lr=0.1).step()
+        Adam([p], OptimizerConfig(lr=0.1)).step()
         np.testing.assert_array_equal(p.grad, [0.5])
 
 

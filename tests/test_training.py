@@ -115,6 +115,8 @@ def test_a_stage_two_that_mines_nothing_converges_early(center_mode):
     if center_mode == "trainable":  # no step moved the table off its computed start
         final = compute_centers(record.extractor, data.features, data.index)
         np.testing.assert_array_equal(record.centers.matrix, final.matrix)
+    else:  # recomputed after the one epoch trained, not the three configured
+        assert record.centers.source_epoch == 1
 
 
 def _first_layer_kept(record, cfg, dataset):
