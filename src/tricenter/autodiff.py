@@ -264,14 +264,18 @@ class Tensor:
         return self.sum(axis=axis) * (1.0 / n)
 
     def take(self, indices) -> "Tensor":
-        """Select rows (axis 0) by integer index; duplicates allowed."""
+        """Select rows (axis 0) by index in [0, n); the VJP sums duplicates in index order."""
         a = self
         idx = np.asarray(indices, dtype=np.intp)
+        n = a.data.shape[0]
+        width = a.data.size // max(n, 1)
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ContractError(f"take index out of range for {n} rows")
 
-        def vjp(g):
-            out = np.zeros_like(a.data)
-            np.add.at(out, idx, g)
-            return (out,)
+        def vjp(g):  # np.add.at's sums into zeros, in its order; an empty bincount is int
+            out = np.bincount((idx.reshape(-1, 1) * width + np.arange(width)).ravel(),
+                              weights=g.ravel(), minlength=n * width)
+            return (out.astype(np.float64, copy=False).reshape(a.data.shape),)
 
         return Tensor._from_op(a.data.take(idx, axis=0), (a,), vjp)
 

@@ -145,8 +145,19 @@ def cmd_crossval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad argument fails as a bad value does: exit 1, no --out
+        raise ContractError(message)
+
+
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tricenter",
         description="Two-stage class-center triplet training on tabular/synthetic data")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -163,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--out", required=True)
     pool = argparse.ArgumentParser(add_help=False)
-    pool.add_argument("--jobs", type=int, default=1)
+    pool.add_argument("--jobs", type=positive_int, default=1)
 
     p = sub.add_parser("train", parents=[run], help="train one model and report holdout metrics")
     p.set_defaults(func=cmd_train)
@@ -188,9 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ContractError, DataFormatError, DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,10 @@
 Every non-differentiable L_p distance in the package goes through
 ``lp_norm``; the differentiable twin used by the losses is the fused
 autodiff op ``Tensor.lp_dist`` (one graph node, reached through
-``losses.lp_distance_rows``).  The values are
-bit for bit those of the naive ``(np.abs(x - y) ** p).sum(-1) ** (1 / p)``,
-so seeded mining and prediction do not change with the kernel, nor with the
-``max(1, BLOCK_FLOATS // (M * D))`` rows per block of ``lp_cdist`` (rows are independent).
+``losses.lp_distance_rows``).  The values are bit for bit those of the naive
+``(np.abs(x - y) ** p).sum(-1) ** (1 / p)``, so seeded mining and prediction
+do not change with the kernel, its ``BLOCK_FLOATS`` row blocks (rows are
+independent) or its mirrored self case (``|x - y|`` rounds as ``|y - x|``).
 """
 
 from __future__ import annotations
@@ -40,10 +40,14 @@ def lp_cdist(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     ``|a|^2 + |b|^2 - 2 a @ b.T`` for p = 2: the Gram form is faster but
     differs from the exact distance by about 5e-7 on typical embeddings,
     which moves anchors across the edges of the semi-hard band and changes
-    which triplets a seeded run mines.
+    which triplets a seeded run mines.  For ``lp_cdist(a, a, p)`` each row
+    block starts at the column of its first row, and the rest is mirrored.
     """
     rows = max(1, BLOCK_FLOATS // max(1, b.size))
     out = np.empty((a.shape[0], b.shape[0]))
     for start in range(0, a.shape[0], rows):
-        out[start:start + rows] = lp_norm(a[start:start + rows, None, :] - b[None, :, :], p)
+        first = start if b is a else 0
+        out[start:start + rows, first:] = lp_norm(a[start:start + rows, None, :] - b[None, first:, :], p)
+    if b is a:
+        np.copyto(out, out.T, where=np.tri(len(a), k=-1, dtype=bool))
     return out

@@ -32,7 +32,8 @@ loop did.  Draws whose bounds are all known up front are made in one
 scalar calls one after another, and ``_kth`` reads each drawn slot off the
 candidate mask.  Only a draw whose bound depends on an earlier draw (the
 semi-hard band of the drawn positive, the slots of the drawn quadruplet
-classes) stays a scalar call in a loop.
+classes) stays a scalar call in a loop, and the band sizes of every
+candidate positive are counted before it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import lp_cdist
+from .distance import BLOCK_FLOATS, lp_cdist
 from .errors import ContractError
 
 log = logging.getLogger(__name__)
@@ -183,28 +184,29 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
         return _units(anchors, _kth(positive_mask[anchors], k[:, 0]),
                       _kth(negative_mask[anchors], k[:, 1]))
     dist = lp_cdist(embeddings, embeddings, hyper.p_norm)
-    # Each slot's negative distances in ascending order (other slots at +inf),
-    # so two binary searches count the semi-hard band of the drawn positive:
-    # its size bounds the next draw.
-    sorted_negatives = np.sort(np.where(negative_mask, dist, np.inf), axis=1)
-    positive_slots = np.nonzero(positive_mask)[1]
+    negative_dist = np.where(negative_mask, dist, np.inf)  # +inf is in no band (d_ap, d_ap + alpha)
+    # The band size of every (anchor, candidate positive) pair, in chunks of
+    # pairs: the drawn positive's band size bounds the next draw.
+    pair_anchors, pair_positives = np.nonzero(positive_mask)
+    pair_d_ap = dist[pair_anchors, pair_positives][:, None]
+    band_sizes = np.empty(len(pair_anchors), dtype=np.intp)
+    chunk = max(1, BLOCK_FLOATS // len(labels))
+    for start in range(0, len(pair_anchors), chunk):
+        rows = slice(start, start + chunk)
+        d_an, d_ap = negative_dist[pair_anchors[rows]], pair_d_ap[rows]
+        band_sizes[rows] = ((d_an > d_ap) & (d_an < d_ap + hyper.alpha)).sum(axis=1)
     first_positive = (np.cumsum(n_pos) - n_pos).tolist()
-    n_pos_list = n_pos.tolist()
-    positives, k_band = [], []
+    n_pos_list, band_sizes = n_pos.tolist(), band_sizes.tolist()
+    draws = []
     for a in anchors.tolist():
-        positive = int(positive_slots[first_positive[a] + int(rng.integers(n_pos_list[a]))])
-        d_ap = dist[a, positive]
-        band_size = int(np.searchsorted(sorted_negatives[a], d_ap + hyper.alpha, "left")
-                        - np.searchsorted(sorted_negatives[a], d_ap, "right"))
-        positives.append(positive)
-        k_band.append(int(rng.integers(band_size)) if band_size > 0 else -1)
-    positives = np.asarray(positives, dtype=np.intp)
-    k_band = np.asarray(k_band, dtype=np.intp)
-    d_ap = dist[anchors, positives][:, None]
-    d_an = dist[anchors]
+        pair = first_positive[a] + int(rng.integers(n_pos_list[a]))
+        draws.append((pair, int(rng.integers(band_sizes[pair])) if band_sizes[pair] > 0 else -1))
+    pairs, k_band = np.array(draws, dtype=np.intp).reshape(-1, 2).T
+    positives, d_ap = pair_positives[pairs], pair_d_ap[pairs]
+    d_an = negative_dist[anchors]
     anchor_negatives = negative_mask[anchors]
-    band = anchor_negatives & (d_an > d_ap) & (d_an < d_ap + hyper.alpha)
-    hardest = np.where(anchor_negatives, d_an, np.inf).argmin(axis=1)
+    band = (d_an > d_ap) & (d_an < d_ap + hyper.alpha)
+    hardest = d_an.argmin(axis=1)
     # A row whose negatives are all at +inf puts argmin on slot 0.
     hardest = np.where(anchor_negatives[np.arange(len(anchors)), hardest], hardest,
                        anchor_negatives.argmax(axis=1))

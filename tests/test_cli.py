@@ -284,5 +284,5 @@ def test_jobs_below_one_is_an_error(tmp_path, capsys, command, jobs):
     if command == "sweep":
         argv += ["--axis", "margin", "--values", "0.1"]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
-    assert not list((tmp_path / "out").glob("*.csv")) and not (tmp_path / "out" / "crossval.txt").exists()
+    assert capsys.readouterr().err == f"error: argument --jobs: must be >= 1, got {jobs}\n"
+    assert not (tmp_path / "out").exists()  # rejected while parsing, before the config echo

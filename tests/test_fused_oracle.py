@@ -3,12 +3,14 @@
 The functions below are the elementary-op chains that ``Tensor.affine``,
 ``Tensor.lp_dist`` and ``Tensor.log_softmax_pick`` fold into one node, and
 the per-parameter Adam loop; ``matmul`` and ``abs_pow`` are the removed
-``Tensor`` methods, kept verbatim, and ``log`` comes from the scalar
-oracles.  A fused op must give the same value and the same gradient for
-every operand, all bit for bit: gradients accumulate into shared tensors
-in graph order, so a single reordered float operation or parent would
-change seeded training runs.  Where the ops have kinks, the numerical
-check of ``gradcheck`` must find them at the same points.
+``Tensor`` methods, and ``take_add_at`` is ``Tensor.take`` with the
+``np.add.at`` VJP that its ``np.bincount`` VJP replaced, all kept verbatim;
+``log`` comes from the scalar oracles.  A fused op must give the same value
+and the same gradient for every operand, all bit for bit: gradients
+accumulate into shared tensors in graph order, so a single reordered float
+operation or parent would change seeded training runs.  Where the ops have
+kinks, the numerical check of ``gradcheck`` must find them at the same
+points.
 """
 
 import itertools
@@ -45,6 +47,18 @@ def abs_pow(a, p):
         return (g * (p * np.power(mag, p - 1.0)) * np.sign(a.data),)
 
     return Tensor._from_op(np.power(mag, p), (a,), vjp)
+
+
+def take_add_at(a, indices):
+    """Select rows (axis 0) by integer index; duplicates allowed."""
+    idx = np.asarray(indices, dtype=np.intp)
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        np.add.at(out, idx, g)
+        return (out,)
+
+    return Tensor._from_op(a.data.take(idx, axis=0), (a,), vjp)
 
 
 def affine_chain(x, w, b):
@@ -198,11 +212,40 @@ def test_lp_dist_rejects_bad_operands():
         Tensor(np.ones(3)).lp_dist(np.zeros(3), 0)
 
 
+# -- row gather ---------------------------------------------------------------
+
+@pytest.mark.parametrize("shape, indices", [
+    ((5, 3), [4, 0, 4, 4, 2, 0]),    # duplicates; rows 1 and 3 untouched
+    ((6,), [5, 1, 1, 0]),            # a 1-D source
+    ((4, 2, 3), [3, 3, 1]),          # trailing dims flattened into one width
+    ((4, 3), []),                    # an empty index
+    ((0, 3), []),                    # an empty source
+], ids=["duplicates", "one_d", "three_d", "empty_index", "empty_source"])
+def test_take_matches_the_add_at_vjp(shape, indices):
+    rng = np.random.default_rng(len(indices) + len(shape))
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    fused, chain = x.take(indices), take_add_at(x, indices)
+    assert_same_bits(fused.data, chain.data)
+    g = rng.normal(size=fused.data.shape)
+    g.reshape(-1)[::3] = -0.0
+    for grad in (g, -np.zeros(fused.data.shape)):
+        (got,), (want,) = fused._vjp(grad), chain._vjp(grad)
+        assert got.dtype == want.dtype == np.float64
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("indices", [[0, 4], [-1], [2, -4]])
+def test_take_rejects_an_index_outside_the_rows(indices):
+    with pytest.raises(ContractError, match="take index out of range for 4 rows"):
+        Tensor(np.zeros((4, 2)), requires_grad=True).take(indices)
+
+
 # -- one tensor feeding several fused nodes -----------------------------------
 
 def chain_distances(monkeypatch):
-    """Route every ``lp_dist`` call, the losses' included, through the chain."""
+    """Route every ``lp_dist`` and ``take`` call, the losses' included, through the chain."""
     monkeypatch.setattr(Tensor, "lp_dist", lambda x, y, p: lp_chain(x, Tensor._lift(y), p))
+    monkeypatch.setattr(Tensor, "take", take_add_at)
 
 
 def _units(rng, n, k):

@@ -302,6 +302,17 @@ def test_balanced_batches_match_the_loop(m_per_class, dim):
         assert_same_draws(sampling.form_pairs, form_pairs, lambda fn, r: fn(plan, r), 3)
 
 
+@pytest.mark.parametrize("budget", [1, 200])
+def test_semi_hard_band_counted_in_chunks_matches_the_loop(budget, monkeypatch):
+    """Band sizes counted a few (anchor, positive) pairs at a time: the same
+    units and generator state as the loop."""
+    monkeypatch.setattr(sampling, "BLOCK_FLOATS", budget)
+    assert budget // 70 < 70 * 9  # a balanced batch's 630 pairs take several chunks
+    for p_norm in (1, 2, 3):
+        test_semi_hard_triplets_match_the_loop(p_norm)
+    test_balanced_batches_match_the_loop(10, 16)
+
+
 def test_empty_band_falls_back_to_the_hardest_negative():
     # alpha = 0 leaves every semi-hard band empty, so every negative is the argmin.
     plan = BatchPlan(indices=np.arange(6), labels=np.array([0, 0, 1, 1, 1, 2]))
@@ -376,6 +387,17 @@ def test_lp_cdist_equals_the_naive_formula_exactly(p_norm):
         got = lp_cdist(a, b, p_norm)
         assert got.shape == (n, m) and got.dtype == naive.dtype
         assert got.tobytes() == naive.tobytes()
+    # lp_cdist(a, a) computes the upper triangle and mirrors it: one block;
+    # several blocks with a ragged last one; a single row; no rows at all
+    assert 300 * 300 * 16 > 2 * BLOCK_FLOATS and 300 % (BLOCK_FLOATS // (300 * 16))
+    for n, dim in [(9, 37), (300, 16), (1, 37), (0, 37)]:
+        a = rng.normal(size=(n, dim))
+        naive = (np.abs(a[:, None, :] - a[None, :, :]) ** p_norm).sum(axis=2)
+        if p_norm != 1:
+            naive = naive ** (1.0 / p_norm)
+        got = lp_cdist(a, a, p_norm)
+        assert got.shape == (n, n) and got.tobytes() == naive.tobytes()
+        assert got.tobytes() == got.T.copy().tobytes()
     a, b = rng.normal(size=(2, 37)), rng.normal(size=(2, 37))
     row = np.abs(a[0] - b[0]) ** p_norm
     assert lp_norm(a[0] - b[0], p_norm) == (row.sum() if p_norm == 1 else row.sum() ** (1.0 / p_norm))

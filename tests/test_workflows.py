@@ -54,6 +54,12 @@ def test_sweep_rows_are_the_crossval_of_each_point_in_serial_and_pooled_runs(dat
                        "mcp": summary.mcp_mean, "mcr": summary.mcr_mean}
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_the_cell_runner_rejects_jobs_below_one(dataset, jobs):
+    with pytest.raises(ContractError, match=f"jobs must be >= 1, got {jobs}"):
+        run_crossval(CONFIG, dataset, k=3, jobs=jobs)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
 def test_a_sweep_margin_must_be_finite_and_nonnegative(dataset, value):
     with pytest.raises(ContractError, match="stage2 alpha must be finite and nonnegative"):
