@@ -45,8 +45,9 @@ def _write_report(out: Path, report, title: str, prefix: str = ""):
     _write(out / f"{prefix}per_class.csv", reports.render_per_class_csv(report))
 
 
-def _setup(args) -> tuple[RunSettings, Dataset, Path]:
-    """Settings with the --seed (and --k) overrides, the dataset, and --out holding the echo."""
+def _setup(args, echo: bool = True) -> tuple[RunSettings, Dataset, Path]:
+    """Settings with the --seed (and --k) overrides, the dataset, and --out,
+    holding the config echo unless ``echo`` is false."""
     settings = load_settings(args.config)
     if args.seed is not None:
         settings = replace(settings, train=replace(settings.train, seed=args.seed))
@@ -54,7 +55,8 @@ def _setup(args) -> tuple[RunSettings, Dataset, Path]:
         settings = replace(settings, k_folds=args.k)
     dataset = _load_dataset(settings, args.data)
     out = Path(args.out)
-    _write(out / "config.echo.ini", echo_settings(settings))
+    if echo:
+        _write(out / "config.echo.ini", echo_settings(settings))
     return settings, dataset, out
 
 
@@ -124,10 +126,13 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ContractError(f"--values: {exc}") from None
-    settings, dataset, out = _setup(args)
+    settings, dataset, out = _setup(args, echo=False)
+    # run_sweep builds every value's config before training, so a bad value
+    # fails before anything is written
     rows = run_sweep(args.axis, values, settings.train, dataset,
                      k=settings.k_folds, small_threshold=settings.small_class_threshold,
                      jobs=args.jobs)
+    _write(out / "config.echo.ini", echo_settings(settings))
     _write(out / "sweep.csv", reports.render_sweep_csv(rows))
     for r in rows:
         print(f"{args.axis} {r['value']:g}: MF1 {r['mf1']:.2f}")

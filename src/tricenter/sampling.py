@@ -30,10 +30,11 @@ mines the same units and leaves the generator in the same state as the
 loop did.  Draws whose bounds are all known up front are made in one
 ``rng.integers(0, bounds)`` call, which yields the same values as the
 scalar calls one after another, and ``_kth`` reads each drawn slot off the
-candidate mask.  Only a draw whose bound depends on an earlier draw (the
-semi-hard band of the drawn positive, the slots of the drawn quadruplet
-classes) stays a scalar call in a loop, and the band sizes of every
-candidate positive are counted before it.
+candidate mask.  Only a draw whose bound depends on an earlier draw stays a
+scalar call in a loop: the semi-hard band of the drawn positive, whose
+sizes are counted for every candidate positive before the loop, and the
+slots of the drawn quadruplet classes in a ragged plan.  In a balanced plan
+every class has the same slot count, so quadruplets draw in one call.
 """
 
 from __future__ import annotations
@@ -244,8 +245,19 @@ def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
     return _units(slots, partners, 1 - column)
 
 
+def _other_class(j, a, b):
+    """The ``j``-th (0-based) class in ascending order other than the
+    distinct classes ``a`` and ``b``."""
+    j = j + (j >= np.minimum(a, b))
+    return j + (j >= np.maximum(a, b))
+
+
 def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
-    """Anchor + positive + negatives from two distinct other classes, all uniform."""
+    """Anchor + positive + negatives from two distinct other classes, all uniform.
+
+    A balanced plan makes every draw in one call; a ragged plan keeps the
+    per-anchor loop, since its slot bounds depend on the drawn classes.
+    """
     labels = batch.labels
     present = np.unique(labels)
     if len(present) < 3:
@@ -255,23 +267,24 @@ def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
     n_pos = positive_mask.sum(axis=1)
     _log_skipped(n_pos)
     anchors = np.flatnonzero(n_pos)
-    rank = np.searchsorted(present, labels).tolist()  # index of each slot's class in present
-    counts = np.bincount(labels)[present].tolist()
+    rank = np.searchsorted(present, labels[anchors])  # index of each anchor's class in present
+    counts = np.bincount(labels)[present]
     n_other = len(present) - 1
-    n_pos_list = n_pos.tolist()
     # Per anchor: positive, first class, second class, then one slot of each
-    # class; the last two bounds depend on the drawn classes.
-    k = []
-    for a in anchors.tolist():
-        kp = int(rng.integers(n_pos_list[a]))
-        j1 = int(rng.integers(n_other))
-        j1 += j1 >= rank[a]
-        lo, hi = sorted((rank[a], j1))
-        j2 = int(rng.integers(n_other - 1))
-        j2 += j2 >= lo
-        j2 += j2 >= hi
-        k.append((kp, j1, j2, int(rng.integers(counts[j1])), int(rng.integers(counts[j2]))))
-    k = np.array(k, dtype=np.intp).reshape(-1, 5)
+    # class, whose bound is that class's size.
+    if (counts == counts[0]).all():  # balanced: every bound is known before the first draw
+        k = rng.integers(0, np.broadcast_to(
+            [counts[0] - 1, n_other, n_other - 1, counts[0], counts[0]], (len(anchors), 5)))
+        k[:, 1] += k[:, 1] >= rank
+        k[:, 2] = _other_class(k[:, 2], rank, k[:, 1])
+    else:
+        k = []
+        for a, r in zip(anchors.tolist(), rank.tolist()):
+            kp, j1, j2 = (int(rng.integers(bound)) for bound in (n_pos[a], n_other, n_other - 1))
+            j1 += j1 >= r
+            j2 = _other_class(j2, r, j1)
+            k.append((kp, j1, j2, int(rng.integers(counts[j1])), int(rng.integers(counts[j2]))))
+        k = np.array(k, dtype=np.intp).reshape(-1, 5)
     by_class = np.argsort(labels, kind="stable")  # slots grouped by class, ascending
     class_start = np.cumsum(counts) - counts
     positives = _kth(positive_mask[anchors], k[:, 0])
@@ -308,12 +321,7 @@ def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
         raise ContractError("center quadruplets need at least 3 classes")
     qualifying = form_center_triplets(batch, embeddings, centers, hyper)
     slots, own, n1 = qualifying.T
-    # The k-th class other than the anchor's and n1.
-    lo = np.minimum(own, n1)
-    hi = np.maximum(own, n1)
-    third = rng.integers(0, k_total - 2, size=len(qualifying))
-    third += third >= lo
-    third += third >= hi
+    third = _other_class(rng.integers(0, k_total - 2, size=len(qualifying)), own, n1)
     return _units(slots, own, n1, third)
 
 

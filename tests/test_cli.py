@@ -246,7 +246,8 @@ def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sect
     ("dimension", "2.5", "2.5"),
     ("dimension", "4,0", "0.0"),
     ("margin", "0.1,nan", "nan"),
-], ids=["non_numeric", "non_integral_dimension", "zero_dimension", "nan_margin"])
+    ("dimension", "", "at least one value"),
+], ids=["non_numeric", "non_integral_dimension", "zero_dimension", "nan_margin", "no_values"])
 def test_a_bad_sweep_value_reports_an_error_without_traceback(tmp_path, axis, values, bad):
     (tmp_path / "config.ini").write_bytes(GOOD_CONFIG)
     result = run_cli("sweep", "--axis", axis, "--values", values,
@@ -256,7 +257,7 @@ def test_a_bad_sweep_value_reports_an_error_without_traceback(tmp_path, axis, va
     assert bad in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
-    assert not (tmp_path / "out" / "sweep.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, run", [

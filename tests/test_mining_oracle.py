@@ -302,6 +302,22 @@ def test_balanced_batches_match_the_loop(m_per_class, dim):
         assert_same_draws(sampling.form_pairs, form_pairs, lambda fn, r: fn(plan, r), 3)
 
 
+# Every class of a balanced plan has the same slot count, so form_quadruplets
+# makes all its draws in one call; these are the edges of that call.
+@pytest.mark.parametrize("labels", [
+    np.repeat([0, 1, 2], 5),     # three classes: the second class draw has bound 1
+    np.repeat(np.arange(6), 2),  # two per class: the positive draw has bound 1
+    np.repeat([0, 2, 5], 4),     # label gaps: a class's rank is not its id
+    np.array([4, 0, 2, 1, 3]),   # one per class: no anchor, so no draw
+], ids=["three_classes", "two_per_class", "label_gaps", "one_per_class"])
+def test_balanced_quadruplets_match_the_loop(labels):
+    rng = np.random.default_rng(70)
+    for _ in range(20):
+        plan = BatchPlan(indices=np.arange(len(labels)), labels=rng.permutation(labels))
+        assert_same_draws(sampling.form_quadruplets, form_quadruplets,
+                          lambda fn, r: fn(plan, r), 4)
+
+
 @pytest.mark.parametrize("budget", [1, 200])
 def test_semi_hard_band_counted_in_chunks_matches_the_loop(budget, monkeypatch):
     """Band sizes counted a few (anchor, positive) pairs at a time: the same

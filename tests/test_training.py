@@ -99,6 +99,32 @@ def test_triplet_and_quadruplet_configs_need_two_samples_per_class(family):
         config(loss_family=family, stage1=Stage1Config(m_per_class=1))
 
 
+class CountingGenerator:
+    """Forwards ``integers`` to a generator and counts the calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_stage_one_draws_each_batch_of_quadruplets_in_one_call(dataset, monkeypatch):
+    """The trainer's balanced batches take form_quadruplets' one-call path."""
+    form_quadruplets, calls = sampling.form_quadruplets, []
+
+    def counted(plan, rng):
+        counting = CountingGenerator(rng)
+        units = form_quadruplets(plan, counting)
+        calls.append((counting.calls, len(units)))
+        return units
+
+    monkeypatch.setattr(sampling, "form_quadruplets", counted)
+    run_two_stage(config(loss_family="quadruplet", stage2=Stage2Config(epochs=0)), dataset)
+    assert calls and set(calls) == {(1, dataset.n_classes * 4)}
+
+
 def far_apart_classes() -> Dataset:
     """Three tight classes far apart: no center-stage unit qualifies at alpha = 0."""
     return gen_gaussian_imbalanced(SyntheticSpec(sizes=[20, 10, 5], means=simplex_means(3, 4, 50.0),
