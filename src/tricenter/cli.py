@@ -80,9 +80,11 @@ def cmd_train(args) -> int:
                              test_fraction=settings.holdout_fraction,
                              small_threshold=settings.small_class_threshold)
         record, report = result.record, result.report
-    else:
+        scored = "holdout"
+    else:  # no holdout: score the rows it trained on
         record = run_method(settings.train, dataset)
         report = evaluate_record(record, dataset, small_threshold=settings.small_class_threshold)
+        scored = "training-set"
 
     if record.stage1_state is not None:
         # snapshot of the extractor right after stage 1
@@ -97,7 +99,7 @@ def cmd_train(args) -> int:
         centers=record.centers))
 
     _write(out / "run_record.txt", reports.render_run_record(record))
-    _write_report(out, report, f"{record.method} holdout metrics")
+    _write_report(out, report, f"{record.method} {scored} metrics")
 
     for stage, losses, times in (("stage1", record.stage1_losses, record.stage1_epoch_times),
                                  ("stage2", record.stage2_losses, record.stage2_epoch_times)):
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument("--jobs", type=positive_int, default=1)
 
-    p = sub.add_parser("train", parents=[run], help="train one model and report holdout metrics")
+    p = sub.add_parser("train", parents=[run], help="train one model and report its metrics")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -10,7 +10,7 @@ never squared and never normalized.  Hinges use max(0, .) with gradient 0
 at the kink.
 
 One classification loss, ``cross_entropy_mean`` with an optional focal
-factor, serves every baseline and the stage-1 ``lambda_ce`` term.  The
+factor, serves every baseline; a two-stage run has no classifier head.  The
 per-unit scalar forms of all these losses, focal loss included, live in the
 tests as oracles; the tests pin each batched loss to the mean of its scalar
 form.

@@ -45,8 +45,7 @@ BASELINES = ("bce", "wce", "oce", "wfce")
 class Stage1Config:
     epochs: int = 200
     m_per_class: int = 10
-    mining: str = "random_hard"  # "random" | "random_hard"
-    lambda_ce: float = 0.0  # weight of an optional cross-entropy term
+    mining: str = "random_hard"  # triplet family only: "random" | "random_hard"
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -55,8 +54,6 @@ class Stage1Config:
             raise ContractError(f"m_per_class must be >= 1, got {self.m_per_class}")
         if self.mining not in sampling.MINING_STRATEGIES:
             raise ContractError(f"unknown mining strategy {self.mining!r}")
-        if not (math.isfinite(self.lambda_ce) and self.lambda_ce >= 0):
-            raise ContractError(f"lambda_ce must be finite and >= 0, got {self.lambda_ce}")
 
 
 @dataclass
@@ -64,12 +61,9 @@ class Stage2Config:
     epochs: int = 200
     batch_size: int = 16
     center_mode: str = "computed"  # "computed" | "trainable"
-    center_init: str = "from_computed"  # trainable mode: "from_computed" | "random"
     alpha: float | None = None  # margin override for the center stage
     lr: float | None = None  # learning-rate override for the center stage
     refresh_each_epoch: bool = True  # computed mode: recompute centers every epoch
-    freeze_layers: int = 0  # leave the first n layers of the extractor fixed
-    final_centers: str = "default"  # "default" | "recomputed"; see run_two_stage
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -80,14 +74,8 @@ class Stage2Config:
             raise ContractError(f"stage2 alpha must be finite and nonnegative, got {self.alpha}")
         if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
             raise ContractError(f"stage2 lr must be finite and positive, got {self.lr}")
-        if self.freeze_layers < 0:
-            raise ContractError(f"freeze_layers must be >= 0, got {self.freeze_layers}")
         if self.center_mode not in CENTER_MODES:
             raise ContractError(f"unknown center mode {self.center_mode!r}")
-        if self.center_init not in ("from_computed", "random"):
-            raise ContractError(f"unknown center init {self.center_init!r}")
-        if self.final_centers not in ("default", "recomputed"):
-            raise ContractError(f"unknown final_centers choice {self.final_centers!r}")
 
 
 @dataclass
@@ -131,9 +119,6 @@ class TrainConfig:
         if self.activation not in ACTIVATIONS:
             raise ContractError(f"unknown activation {self.activation!r}; expected one of "
                                 f"{sorted(ACTIVATIONS)}")
-        if self.stage2.freeze_layers > len(self.hidden):
-            raise ContractError(f"freeze_layers = {self.stage2.freeze_layers} leaves none of "
-                                f"the {len(self.hidden) + 1} layers to train")
         if self.baseline_epochs is not None and self.baseline_epochs < 0:
             raise ContractError(f"baseline epochs must be >= 0, got {self.baseline_epochs}")
         if self.baseline_batch_size < 1:
@@ -173,11 +158,6 @@ def _stage2_hyper(config: TrainConfig) -> LossHyper:
     if config.stage2.alpha is None:
         return config.hyper
     return replace(config.hyper, alpha=config.stage2.alpha)
-
-
-def _trainable_params(extractor: FeatureExtractor, freeze_layers: int) -> list:
-    """The (weight, bias) pairs of every layer after the first ``freeze_layers``."""
-    return extractor.parameters()[2 * freeze_layers:]
 
 
 @dataclass(frozen=True)
@@ -250,16 +230,12 @@ def _center_stage_batch_loss(config: TrainConfig, emb: Tensor, plan,
     return family.score(units, [emb] + [centers.table] * (family.row_columns - 1), hyper)
 
 
-def _start(config: TrainConfig, dataset: Dataset, method: str,
-           head: bool) -> tuple[np.random.Generator, RunRecord]:
-    """The run's generator and a record holding a fresh extractor, and a
-    classifier head when ``head`` is set, both drawn from that generator."""
+def _start(config: TrainConfig, dataset: Dataset, method: str) -> tuple[np.random.Generator, RunRecord]:
+    """The run's generator and a record holding a fresh extractor drawn from it."""
     rng = np.random.default_rng(config.seed)
-    extractor = build_extractor(config, dataset.in_dim, rng)
     return rng, RunRecord(
         method=method, seed=config.seed, config_fingerprint=config_fingerprint(config.to_dict()),
-        extractor=extractor,
-        head=LinearHead(extractor.out_dim, dataset.n_classes, rng=rng) if head else None)
+        extractor=build_extractor(config, dataset.in_dim, rng))
 
 
 def _fit(record: RunRecord, stage: int, epochs: int, opt: Adam, epoch_plans: Callable,
@@ -297,8 +273,7 @@ def _fit(record: RunRecord, stage: int, epochs: int, opt: Adam, epoch_plans: Cal
 
 def run_stage1(config: TrainConfig, dataset: Dataset, record: RunRecord,
                rng: np.random.Generator, stage: int = 1) -> None:
-    """Balanced-batch metric training of the record's extractor, and of its
-    head under ``lambda_ce``, in place.
+    """Balanced-batch metric training of the record's extractor, in place.
 
     ``stage=2`` spends the stage-2 budget on this training instead of the
     center stage (``centered = false``) and records into the stage-2 lists.
@@ -310,9 +285,8 @@ def run_stage1(config: TrainConfig, dataset: Dataset, record: RunRecord,
         return
     _require_classes(config, dataset)
     dataset.index.require_nonempty_classes()
-    extractor, head = record.extractor, record.head
-    params = extractor.parameters() + (head.parameters() if head is not None else [])
-    opt = Adam(params, config.optimizer)
+    extractor = record.extractor
+    opt = Adam(extractor.parameters(), config.optimizer)
     batch_size = dataset.n_classes * s1.m_per_class
     n_batches = max(1, math.ceil(dataset.features.shape[0] / batch_size))
 
@@ -321,11 +295,8 @@ def run_stage1(config: TrainConfig, dataset: Dataset, record: RunRecord,
                 for _ in range(n_batches))
 
     def batch_loss(plan):
-        emb = extractor(Tensor(dataset.features[plan.indices]))
-        loss = _metric_batch_loss(config, emb, plan, rng)
-        if loss is not None and head is not None:
-            loss = loss + s1.lambda_ce * losses.cross_entropy_mean(head(emb), plan.labels)
-        return loss
+        return _metric_batch_loss(config, extractor(Tensor(dataset.features[plan.indices])),
+                                  plan, rng)
 
     _fit(record, stage, epochs, opt, epoch_plans, batch_loss, "stage 1")
 
@@ -338,14 +309,11 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
     hyper = _stage2_hyper(config)
     _require_classes(config, dataset)
     extractor, features = record.extractor, dataset.features
-    params = _trainable_params(extractor, s2.freeze_layers)
+    params = extractor.parameters()
 
     centers: CenterTable | None = None
-    if s2.center_mode == "trainable":
-        if s2.center_init == "from_computed":
-            rows = compute_centers(extractor, features, dataset.index).matrix
-        else:
-            rows = rng.standard_normal((dataset.n_classes, extractor.out_dim))
+    if s2.center_mode == "trainable":  # warm start from the computed means
+        rows = compute_centers(extractor, features, dataset.index).matrix
         centers = CenterTable(Tensor(rows, requires_grad=True), "trainable", p_norm=hyper.p_norm)
         params = params + [centers.table]
 
@@ -375,11 +343,11 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     With ``centered=False`` the stage-2 budget is spent on more stage-1 style
     training instead, which is the budget-matched plain-loss baseline for the
     loss-family extension comparisons.  Nearest-center prediction data is
-    always attached: trainable-center runs keep their learned rows unless
-    ``final_centers = recomputed``; otherwise the final centers are computed
-    from the final parameters over the whole training set.
+    always attached: trainable-center runs keep their learned rows; otherwise
+    the final centers are computed from the final parameters over the whole
+    training set.  No classifier head is built.
     """
-    rng, record = _start(config, dataset, config.method, head=config.stage1.lambda_ce > 0)
+    rng, record = _start(config, dataset, config.method)
     run_stage1(config, dataset, record, rng)
     record.stage1_state = record.extractor.state()
 
@@ -389,8 +357,7 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     elif config.stage2.epochs > 0:
         centers = run_stage2(config, dataset, record, rng)
 
-    if (centers is not None and centers.mode == "trainable"
-            and config.stage2.final_centers == "default"):
+    if centers is not None and centers.mode == "trainable":
         record.centers = centers
     else:
         record.centers = compute_centers(record.extractor, dataset.features, dataset.index,
@@ -408,7 +375,8 @@ def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset) -> RunRec
     """
     if strategy not in BASELINES:
         raise ContractError(f"unknown baseline {strategy!r}; expected one of {BASELINES}")
-    rng, record = _start(config, dataset, f"baseline:{strategy}", head=True)
+    rng, record = _start(config, dataset, f"baseline:{strategy}")
+    record.head = LinearHead(record.extractor.out_dim, dataset.n_classes, rng=rng)
     dataset.index.require_nonempty_classes()
 
     weights = None

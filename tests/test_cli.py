@@ -175,6 +175,15 @@ def test_the_final_checkpoint_records_the_epochs_trained(tmp_path, run, epochs, 
     assert (final.centers.source_epoch if final.centers else None) == source_epoch
 
 
+# With no holdout, train scores the rows it trained on, and says so.
+@pytest.mark.parametrize("fraction, scored", [("0.2", "holdout"), ("0", "training-set")])
+def test_train_titles_its_metrics_by_the_rows_it_scored(tmp_path, fraction, scored):
+    config = write_ini(tmp_path / "config.ini", SHORT, {"data": {"holdout_fraction": fraction}})
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    title = (tmp_path / "out" / "metrics.txt").read_text().splitlines()[0]
+    assert title == f"# two_stage {scored} metrics"
+
+
 # The overflow that makes the loss non-finite warns first.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_diverging_run_reports_an_error_without_traceback(tmp_path, capsys):
@@ -198,6 +207,7 @@ def write_ini(path, *layers):
 
 # From negative_stage2_lr on, each value used to fail only once a run reached it
 # (after stage 1, say) or to pass silently; the config now refuses it when built.
+# The removed_* keys are no longer options; an INI that still sets one fails to load.
 @pytest.mark.parametrize("sections, message", [
     ({"hyper": {"alpha": "nan"}}, "margins must be finite"),
     ({"stage1": {"epochs": "-1"}}, "stage1 epochs must be >= 0"),
@@ -205,7 +215,6 @@ def write_ini(path, *layers):
     ({"hyper": {"p_norm": "0"}}, "p_norm must be a positive integer"),
     ({"hyper": {"beta": "-0.1"}}, "beta must be >= 0"),
     ({"stage2": {"lr": "-1"}}, "stage2 lr must be finite and positive, got -1.0"),
-    ({"stage2": {"freeze_layers": "3"}}, "freeze_layers = 3 leaves none of the 3 layers to train"),
     ({"run": {"loss_family": "quadruplet"}, "stage2": {"alpha": "0.2"}},
      "quadruplet losses need beta < alpha, got beta=0.25 alpha=0.2"),
     ({"run": {"loss_family": "quadruplet"}, "hyper": {"alpha": "0.25"}},
@@ -217,7 +226,6 @@ def write_ini(path, *layers):
      "quadruplet batches need m_per_class >= 2, got 1"),
     ({"run": {"loss_family": "pairwise"}, "stage1": {"m_per_class": "0"}},
      "m_per_class must be >= 1, got 0"),
-    ({"stage2": {"freeze_layers": "-1"}}, "freeze_layers must be >= 0, got -1"),
     ({"run": {"seed": "-1"}}, "seed must be >= 0, got -1"),
     ({"optimizer": {"lr": "nan"}}, "optimizer settings out of range"),
     ({"run": {"method": "baseline:wfce"}, "baseline": {"focal_gamma": "nan"}},
@@ -225,13 +233,18 @@ def write_ini(path, *layers):
     ({"model": {"activation": "sigmoid"}}, "unknown activation 'sigmoid'"),
     ({"model": {"hidden": "0,8"}}, "hidden widths must be positive integers, got (0, 8)"),
     ({"optimizer": {"epsilon": "inf"}}, "optimizer settings out of range"),
-    ({"stage2": {"final_centers": "learned"}}, "unknown final_centers choice 'learned'"),
+    ({"stage1": {"lambda_ce": "0.5"}}, "unknown key(s) ['lambda_ce'] in section [stage1]"),
+    ({"stage2": {"freeze_layers": "1"}}, "unknown key(s) ['freeze_layers'] in section [stage2]"),
+    ({"stage2": {"center_init": "random"}}, "unknown key(s) ['center_init'] in section [stage2]"),
+    ({"stage2": {"final_centers": "recomputed"}},
+     "unknown key(s) ['final_centers'] in section [stage2]"),
 ], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "zero_p_norm", "negative_beta",
-        "negative_stage2_lr", "freeze_every_layer", "quadruplet_stage2_alpha_below_beta",
+        "negative_stage2_lr", "quadruplet_stage2_alpha_below_beta",
         "quadruplet_alpha_at_beta", "negative_baseline_epochs", "triplet_one_per_class",
-        "quadruplet_one_per_class", "pairwise_zero_per_class", "negative_freeze_layers",
+        "quadruplet_one_per_class", "pairwise_zero_per_class",
         "negative_seed", "nan_optimizer_lr", "nan_focal_gamma", "unknown_activation",
-        "zero_hidden_width", "inf_optimizer_epsilon", "learned_final_centers"])
+        "zero_hidden_width", "inf_optimizer_epsilon", "removed_lambda_ce", "removed_freeze_layers",
+        "removed_center_init", "removed_final_centers"])
 def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sections, message):
     config = write_ini(tmp_path / "config.ini", SHORT, sections)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1

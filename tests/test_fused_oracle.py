@@ -18,7 +18,6 @@ import itertools
 import numpy as np
 import pytest
 
-from tricenter import training
 from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable
 from tricenter.errors import ContractError, ShapeError
@@ -256,9 +255,8 @@ def _units(rng, n, k):
 @pytest.mark.parametrize("family", ["triplet", "quadruplet"])
 def test_shared_embeddings_accumulate_in_chain_order(p, family, monkeypatch):
     # Rows of one embedding batch feed the anchor, positive and negative
-    # takes, and a classifier head feeds back into the same batch (the
-    # lambda_ce path), so each row's gradient is a sum of 3-5 terms whose
-    # order the graph fixes.
+    # takes, and a classifier head feeds back into the same batch, so each
+    # row's gradient is a sum of 3-5 terms whose order the graph fixes.
     rng = np.random.default_rng(10 + p)
     hyper = LossHyper(alpha=2.0, beta=1.0, p_norm=p)
     n, d = 16, 5
@@ -358,7 +356,8 @@ def _center_stage(seed, freeze_layers):
     extractor = FeatureExtractor([6, 9, 8, 4], activation="tanh", rng=rng)
     centers = CenterTable(Tensor(rng.standard_normal((3, 4)), requires_grad=True), "trainable")
     head = LinearHead(4, 3, rng=rng)
-    params = training._trainable_params(extractor, freeze_layers) + [centers.table] + head.parameters()
+    # the first ``freeze_layers`` (weight, bias) pairs are left out of the optimizer
+    params = extractor.parameters()[2 * freeze_layers:] + [centers.table] + head.parameters()
     return extractor, centers, head, params
 
 

@@ -85,10 +85,10 @@ def test_a_dimension_sweep_point_has_the_fingerprint_of_its_integer_config():
 
 @pytest.mark.parametrize("change, message", [
     (dict(hyper=LossHyper(beta=-0.1)), "beta must be >= 0, got -0.1"),
-    (dict(hidden=(12,), stage2=Stage2Config(freeze_layers=2)),
-     "freeze_layers = 2 leaves none of the 2 layers to train"),
-], ids=["negative_beta", "freeze_every_layer"])
+    (dict(stage1=Stage1Config(m_per_class=1)), "triplet batches need m_per_class >= 2, got 1"),
+], ids=["negative_beta", "triplet_one_per_class"])
 def test_a_train_config_rejects_what_the_ini_rejects(change, message):
-    """LossHyper alone accepts a negative beta; a TrainConfig holding one does not."""
+    """LossHyper alone accepts a negative beta and Stage1Config one row per
+    class; a TrainConfig holding either does not."""
     with pytest.raises(ContractError, match=message):
         replace(CONFIG, **change)
