@@ -50,10 +50,6 @@ class CenterTable:
     def n_classes(self) -> int:
         return self.table.data.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.table.data.shape[1]
-
 
 def embed_all(extractor, features: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.ndarray:
     """Forward a whole feature matrix without building a graph."""

@@ -1,9 +1,10 @@
 """Command-line interface: gen-data, train, eval, sweep, crossval.
 
 Every command takes its settings from an INI config file (see config.py),
-with --seed overriding the configured seed.  All artifacts are written under
---out; wall-clock timing goes only to train.log so repeated runs with the
-same seed produce byte-identical reports.
+with --data and --seed overriding the configured source and seed; the config
+echo records the overrides, so a rerun from it repeats the run.  All
+artifacts are written under --out; wall-clock timing goes only to train.log
+so repeated runs with the same seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from .training import run_method
 from .workflows import SWEEP_AXES, evaluate_record, run_crossval, run_holdout, run_sweep
 
 
-def _load_dataset(settings: RunSettings, data_arg: str | None) -> Dataset:
-    if data_arg:
-        return load_csv(data_arg)
+def _load_dataset(settings: RunSettings) -> Dataset:
     if settings.data_source:
         return load_csv(settings.data_source)
     return gen_gaussian_imbalanced(preset_spec(settings.data_preset, seed=settings.train.seed))
@@ -46,14 +45,16 @@ def _write_report(out: Path, report, title: str, prefix: str = ""):
 
 
 def _setup(args, echo: bool = True) -> tuple[RunSettings, Dataset, Path]:
-    """Settings with the --seed (and --k) overrides, the dataset, and --out,
-    holding the config echo unless ``echo`` is false."""
+    """Settings with the --data, --seed (and --k) overrides, the dataset, and
+    --out, holding the config echo unless ``echo`` is false."""
     settings = load_settings(args.config)
+    if args.data:
+        settings = replace(settings, data_source=args.data)
     if args.seed is not None:
         settings = replace(settings, train=replace(settings.train, seed=args.seed))
     if getattr(args, "k", None) is not None:
         settings = replace(settings, k_folds=args.k)
-    dataset = _load_dataset(settings, args.data)
+    dataset = _load_dataset(settings)
     out = Path(args.out)
     if echo:
         _write(out / "config.echo.ini", echo_settings(settings))

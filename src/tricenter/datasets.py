@@ -10,6 +10,7 @@ unit isotropic noise, which leaves the classes moderately overlapping.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,11 +151,12 @@ def load_csv(path) -> Dataset:
     """Parse a ``label,f0,f1,...`` file; raises DataFormatError with the bad line number.
 
     Each non-blank line after the header holds as many comma-separated fields
-    as the header: a nonnegative label as ``int()`` reads it, then features as
-    ``float()`` reads them; no quoting, no comments.  The line loop defines a
-    valid row.  One ``np.loadtxt`` call parses the rows first (equal values on
-    every spelling it accepts); when it refuses the file, which includes
-    ``1_0`` and non-ASCII digits, or a width or label is wrong, the loop decides.
+    as the header: a nonnegative label as ``int()`` reads it, then finite
+    features as ``float()`` reads them; no quoting, no comments.  The line
+    loop defines a valid row.  One ``np.loadtxt`` call parses the rows first
+    (equal values on every spelling it accepts); when it refuses the file,
+    which includes ``1_0`` and non-ASCII digits, or a width, label or
+    non-finite value is wrong, the loop decides.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -176,7 +178,8 @@ def load_csv(path) -> Dataset:
             labels = [int(line.partition(",")[0]) for line in body]
         except ValueError:  # the line loop below reports the bad line
             table = None
-        if table is not None and table.shape[1] == width + 1 and min(labels) >= 0:
+        if (table is not None and table.shape[1] == width + 1 and min(labels) >= 0
+                and np.isfinite(table).all()):
             return Dataset(np.ascontiguousarray(table[:, 1:]), np.array(labels))
     labels, rows = [], []
     for ln, line in enumerate(lines[1:], start=2):
@@ -195,6 +198,8 @@ def load_csv(path) -> Dataset:
             rows.append([float(v) for v in parts[1:]])
         except ValueError:
             raise DataFormatError(f"{path}: line {ln}: non-numeric feature value")
+        if not all(map(math.isfinite, rows[-1])):
+            raise DataFormatError(f"{path}: line {ln}: non-finite feature value")
         labels.append(lab)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")

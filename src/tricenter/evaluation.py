@@ -233,15 +233,18 @@ def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
 def wilcoxon_signed_rank(scores_a, scores_b, alpha: float = 0.05) -> WilcoxonResult:
     """Two-sided paired Wilcoxon signed-rank test on scores_a - scores_b.
 
-    Zero differences are dropped.  For n <= 25 the p-value is exact (full
-    sign-assignment distribution, midranks for ties); beyond that a normal
-    approximation with tie-corrected variance is used.  All-zero differences
-    yield an undefined-test result rather than a p-value.
+    Every score must be finite.  Zero differences are dropped.  For n <= 25
+    the p-value is exact (full sign-assignment distribution, midranks for
+    ties); beyond that a normal approximation with tie-corrected variance is
+    used.  All-zero differences yield an undefined-test result rather than a
+    p-value.
     """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ContractError("paired score vectors must be 1-D and equal length")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ContractError("paired scores must be finite")
     diff = a - b
     diff = diff[diff != 0.0]
     if len(diff) == 0:

@@ -21,33 +21,31 @@ center pairs ``[anchor, class, same]``, center quadruplets
 ``[anchor, own class, negative1 class, negative2 class]``.
 
 Miners take the batch embeddings and a center table as float arrays
-(``[N, D]`` and ``[K, D]``).  They keep the random contract of a per-anchor
-loop: anchors in slot order, and for each anchor the same draws in the same
-order (positive, then negative or classes, then slots), each one
-``rng.integers(n)`` over a candidate list in ascending slot or class order,
-which is what ``rng.choice`` of that list draws.  A seeded run therefore
-mines the same units and leaves the generator in the same state as the
-loop did.  Draws whose bounds are all known up front are made in one
+(``[N, D]`` and ``[K, D]``).  The stage-1 miners (triplets, quadruplets)
+take only the plans ``build_balanced_batch`` makes: every class 0..K-1 has
+the same number m of slots, and any other plan is a ``ContractError``.
+They keep the random contract of a per-anchor loop: anchors in slot order,
+and for each anchor the same draws in the same order (positive, then
+negative or classes, then slots), each one ``rng.integers(n)`` over a
+candidate list in ascending slot or class order, which is what
+``rng.choice`` of that list draws.  A seeded run therefore mines the same
+units and leaves the generator in the same state as the loop did.  In a
+balanced plan every bound is known up front, so the draws are made in one
 ``rng.integers(0, bounds)`` call, which yields the same values as the
 scalar calls one after another, and ``_kth`` reads each drawn slot off the
-candidate mask.  Only a draw whose bound depends on an earlier draw stays a
-scalar call in a loop: the semi-hard band of the drawn positive, whose
-sizes are counted for every candidate positive before the loop, and the
-slots of the drawn quadruplet classes in a ragged plan.  In a balanced plan
-every class has the same slot count, so quadruplets draw in one call.
+candidate mask.  Only the semi-hard band draw of ``form_triplets`` stays a
+scalar call in a loop: its bound is the band size of the drawn positive,
+counted for every candidate positive before the loop.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distance import BLOCK_FLOATS, lp_cdist
 from .errors import ContractError
-
-log = logging.getLogger(__name__)
 
 MINING_STRATEGIES = ("random", "random_hard")  # stage-1 negative choice of ``form_triplets``
 
@@ -154,63 +152,62 @@ def _units(*columns) -> np.ndarray:
     return np.stack(columns, axis=1).astype(np.intp, copy=False)
 
 
-def _log_skipped(n_positives: np.ndarray):
-    skipped = np.flatnonzero(n_positives == 0)
-    if skipped.size:
-        log.debug("anchor slots %s have no in-batch positive; skipped", skipped.tolist())
+def _slots_per_class(labels: np.ndarray, min_classes: int) -> int:
+    """The slot count m of a balanced plan: every class 0..K-1 has m slots
+    and K >= ``min_classes``."""
+    counts = np.bincount(labels)
+    if len(counts) < min_classes or (counts != counts[0]).any():
+        raise ContractError(f"stage-1 mining needs a balanced plan over >= {min_classes} classes "
+                            f"0..K-1, got class counts {counts.tolist()}")
+    return int(counts[0])
 
 
 def form_triplets(batch: BatchPlan, embeddings, strategy: str,
                   hyper, rng: np.random.Generator) -> np.ndarray:
-    """Form one ``[anchor, positive, negative]`` triplet per anchor slot.
+    """Form one ``[anchor, positive, negative]`` triplet per slot of a
+    balanced plan; none when each class has a single slot.
 
     The positive is uniform over other slots of the anchor's class.  Under
     ``random`` the negative is uniform over all other-class slots; under
     ``random_hard`` it is uniform over semi-hard negatives (anchor-negative
     distance inside (d_ap, d_ap + alpha)), falling back to the hardest
-    negative when the semi-hard band is empty.  Anchors whose class has a
-    single slot in the batch are skipped.
+    negative when the semi-hard band is empty.
     """
     if strategy not in MINING_STRATEGIES:
         raise ContractError(f"unknown mining strategy {strategy!r}")
     labels = batch.labels
-    if len(np.unique(labels)) < 2:
-        raise ContractError("triplet formation needs at least 2 classes in the batch")
+    n, m = len(labels), _slots_per_class(labels, 2)
+    if m == 1:
+        return np.empty((0, 3), dtype=np.intp)
+    anchors = np.arange(n)
     negative_mask, positive_mask = _class_masks(labels)
-    n_pos = positive_mask.sum(axis=1)
-    _log_skipped(n_pos)
-    anchors = np.flatnonzero(n_pos)
     if strategy == "random":
-        k = rng.integers(0, np.stack([n_pos, negative_mask.sum(axis=1)], axis=1)[anchors])
-        return _units(anchors, _kth(positive_mask[anchors], k[:, 0]),
-                      _kth(negative_mask[anchors], k[:, 1]))
+        k = rng.integers(0, [m - 1, n - m], size=(n, 2))
+        return _units(anchors, _kth(positive_mask, k[:, 0]), _kth(negative_mask, k[:, 1]))
     dist = lp_cdist(embeddings, embeddings, hyper.p_norm)
     negative_dist = np.where(negative_mask, dist, np.inf)  # +inf is in no band (d_ap, d_ap + alpha)
     # The band size of every (anchor, candidate positive) pair, in chunks of
-    # pairs: the drawn positive's band size bounds the next draw.
+    # pairs: the drawn positive's band size bounds the next draw.  Anchor a's
+    # m - 1 pairs are a*(m-1) .. a*(m-1) + m-2.
     pair_anchors, pair_positives = np.nonzero(positive_mask)
     pair_d_ap = dist[pair_anchors, pair_positives][:, None]
     band_sizes = np.empty(len(pair_anchors), dtype=np.intp)
-    chunk = max(1, BLOCK_FLOATS // len(labels))
+    chunk = max(1, BLOCK_FLOATS // n)
     for start in range(0, len(pair_anchors), chunk):
         rows = slice(start, start + chunk)
         d_an, d_ap = negative_dist[pair_anchors[rows]], pair_d_ap[rows]
         band_sizes[rows] = ((d_an > d_ap) & (d_an < d_ap + hyper.alpha)).sum(axis=1)
-    first_positive = (np.cumsum(n_pos) - n_pos).tolist()
-    n_pos_list, band_sizes = n_pos.tolist(), band_sizes.tolist()
+    band_sizes = band_sizes.tolist()
     draws = []
-    for a in anchors.tolist():
-        pair = first_positive[a] + int(rng.integers(n_pos_list[a]))
+    for a in range(n):
+        pair = a * (m - 1) + int(rng.integers(m - 1))
         draws.append((pair, int(rng.integers(band_sizes[pair])) if band_sizes[pair] > 0 else -1))
-    pairs, k_band = np.array(draws, dtype=np.intp).reshape(-1, 2).T
+    pairs, k_band = np.array(draws, dtype=np.intp).T
     positives, d_ap = pair_positives[pairs], pair_d_ap[pairs]
-    d_an = negative_dist[anchors]
-    anchor_negatives = negative_mask[anchors]
-    band = (d_an > d_ap) & (d_an < d_ap + hyper.alpha)
-    hardest = d_an.argmin(axis=1)
+    band = (negative_dist > d_ap) & (negative_dist < d_ap + hyper.alpha)
+    hardest = negative_dist.argmin(axis=1)
     # A row whose negatives are all at +inf puts argmin on slot 0.
-    hardest = np.where(anchor_negatives[np.arange(len(anchors)), hardest], hardest,
-                       anchor_negatives.argmax(axis=1))
+    hardest = np.where(negative_mask[anchors, hardest], hardest, negative_mask.argmax(axis=1))
     negatives = np.where(k_band >= 0, _kth(band, k_band), hardest)
     return _units(anchors, positives, negatives)
 
@@ -253,44 +250,24 @@ def _other_class(j, a, b):
 
 
 def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
-    """Anchor + positive + negatives from two distinct other classes, all uniform.
-
-    A balanced plan makes every draw in one call; a ragged plan keeps the
-    per-anchor loop, since its slot bounds depend on the drawn classes.
-    """
+    """Anchor + positive + negatives from two distinct other classes, all
+    uniform, for every slot of a balanced plan; none when each class has a
+    single slot."""
     labels = batch.labels
-    present = np.unique(labels)
-    if len(present) < 3:
-        raise ContractError(
-            f"quadruplet formation needs >= 3 classes in the batch, got {len(present)}")
-    _, positive_mask = _class_masks(labels)
-    n_pos = positive_mask.sum(axis=1)
-    _log_skipped(n_pos)
-    anchors = np.flatnonzero(n_pos)
-    rank = np.searchsorted(present, labels[anchors])  # index of each anchor's class in present
-    counts = np.bincount(labels)[present]
-    n_other = len(present) - 1
+    m = _slots_per_class(labels, 3)
+    if m == 1:
+        return np.empty((0, 4), dtype=np.intp)
+    n_other = len(labels) // m - 1
     # Per anchor: positive, first class, second class, then one slot of each
-    # class, whose bound is that class's size.
-    if (counts == counts[0]).all():  # balanced: every bound is known before the first draw
-        k = rng.integers(0, np.broadcast_to(
-            [counts[0] - 1, n_other, n_other - 1, counts[0], counts[0]], (len(anchors), 5)))
-        k[:, 1] += k[:, 1] >= rank
-        k[:, 2] = _other_class(k[:, 2], rank, k[:, 1])
-    else:
-        k = []
-        for a, r in zip(anchors.tolist(), rank.tolist()):
-            kp, j1, j2 = (int(rng.integers(bound)) for bound in (n_pos[a], n_other, n_other - 1))
-            j1 += j1 >= r
-            j2 = _other_class(j2, r, j1)
-            k.append((kp, j1, j2, int(rng.integers(counts[j1])), int(rng.integers(counts[j2]))))
-        k = np.array(k, dtype=np.intp).reshape(-1, 5)
-    by_class = np.argsort(labels, kind="stable")  # slots grouped by class, ascending
-    class_start = np.cumsum(counts) - counts
-    positives = _kth(positive_mask[anchors], k[:, 0])
-    n1 = by_class[class_start[k[:, 1]] + k[:, 3]]
-    n2 = by_class[class_start[k[:, 2]] + k[:, 4]]
-    return _units(anchors, positives, n1, n2)
+    # class.  A class's rank among the others is its label, skipping the
+    # anchor's own.
+    k = rng.integers(0, [m - 1, n_other, n_other - 1, m, m], size=(len(labels), 5))
+    k[:, 1] += k[:, 1] >= labels
+    k[:, 2] = _other_class(k[:, 2], labels, k[:, 1])
+    _, positive_mask = _class_masks(labels)
+    by_class = np.argsort(labels, kind="stable")  # class c's slots are by_class[c*m:(c+1)*m]
+    return _units(np.arange(len(labels)), _kth(positive_mask, k[:, 0]),
+                  by_class[k[:, 1] * m + k[:, 3]], by_class[k[:, 2] * m + k[:, 4]])
 
 
 def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> np.ndarray:

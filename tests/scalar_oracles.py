@@ -167,7 +167,8 @@ def nearest_center_predict(embedding, centers: CenterTable):
     Returns (class_id, distance_vector) with one distance per class.
     """
     emb = embedding.data if isinstance(embedding, Tensor) else np.asarray(embedding, dtype=np.float64)
-    if emb.ndim != 1 or emb.shape[0] != centers.dim:
-        raise ContractError(f"embedding shape {emb.shape} does not match center dim {centers.dim}")
+    dim = centers.matrix.shape[1]
+    if emb.ndim != 1 or emb.shape[0] != dim:
+        raise ContractError(f"embedding shape {emb.shape} does not match center dim {dim}")
     dists = lp_cdist(emb[None, :], centers.matrix, centers.p_norm)[0]
     return int(np.argmin(dists)), dists

@@ -61,6 +61,21 @@ def test_train_reruns_with_the_same_seed_are_byte_identical(tmp_path, run):
     assert outputs[0] == outputs[1]
 
 
+def test_a_rerun_from_the_config_echo_of_a_data_flag_run_repeats_it(tmp_path):
+    # The CSV is drawn at another seed than the run's, so it differs from the preset's data.
+    assert cli.main(["gen-data", "--preset", "skin7-like", "--seed", "1", "--out", str(tmp_path)]) == 0
+    config = tmp_path / "config.ini"
+    config.write_text("[run]\nseed = 3\n[data]\npreset = skin7-like\n"
+                      "[model]\nembedding_dim = 8\nhidden = 12\n"
+                      "[stage1]\nepochs = 1\nm_per_class = 4\n[stage2]\nepochs = 1\n")
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert cli.main(["train", "--config", str(config), "--data", str(tmp_path / "dataset.csv"),
+                     "--out", str(first)]) == 0
+    assert cli.main(["train", "--config", str(first / "config.echo.ini"), "--out", str(rerun)]) == 0
+    for name in ("config.echo.ini", "metrics.txt", "per_class.csv", "final.ckpt"):
+        assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
+
+
 def test_eval_predicts_by_the_nearest_center_under_the_trained_lp_order(tmp_path, monkeypatch):
     assert cli.main(["gen-data", "--preset", "skin7-like", "--seed", "3", "--out", str(tmp_path)]) == 0
     data = tmp_path / "dataset.csv"
@@ -116,7 +131,9 @@ GOOD_CONFIG = b"[data]\npreset = skin7-like\n"
     (b"preset = skin7-like\n", None),
     (GOOD_CONFIG + b"preset = skin7-like\n", None),
     (GOOD_CONFIG, b"label,f0,f1\n0,1.0,2.0\n1,\xff,3.0\n"),
-], ids=["ini_not_utf8", "ini_no_section_header", "ini_duplicate_key", "csv_not_utf8"])
+    (GOOD_CONFIG, b"label,f0,f1\n0,1.0,2.0\n1,nan,3.0\n"),
+], ids=["ini_not_utf8", "ini_no_section_header", "ini_duplicate_key", "csv_not_utf8",
+        "csv_non_finite"])
 def test_malformed_inputs_report_an_error_without_traceback(tmp_path, config, csv):
     (tmp_path / "config.ini").write_bytes(config)
     argv = ["train", "--config", tmp_path / "config.ini", "--out", tmp_path / "out"]

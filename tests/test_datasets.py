@@ -116,11 +116,14 @@ def test_a_dataset_never_drops_rows_beyond_its_forced_class_count():
         datasets.Dataset(np.zeros((4, 2)), [0, 1, 2, 2], forced_n_classes=2)
 
 
-def test_a_nan_feature_is_a_contract_error(tmp_path):
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_a_non_finite_feature_names_its_file_and_line(tmp_path, value):
     rows = good_rows(20)
-    rows[10] = "1,0.5,nan,2.0\n"
-    with pytest.raises(ContractError, match="non-finite"):
-        load_csv(write(tmp_path / "data.csv", HEADER + "".join(rows)))
+    rows[10] = f"1,0.5,{value},2.0\n"
+    path = write(tmp_path / "data.csv", HEADER + "\n" + "".join(rows))  # a blank line 2
+    with pytest.raises(DataFormatError) as error:
+        load_csv(path)
+    assert str(error.value) == f"{path}: line 13: non-finite feature value"
 
 
 def test_random_valid_tables_load_as_the_line_loop_reads_them(tmp_path):

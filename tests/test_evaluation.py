@@ -84,6 +84,15 @@ def test_fewer_than_five_nonzero_differences_is_a_contract_error():
         wilcoxon_signed_rank(a, b)
 
 
+@pytest.mark.parametrize("a, b", [
+    ([1.0, 2.0, 3.0, 4.0, 5.0, math.nan], [0.0] * 6),
+    ([1.0] * 6, [0.0, 0.0, 0.0, 0.0, 0.0, -math.inf]),
+], ids=["nan", "inf"])
+def test_non_finite_scores_are_a_contract_error(a, b):
+    with pytest.raises(ContractError, match="finite"):
+        wilcoxon_signed_rank(a, b)
+
+
 def test_unpaired_inputs_are_a_contract_error():
     with pytest.raises(ContractError, match="paired"):
         wilcoxon_signed_rank(np.zeros(6), np.zeros(7))

@@ -5,7 +5,9 @@ and semi-hard), pair, quadruplet and center miners, kept as reference
 oracles; they return lists of unit tuples.  Each vectorized miner in
 ``tricenter.sampling`` must return the same units, as rows of an
 ``np.intp`` array, and leave the generator in the same state, so seeded
-runs do not change.  The center triplet and quadruplet miners' arrays also
+runs do not change.  The stage-1 triplet and quadruplet miners take only
+balanced plans, so they are compared on those; the pair and center miners
+also on ragged ones.  The center triplet and quadruplet miners' arrays also
 carry the anchor's own class in column 1, which those oracles leave out.
 """
 
@@ -208,6 +210,12 @@ def random_batch(rng, min_classes=2):
             return BatchPlan(indices=np.arange(n), labels=labels)
 
 
+def balanced_batch(rng, min_classes=2):
+    """K in [min_classes, 6] classes of m in [1, 6] slots each, shuffled."""
+    k, m = int(rng.integers(min_classes, 7)), int(rng.integers(1, 7))
+    return BatchPlan(indices=np.arange(k * m), labels=rng.permutation(np.repeat(np.arange(k), m)))
+
+
 def random_embeddings(rng, n, dim):
     """Embeddings rounded to one decimal, so distances tie."""
     return np.round(rng.normal(size=(n, dim)), 1)
@@ -233,10 +241,10 @@ def with_own_class(batch):
     return lambda units: [(slot, batch.labels[slot], *rest) for slot, *rest in units]
 
 
-def batches(seed, min_classes=2):
+def batches(seed, min_classes=2, make=random_batch):
     rng = np.random.default_rng(seed)
     for i in range(N_BATCHES):
-        batch = random_batch(rng, min_classes)
+        batch = make(rng, min_classes)
         dim = int(rng.integers(1, 6))
         yield batch, random_embeddings(rng, len(batch), dim), ALPHAS[i % len(ALPHAS)]
 
@@ -245,7 +253,7 @@ def batches(seed, min_classes=2):
 
 @pytest.mark.parametrize("p_norm", [1, 2, 3])
 def test_semi_hard_triplets_match_the_loop(p_norm):
-    for batch, emb, alpha in batches(10 + p_norm):
+    for batch, emb, alpha in batches(10 + p_norm, make=balanced_batch):
         hyper = LossHyper(alpha=alpha, p_norm=p_norm)
         assert_same_draws(sampling.form_triplets, form_triplets,
                           lambda fn, rng: fn(batch, emb, "random_hard", hyper, rng), 3)
@@ -253,11 +261,13 @@ def test_semi_hard_triplets_match_the_loop(p_norm):
 
 @pytest.mark.parametrize("p_norm", [1, 2, 3])
 def test_random_triplets_pairs_and_center_pairs_match_the_loop(p_norm):
-    rng = np.random.default_rng(20 + p_norm)
-    for batch, emb, alpha in batches(20 + p_norm):
+    for batch, emb, alpha in batches(20 + p_norm, make=balanced_batch):
         hyper = LossHyper(alpha=alpha, p_norm=p_norm)
         assert_same_draws(sampling.form_triplets, form_triplets,
                           lambda fn, r: fn(batch, emb, "random", hyper, r), 3)
+    rng = np.random.default_rng(20 + p_norm)
+    for batch, emb, alpha in batches(20 + p_norm):
+        hyper = LossHyper(alpha=alpha, p_norm=p_norm)
         assert_same_draws(sampling.form_pairs, form_pairs, lambda fn, r: fn(batch, r), 3)
         centers = random_embeddings(rng, int(batch.labels.max()) + 1 + int(rng.integers(0, 2)),
                                     emb.shape[1])
@@ -266,7 +276,7 @@ def test_random_triplets_pairs_and_center_pairs_match_the_loop(p_norm):
 
 
 def test_quadruplets_match_the_loop():
-    for batch, _, _ in batches(30, min_classes=3):
+    for batch, _, _ in batches(30, min_classes=3, make=balanced_batch):
         assert_same_draws(sampling.form_quadruplets, form_quadruplets,
                           lambda fn, rng: fn(batch, rng), 4)
 
@@ -307,9 +317,8 @@ def test_balanced_batches_match_the_loop(m_per_class, dim):
 @pytest.mark.parametrize("labels", [
     np.repeat([0, 1, 2], 5),     # three classes: the second class draw has bound 1
     np.repeat(np.arange(6), 2),  # two per class: the positive draw has bound 1
-    np.repeat([0, 2, 5], 4),     # label gaps: a class's rank is not its id
     np.array([4, 0, 2, 1, 3]),   # one per class: no anchor, so no draw
-], ids=["three_classes", "two_per_class", "label_gaps", "one_per_class"])
+], ids=["three_classes", "two_per_class", "one_per_class"])
 def test_balanced_quadruplets_match_the_loop(labels):
     rng = np.random.default_rng(70)
     for _ in range(20):
@@ -331,7 +340,7 @@ def test_semi_hard_band_counted_in_chunks_matches_the_loop(budget, monkeypatch):
 
 def test_empty_band_falls_back_to_the_hardest_negative():
     # alpha = 0 leaves every semi-hard band empty, so every negative is the argmin.
-    plan = BatchPlan(indices=np.arange(6), labels=np.array([0, 0, 1, 1, 1, 2]))
+    plan = BatchPlan(indices=np.arange(6), labels=np.array([0, 0, 1, 1, 2, 2]))
     emb = np.array([[0.0], [1.0], [3.0], [0.5], [3.0], [0.5]])
     hyper = LossHyper(alpha=0.0)
     got = sampling.form_triplets(plan, emb, "random_hard", hyper, np.random.default_rng(0))
@@ -354,13 +363,6 @@ def test_fallback_when_every_negative_is_infinitely_far():
 
 def test_single_slot_anchors_are_skipped():
     plan = BatchPlan(indices=np.arange(5), labels=np.array([0, 1, 1, 2, 2]))
-    emb = np.arange(10.0).reshape(5, 2)
-    assert_same_draws(sampling.form_triplets, form_triplets,
-                      lambda fn, r: fn(plan, emb, "random_hard", LossHyper(), r), 3)
-    for strategy in ("random", "random_hard"):
-        units = sampling.form_triplets(plan, emb, strategy, LossHyper(), np.random.default_rng(1))
-        assert units[:, 0].tolist() == [1, 2, 3, 4]
-    assert_same_draws(sampling.form_quadruplets, form_quadruplets, lambda fn, r: fn(plan, r), 4)
     pairs = sampling.form_pairs(plan, np.random.default_rng(1))
     assert pairs[:, [0, 2]].tolist() == [
         [0, 0], [1, 1], [1, 0], [2, 1], [2, 0], [3, 1], [3, 0], [4, 1], [4, 0]]
@@ -375,6 +377,21 @@ def test_batch_without_positives_draws_nothing():
         assert sampling.form_triplets(plan, emb, strategy, LossHyper(), rng).shape == (0, 3)
         assert rng.bit_generator.state == before
     assert sampling.form_quadruplets(plan, np.random.default_rng(3)).shape == (0, 4)
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 0, 1, 1, 2],           # ragged: class 2 has one slot
+    [0, 0, 2, 2, 3, 3],        # gapped: class 1 has none
+    [1, 1, 2, 2, 3, 3],        # gapped: class 0 has none
+], ids=["ragged", "gap", "no_class_zero"])
+def test_stage_one_miners_reject_a_plan_that_is_not_balanced(labels):
+    plan = BatchPlan(indices=np.arange(len(labels)), labels=np.array(labels))
+    emb = np.zeros((len(labels), 2))
+    for strategy in ("random", "random_hard"):
+        with pytest.raises(ContractError, match="balanced plan .* class counts"):
+            sampling.form_triplets(plan, emb, strategy, LossHyper(), np.random.default_rng(0))
+    with pytest.raises(ContractError, match="balanced plan .* class counts"):
+        sampling.form_quadruplets(plan, np.random.default_rng(0))
 
 
 def test_too_few_classes_still_rejected():

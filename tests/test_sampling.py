@@ -95,12 +95,6 @@ class TestFormTriplets:
             assert anchor != positive
             assert plan.labels[anchor] != plan.labels[negative]
 
-    def test_singleton_class_anchor_skipped(self):
-        plan = BatchPlan(indices=np.arange(3), labels=np.array([0, 0, 1]))
-        emb = np.random.default_rng(0).normal(size=(3, 2))
-        triplets = form_triplets(plan, emb, "random", H, np.random.default_rng(0))
-        assert triplets[:, 0].tolist() == [0, 1]
-
     def test_semi_hard_selects_the_single_band_negative(self):
         # anchor 0 with positive at distance 1; negatives at 1.2 (band) and 5 (outside)
         plan = BatchPlan(indices=np.arange(4), labels=np.array([0, 0, 1, 1]))

@@ -111,7 +111,7 @@ class CountingGenerator:
 
 
 def test_stage_one_draws_each_batch_of_quadruplets_in_one_call(dataset, monkeypatch):
-    """The trainer's balanced batches take form_quadruplets' one-call path."""
+    """form_quadruplets draws each of the trainer's balanced batches in one call."""
     form_quadruplets, calls = sampling.form_quadruplets, []
 
     def counted(plan, rng):
