@@ -3,14 +3,16 @@
 Every command takes its settings from an INI config file (see config.py),
 with --data and --seed overriding the configured source and seed; the config
 echo records the overrides, so a rerun from it repeats the run.  All
-artifacts are written under --out; wall-clock timing goes only to train.log
-so repeated runs with the same seed produce byte-identical reports.
+artifacts are written under --out, and only once the run has succeeded;
+wall-clock timing goes only to train.log so repeated runs with the same seed
+produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +25,6 @@ from .errors import ContractError, DataFormatError, DivergenceError
 # count the rows each confusion matrix scores.
 from .evaluation import confusion  # noqa: F401
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
-from .training import run_method
 from .workflows import SWEEP_AXES, evaluate_record, run_crossval, run_holdout, run_sweep
 
 
@@ -44,21 +45,19 @@ def _write_report(out: Path, report, title: str, prefix: str = ""):
     _write(out / f"{prefix}per_class.csv", reports.render_per_class_csv(report))
 
 
-def _setup(args, echo: bool = True) -> tuple[RunSettings, Dataset, Path]:
+def _setup(args) -> tuple[RunSettings, Dataset, Path]:
     """Settings with the --data, --seed (and --k) overrides, the dataset, and
-    --out, holding the config echo unless ``echo`` is false."""
+    --out.  The data source is recorded as an absolute path, so the config
+    echo reruns from any directory."""
     settings = load_settings(args.config)
-    if args.data:
-        settings = replace(settings, data_source=args.data)
+    source = args.data or settings.data_source
+    if source:
+        settings = replace(settings, data_source=os.path.abspath(source))
     if args.seed is not None:
         settings = replace(settings, train=replace(settings.train, seed=args.seed))
     if getattr(args, "k", None) is not None:
         settings = replace(settings, k_folds=args.k)
-    dataset = _load_dataset(settings)
-    out = Path(args.out)
-    if echo:
-        _write(out / "config.echo.ini", echo_settings(settings))
-    return settings, dataset, out
+    return settings, _load_dataset(settings), Path(args.out)
 
 
 def cmd_gen_data(args) -> int:
@@ -74,19 +73,12 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     settings, dataset, out = _setup(args)
-    log_lines = []
+    # with no holdout, run_holdout scores the rows it trained on
+    record, report = run_holdout(settings.train, dataset, test_fraction=settings.holdout_fraction,
+                                 small_threshold=settings.small_class_threshold)
+    scored = "holdout" if settings.holdout_fraction > 0 else "training-set"
 
-    if settings.holdout_fraction > 0:
-        result = run_holdout(settings.train, dataset,
-                             test_fraction=settings.holdout_fraction,
-                             small_threshold=settings.small_class_threshold)
-        record, report = result.record, result.report
-        scored = "holdout"
-    else:  # no holdout: score the rows it trained on
-        record = run_method(settings.train, dataset)
-        report = evaluate_record(record, dataset, small_threshold=settings.small_class_threshold)
-        scored = "training-set"
-
+    _write(out / "config.echo.ini", echo_settings(settings))
     if record.stage1_state is not None:
         # snapshot of the extractor right after stage 1
         s1_extractor = copy.deepcopy(record.extractor)
@@ -102,6 +94,7 @@ def cmd_train(args) -> int:
     _write(out / "run_record.txt", reports.render_run_record(record))
     _write_report(out, report, f"{record.method} {scored} metrics")
 
+    log_lines = []
     for stage, losses, times in (("stage1", record.stage1_losses, record.stage1_epoch_times),
                                  ("stage2", record.stage2_losses, record.stage2_epoch_times)):
         for i, (lv, tv) in enumerate(zip(losses, times)):
@@ -129,9 +122,7 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ContractError(f"--values: {exc}") from None
-    settings, dataset, out = _setup(args, echo=False)
-    # run_sweep builds every value's config before training, so a bad value
-    # fails before anything is written
+    settings, dataset, out = _setup(args)
     rows = run_sweep(args.axis, values, settings.train, dataset,
                      k=settings.k_folds, small_threshold=settings.small_class_threshold,
                      jobs=args.jobs)
@@ -146,9 +137,10 @@ def cmd_crossval(args) -> int:
     settings, dataset, out = _setup(args)
     result = run_crossval(settings.train, dataset, k=settings.k_folds,
                           small_threshold=settings.small_class_threshold, jobs=args.jobs)
+    _write(out / "config.echo.ini", echo_settings(settings))
     _write(out / "crossval.txt", reports.render_crossval(result.summary, result.small_summary))
-    for i, fold in enumerate(result.folds):
-        _write_report(out, fold.report, f"fold {i}", prefix=f"fold{i}_")
+    for i, (_, report) in enumerate(result.folds):
+        _write_report(out, report, f"fold {i}", prefix=f"fold{i}_")
     print(f"MF1 {result.summary.mf1_mean:.2f} ({result.summary.mf1_std:.2f}) over {settings.k_folds} folds")
     return 0
 

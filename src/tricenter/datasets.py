@@ -156,7 +156,8 @@ def load_csv(path) -> Dataset:
     loop defines a valid row.  One ``np.loadtxt`` call parses the rows first
     (equal values on every spelling it accepts); when it refuses the file,
     which includes ``1_0`` and non-ASCII digits, or a width, label or
-    non-finite value is wrong, the loop decides.
+    non-finite value is wrong, the loop decides.  No label may reach the row
+    count, since the labels set the class count and every K-sized structure.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -180,7 +181,7 @@ def load_csv(path) -> Dataset:
             table = None
         if (table is not None and table.shape[1] == width + 1 and min(labels) >= 0
                 and np.isfinite(table).all()):
-            return Dataset(np.ascontiguousarray(table[:, 1:]), np.array(labels))
+            return _dataset(path, np.ascontiguousarray(table[:, 1:]), labels)
     labels, rows = [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -203,4 +204,12 @@ def load_csv(path) -> Dataset:
         labels.append(lab)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels))
+    return _dataset(path, np.array(rows), labels)
+
+
+def _dataset(path, features: np.ndarray, labels: list) -> Dataset:
+    """The Dataset of parsed rows; a class count the rows cannot hold is the file's error."""
+    try:
+        return Dataset(features, np.array(labels))
+    except ContractError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

@@ -67,7 +67,13 @@ class DatasetIndex:
         labels = np.asarray(labels, dtype=np.intp)
         if labels.size and labels.min() < 0:
             raise ContractError("labels must be nonnegative")
-        k = int(n_classes) if n_classes is not None else (int(labels.max()) + 1 if labels.size else 0)
+        if n_classes is None:  # the largest label sets K; past the row count it is a bad label
+            k = int(labels.max()) + 1 if labels.size else 0
+            if k > labels.size:
+                raise ContractError(f"label {k - 1} implies {k} classes, more than the "
+                                    f"{labels.size} rows can hold")
+        else:
+            k = int(n_classes)
         if labels.size and labels.max() >= k:
             raise ContractError(f"label {labels.max()} is out of range for {k} classes")
         return cls([np.flatnonzero(labels == c) for c in range(k)])

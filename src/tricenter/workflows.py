@@ -58,15 +58,8 @@ def evaluate_record(model, test: Dataset, *, small_threshold: int = 20,
 
 
 @dataclass
-class FoldResult:
-    fold: int
-    record: RunRecord
-    report: MetricsReport
-
-
-@dataclass
 class CrossvalResult:
-    folds: list
+    folds: list  # (record, report) of each fold, in fold order
     summary: CrossvalSummary
     small_summary: CrossvalSummary | None
 
@@ -80,17 +73,17 @@ def _train_and_score(config: TrainConfig, dataset: Dataset, train_rows, test_row
     return record, report
 
 
-def _run_fold(args):
+def _run_fold(args) -> tuple[RunRecord, MetricsReport]:
     config, dataset, train_rows, test_rows, fold, small_threshold = args
-    record, report = _train_and_score(replace(config, seed=config.seed + fold), dataset,
-                                      train_rows, test_rows, small_threshold)
-    return FoldResult(fold=fold, record=record, report=report)
+    return _train_and_score(replace(config, seed=config.seed + fold), dataset,
+                            train_rows, test_rows, small_threshold)
 
 
 def _crossval_result(folds: list) -> CrossvalResult:
-    small_reports = [f.report.small_class for f in folds
-                     if f.report.small_class is not None and f.report.small_class.status == "ok"]
-    return CrossvalResult(folds=folds, summary=CrossvalSummary([f.report for f in folds]),
+    reports = [report for _, report in folds]
+    small_reports = [r.small_class for r in reports
+                     if r.small_class is not None and r.small_class.status == "ok"]
+    return CrossvalResult(folds=folds, summary=CrossvalSummary(reports),
                           small_summary=CrossvalSummary(small_reports) if small_reports else None)
 
 
@@ -120,21 +113,15 @@ def run_crossval(config: TrainConfig, dataset: Dataset, k: int = 5,
     return _run_cells([config], dataset, k, small_threshold, jobs)[0]
 
 
-@dataclass
-class HoldoutResult:
-    record: RunRecord
-    report: MetricsReport
-    train_rows: np.ndarray
-    test_rows: np.ndarray
-
-
 def run_holdout(config: TrainConfig, dataset: Dataset, test_fraction: float = 0.2,
-                small_threshold: int = 20) -> HoldoutResult:
-    """Single stratified train/test split, train once, evaluate the test side."""
-    train_rows, test_rows = stratified_holdout(dataset.index, test_fraction, seed=config.seed)
-    record, report = _train_and_score(config, dataset, train_rows, test_rows, small_threshold)
-    return HoldoutResult(record=record, report=report,
-                         train_rows=train_rows, test_rows=test_rows)
+                small_threshold: int = 20) -> tuple[RunRecord, MetricsReport]:
+    """Train once on a stratified split and score its test side; at
+    ``test_fraction`` 0, train on every row and score those rows."""
+    if test_fraction == 0:
+        train_rows = test_rows = np.arange(len(dataset.labels))
+    else:
+        train_rows, test_rows = stratified_holdout(dataset.index, test_fraction, seed=config.seed)
+    return _train_and_score(config, dataset, train_rows, test_rows, small_threshold)
 
 
 SWEEP_AXES = ("margin", "dimension")

@@ -76,6 +76,23 @@ def test_a_rerun_from_the_config_echo_of_a_data_flag_run_repeats_it(tmp_path):
         assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
 
 
+def test_the_config_echo_of_a_relative_data_path_reruns_from_another_directory(
+        tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    assert cli.main(["gen-data", "--preset", "skin7-like", "--seed", "1",
+                     "--out", str(work / "seed1")]) == 0
+    (work / "config.ini").write_text("[run]\nseed = 3\n[data]\npreset = skin7-like\n"
+                                     "[model]\nembedding_dim = 8\nhidden = 12\n"
+                                     "[stage1]\nepochs = 1\nm_per_class = 4\n[stage2]\nepochs = 1\n")
+    monkeypatch.chdir(work)
+    assert cli.main(["train", "--config", "config.ini", "--data", "seed1/dataset.csv",
+                     "--out", "rel"]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--config", "work/rel/config.echo.ini", "--out", "rerun"]) == 0
+    for name in ("config.echo.ini", "metrics.txt", "final.ckpt"):
+        assert (work / "rel" / name).read_bytes() == (tmp_path / "rerun" / name).read_bytes(), name
+
+
 def test_eval_predicts_by_the_nearest_center_under_the_trained_lp_order(tmp_path, monkeypatch):
     assert cli.main(["gen-data", "--preset", "skin7-like", "--seed", "3", "--out", str(tmp_path)]) == 0
     data = tmp_path / "dataset.csv"
@@ -132,8 +149,9 @@ GOOD_CONFIG = b"[data]\npreset = skin7-like\n"
     (GOOD_CONFIG + b"preset = skin7-like\n", None),
     (GOOD_CONFIG, b"label,f0,f1\n0,1.0,2.0\n1,\xff,3.0\n"),
     (GOOD_CONFIG, b"label,f0,f1\n0,1.0,2.0\n1,nan,3.0\n"),
+    (GOOD_CONFIG, b"label,f0,f1\n0,1.0,2.0\n1000000000,0.5,3.0\n"),
 ], ids=["ini_not_utf8", "ini_no_section_header", "ini_duplicate_key", "csv_not_utf8",
-        "csv_non_finite"])
+        "csv_non_finite", "csv_label_past_the_rows"])
 def test_malformed_inputs_report_an_error_without_traceback(tmp_path, config, csv):
     (tmp_path / "config.ini").write_bytes(config)
     argv = ["train", "--config", tmp_path / "config.ini", "--out", tmp_path / "out"]
@@ -205,10 +223,12 @@ def test_train_titles_its_metrics_by_the_rows_it_scored(tmp_path, fraction, scor
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_diverging_run_reports_an_error_without_traceback(tmp_path, capsys):
     config = write_ini(tmp_path / "config.ini", SHORT, {"optimizer": {"lr": "1e300"}})
-    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: non-finite loss during stage 1") and "Traceback" not in err
-    assert not (tmp_path / "out" / "final.ckpt").exists()
+    for command in (["train"], ["crossval", "--k", "2"]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss during stage 1") and "Traceback" not in err
+        assert not out.exists(), command  # no checkpoint, report or config echo
 
 
 def write_ini(path, *layers):

@@ -111,6 +111,15 @@ def test_a_file_without_rows_is_rejected(tmp_path, body):
         load_csv(path)
 
 
+@pytest.mark.parametrize("parse", ["numpy", "line_loop"])
+def test_a_label_past_the_row_count_names_its_file_and_label(tmp_path, parse):
+    path = write(tmp_path / "data.csv", HEADER + "".join(good_rows(5)) + "1000000000,0.5,1.0,2.0\n")
+    with pytest.raises(DataFormatError) as error:
+        load_csv(path) if parse == "numpy" else load_by_the_line_loop(path)
+    assert str(error.value) == (f"{path}: label 1000000000 implies 1000000001 classes, "
+                                "more than the 6 rows can hold")
+
+
 def test_a_dataset_never_drops_rows_beyond_its_forced_class_count():
     with pytest.raises(ContractError, match="out of range"):
         datasets.Dataset(np.zeros((4, 2)), [0, 1, 2, 2], forced_n_classes=2)
@@ -137,12 +146,17 @@ def test_random_valid_tables_load_as_the_line_loop_reads_them(tmp_path):
         st.integers(-10**6, 10**6).map(str),
         st.sampled_from(["1_0", "٣", "+.5", "1.", "-0", "1e-400", "1E5"]),
     )
-    label = st.one_of(st.integers(0, 50).map(str), st.sampled_from([" 3", "+1", "007"]))
+
+    def label(n_rows):  # a valid table has no label past its row count
+        return st.integers(0, n_rows - 1).flatmap(
+            lambda v: st.sampled_from([str(v), f" {v}", f"+{v}", f"{v:03d}"]))
+
+    def table(width, n_rows):
+        return st.lists(st.tuples(label(n_rows), st.lists(feature, min_size=width, max_size=width)),
+                        min_size=n_rows, max_size=n_rows)
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(st.integers(1, 4).flatmap(lambda width: st.lists(
-        st.tuples(label, st.lists(feature, min_size=width, max_size=width)),
-        min_size=1, max_size=12)))
+    @hypothesis.given(st.tuples(st.integers(1, 4), st.integers(1, 12)).flatmap(lambda t: table(*t)))
     def check(rows):
         width = len(rows[0][1])
         text = "label," + ",".join(f"f{i}" for i in range(width)) + "\n" + "".join(

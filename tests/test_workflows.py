@@ -1,5 +1,6 @@
 """Cross-validation and sweeps share one cell runner: pool and serial runs agree,
-and a sweep row is the cross-validation of that point's config."""
+and a sweep row is the cross-validation of that point's config.  A holdout of
+zero scores the rows it trained on."""
 
 from dataclasses import replace
 
@@ -11,8 +12,9 @@ from tricenter.datasets import gen_gaussian_imbalanced, preset_spec
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper
 from tricenter.nn import config_fingerprint
-from tricenter.training import Stage1Config, Stage2Config, TrainConfig
-from tricenter.workflows import run_crossval, run_sweep
+from tricenter.reports import render_run_record
+from tricenter.training import Stage1Config, Stage2Config, TrainConfig, run_method
+from tricenter.workflows import evaluate_record, run_crossval, run_holdout, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -25,21 +27,46 @@ CONFIG = TrainConfig(stage1=Stage1Config(epochs=1, m_per_class=4), stage2=Stage2
 
 
 def assert_same_crossval(a, b):
-    assert [f.fold for f in a.folds] == [f.fold for f in b.folds]
-    for x, y in zip(a.folds, b.folds):
-        assert x.record.seed == y.record.seed
-        for p, q in zip(x.record.extractor.state(), y.record.extractor.state()):
+    assert len(a.folds) == len(b.folds)
+    for (record_a, report_a), (record_b, report_b) in zip(a.folds, b.folds):
+        assert record_a.seed == record_b.seed
+        for p, q in zip(record_a.extractor.state(), record_b.extractor.state()):
             np.testing.assert_array_equal(p, q)
-        np.testing.assert_array_equal(x.record.centers.matrix, y.record.centers.matrix)
-        np.testing.assert_array_equal(x.report.f1, y.report.f1)
+        np.testing.assert_array_equal(record_a.centers.matrix, record_b.centers.matrix)
+        np.testing.assert_array_equal(report_a.f1, report_b.f1)
     assert a.summary.mf1_mean == b.summary.mf1_mean and a.summary.mf1_std == b.summary.mf1_std
 
 
 def test_crossval_in_two_worker_processes_equals_the_serial_run(dataset):
     serial = run_crossval(CONFIG, dataset, k=3)
     pooled = run_crossval(CONFIG, dataset, k=3, jobs=2)
-    assert [f.record.seed for f in serial.folds] == [5, 6, 7]
+    assert [record.seed for record, _ in serial.folds] == [5, 6, 7]  # fold f trains at seed + f
     assert_same_crossval(serial, pooled)
+
+
+def assert_same_report(got, want):
+    """Equal arrays and scores, in the report and in its small-class sub-report."""
+    for g, w in ((got, want), (got.small_class, want.small_class)):
+        for name in ("precision", "recall", "f1", "present"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(w, name))
+        assert (g.flagged, g.mf1, g.mcp, g.mcr, g.status) == (w.flagged, w.mf1, w.mcp, w.mcr, w.status)
+
+
+@pytest.mark.parametrize("cfg", [
+    CONFIG,
+    replace(CONFIG, loss_family="quadruplet", stage2=Stage2Config(epochs=1, center_mode="trainable")),
+    replace(CONFIG, method="baseline:wfce", baseline_epochs=2),
+], ids=["triplet", "quadruplet_trainable", "baseline_wfce"])
+def test_a_holdout_of_zero_trains_on_every_row_and_scores_them(dataset, cfg):
+    """The oracle is the training-set path ``train`` took before it ran through
+    ``run_holdout``: train on the whole dataset, then score it."""
+    want_record = run_method(cfg, dataset)
+    want_report = evaluate_record(want_record, dataset)
+    record, report = run_holdout(cfg, dataset, test_fraction=0)
+    for got, want in zip(record.extractor.state(), want_record.extractor.state(), strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert render_run_record(record) == render_run_record(want_record)
+    assert_same_report(report, want_report)
 
 
 def test_sweep_rows_are_the_crossval_of_each_point_in_serial_and_pooled_runs(dataset):
