@@ -109,6 +109,8 @@ def _read(path) -> configparser.ConfigParser:
         raise ContractError(f"{path}: config file is not UTF-8 text") from None
     try:
         parser.read_string(text, source=str(path))
+    except configparser.MissingSectionHeaderError as exc:  # its own text spans three lines
+        raise ContractError(f"{path}: line {exc.lineno} comes before any [section] header") from None
     except configparser.Error as exc:
         raise ContractError(f"{path}: malformed config: {exc}") from None
     for section in parser.sections():

@@ -1,10 +1,11 @@
 """Classification metrics, cross-validation splits, compactness, Wilcoxon test.
 
 Macro metrics follow the unweighted class-mean convention and are reported
-in percent.  Per-class quantities with a zero denominator (class never
-predicted, or absent from the evaluated set) are defined as 0 and the class
-is flagged; classes with neither true samples nor predictions are excluded
-from the macro means entirely.
+in percent.  An evaluation's report spans the model's classes; a test label
+past them is an error.  Per-class quantities with a zero denominator (class
+never predicted, or absent from the evaluated set) are defined as 0 and the
+class is flagged; classes with neither true samples nor predictions are
+excluded from the macro means entirely.
 """
 
 from __future__ import annotations
@@ -52,10 +53,17 @@ class MetricsReport:
         return len(self.precision)
 
 
-def _macro(values: np.ndarray, present: np.ndarray) -> float:
-    if not present.any():
-        return 0.0
-    return float(values[present].mean())
+def _report(precision, recall, f1, present, flagged, scale: float) -> MetricsReport:
+    """The report of per-class values times ``scale`` (into percent) and their
+    means over the ``present`` classes; ``flagged`` marks zero denominators.
+    With no class present every mean is 0 and the status is "empty"."""
+    def macro(values):
+        return float(values[present].mean()) * scale if present.any() else 0.0
+    return MetricsReport(
+        precision=precision * scale, recall=recall * scale, f1=f1 * scale,
+        present=present, flagged=np.flatnonzero(present & flagged).tolist(),
+        mcp=macro(precision), mcr=macro(recall), mf1=macro(f1),
+        status="ok" if present.any() else "empty")
 
 
 def macro_metrics(cm: np.ndarray) -> MetricsReport:
@@ -64,54 +72,29 @@ def macro_metrics(cm: np.ndarray) -> MetricsReport:
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.size == 0:
         raise ContractError("confusion matrix must be square and non-empty")
     tp = np.diag(cm).astype(float)
-    fp = cm.sum(axis=0) - tp
-    fn = cm.sum(axis=1) - tp
-    present = (cm.sum(axis=1) + cm.sum(axis=0)) > 0
-    flagged = []
+    predicted, true = cm.sum(axis=0), cm.sum(axis=1)
     k = cm.shape[0]
-    precision = np.zeros(k)
-    recall = np.zeros(k)
-    f1 = np.zeros(k)
-    for c in range(k):
-        if not present[c]:
-            continue
-        denom_p = tp[c] + fp[c]
-        denom_r = tp[c] + fn[c]
-        if denom_p == 0 or denom_r == 0:
-            flagged.append(c)
-        precision[c] = tp[c] / denom_p if denom_p else 0.0
-        recall[c] = tp[c] / denom_r if denom_r else 0.0
-        pr = precision[c] + recall[c]
-        f1[c] = 2.0 * precision[c] * recall[c] / pr if pr else 0.0
-    return MetricsReport(
-        precision=precision * 100.0, recall=recall * 100.0, f1=f1 * 100.0,
-        present=present, flagged=flagged,
-        mcp=_macro(precision, present) * 100.0,
-        mcr=_macro(recall, present) * 100.0,
-        mf1=_macro(f1, present) * 100.0,
-    )
+    precision = np.divide(tp, predicted, out=np.zeros(k), where=predicted != 0)
+    recall = np.divide(tp, true, out=np.zeros(k), where=true != 0)
+    pr = precision + recall
+    f1 = np.divide(2.0 * precision * recall, pr, out=np.zeros(k), where=pr != 0)
+    # means of fractions, then scaled; small_class_report averages the percents
+    return _report(precision, recall, f1, present=(true + predicted) > 0,
+                   flagged=(predicted == 0) | (true == 0), scale=100.0)
 
 
-def small_class_report(report: MetricsReport, index: DatasetIndex, threshold: int) -> MetricsReport:
-    """Macro metrics restricted to classes whose size in ``index`` is <= threshold."""
+def small_class_report(report: MetricsReport, sizes, threshold: int) -> MetricsReport:
+    """Macro metrics restricted to the classes of at most ``threshold`` rows,
+    given the size of every class of the report."""
     if threshold < 1:
         raise ContractError(f"threshold must be >= 1, got {threshold}")
-    sizes = index.sizes
-    if len(sizes) != report.n_classes:
-        raise ContractError("index class count does not match the report")
-    small = sizes <= threshold
-    present = report.present & small
-    if not present.any():
-        return MetricsReport(
-            precision=report.precision, recall=report.recall, f1=report.f1,
-            present=present, flagged=[], mcp=0.0, mcr=0.0, mf1=0.0, status="empty")
-    return MetricsReport(
-        precision=report.precision, recall=report.recall, f1=report.f1,
-        present=present, flagged=[c for c in report.flagged if small[c]],
-        mcp=float(report.precision[present].mean()),
-        mcr=float(report.recall[present].mean()),
-        mf1=float(report.f1[present].mean()),
-    )
+    sizes = np.asarray(sizes)
+    if sizes.shape != (report.n_classes,):
+        raise ContractError(f"{sizes.size} class sizes do not match the report's "
+                            f"{report.n_classes} classes")
+    return _report(report.precision, report.recall, report.f1,
+                   present=report.present & (sizes <= threshold),
+                   flagged=np.isin(np.arange(report.n_classes), report.flagged), scale=1.0)
 
 
 # -- splits --------------------------------------------------------------------
@@ -127,19 +110,12 @@ def stratified_kfold(index: DatasetIndex, k: int, seed: int) -> list:
     if k < 2:
         raise ContractError(f"k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
-    assignments = [[] for _ in range(k)]
+    fold = np.empty(int(index.sizes.sum()), dtype=np.intp)
     for c, members in enumerate(index.by_class):
-        order = rng.permutation(members)
-        for pos, row in enumerate(order):
-            # rotate by class so the larger remainders do not pile on fold 0
-            assignments[(pos + c) % k].append(row)
-    folds = []
-    all_rows = np.concatenate(index.by_class) if index.by_class else np.array([], dtype=np.intp)
-    for f in range(k):
-        test = np.sort(np.array(assignments[f], dtype=np.intp))
-        train = np.sort(np.setdiff1d(all_rows, test))
-        folds.append((train, test))
-    return folds
+        # rotate by class so the larger remainders do not pile on fold 0
+        fold[rng.permutation(members)] = (np.arange(len(members)) + c) % k
+    rows = np.arange(len(fold))  # an index partitions 0..N-1, so each side comes out sorted
+    return [(rows[fold != f], rows[fold == f]) for f in range(k)]
 
 
 def stratified_holdout(index: DatasetIndex, test_fraction: float, seed: int):
@@ -198,17 +174,10 @@ EXACT_LIMIT = 25
 
 def _signed_midranks(diff: np.ndarray) -> np.ndarray:
     """Midranks of |diff| (average rank across ties)."""
-    order = np.argsort(np.abs(diff), kind="stable")
-    sorted_abs = np.abs(diff)[order]
-    ranks = np.empty(len(diff))
-    i = 0
-    while i < len(diff):
-        j = i
-        while j + 1 < len(diff) and sorted_abs[j + 1] == sorted_abs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(np.abs(diff), return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1  # 0-based sorted positions of each tie group's ends
+    first = last - counts + 1
+    return ((first + last) / 2.0 + 1.0)[group]
 
 
 def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:

@@ -52,15 +52,11 @@ MINING_STRATEGIES = ("random", "random_hard")  # stage-1 negative choice of ``fo
 
 @dataclass
 class DatasetIndex:
-    """Per-class lists of sample indices."""
+    """The rows of each class, ascending, and the class sizes; ``from_labels``
+    builds one, so the rows partition ``0..N-1``."""
 
     by_class: list
-
-    def __post_init__(self):
-        self.by_class = [np.asarray(ix, dtype=np.intp) for ix in self.by_class]
-        seen = np.concatenate(self.by_class) if self.by_class else np.array([], dtype=np.intp)
-        if len(np.unique(seen)) != len(seen):
-            raise ContractError("a sample index appears in more than one class list")
+    sizes: np.ndarray
 
     @classmethod
     def from_labels(cls, labels, n_classes: int | None = None) -> "DatasetIndex":
@@ -76,18 +72,16 @@ class DatasetIndex:
             k = int(n_classes)
         if labels.size and labels.max() >= k:
             raise ContractError(f"label {labels.max()} is out of range for {k} classes")
-        return cls([np.flatnonzero(labels == c) for c in range(k)])
+        sizes = np.bincount(labels, minlength=k)
+        # a stable sort keeps each class's rows ascending; the last piece is empty
+        return cls(np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes))[:-1], sizes)
 
     @property
     def n_classes(self) -> int:
-        return len(self.by_class)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.array([len(ix) for ix in self.by_class], dtype=np.intp)
+        return len(self.sizes)
 
     def require_nonempty_classes(self):
-        empty = [c for c, ix in enumerate(self.by_class) if len(ix) == 0]
+        empty = np.flatnonzero(self.sizes == 0).tolist()
         if empty:
             raise ContractError(f"classes {empty} have no samples")
 

@@ -21,7 +21,6 @@ from .errors import ContractError
 from .evaluation import (CrossvalSummary, MetricsReport, confusion,
                          macro_metrics, small_class_report, stratified_holdout,
                          stratified_kfold)
-from .sampling import DatasetIndex
 from .training import RunRecord, TrainConfig, run_method
 
 
@@ -39,21 +38,24 @@ def predict(extractor, features: np.ndarray, centers=None, head=None) -> np.ndar
 
 
 def evaluate_record(model, test: Dataset, *, small_threshold: int = 20,
-                    small_index: DatasetIndex | None = None) -> MetricsReport:
+                    small_sizes=None) -> MetricsReport:
     """Confusion + macro metrics on a held-out set, with a small-class sub-report.
 
     ``model`` has ``extractor``, ``centers`` and ``head``: a ``RunRecord`` or
-    a ``Checkpoint``.  The report spans max(model classes, test.n_classes)
-    classes.  ``small_index`` decides which classes count as small; it
-    defaults to the test labels indexed over that count."""
+    a ``Checkpoint``.  The report spans the model's classes, and a test label
+    past them is a ``ContractError``.  ``small_sizes`` (one size per class)
+    decides which classes count as small; it defaults to the test labels'
+    class sizes."""
+    n_classes = (model.centers.n_classes if model.centers is not None
+                 else model.head.bias.data.size)
+    if test.labels.size and test.labels.max() >= n_classes:
+        raise ContractError(f"test label {test.labels.max()} is out of range for the "
+                            f"model's {n_classes} classes")
     predicted = predict(model.extractor, test.features, model.centers, model.head)
-    model_classes = (model.centers.n_classes if model.centers is not None
-                     else model.head.bias.data.size)
-    n_classes = max(model_classes, test.n_classes)
     report = macro_metrics(confusion(test.labels, predicted, n_classes))
-    if small_index is None:
-        small_index = DatasetIndex.from_labels(test.labels, n_classes)
-    report.small_class = small_class_report(report, small_index, small_threshold)
+    if small_sizes is None:
+        small_sizes = np.bincount(test.labels, minlength=n_classes)
+    report.small_class = small_class_report(report, small_sizes, small_threshold)
     return report
 
 
@@ -69,7 +71,7 @@ def _train_and_score(config: TrainConfig, dataset: Dataset, train_rows, test_row
     """Train on ``train_rows``, score ``test_rows``; small classes are those of ``dataset``."""
     record = run_method(config, dataset.subset(train_rows))
     report = evaluate_record(record, dataset.subset(test_rows),
-                             small_threshold=small_threshold, small_index=dataset.index)
+                             small_threshold=small_threshold, small_sizes=dataset.index.sizes)
     return record, report
 
 

@@ -24,14 +24,20 @@ def run_cli(*argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def test_eval_on_a_truncated_checkpoint_reports_an_error_without_traceback(tmp_path):
+def untrained_eval_inputs(tmp_path, labels):
+    """A 3-class checkpoint and a 3-feature CSV of the given labels."""
     data = tmp_path / "data.csv"
-    features = np.random.default_rng(0).normal(size=(6, 3))
-    save_csv(Dataset(features=features, labels=np.array([0, 0, 1, 1, 2, 2])), data)
+    features = np.random.default_rng(0).normal(size=(len(labels), 3))
+    save_csv(Dataset(features=features, labels=np.array(labels)), data)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, Checkpoint(extractor=FeatureExtractor([3, 4, 2]), epoch=0,
                                      config_fingerprint="x",
                                      centers=CenterTable(Tensor(np.zeros((3, 2))), mode="computed")))
+    return ckpt, data
+
+
+def test_eval_on_a_truncated_checkpoint_reports_an_error_without_traceback(tmp_path):
+    ckpt, data = untrained_eval_inputs(tmp_path, [0, 0, 1, 1, 2, 2])
     ckpt.write_bytes(ckpt.read_bytes()[:6])
     result = run_cli("eval", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "out")
     assert result.returncode != 0
@@ -140,6 +146,14 @@ def test_eval_on_a_csv_without_the_highest_class_scores_every_model_class(tmp_pa
     assert (tmp_path / "eval" / "metrics.txt").read_text().startswith("# evaluation")
 
 
+def test_eval_on_a_csv_with_a_label_past_the_model_classes_is_an_error(tmp_path):
+    ckpt, data = untrained_eval_inputs(tmp_path, [0, 0, 1, 1, 2, 3])
+    result = run_cli("eval", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "out")
+    assert result.returncode == 1
+    assert result.stderr == "error: test label 3 is out of range for the model's 3 classes\n"
+    assert not (tmp_path / "out").exists()
+
+
 GOOD_CONFIG = b"[data]\npreset = skin7-like\n"
 
 
@@ -161,7 +175,8 @@ def test_malformed_inputs_report_an_error_without_traceback(tmp_path, config, cs
     result = run_cli(*argv)
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")
-    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "out").exists()
 
 
 def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):

@@ -116,9 +116,9 @@ def test_p_values_match_scipy_on_tie_free_samples():
 # -- stratified splits ---------------------------------------------------------------
 
 def shuffled_index(sizes, seed) -> DatasetIndex:
-    """Classes of the given sizes over shuffled row ids."""
-    rows = np.random.default_rng(seed).permutation(sum(sizes))
-    return DatasetIndex(np.split(rows, np.cumsum(sizes)[:-1]))
+    """Classes of the given sizes over shuffled labels."""
+    labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return DatasetIndex.from_labels(labels, len(sizes))
 
 
 def assert_kfold_properties(sizes, k, seed):
@@ -204,8 +204,7 @@ def test_a_predicted_class_without_true_rows_is_flagged():
 
 
 def test_small_class_report_keeps_the_flags_of_its_classes():
-    small = small_class_report(macro_metrics(CM), DatasetIndex([range(50), range(50, 100),
-                                                               [100], [101]]), threshold=20)
+    small = small_class_report(macro_metrics(CM), [50, 50, 1, 1], threshold=20)
     assert small.status == "ok" and small.flagged == [2]
     np.testing.assert_array_equal(small.present, [False, False, True, False])
     assert small.mf1 == 0.0
@@ -213,12 +212,11 @@ def test_small_class_report_keeps_the_flags_of_its_classes():
 
 def test_small_class_report_is_empty_when_no_small_class_is_present():
     # class 3 is small but absent from the confusion matrix
-    index = DatasetIndex([range(50), range(50, 100), range(100, 150), [150]])
-    small = small_class_report(macro_metrics(CM), index, threshold=20)
+    small = small_class_report(macro_metrics(CM), [50, 50, 50, 1], threshold=20)
     assert small.status == "empty" and not small.present.any()
     assert (small.mf1, small.mcp, small.mcr) == (0.0, 0.0, 0.0)
 
 
-def test_small_class_report_rejects_an_index_of_another_class_count():
-    with pytest.raises(ContractError, match="index class count does not match the report"):
-        small_class_report(macro_metrics(CM), DatasetIndex([[0], [1]]), threshold=20)
+def test_small_class_report_rejects_sizes_of_another_class_count():
+    with pytest.raises(ContractError, match="2 class sizes do not match the report's 4 classes"):
+        small_class_report(macro_metrics(CM), [1, 1], threshold=20)

@@ -24,10 +24,6 @@ class TestDatasetIndex:
         assert list(index.sizes) == [3, 2, 4]
         assert index.sizes.sum() == len(labels) == 9
 
-    def test_duplicate_membership_rejected(self):
-        with pytest.raises(ContractError):
-            DatasetIndex([[0, 1], [1, 2]])
-
     def test_a_label_beyond_n_classes_is_rejected(self):
         with pytest.raises(ContractError, match="label 2 is out of range for 2 classes"):
             DatasetIndex.from_labels([0, 1, 2, 2], n_classes=2)
