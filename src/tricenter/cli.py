@@ -11,7 +11,6 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import copy
 import os
 import sys
 from dataclasses import replace
@@ -79,12 +78,9 @@ def cmd_train(args) -> int:
     scored = "holdout" if settings.holdout_fraction > 0 else "training-set"
 
     _write(out / "config.echo.ini", echo_settings(settings))
-    if record.stage1_state is not None:
-        # snapshot of the extractor right after stage 1
-        s1_extractor = copy.deepcopy(record.extractor)
-        s1_extractor.load_state(record.stage1_state)
+    if record.stage1_extractor is not None:
         save_checkpoint(out / "stage1.ckpt", Checkpoint(
-            extractor=s1_extractor, epoch=len(record.stage1_losses),
+            extractor=record.stage1_extractor, epoch=len(record.stage1_losses),
             config_fingerprint=record.config_fingerprint))
     save_checkpoint(out / "final.ckpt", Checkpoint(
         extractor=record.extractor, epoch=len(record.stage1_losses) + len(record.stage2_losses),

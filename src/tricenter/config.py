@@ -111,6 +111,11 @@ def _read(path) -> configparser.ConfigParser:
         parser.read_string(text, source=str(path))
     except configparser.MissingSectionHeaderError as exc:  # its own text spans three lines
         raise ContractError(f"{path}: line {exc.lineno} comes before any [section] header") from None
+    except configparser.ParsingError as exc:  # its own text puts each bad line on a line of its own
+        lineno = exc.errors[0][0]
+        line = text.splitlines()[lineno - 1].strip()
+        raise ContractError(
+            f"{path}: line {lineno}: {line!r} is not a [section] or key = value line") from None
     except configparser.Error as exc:
         raise ContractError(f"{path}: malformed config: {exc}") from None
     for section in parser.sections():

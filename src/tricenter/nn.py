@@ -23,20 +23,10 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
 
 
 class _Module:
-    """Copying out and loading back the arrays of ``parameters()``."""
+    """Copying out the arrays of ``parameters()``."""
 
     def state(self) -> list[np.ndarray]:
         return [p.data.copy() for p in self.parameters()]
-
-    def load_state(self, arrays) -> None:
-        params = self.parameters()
-        if len(arrays) != len(params):
-            raise ContractError(f"state holds {len(arrays)} arrays for {len(params)} parameters")
-        for p, a in zip(params, arrays):
-            if p.data.shape != a.shape:
-                raise ShapeError(f"state shape {a.shape} does not match parameter {p.data.shape}")
-        for p, a in zip(params, arrays):
-            p.data = np.array(a, dtype=np.float64)
 
 
 class FeatureExtractor(_Module):
@@ -192,14 +182,15 @@ class Adam:
 # ---------------------------------------------------------------------------
 # Checkpoint container.
 #
-# Layout (version 1), all integers little-endian:
+# Layout (version 2), all integers little-endian:
 #   bytes 0..3   magic b"TCK1"
 #   bytes 4..7   uint32 header length H
-#   bytes 8..8+H utf-8 JSON header
-#   remainder    the arrays listed in header["arrays"], concatenated as raw
-#                little-endian float64, C order
-# The header records epoch, config fingerprint, extractor topology, optional
-# head and center-table metadata, and the name/shape of every array.
+#   bytes 8..8+H utf-8 JSON header: version, epoch, config_fingerprint,
+#                extractor {layer_sizes, activation}, head {n_classes} or null,
+#                centers {mode, source_epoch, p_norm, n_classes} or null
+#   remainder    the extractor's parameters(), then the head's, then the
+#                center matrix, as raw little-endian float64 in C order
+# The header states the topology once; every array's shape follows from it.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"TCK1"
@@ -207,9 +198,8 @@ _MAGIC = b"TCK1"
 
 @dataclass
 class Checkpoint:
-    """A model on disk.  ``centers`` is the ``centers`` array plus a header
-    object of the table's mode, source epoch and ``p_norm`` (a file without
-    ``p_norm`` reads as 2)."""
+    """A model on disk: the extractor, and a classifier head or a center
+    table (its matrix, mode, source epoch and ``p_norm``) when there is one."""
 
     extractor: FeatureExtractor
     epoch: int
@@ -224,24 +214,13 @@ def config_fingerprint(config_dict: dict) -> str:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    arrays = []
-    entries = []
-
-    def add(name, arr):
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        arrays.append(arr)
-        entries.append({"name": name, "shape": list(arr.shape)})
-
-    for i, arr in enumerate(ckpt.extractor.state()):
-        add(f"extractor.{i}", arr)
+    arrays = ckpt.extractor.state()
     if ckpt.head is not None:
-        for i, arr in enumerate(ckpt.head.state()):
-            add(f"head.{i}", arr)
+        arrays += ckpt.head.state()
     if ckpt.centers is not None:
-        add("centers", ckpt.centers.matrix)
-
+        arrays.append(ckpt.centers.matrix)
     header = {
-        "version": 1,
+        "version": 2,
         "epoch": int(ckpt.epoch),
         "config_fingerprint": ckpt.config_fingerprint,
         "extractor": {"layer_sizes": ckpt.extractor.layer_sizes,
@@ -249,9 +228,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "head": None if ckpt.head is None else {"n_classes": int(ckpt.head.bias.data.size)},
         "centers": None if ckpt.centers is None else {
             "mode": ckpt.centers.mode, "source_epoch": ckpt.centers.source_epoch,
-            "p_norm": int(ckpt.centers.p_norm)},
-        "extra": {},
-        "arrays": entries,
+            "p_norm": int(ckpt.centers.p_norm), "n_classes": ckpt.centers.n_classes},
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -259,7 +236,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for arr in arrays:
-            fh.write(arr.tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _count(x, low: int = 0) -> bool:
@@ -273,41 +250,34 @@ def _header_fields(header: dict, path):
         return DataFormatError(f"{path}: malformed checkpoint header ({reason})")
 
     try:
-        arrays, extractor, head = header["arrays"], header["extractor"], header["head"]
-        centers, epoch, fingerprint = header["centers"], header["epoch"], header["config_fingerprint"]
+        extractor, head, centers = header["extractor"], header["head"], header["centers"]
+        epoch, fingerprint = header["epoch"], header["config_fingerprint"]
     except KeyError as exc:
         raise malformed(f"missing {exc}") from None
-    if not (isinstance(arrays, list) and all(
-            isinstance(e, dict) and isinstance(e.get("name"), str)
-            and isinstance(e.get("shape"), list) and all(_count(s) for s in e["shape"])
-            for e in arrays)):
-        raise malformed("arrays must list {name, shape} entries with non-negative integer extents")
     if not (isinstance(extractor, dict) and isinstance(extractor.get("layer_sizes"), list)
+            and len(extractor["layer_sizes"]) >= 2
             and all(_count(s, 1) for s in extractor["layer_sizes"])
             and isinstance(extractor.get("activation"), str)):
-        raise malformed("extractor must hold positive integer layer_sizes and an activation name")
+        raise malformed("extractor must hold >= 2 positive integer layer_sizes and an activation name")
     if head is not None and not (isinstance(head, dict) and _count(head.get("n_classes"), 1)):
         raise malformed("head must be null or hold a positive integer n_classes")
     if centers is not None and not (isinstance(centers, dict)
                                     and centers.get("mode") in CENTER_MODES
-                                    and _count(centers.get("p_norm", 2), 1)):
+                                    and _count(centers.get("p_norm"), 1)
+                                    and _count(centers.get("n_classes"), 1)):
         raise malformed(f"centers must be null or an object with a mode in {CENTER_MODES} "
-                        "and a positive integer p_norm")
+                        "and positive integers p_norm and n_classes")
     if not _count(epoch) or not isinstance(fingerprint, str):
         raise malformed("epoch must be a non-negative integer and config_fingerprint a string")
-    if not isinstance(header.get("extra", {}), dict):
-        raise malformed("extra must be an object")
-    entries = [(e["name"], tuple(e["shape"])) for e in arrays]
-    return (entries, extractor, None if head is None else head["n_classes"], centers,
-            epoch, fingerprint)
+    return extractor, None if head is None else head["n_classes"], centers, epoch, fingerprint
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint.
 
-    A damaged layout (cut, non-JSON or over-long file) or a header value of
-    the wrong type or shape raises ``DataFormatError``; arrays whose shapes
-    do not fit the recorded topology raise ``ShapeError``.
+    A damaged layout (cut or non-JSON header), a header value of the wrong
+    type, or a payload whose length is not the one the header's topology
+    implies raises ``DataFormatError``, before any array or module is built.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -326,43 +296,31 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataFormatError(f"{path}: unreadable checkpoint header ({exc})") from None
     if not isinstance(header, dict):
         raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
-    if header.get("version") != 1:
+    if header.get("version") != 2:
         raise DataFormatError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    entries, extractor_meta, n_head_classes, cmeta, epoch, fingerprint = _header_fields(header, path)
+    extractor_meta, n_head_classes, cmeta, epoch, fingerprint = _header_fields(header, path)
 
-    loaded = {}
-    for name, shape in entries:
-        count = math.prod(shape)
-        if len(blob) < offset + count * 8:
-            raise DataFormatError(f"{path}: truncated checkpoint payload")
-        loaded[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += count * 8
-    if offset != len(blob):
-        raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes after the checkpoint payload")
-
-    def array(name):
-        if name not in loaded:
-            raise DataFormatError(f"{path}: checkpoint has no array {name!r}")
-        return loaded[name]
-
-    extractor = FeatureExtractor(extractor_meta["layer_sizes"], activation=extractor_meta["activation"])
-    extractor.load_state([array(f"extractor.{i}") for i in range(len(extractor.parameters()))])
-
-    head = None
+    sizes = extractor_meta["layer_sizes"]
+    shapes = [shape for n_in, n_out in zip(sizes, sizes[1:]) for shape in ((n_in, n_out), (n_out,))]
     if n_head_classes is not None:
-        head = LinearHead(extractor.out_dim, n_head_classes)
-        head.load_state([array("head.0"), array("head.1")])
+        shapes += [(sizes[-1], n_head_classes), (n_head_classes,)]
+    if cmeta is not None:
+        shapes.append((cmeta["n_classes"], sizes[-1]))
+    counts = [math.prod(shape) for shape in shapes]
+    if len(blob) - offset != 8 * sum(counts):
+        raise DataFormatError(f"{path}: checkpoint payload holds {len(blob) - offset} bytes "
+                              f"where its header's topology needs {8 * sum(counts)}")
+    values = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
+    pieces = [a.reshape(shape) for a, shape in zip(np.split(values, np.cumsum(counts)[:-1]), shapes)]
 
+    extractor = FeatureExtractor(sizes, activation=extractor_meta["activation"])
+    head = None if n_head_classes is None else LinearHead(sizes[-1], n_head_classes)
+    for p, a in zip(extractor.parameters() + ([] if head is None else head.parameters()), pieces):
+        p.data = a
     centers = None
     if cmeta is not None:
-        matrix = array("centers")
-        if matrix.ndim != 2 or matrix.shape[1] != extractor.out_dim:
-            raise ShapeError(f"center table shape {matrix.shape} does not fit "
-                             f"embedding width {extractor.out_dim}")
-        centers = CenterTable(Tensor(matrix), mode=cmeta["mode"],
-                              source_epoch=cmeta.get("source_epoch"),
-                              p_norm=cmeta.get("p_norm", 2))
-
+        centers = CenterTable(Tensor(pieces[-1]), mode=cmeta["mode"],
+                              source_epoch=cmeta.get("source_epoch"), p_norm=cmeta["p_norm"])
     return Checkpoint(extractor=extractor, epoch=epoch, config_fingerprint=fingerprint,
                       head=head, centers=centers)
 

@@ -19,6 +19,7 @@ qualifies); stage-1 miners and the baselines score every valid batch.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import time
@@ -145,7 +146,7 @@ class RunRecord:
     stage1_epoch_times: list = field(default_factory=list)
     stage2_epoch_times: list = field(default_factory=list)
     center_refreshes: list = field(default_factory=list)  # (epoch, source params fingerprint)
-    stage1_state: list | None = None  # extractor parameters right after stage 1
+    stage1_extractor: FeatureExtractor | None = None  # a copy of the extractor right after stage 1
     status: str = "completed"
 
 
@@ -349,7 +350,7 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     """
     rng, record = _start(config, dataset, config.method)
     run_stage1(config, dataset, record, rng)
-    record.stage1_state = record.extractor.state()
+    record.stage1_extractor = copy.deepcopy(record.extractor)
 
     centers = None
     if not config.centered:

@@ -161,11 +161,12 @@ GOOD_CONFIG = b"[data]\npreset = skin7-like\n"
     (GOOD_CONFIG + b"# caf\xe9\n", None),
     (b"preset = skin7-like\n", None),
     (GOOD_CONFIG + b"preset = skin7-like\n", None),
+    (GOOD_CONFIG + b"garbage line\n", None),
     (GOOD_CONFIG, b"label,f0,f1\n0,1.0,2.0\n1,\xff,3.0\n"),
     (GOOD_CONFIG, b"label,f0,f1\n0,1.0,2.0\n1,nan,3.0\n"),
     (GOOD_CONFIG, b"label,f0,f1\n0,1.0,2.0\n1000000000,0.5,3.0\n"),
-], ids=["ini_not_utf8", "ini_no_section_header", "ini_duplicate_key", "csv_not_utf8",
-        "csv_non_finite", "csv_label_past_the_rows"])
+], ids=["ini_not_utf8", "ini_no_section_header", "ini_duplicate_key", "ini_garbage_line",
+        "csv_not_utf8", "csv_non_finite", "csv_label_past_the_rows"])
 def test_malformed_inputs_report_an_error_without_traceback(tmp_path, config, csv):
     (tmp_path / "config.ini").write_bytes(config)
     argv = ["train", "--config", tmp_path / "config.ini", "--out", tmp_path / "out"]

@@ -152,6 +152,14 @@ def test_unknown_sections_and_keys_are_rejected(tmp_path, text, message):
         load_settings(write(tmp_path, text))
 
 
+def test_a_line_that_is_neither_a_section_nor_a_key_is_named_in_one_line(tmp_path):
+    path = write(tmp_path, "[data]\npreset = skin7-like\ngarbage line\n")
+    with pytest.raises(ContractError) as info:
+        load_settings(path)
+    assert str(info.value) == (f"{path}: line 3: 'garbage line' is not a [section] "
+                               "or key = value line")
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("run", "centered", "maybe"),
     ("stage2", "refresh_each_epoch", "2"),

@@ -112,23 +112,6 @@ class TestAdam:
         np.testing.assert_array_equal(p.grad, [0.5])
 
 
-@pytest.mark.parametrize("make", [lambda: FeatureExtractor([3, 4, 2], rng=np.random.default_rng(0)),
-                                  lambda: LinearHead(3, 2, rng=np.random.default_rng(0))],
-                         ids=["extractor", "head"])
-def test_load_state_rejects_a_short_or_misshapen_state(make):
-    module = make()
-    before = module.state()
-    with pytest.raises(ContractError, match="state holds 1 arrays for"):
-        module.load_state(before[:1])
-    with pytest.raises(ShapeError, match="state shape"):
-        module.load_state(before[:-1] + [np.zeros(7)])
-    for a, b in zip(before, module.state()):
-        assert np.array_equal(a, b)  # a refused state loads nothing
-    module.load_state([a + 1.0 for a in before])
-    for a, b in zip(before, module.state()):
-        assert np.array_equal(a + 1.0, b)
-
-
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         fx = FeatureExtractor([4, 8, 3], rng=np.random.default_rng(11))
@@ -150,11 +133,6 @@ class TestCheckpoint:
         assert loaded.centers.mode == "computed" and loaded.centers.source_epoch == 6
         assert loaded.centers.p_norm == 3
 
-    def test_centers_written_without_p_norm_read_as_p_norm_two(self, tmp_path):
-        path, blob = self._saved(tmp_path)
-        path.write_bytes(self._with_header(blob, lambda h: h["centers"].pop("p_norm")))
-        assert load_checkpoint(path).centers.p_norm == 2
-
     def test_forward_identical_after_round_trip(self, tmp_path):
         fx = FeatureExtractor([6, 10, 4], activation="tanh", rng=np.random.default_rng(1))
         x = np.random.default_rng(2).normal(size=(9, 6))
@@ -163,6 +141,12 @@ class TestCheckpoint:
         save_checkpoint(path, Checkpoint(extractor=fx, epoch=0, config_fingerprint="x"))
         after = load_checkpoint(path).extractor(Tensor(x)).data
         assert np.array_equal(before, after)
+
+    def test_loaded_arrays_are_writable(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        loaded = load_checkpoint(path)
+        for a in [p.data for p in loaded.extractor.parameters()] + [loaded.centers.matrix]:
+            assert a.flags.writeable  # not a view of the file's read-only bytes
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -201,7 +185,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["epoch", "config_fingerprint", "extractor", "head",
-                                     "centers", "arrays"])
+                                     "centers"])
     def test_missing_header_key_raises_data_format_error(self, tmp_path, key):
         path, blob = self._saved(tmp_path)
         path.write_bytes(self._with_header(blob, lambda h: h.pop(key)))
@@ -210,54 +194,65 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["extractor"].pop("activation"),
-        lambda h: h["arrays"][0].pop("shape"),
-        lambda h: h["arrays"].pop(0),
-        lambda h: h.update(arrays=None),
         lambda h: h.update(centers=1),
         lambda h: h.update(head=[]),
         lambda h: h.update(head={"n_classes": "3"}),
         lambda h: h.update(epoch="1"),
-        lambda h: h.update(extra=[]),
         lambda h: h["extractor"].update(layer_sizes=["3", "4", "2"]),
+        lambda h: h["extractor"].update(layer_sizes=[3]),
         lambda h: h["extractor"].update(activation=["relu"]),
-        lambda h: h["arrays"][0].update(shape=["3", 4]),
-        lambda h: h["arrays"][0].update(shape=[-3, -4]),
-        lambda h: h["arrays"][0].update(shape=[3, 5]),  # more than the payload holds
-        lambda h: h["arrays"][0].update(shape=[3, 3]),  # leaves bytes over
-        lambda h: h["arrays"][0].update(shape=[2 ** 32, 2 ** 32]),  # wraps in int64
         lambda h: h["centers"].update(p_norm="2"),
         lambda h: h["centers"].update(p_norm=0),
         lambda h: h["centers"].update(p_norm=True),
         lambda h: h["centers"].update(p_norm=1.5),
+        lambda h: h["centers"].pop("p_norm"),
+        lambda h: h["centers"].pop("n_classes"),
+        lambda h: h["centers"].update(n_classes="3"),
+        lambda h: h["centers"].update(n_classes=0),
         lambda h: h["centers"].update(mode="learned"),
         lambda h: h["centers"].pop("mode"),
-    ], ids=["extractor_key", "array_shape", "array_entry", "array_table", "centers_type",
-            "head_type", "head_classes_type", "epoch_type", "extra_type", "layer_sizes_type",
-            "activation_type", "shape_type", "shape_negative", "shape_too_big",
-            "shape_too_small", "shape_overflow", "p_norm_type", "p_norm_zero", "p_norm_bool",
-            "p_norm_float", "center_mode_unknown", "center_mode_missing"])
+    ], ids=["extractor_key", "centers_type", "head_type", "head_classes_type", "epoch_type",
+            "layer_sizes_type", "layer_sizes_short", "activation_type", "p_norm_type",
+            "p_norm_zero", "p_norm_bool", "p_norm_float", "p_norm_missing",
+            "center_classes_missing", "center_classes_type", "center_classes_zero",
+            "center_mode_unknown", "center_mode_missing"])
     def test_malformed_header_fields_raise_data_format_error(self, tmp_path, edit):
         path, blob = self._saved(tmp_path)
         path.write_bytes(self._with_header(blob, edit))
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="malformed checkpoint header"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("shape", [[3, 2], [6]], ids=["head_weight", "centers_1d"])
-    def test_arrays_that_do_not_fit_the_topology_raise_shape_error(self, tmp_path, shape):
-        path = tmp_path / "m.ckpt"
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["extractor"].update(layer_sizes=[3, 2 ** 21, 2 ** 21, 2]),
+        lambda h: h.update(head={"n_classes": 2 ** 40}),
+        lambda h: h["extractor"].update(layer_sizes=[3, 5, 2]),  # more than the payload holds
+        lambda h: h["extractor"].update(layer_sizes=[3, 3, 2]),  # leaves bytes over
+        lambda h: h["centers"].update(n_classes=4),
+    ], ids=["huge_hidden", "huge_head", "wider", "narrower", "more_centers"])
+    def test_a_topology_the_payload_does_not_hold_is_refused(self, tmp_path, edit):
+        # checked against the payload length before any array or module is built
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(self._with_header(blob, edit))
+        with pytest.raises(DataFormatError, match="checkpoint payload holds"):
+            load_checkpoint(path)
+
+    def test_a_version_1_file_is_refused(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(self._with_header(blob, lambda h: h.update(version=1)))
+        with pytest.raises(DataFormatError, match="unsupported checkpoint version 1$"):
+            load_checkpoint(path)
+
+    def test_payload_is_the_parameters_then_the_centers_in_f8(self, tmp_path):
         fx = FeatureExtractor([3, 4, 2], rng=np.random.default_rng(5))
         head = LinearHead(2, 3, rng=np.random.default_rng(6))
+        centers = np.random.default_rng(7).normal(size=(3, 2))
+        path = tmp_path / "m.ckpt"
         save_checkpoint(path, Checkpoint(extractor=fx, epoch=1, config_fingerprint="x", head=head,
-                                         centers=CenterTable(Tensor(np.zeros((3, 2))),
-                                                             mode="computed")))
-        name = "head.0" if shape == [3, 2] else "centers"
-
-        def reshape(h):
-            entry = next(e for e in h["arrays"] if e["name"] == name)
-            entry["shape"] = shape  # same element count, wrong layout
-        path.write_bytes(self._with_header(path.read_bytes(), reshape))
-        with pytest.raises(ShapeError):
-            load_checkpoint(path)
+                                         centers=CenterTable(Tensor(centers), mode="computed")))
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        arrays = fx.state() + head.state() + [centers]
+        assert blob[8 + hlen:] == b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
 
 
 def test_config_fingerprint_stable_and_sensitive():

@@ -166,6 +166,18 @@ def test_each_config_path_trains(dataset, path):
     assert check(run_two_stage(cfg, dataset), cfg, dataset)
 
 
+@pytest.mark.parametrize("center_mode", ["computed", "trainable"])
+def test_the_stage1_extractor_is_a_copy_that_stage_two_leaves_alone(dataset, center_mode):
+    record = run_two_stage(config(stage2=Stage2Config(epochs=2, center_mode=center_mode)), dataset)
+    stage1_only = run_two_stage(config(stage2=Stage2Config(epochs=0, center_mode=center_mode)),
+                                dataset)
+    copied, trained = record.stage1_extractor.parameters(), record.extractor.parameters()
+    assert not {id(p) for p in copied} & {id(p) for p in trained}
+    for got, want, last in zip(copied, stage1_only.extractor.parameters(), trained):
+        assert np.array_equal(got.data, want.data)
+        assert not np.array_equal(got.data, last.data)
+
+
 # The overflow that makes the loss non-finite warns first.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("method, during", [("two_stage", "stage 1"),
