@@ -18,7 +18,7 @@ from .distance import lp_cdist
 from .errors import ContractError
 from .sampling import DatasetIndex
 
-FORWARD_CHUNK = 512  # rows per forward pass in embed_all; bounds its memory
+FORWARD_CHUNK = 512  # rows per forward pass in embed_all and per block of workflows.predict
 CENTER_MODES = ("computed", "trainable")
 
 
@@ -52,7 +52,12 @@ class CenterTable:
 
 
 def embed_all(extractor, features: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.ndarray:
-    """Forward a whole feature matrix without building a graph."""
+    """Forward a whole feature matrix without building a graph, ``chunk`` rows
+    per pass.
+
+    The ``[N, out_dim]`` result spans the input.  ``workflows.predict`` calls
+    this on one ``FORWARD_CHUNK`` block at a time, which forwards the same
+    chunks as one call over the whole matrix, and never holds the result."""
     out = np.empty((features.shape[0], extractor.out_dim))
     with no_grad():
         for start in range(0, features.shape[0], chunk):

@@ -24,7 +24,8 @@ from .errors import ContractError, DataFormatError, DivergenceError
 # count the rows each confusion matrix scores.
 from .evaluation import confusion  # noqa: F401
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
-from .workflows import SWEEP_AXES, evaluate_record, run_crossval, run_holdout, run_sweep
+from .workflows import (SWEEP_AXES, evaluate_record, model_classes, run_crossval,
+                        run_holdout, run_sweep)
 
 
 def _load_dataset(settings: RunSettings) -> Dataset:
@@ -103,7 +104,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    dataset = load_csv(args.data)
+    # the model's classes bound the labels; a rare-class file has fewer rows than that
+    dataset = load_csv(args.data, n_classes=model_classes(ckpt))
     if dataset.in_dim != ckpt.extractor.in_dim:
         raise ContractError(f"dataset width {dataset.in_dim} does not match "
                             f"checkpoint input dim {ckpt.extractor.in_dim}")

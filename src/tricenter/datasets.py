@@ -147,18 +147,79 @@ def save_csv(dataset: Dataset, path, spec: SyntheticSpec | None = None) -> None:
             json.dump(spec.to_json_dict(), fh, indent=1, sort_keys=True)
 
 
-def load_csv(path) -> Dataset:
+SCAN_CHARS = 1 << 20  # characters per read while load_csv scans a file
+# str.splitlines() also ends a line at each of these, and numpy strips \x1f
+# around a number where int() and float() refuse it
+_LOOP_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
+def _loop_only(text: str) -> bool:
+    return any(ch in text for ch in _LOOP_ONLY)  # one fast find per character
+
+
+def load_csv(path, n_classes: int | None = None) -> Dataset:
     """Parse a ``label,f0,f1,...`` file; raises DataFormatError with the bad line number.
 
     Each non-blank line after the header holds as many comma-separated fields
     as the header: a nonnegative label as ``int()`` reads it, then finite
     features as ``float()`` reads them; no quoting, no comments.  The line
-    loop defines a valid row.  One ``np.loadtxt`` call parses the rows first
-    (equal values on every spelling it accepts); when it refuses the file,
-    which includes ``1_0`` and non-ASCII digits, or a width, label or
-    non-finite value is wrong, the loop decides.  No label may reach the row
-    count, since the labels set the class count and every K-sized structure.
+    loop defines a valid row.  The labels set the class count and every
+    K-sized structure, so no label may reach the row count; with
+    ``n_classes`` (the classes of a model that scores the rows) no label may
+    reach that count instead.
+
+    ``_parse_plain`` reads the file first without holding its text or a list
+    of its lines; when it declines the file, the line loop reads it whole
+    and decides, so both accept the same files with the same values.
     """
+    try:
+        parsed = _parse_plain(path)
+    except UnicodeDecodeError:  # the line loop names the byte
+        parsed = None
+    features, labels = parsed if parsed is not None else _parse_lines(path)
+    try:
+        return Dataset(features, labels, forced_n_classes=n_classes)
+    except ContractError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _parse_plain(path):
+    """(features, labels) of a file by one structured ``np.loadtxt`` call, or None.
+
+    A scan in ``SCAN_CHARS`` reads first declines a file holding a character
+    of ``_LOOP_ONLY`` or no data rows (numpy would warn on those).  numpy's
+    integer parser accepts a subset of the labels that ``int()`` reads, with
+    equal values (``1_0``, non-ASCII digits and labels past 64 bits are
+    refused), and its float parser equals ``float()`` on every spelling it
+    accepts.  A refusal, a wrong width, a negative label or a non-finite
+    value declines the file, so the line loop reports its line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        fields = header.rstrip("\n").split(",")
+        if fields[0] != "label" or len(fields) < 2 or _loop_only(header):
+            return None
+        body, rows = fh.tell(), False
+        for chunk in iter(lambda: fh.read(SCAN_CHARS), ""):
+            if _loop_only(chunk):
+                return None
+            rows = rows or not chunk.isspace()
+        if not rows:
+            return None
+        fh.seek(body)
+        dtype = np.dtype([("label", np.intp), ("features", np.float64, (len(fields) - 1,))])
+        try:
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+    labels, features = table["label"], table["features"]
+    if labels.min() < 0 or not np.isfinite(features).all():
+        return None
+    return np.ascontiguousarray(features), labels.copy()
+
+
+def _parse_lines(path):
+    """(features, labels) of a file by the line loop that defines a valid row."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -171,17 +232,6 @@ def load_csv(path) -> Dataset:
     if header[0] != "label" or len(header) < 2:
         raise DataFormatError(f"{path}: line 1: header must be 'label,f0,f1,...'")
     width = len(header) - 1
-    body = [line for line in lines[1:] if line.strip()]
-    # numpy also strips the unit separator \x1f around a number; float() refuses it
-    if body and "\x1f" not in text:
-        try:
-            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-            labels = [int(line.partition(",")[0]) for line in body]
-        except ValueError:  # the line loop below reports the bad line
-            table = None
-        if (table is not None and table.shape[1] == width + 1 and min(labels) >= 0
-                and np.isfinite(table).all()):
-            return _dataset(path, np.ascontiguousarray(table[:, 1:]), labels)
     labels, rows = [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -195,6 +245,8 @@ def load_csv(path) -> Dataset:
                 raise ValueError
         except ValueError:
             raise DataFormatError(f"{path}: line {ln}: label {parts[0]!r} is not a nonnegative integer")
+        if lab > np.iinfo(np.intp).max:  # past every row count and class count
+            raise DataFormatError(f"{path}: line {ln}: label {parts[0]!r} is too large")
         try:
             rows.append([float(v) for v in parts[1:]])
         except ValueError:
@@ -204,12 +256,4 @@ def load_csv(path) -> Dataset:
         labels.append(lab)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return _dataset(path, np.array(rows), labels)
-
-
-def _dataset(path, features: np.ndarray, labels: list) -> Dataset:
-    """The Dataset of parsed rows; a class count the rows cannot hold is the file's error."""
-    try:
-        return Dataset(features, np.array(labels))
-    except ContractError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return np.array(rows), np.array(labels, dtype=np.intp)

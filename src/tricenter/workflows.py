@@ -15,7 +15,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .centers import embed_all, nearest_center_predict_batch
+from .centers import FORWARD_CHUNK, embed_all, nearest_center_predict_batch
 from .datasets import Dataset
 from .errors import ContractError
 from .evaluation import (CrossvalSummary, MetricsReport, confusion,
@@ -26,15 +26,33 @@ from .training import RunRecord, TrainConfig, run_method
 
 def predict(extractor, features: np.ndarray, centers=None, head=None) -> np.ndarray:
     """Labels for a feature matrix: the nearest center under the table's L_p
-    order when a center table is given, otherwise argmax over the classifier head."""
-    emb = embed_all(extractor, np.asarray(features, dtype=np.float64))
-    if centers is not None:
-        labels, _ = nearest_center_predict_batch(emb, centers)
-        return labels
-    if head is None:
+    order when a center table is given, otherwise argmax over the classifier head.
+
+    Rows are embedded and scored ``FORWARD_CHUNK`` at a time, the chunks of
+    ``embed_all``, so the embeddings are those of one ``embed_all`` call and
+    memory does not grow with the row count."""
+    if centers is None and head is None:
         raise ContractError("model has neither centers nor a classifier head")
-    with no_grad():
-        return head(Tensor(emb)).data.argmax(axis=1)
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.empty(features.shape[0], dtype=np.intp)
+    for start in range(0, features.shape[0], FORWARD_CHUNK):
+        rows = slice(start, start + FORWARD_CHUNK)
+        emb = embed_all(extractor, features[rows])
+        if centers is not None:
+            labels[rows] = nearest_center_predict_batch(emb, centers)[0]
+        else:
+            with no_grad():
+                labels[rows] = head(Tensor(emb)).data.argmax(axis=1)
+    return labels
+
+
+def model_classes(model) -> int:
+    """The class count of a model: the rows of its center table, else the outputs of its head."""
+    if model.centers is not None:
+        return model.centers.n_classes
+    if model.head is None:  # a checkpoint file may hold neither
+        raise ContractError("model has neither centers nor a classifier head")
+    return model.head.bias.data.size
 
 
 def evaluate_record(model, test: Dataset, *, small_threshold: int = 20,
@@ -46,8 +64,7 @@ def evaluate_record(model, test: Dataset, *, small_threshold: int = 20,
     past them is a ``ContractError``.  ``small_sizes`` (one size per class)
     decides which classes count as small; it defaults to the test labels'
     class sizes."""
-    n_classes = (model.centers.n_classes if model.centers is not None
-                 else model.head.bias.data.size)
+    n_classes = model_classes(model)
     if test.labels.size and test.labels.max() >= n_classes:
         raise ContractError(f"test label {test.labels.max()} is out of range for the "
                             f"model's {n_classes} classes")

@@ -28,7 +28,9 @@ def untrained_eval_inputs(tmp_path, labels):
     """A 3-class checkpoint and a 3-feature CSV of the given labels."""
     data = tmp_path / "data.csv"
     features = np.random.default_rng(0).normal(size=(len(labels), 3))
-    save_csv(Dataset(features=features, labels=np.array(labels)), data)
+    # a class count past the row count, for rare-class files
+    save_csv(Dataset(features=features, labels=np.array(labels), forced_n_classes=max(labels) + 1),
+             data)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, Checkpoint(extractor=FeatureExtractor([3, 4, 2]), epoch=0,
                                      config_fingerprint="x",
@@ -150,7 +152,38 @@ def test_eval_on_a_csv_with_a_label_past_the_model_classes_is_an_error(tmp_path)
     ckpt, data = untrained_eval_inputs(tmp_path, [0, 0, 1, 1, 2, 3])
     result = run_cli("eval", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "out")
     assert result.returncode == 1
-    assert result.stderr == "error: test label 3 is out of range for the model's 3 classes\n"
+    assert result.stderr == f"error: {data}: label 3 is out of range for 3 classes\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("labels", [[2, 2], [1]], ids=["two_rows_of_class_2", "one_row_of_class_1"])
+def test_eval_on_a_rare_class_only_csv_bounds_labels_by_the_model_classes(tmp_path, labels):
+    """Each label here reaches the row count, which would refuse the file as training data."""
+    ckpt, data = untrained_eval_inputs(tmp_path, labels)
+    result = run_cli("eval", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "out")
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "metrics.txt").read_text().startswith("# evaluation")
+    classes = [row.split(",")[0] for row in
+               (tmp_path / "out" / "per_class.csv").read_text().splitlines()[1:-1]]
+    assert classes == ["0", "1", "2"]
+
+
+def test_eval_on_a_rare_class_csv_with_a_label_past_the_model_classes_is_an_error(tmp_path):
+    ckpt, data = untrained_eval_inputs(tmp_path, [5])
+    result = run_cli("eval", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "out")
+    assert result.returncode == 1
+    assert result.stderr == f"error: {data}: label 5 is out of range for 3 classes\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_of_a_checkpoint_with_neither_centers_nor_head_is_an_error(tmp_path):
+    _, data = untrained_eval_inputs(tmp_path, [0, 1, 2])
+    save_checkpoint(tmp_path / "bare.ckpt", Checkpoint(extractor=FeatureExtractor([3, 4, 2]), epoch=0,
+                                                       config_fingerprint="x"))
+    result = run_cli("eval", "--checkpoint", tmp_path / "bare.ckpt", "--data", data,
+                     "--out", tmp_path / "out")
+    assert result.returncode == 1
+    assert result.stderr == "error: model has neither centers nor a classifier head\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,20 @@ def load_by_the_line_loop(path):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datasets.np, "loadtxt", refuse)
         return load_csv(path)
+
+
+def load_counting_the_line_loop(path):
+    """``load_csv`` of ``path`` and whether its line loop read the file."""
+    calls = []
+    parse_lines = datasets._parse_lines
+
+    def spy(p):
+        calls.append(p)
+        return parse_lines(p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "_parse_lines", spy)
+        return load_csv(path), bool(calls)
 
 
 def assert_same_dataset(got: Dataset, want: Dataset):
@@ -99,16 +116,110 @@ def test_blank_and_whitespace_only_lines_are_skipped(tmp_path):
 
 
 def test_crlf_line_ends_load_like_lf(tmp_path):
-    text = HEADER + "".join(good_rows(30))
-    plain = load_csv(write(tmp_path / "lf.csv", text))
-    assert_same_dataset(load_csv(write(tmp_path / "crlf.csv", text.replace("\n", "\r\n"))), plain)
+    """Also with empty lines, and without the line loop."""
+    rows = good_rows(40)
+    plain = load_csv(write(tmp_path / "lf.csv", HEADER + "".join(rows)))
+    text = HEADER + "\n" + "".join(rows[:20]) + "\n\n" + "".join(rows[20:])
+    crlf = write(tmp_path / "crlf.csv", text.replace("\n", "\r\n"))
+    loaded, looped = load_counting_the_line_loop(crlf)
+    assert not looped
+    assert_same_dataset(loaded, plain)
+    assert_same_dataset(load_by_the_line_loop(crlf), plain)
 
 
-@pytest.mark.parametrize("body", ["", "\n  \n"], ids=["header_only", "blank_lines_only"])
+@pytest.mark.parametrize("body", ["", "\n  \n", "\n", "\r\n\r\n"],
+                         ids=["header_only", "blank_lines_only", "one_empty_line", "crlf_empty_lines"])
 def test_a_file_without_rows_is_rejected(tmp_path, body):
+    """numpy warns "input contained no data" on such a body; the scan keeps the file from it."""
     path = write(tmp_path / "data.csv", HEADER + body)
-    with pytest.raises(DataFormatError, match="no data rows"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_csv(path)
+    assert caught == []
+
+
+@pytest.mark.parametrize("spelling, value", [("1_0", 10), ("١", 1), ("١٢", 12), ("１", 1)],
+                         ids=["underscore", "arabic_indic_digit", "arabic_indic_number",
+                              "fullwidth_digit"])
+def test_labels_numpy_refuses_go_to_the_line_loop(tmp_path, spelling, value):
+    rows = good_rows(20)
+    rows[7] = f"{spelling},0.5,1.0,-1.25\n"
+    path = write(tmp_path / "data.csv", HEADER + "".join(rows))
+    loaded, looped = load_counting_the_line_loop(path)
+    assert looped
+    assert loaded.labels[7] == value
+    assert_same_dataset(loaded, load_by_the_line_loop(path))
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                  "\u2029"])
+def test_a_line_break_only_splitlines_knows_splits_the_row(tmp_path, char):
+    """numpy would read ``2.0<char>`` as 2.0, but the line loop ends the line there."""
+    rows = good_rows(30)
+    rows[20] = f"1,0.5,2.0{char},3.0\n"
+    path = write(tmp_path / "data.csv", HEADER + "".join(rows))
+    with pytest.raises(DataFormatError) as error:
         load_csv(path)
+    assert str(error.value) == f"{path}: line 22: expected 4 fields, got 3"
+
+
+def test_a_line_break_in_the_header_splits_the_header(tmp_path):
+    """Read whole, this header names three features; the line loop reads two and a line 2."""
+    path = write(tmp_path / "data.csv", "label,f0,f1\x1c,f2\n" + "".join(good_rows(3)))
+    with pytest.raises(DataFormatError) as error:
+        load_csv(path)
+    assert str(error.value) == f"{path}: line 2: expected 3 fields, got 2"
+
+
+def test_a_label_past_64_bits_names_its_line(tmp_path):
+    rows = good_rows(10)
+    rows[4] = "12345678901234567890,0.5,1.0,2.0\n"
+    path = write(tmp_path / "data.csv", HEADER + "".join(rows))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataFormatError) as error:
+            load_csv(path)
+    assert caught == []
+    assert str(error.value) == f"{path}: line 6: label '12345678901234567890' is too large"
+
+
+def test_a_bad_utf8_byte_past_the_first_read_names_its_file_offset(tmp_path):
+    text = (HEADER + "".join(good_rows(2000))).encode("utf-8")
+    offset = len(text) - 40
+    path = tmp_path / "data.csv"
+    path.write_bytes(text[:offset] + b"\xff" + text[offset + 1:])
+    with pytest.raises(DataFormatError) as error:
+        load_csv(path)
+    assert str(error.value) == f"{path}: not UTF-8 text (byte {offset})"
+
+
+def test_a_class_count_bounds_the_labels_in_place_of_the_row_count(tmp_path):
+    path = write(tmp_path / "rare.csv", HEADER + "6,0.5,1.0,2.0\n" * 3)
+    with pytest.raises(DataFormatError, match="label 6 implies 7 classes, more than the 3 rows"):
+        load_csv(path)
+    rare = load_csv(path, n_classes=7)
+    assert rare.n_classes == 7
+    assert rare.index.sizes.tolist() == [0, 0, 0, 0, 0, 0, 3]
+    with pytest.raises(DataFormatError) as error:
+        load_csv(path, n_classes=6)
+    assert str(error.value) == f"{path}: label 6 is out of range for 6 classes"
+
+
+def test_loading_20400_rows_peaks_well_below_the_text_of_the_file(tmp_path):
+    """The 20,400-row file is 6.5 MB of text; its arrays are 2.8 MB.  Reading
+    the text whole and splitting its lines peaked at 20.2 MB; the scan and one
+    structured parse peak at 5.7 MB."""
+    data = gen_gaussian_imbalanced(bulk_spec(30, seed=6))
+    save_csv(data, tmp_path / "data.csv")
+    tracemalloc.start()
+    try:
+        loaded = load_csv(tmp_path / "data.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_dataset(loaded, data)
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("parse", ["numpy", "line_loop"])

@@ -1,20 +1,24 @@
 """Cross-validation and sweeps share one cell runner: pool and serial runs agree,
 and a sweep row is the cross-validation of that point's config.  A holdout of
-zero scores the rows it trained on."""
+zero scores the rows it trained on.  ``predict`` scores block by block and
+equals the whole-matrix predict it replaced."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tricenter import workflows
+from tricenter.autodiff import Tensor, no_grad
+from tricenter.centers import FORWARD_CHUNK, CenterTable, embed_all, nearest_center_predict_batch
 from tricenter.datasets import gen_gaussian_imbalanced, preset_spec
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper
-from tricenter.nn import config_fingerprint
+from tricenter.nn import FeatureExtractor, LinearHead, config_fingerprint
 from tricenter.reports import render_run_record
 from tricenter.training import Stage1Config, Stage2Config, TrainConfig, run_method
-from tricenter.workflows import evaluate_record, run_crossval, run_holdout, run_sweep
+from tricenter.workflows import evaluate_record, predict, run_crossval, run_holdout, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +123,48 @@ def test_a_train_config_rejects_what_the_ini_rejects(change, message):
     class; a TrainConfig holding either does not."""
     with pytest.raises(ContractError, match=message):
         replace(CONFIG, **change)
+
+
+def whole_matrix_predict(extractor, features, centers=None, head=None):
+    """The predict that embedded every row first and scored the ``[N, D]`` matrix at once."""
+    emb = embed_all(extractor, features)
+    if centers is not None:
+        return nearest_center_predict_batch(emb, centers)[0]
+    with no_grad():
+        return head(Tensor(emb)).data.argmax(axis=1)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1100])
+@pytest.mark.parametrize("scorer", ["centers_p1", "centers_p2", "head"])
+def test_block_by_block_predict_equals_the_whole_matrix_predict(rows, scorer):
+    assert FORWARD_CHUNK == 512  # the row counts straddle its block edges
+    rng = np.random.default_rng(rows)
+    extractor = FeatureExtractor([5, 9, 6], rng=rng)
+    features = rng.normal(size=(rows, 5))
+    if scorer == "head":
+        model = dict(head=LinearHead(6, 4, rng=rng))
+    else:  # centers among the embeddings, so that the rows split among the classes
+        table = embed_all(extractor, rng.normal(size=(4, 5)))
+        model = dict(centers=CenterTable(Tensor(table), mode="computed", p_norm=int(scorer[-1])))
+    got = predict(extractor, features, **model)
+    want = whole_matrix_predict(extractor, features, **model)
+    assert got.dtype == np.intp and got.shape == (rows,)
+    np.testing.assert_array_equal(got, want)
+    assert rows < 2 or len(np.unique(want)) > 1
+
+
+def test_predict_of_20400_rows_peaks_well_below_their_embedding_matrix():
+    """The [20400, 128] embedding matrix alone is 20.9 MB, and the whole-matrix
+    predict peaked at 23.2 MB.  Block by block, predict peaks at 2.6 MB."""
+    rng = np.random.default_rng(0)
+    extractor = FeatureExtractor([16, 64, 128], rng=rng)
+    features = rng.normal(size=(20400, 16))
+    centers = CenterTable(Tensor(rng.normal(size=(7, 128))), mode="computed")
+    tracemalloc.start()
+    try:
+        labels = predict(extractor, features, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(labels, whole_matrix_predict(extractor, features, centers))
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
