@@ -7,7 +7,7 @@ cross-validated evaluation harness on synthetic long-tailed data.
 
 Public API (``__all__``); everything else is imported from its module:
 
-- running: run_method, run_holdout, run_crossval, run_sweep, RunRecord
+- running: run_method, run_holdout, run_crossval, RunRecord
 - predicting: predict, compute_centers, CenterTable, evaluate_record
 - configs: TrainConfig, Stage1Config, Stage2Config, LossHyper,
   OptimizerConfig, and the INI file's RunSettings via load_settings
@@ -24,10 +24,10 @@ from .losses import LossHyper
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
 from .training import (OptimizerConfig, RunRecord, Stage1Config, Stage2Config,
                        TrainConfig, run_method)
-from .workflows import evaluate_record, predict, run_crossval, run_holdout, run_sweep
+from .workflows import evaluate_record, predict, run_crossval, run_holdout
 
 __all__ = [
-    "run_method", "run_holdout", "run_crossval", "run_sweep", "RunRecord",
+    "run_method", "run_holdout", "run_crossval", "RunRecord",
     "predict", "compute_centers", "CenterTable", "evaluate_record",
     "TrainConfig", "Stage1Config", "Stage2Config", "LossHyper", "OptimizerConfig",
     "RunSettings", "load_settings",

@@ -51,17 +51,17 @@ class CenterTable:
         return self.table.data.shape[0]
 
 
-def embed_all(extractor, features: np.ndarray, chunk: int = FORWARD_CHUNK) -> np.ndarray:
-    """Forward a whole feature matrix without building a graph, ``chunk`` rows
-    per pass.
+def embed_all(extractor, features: np.ndarray) -> np.ndarray:
+    """Forward a whole feature matrix without building a graph,
+    ``FORWARD_CHUNK`` rows per pass.
 
     The ``[N, out_dim]`` result spans the input.  ``workflows.predict`` calls
     this on one ``FORWARD_CHUNK`` block at a time, which forwards the same
     chunks as one call over the whole matrix, and never holds the result."""
     out = np.empty((features.shape[0], extractor.out_dim))
     with no_grad():
-        for start in range(0, features.shape[0], chunk):
-            stop = min(start + chunk, features.shape[0])
+        for start in range(0, features.shape[0], FORWARD_CHUNK):
+            stop = min(start + FORWARD_CHUNK, features.shape[0])
             out[start:stop] = extractor(Tensor(features[start:stop])).data
     return out
 

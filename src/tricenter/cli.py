@@ -1,11 +1,14 @@
-"""Command-line interface: gen-data, train, eval, sweep, crossval.
+"""Command-line interface: gen-data, train, eval, crossval.
 
 Every command takes its settings from an INI config file (see config.py),
 with --data and --seed overriding the configured source and seed; the config
-echo records the overrides, so a rerun from it repeats the run.  All
-artifacts are written under --out, and only once the run has succeeded;
-wall-clock timing goes only to train.log so repeated runs with the same seed
-produce byte-identical reports.
+echo records the overrides, so a rerun from it repeats the run.  crossval
+takes --config more than once and cross-validates each config as it would
+alone, all of their folds in one pool: config i writes its artifacts under
+--out/i, and --out/crossval.csv holds one row per config.  All artifacts are
+written under --out, and only once the run has succeeded; wall-clock timing
+goes only to train.log so repeated runs with the same seed produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from .errors import ContractError, DataFormatError, DivergenceError
 # count the rows each confusion matrix scores.
 from .evaluation import confusion  # noqa: F401
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
-from .workflows import (SWEEP_AXES, evaluate_record, model_classes, run_crossval,
-                        run_holdout, run_sweep)
+from .workflows import _cells, _run_cells, evaluate_record, model_classes, run_holdout
 
 
 def _load_dataset(settings: RunSettings) -> Dataset:
@@ -45,11 +47,11 @@ def _write_report(out: Path, report, title: str, prefix: str = ""):
     _write(out / f"{prefix}per_class.csv", reports.render_per_class_csv(report))
 
 
-def _setup(args) -> tuple[RunSettings, Dataset, Path]:
-    """Settings with the --data, --seed (and --k) overrides, the dataset, and
-    --out.  The data source is recorded as an absolute path, so the config
-    echo reruns from any directory."""
-    settings = load_settings(args.config)
+def _setup(args, config) -> tuple[RunSettings, Dataset]:
+    """The settings of the ``config`` file with the --data, --seed (and --k)
+    overrides, and the dataset.  The data source is recorded as an absolute
+    path, so the config echo reruns from any directory."""
+    settings = load_settings(config)
     source = args.data or settings.data_source
     if source:
         settings = replace(settings, data_source=os.path.abspath(source))
@@ -57,7 +59,7 @@ def _setup(args) -> tuple[RunSettings, Dataset, Path]:
         settings = replace(settings, train=replace(settings.train, seed=args.seed))
     if getattr(args, "k", None) is not None:
         settings = replace(settings, k_folds=args.k)
-    return settings, _load_dataset(settings), Path(args.out)
+    return settings, _load_dataset(settings)
 
 
 def cmd_gen_data(args) -> int:
@@ -72,7 +74,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings, dataset, out = _setup(args)
+    settings, dataset = _setup(args, args.config)
+    out = Path(args.out)
     # with no holdout, run_holdout scores the rows it trained on
     record, report = run_holdout(settings.train, dataset, test_fraction=settings.holdout_fraction,
                                  small_threshold=settings.small_class_threshold)
@@ -115,31 +118,30 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ContractError(f"--values: {exc}") from None
-    settings, dataset, out = _setup(args)
-    rows = run_sweep(args.axis, values, settings.train, dataset,
-                     k=settings.k_folds, small_threshold=settings.small_class_threshold,
-                     jobs=args.jobs)
-    _write(out / "config.echo.ini", echo_settings(settings))
-    _write(out / "sweep.csv", reports.render_sweep_csv(rows))
-    for r in rows:
-        print(f"{args.axis} {r['value']:g}: MF1 {r['mf1']:.2f}")
-    return 0
-
-
 def cmd_crossval(args) -> int:
-    settings, dataset, out = _setup(args)
-    result = run_crossval(settings.train, dataset, k=settings.k_folds,
-                          small_threshold=settings.small_class_threshold, jobs=args.jobs)
-    _write(out / "config.echo.ini", echo_settings(settings))
-    _write(out / "crossval.txt", reports.render_crossval(result.summary, result.small_summary))
-    for i, (_, report) in enumerate(result.folds):
-        _write_report(out, report, f"fold {i}", prefix=f"fold{i}_")
-    print(f"MF1 {result.summary.mf1_mean:.2f} ({result.summary.mf1_std:.2f}) over {settings.k_folds} folds")
+    runs, plans = [], []
+    for config in args.config:  # every config is checked, its data read and split before any cell trains
+        settings, dataset = _setup(args, config)
+        try:
+            plans.append(_cells(settings.train, dataset, settings.k_folds, settings.small_class_threshold))
+        except ContractError as exc:  # a k that leaves a fold without rows
+            raise ContractError(f"{config}: {exc}") from None
+        runs.append(settings)
+    results = _run_cells(plans, args.jobs)
+    out, several = Path(args.out), len(runs) > 1
+    for i, (settings, result) in enumerate(zip(runs, results)):
+        run_out = out / str(i) if several else out
+        _write(run_out / "config.echo.ini", echo_settings(settings))
+        _write(run_out / "crossval.txt", reports.render_crossval(result.summary, result.small_summary))
+        for f, (_, report) in enumerate(result.folds):
+            _write_report(run_out, report, f"fold {f}", prefix=f"fold{f}_")
+    if several:
+        _write(out / "crossval.csv", reports.render_crossval_csv(
+            [(config, result.summary) for config, result in zip(args.config, results)]))
+    for config, settings, result in zip(args.config, runs, results):
+        prefix = f"{config}: " if several else ""
+        print(f"{prefix}MF1 {result.summary.mf1_mean:.2f} ({result.summary.mf1_std:.2f}) "
+              f"over {settings.k_folds} folds")
     return 0
 
 
@@ -167,31 +169,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     run = argparse.ArgumentParser(add_help=False)  # the options of every configured run
-    run.add_argument("--config", required=True)
     run.add_argument("--data", help="dataset csv (overrides [data] source)")
     run.add_argument("--seed", type=int)
     run.add_argument("--out", required=True)
-    pool = argparse.ArgumentParser(add_help=False)
-    pool.add_argument("--jobs", type=positive_int, default=1)
 
     p = sub.add_parser("train", parents=[run], help="train one model and report its metrics")
+    p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--small-class-threshold", type=int, default=20)
+    p.add_argument("--small-class-threshold", type=positive_int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", parents=[run, pool],
-                       help="cross-validated sweep over margin or dimension")
-    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
-    p.add_argument("--values", required=True, help="comma-separated values")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("crossval", parents=[run, pool], help="stratified k-fold cross-validation")
+    p = sub.add_parser("crossval", parents=[run],
+                       help="stratified k-fold cross-validation of one or more configs")
+    p.add_argument("--config", required=True, action="append", help="repeat to cross-validate several")
     p.add_argument("--k", type=int)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_crossval)
     return parser
 

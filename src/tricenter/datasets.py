@@ -191,8 +191,10 @@ def _parse_plain(path):
     integer parser accepts a subset of the labels that ``int()`` reads, with
     equal values (``1_0``, non-ASCII digits and labels past 64 bits are
     refused), and its float parser equals ``float()`` on every spelling it
-    accepts.  A refusal, a wrong width, a negative label or a non-finite
-    value declines the file, so the line loop reports its line.
+    accepts.  numpy reads the file's lines as they come, without the
+    whitespace-only ones the line loop skips.  A refusal, a wrong width, a
+    negative label or a non-finite value declines the file, so the line loop
+    reports its line.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -209,7 +211,8 @@ def _parse_plain(path):
         fh.seek(body)
         dtype = np.dtype([("label", np.intp), ("features", np.float64, (len(fields) - 1,))])
         try:
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt((line for line in fh if not line.isspace()), dtype=dtype,
+                               delimiter=",", comments=None, ndmin=1)
         except ValueError:
             return None
     labels, features = table["label"], table["features"]

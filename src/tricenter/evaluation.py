@@ -105,7 +105,8 @@ def stratified_kfold(index: DatasetIndex, k: int, seed: int) -> list:
     Returns k (train_rows, test_rows) pairs; test folds are disjoint and
     cover the dataset.  Classes smaller than k simply appear in fewer test
     folds; downstream metrics handle their absence via the zero-division
-    convention.
+    convention.  A fold left with no rows at all is a ContractError; a k up
+    to the largest class size fills every fold.
     """
     if k < 2:
         raise ContractError(f"k must be >= 2, got {k}")
@@ -114,6 +115,10 @@ def stratified_kfold(index: DatasetIndex, k: int, seed: int) -> list:
     for c, members in enumerate(index.by_class):
         # rotate by class so the larger remainders do not pile on fold 0
         fold[rng.permutation(members)] = (np.arange(len(members)) + c) % k
+    empty = np.flatnonzero(np.bincount(fold, minlength=k) == 0)
+    if empty.size:
+        raise ContractError(f"k = {k} leaves fold {empty[0]} with no rows; "
+                            f"the largest class has {index.sizes.max()} rows")
     rows = np.arange(len(fold))  # an index partitions 0..N-1, so each side comes out sorted
     return [(rows[fold != f], rows[fold == f]) for f in range(k)]
 

@@ -7,6 +7,9 @@ Percentages are printed with two decimals.
 
 from __future__ import annotations
 
+import csv
+import io
+
 from .evaluation import CrossvalSummary, MetricsReport
 from .training import RunRecord
 
@@ -89,8 +92,11 @@ def render_run_record(record: RunRecord) -> str:
     return "\n".join(lines)
 
 
-def render_sweep_csv(rows) -> str:
-    out = ["value,mf1,mcp,mcr"]
-    for r in rows:
-        out.append(f"{r['value']:g},{r['mf1']:.2f},{r['mcp']:.2f},{r['mcr']:.2f}")
-    return "\n".join(out) + "\n"
+def render_crossval_csv(rows) -> str:
+    """One ``config,mf1,mcp,mcr`` row per ``(config path, CrossvalSummary)``: the fold means."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["config", "mf1", "mcp", "mcr"])
+    for config, s in rows:
+        writer.writerow([config, f"{s.mf1_mean:.2f}", f"{s.mcp_mean:.2f}", f"{s.mcr_mean:.2f}"])
+    return out.getvalue()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from multiprocessing import get_context
 
 import numpy as np
@@ -106,30 +107,34 @@ def _crossval_result(folds: list) -> CrossvalResult:
                           small_summary=CrossvalSummary(small_reports) if small_reports else None)
 
 
-def _run_cells(configs: list, dataset: Dataset, k: int, small_threshold: int, jobs: int) -> list:
-    """k-fold cross-validation of each config.
+def _cells(config: TrainConfig, dataset: Dataset, k: int, small_threshold: int) -> list:
+    """The k (config, fold) cells of one cross-validation.  Folds split with
+    the config's seed and fold f trains with seed + f, so each cell is fixed
+    by its arguments."""
+    return [(config, dataset, train_rows, test_rows, fold, small_threshold)
+            for fold, (train_rows, test_rows)
+            in enumerate(stratified_kfold(dataset.index, k, seed=config.seed))]
 
-    Folds split with the config's seed and fold f trains with seed + f, so each
-    (config, fold) cell is fixed by its arguments and ``jobs`` processes cannot
-    change a result."""
+
+def _run_cells(plans: list, jobs: int) -> list:
+    """The cross-validation of each plan, a list of ``_cells``; the cells of
+    every plan run in one pool, and ``jobs`` processes cannot change a result."""
     if jobs < 1:
         raise ContractError(f"jobs must be >= 1, got {jobs}")
-    cells = [(config, dataset, train_rows, test_rows, fold, small_threshold)
-             for config in configs
-             for fold, (train_rows, test_rows)
-             in enumerate(stratified_kfold(dataset.index, k, seed=config.seed))]
+    cells = [cell for plan in plans for cell in plan]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
             folds = list(pool.map(_run_fold, cells))
     else:
         folds = [_run_fold(cell) for cell in cells]
-    return [_crossval_result(folds[i:i + k]) for i in range(0, len(folds), k)]
+    done = iter(folds)
+    return [_crossval_result(list(islice(done, len(plan)))) for plan in plans]
 
 
 def run_crossval(config: TrainConfig, dataset: Dataset, k: int = 5,
                  small_threshold: int = 20, jobs: int = 1) -> CrossvalResult:
     """k-fold stratified cross-validation of one training configuration."""
-    return _run_cells([config], dataset, k, small_threshold, jobs)[0]
+    return _run_cells([_cells(config, dataset, k, small_threshold)], jobs)[0]
 
 
 def run_holdout(config: TrainConfig, dataset: Dataset, test_fraction: float = 0.2,
@@ -141,29 +146,3 @@ def run_holdout(config: TrainConfig, dataset: Dataset, test_fraction: float = 0.
     else:
         train_rows, test_rows = stratified_holdout(dataset.index, test_fraction, seed=config.seed)
     return _train_and_score(config, dataset, train_rows, test_rows, small_threshold)
-
-
-SWEEP_AXES = ("margin", "dimension")
-
-
-def run_sweep(axis: str, values, config: TrainConfig, dataset: Dataset, k: int = 5,
-              small_threshold: int = 20, jobs: int = 1) -> list:
-    """``run_crossval`` of each axis value's config; rows come back sorted by value.
-
-    The margin axis varies the center-stage margin only; the stage-1 margin
-    stays at its configured value.  The dimension axis varies the embedding
-    width.
-    """
-    if axis not in SWEEP_AXES:
-        raise ContractError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    values = list(values)
-    if not values:
-        raise ContractError("sweep needs at least one value")
-    if axis == "margin":
-        configs = [replace(config, stage2=replace(config.stage2, alpha=float(v))) for v in values]
-    else:  # TrainConfig rejects a non-integral width and stores the rest as int
-        configs = [replace(config, embedding_dim=v) for v in values]
-    results = _run_cells(configs, dataset, k, small_threshold, jobs)
-    rows = [{"value": float(v), "mf1": r.summary.mf1_mean, "mcp": r.summary.mcp_mean,
-             "mcr": r.summary.mcr_mean} for v, r in zip(values, results)]
-    return sorted(rows, key=lambda r: r["value"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tricenter import centers
 from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable, compute_centers, embed_all, nearest_center_predict_batch
 from tricenter.distance import BLOCK_FLOATS
@@ -59,12 +60,12 @@ class TestComputeCenters:
         with pytest.raises(ContractError):
             compute_centers(fx, np.zeros((2, 2)), index)
 
-    def test_chunked_pass_matches_single_pass(self):
+    def test_chunked_pass_matches_single_pass(self, monkeypatch):
         fx = FeatureExtractor([3, 5], activation="tanh", rng=np.random.default_rng(4))
         features = np.random.default_rng(5).normal(size=(40, 3))
-        a = embed_all(fx, features, chunk=7)
-        b = embed_all(fx, features, chunk=512)
-        np.testing.assert_array_equal(a, b)
+        single = embed_all(fx, features)
+        monkeypatch.setattr(centers, "FORWARD_CHUNK", 7)
+        np.testing.assert_array_equal(embed_all(fx, features), single)
 
 
 class TestTrainableCenters:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -340,35 +341,36 @@ def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sect
     assert not (tmp_path / "out").exists()  # no stage1.ckpt or final.ckpt, not even the echo
 
 
-@pytest.mark.parametrize("axis, values, bad", [
-    ("margin", "0.1,abc", "'abc'"),
-    ("dimension", "2.5", "2.5"),
-    ("dimension", "4,0", "0.0"),
-    ("margin", "0.1,nan", "nan"),
-    ("dimension", "", "at least one value"),
+# A sweep is a crossval over INIs that differ in one key.
+@pytest.mark.parametrize("sections, bad", [
+    ({"stage2": {"alpha": "abc"}}, "[stage2] alpha='abc' is not a valid value"),
+    ({"model": {"embedding_dim": "2.5"}}, "[model] embedding_dim='2.5' is not a valid value"),
+    ({"model": {"embedding_dim": "0"}}, "embedding dimension must be a positive integer, got 0"),
+    ({"stage2": {"alpha": "nan"}}, "stage2 alpha must be finite and nonnegative, got nan"),
+    ({"stage2": {"alpha": ""}}, "[stage2] alpha='' is not a valid value"),
 ], ids=["non_numeric", "non_integral_dimension", "zero_dimension", "nan_margin", "no_values"])
-def test_a_bad_sweep_value_reports_an_error_without_traceback(tmp_path, axis, values, bad):
-    (tmp_path / "config.ini").write_bytes(GOOD_CONFIG)
-    result = run_cli("sweep", "--axis", axis, "--values", values,
-                     "--config", tmp_path / "config.ini", "--out", tmp_path / "out")
-    assert result.returncode == 1
-    assert result.stderr.startswith("error: ")
-    assert bad in result.stderr
-    assert "Traceback" not in result.stderr
-    assert result.stdout == ""
-    assert not (tmp_path / "out").exists()
+def test_a_bad_sweep_value_reports_an_error_without_traceback(tmp_path, capsys, sections, bad):
+    """A bad config, first or last, fails in one line that names it, before anything is written."""
+    good = write_ini(tmp_path / "good.ini", SHORT)
+    wrong = write_ini(tmp_path / "bad.ini", SHORT, sections)
+    for order in ([good, wrong], [wrong, good]):
+        configs = [arg for config in order for arg in ("--config", str(config))]
+        assert cli.main(["crossval", *configs, "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {wrong}: ") and bad in err and err.count("\n") == 1
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, run", [
-    (["gen-data", "--preset", "skin7-like", "--seed", "-1"], {}),
-    (["train"], {"seed": "-1"}),
-    (["train", "--seed", "-1"], {}),
-    (["crossval", "--seed", "-5"], {}),
-    (["sweep", "--axis", "margin", "--values", "0.1", "--seed", "-2"], {}),
+@pytest.mark.parametrize("argv, run, configs", [
+    (["gen-data", "--preset", "skin7-like", "--seed", "-1"], {}, 0),
+    (["train"], {"seed": "-1"}, 1),
+    (["train", "--seed", "-1"], {}, 1),
+    (["crossval", "--seed", "-5"], {}, 1),
+    (["crossval", "--seed", "-2"], {}, 2),
 ], ids=["gen_data_flag", "train_ini", "train_flag", "crossval_flag", "sweep_flag"])
-def test_a_negative_seed_reports_an_error_without_traceback(tmp_path, argv, run):
-    if argv[0] != "gen-data":
-        argv = argv + ["--config", write_ini(tmp_path / "config.ini", SHORT, {"run": run})]
+def test_a_negative_seed_reports_an_error_without_traceback(tmp_path, argv, run, configs):
+    argv = argv + ["--config", write_ini(tmp_path / "config.ini", SHORT, {"run": run})] * configs
     result = run_cli(*argv, "--out", tmp_path / "out")
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and "seed must be >= 0, got -" in result.stderr
@@ -376,13 +378,75 @@ def test_a_negative_seed_reports_an_error_without_traceback(tmp_path, argv, run)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["crossval", "sweep"])
+@pytest.mark.parametrize("command", ["crossval", "sweep"])  # a sweep cross-validates two configs
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_an_error(tmp_path, capsys, command, jobs):
     config = write_ini(tmp_path / "config.ini", SHORT)
-    argv = [command, "--config", str(config), "--jobs", jobs, "--out", str(tmp_path / "out")]
-    if command == "sweep":
-        argv += ["--axis", "margin", "--values", "0.1"]
-    assert cli.main(argv) == 1
+    configs = ["--config", str(config)] * (2 if command == "sweep" else 1)
+    assert cli.main(["crossval", *configs, "--jobs", jobs, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: argument --jobs: must be >= 1, got {jobs}\n"
     assert not (tmp_path / "out").exists()  # rejected while parsing, before the config echo
+
+
+def artifacts(directory) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_a_crossval_of_several_configs_writes_what_each_writes_alone(tmp_path, capsys):
+    """Config i writes under --out/i what a crossval of it alone writes under
+    --out, serially and in a pool; crossval.csv holds each one's fold means."""
+    small = {"model": {"embedding_dim": "8", "hidden": "12"}, "stage1": {"m_per_class": "4"}}
+    configs = [write_ini(tmp_path / "a.ini", SHORT, small, {"stage2": {"alpha": "0.1"}}),
+               write_ini(tmp_path / "b.ini", SHORT, small, {"stage2": {"alpha": "0.3"},
+                                                           "eval": {"k_folds": "3"}})]
+    alone, lines, rows = [], [], []
+    for config in configs:
+        out = tmp_path / f"alone_{config.stem}"
+        assert cli.main(["crossval", "--config", str(config), "--out", str(out)]) == 0
+        alone.append(artifacts(out))
+        lines.append(f"{config}: {capsys.readouterr().out}")
+        text = (out / "crossval.txt").read_text()
+        rows.append(",".join([str(config), *(re.search(rf"^{name}: (\S+) ", text, re.M).group(1)
+                                             for name in ("MF1", "MCP", "MCR"))]))
+    assert [len(files) for files in alone] == [2 + 2 * 5, 2 + 2 * 3]  # each its own k
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["crossval", "--config", str(configs[0]), "--config", str(configs[1]),
+                         "--jobs", jobs, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "".join(lines)
+        assert sorted(p.name for p in out.iterdir()) == ["0", "1", "crossval.csv"]
+        assert [artifacts(out / "0"), artifacts(out / "1")] == alone
+        assert (out / "crossval.csv").read_text() == "config,mf1,mcp,mcr\n" + "".join(
+            row + "\n" for row in rows)
+
+
+def test_sweep_is_not_a_command(tmp_path, capsys):
+    config = write_ini(tmp_path / "config.ini", SHORT)
+    assert cli.main(["sweep", "--axis", "margin", "--values", "0.1", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument command: invalid choice: 'sweep'") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_k_that_leaves_a_fold_without_rows_is_an_error(tmp_path, capsys):
+    """skin7-like's largest class has 335 rows.  At k = 336, fold 335 had no
+    rows, scored MF1 0.00 and pulled the mean down.  The error names the
+    config whose k it is, also when that config comes second."""
+    config = write_ini(tmp_path / "config.ini", SHORT)
+    wide = write_ini(tmp_path / "wide.ini", SHORT, {"eval": {"k_folds": "336"}})
+    for argv, named in ((["--config", str(config), "--k", "336"], config),
+                        (["--config", str(config), "--config", str(wide)], wide)):
+        assert cli.main(["crossval", *argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"error: {named}: k = 336 leaves fold 335 with no rows; "
+                                           "the largest class has 335 rows\n")
+        assert not (tmp_path / "out").exists()
+
+
+def test_eval_checks_the_small_class_threshold_before_reading_anything(tmp_path, capsys):
+    """Neither file exists: the flag fails while the arguments are parsed."""
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
+                     "--data", str(tmp_path / "none.csv"), "--small-class-threshold", "0",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: argument --small-class-threshold: must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()

@@ -112,7 +112,9 @@ def test_blank_and_whitespace_only_lines_are_skipped(tmp_path):
     rows = good_rows(6)
     plain = load_csv(write(tmp_path / "plain.csv", HEADER + "".join(rows)))
     spaced = HEADER + "\n" + rows[0] + "   \n" + "".join(rows[1:4]) + "\t\n\n" + "".join(rows[4:]) + " \n"
-    assert_same_dataset(load_csv(write(tmp_path / "spaced.csv", spaced)), plain)
+    loaded, looped = load_counting_the_line_loop(write(tmp_path / "spaced.csv", spaced))
+    assert not looped
+    assert_same_dataset(loaded, plain)
 
 
 def test_crlf_line_ends_load_like_lf(tmp_path):

@@ -153,9 +153,24 @@ def test_kfold_properties_hold_for_random_class_sizes():
     @hypothesis.given(st.lists(st.integers(0, 15), min_size=1, max_size=6),
                       st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
     def check(sizes, k, seed):
-        assert_kfold_properties(sizes, k, seed)
+        filled = {(j + c) % k for c, n in enumerate(sizes) for j in range(n)}  # class c starts at fold c
+        if len(filled) == k:
+            assert_kfold_properties(sizes, k, seed)
+        else:
+            empty = min(set(range(k)) - filled)
+            with pytest.raises(ContractError, match=f"k = {k} leaves fold {empty} with no rows"):
+                stratified_kfold(shuffled_index(sizes, seed), k, seed=seed)
 
     check()
+
+
+def test_kfold_fills_every_fold_at_k_up_to_the_largest_class_and_refuses_one_more():
+    """On skin7-like's sizes, k = 336 once left fold 335 empty, scored MF1 0."""
+    sizes = [335, 171, 88, 45, 23, 12, 6]
+    assert_kfold_properties(sizes, 335, seed=2)
+    with pytest.raises(ContractError) as error:
+        stratified_kfold(shuffled_index(sizes, 2), 336, seed=2)
+    assert str(error.value) == "k = 336 leaves fold 335 with no rows; the largest class has 335 rows"
 
 
 def test_kfold_needs_two_folds():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tricenter.evaluation import CrossvalSummary, MetricsReport
-from tricenter.reports import (render_crossval, render_metrics, render_per_class_csv,
-                               render_sweep_csv)
+from tricenter.reports import (render_crossval, render_crossval_csv, render_metrics,
+                               render_per_class_csv)
 
 
 def report(small_status=None, mf1=46.46):
@@ -82,12 +82,13 @@ def test_render_crossval_golden():
         "small-class MCR: 50.00 (0.00)\n") + table
 
 
-def test_render_sweep_csv_golden():
-    rows = [{"value": 0.1, "mf1": 50.0, "mcp": 40.125, "mcr": 60.0},
-            {"value": 128.0, "mf1": 2 / 3, "mcp": 0.0, "mcr": 100.0},
-            {"value": 2.5e-5, "mf1": 1.0, "mcp": 1.0, "mcr": 1.0}]
-    assert render_sweep_csv(rows) == ("value,mf1,mcp,mcr\n"
-                                      "0.1,50.00,40.12,60.00\n"
-                                      "128,0.67,0.00,100.00\n"
-                                      "2.5e-05,1.00,1.00,1.00\n")
-    assert render_sweep_csv([]) == "value,mf1,mcp,mcr\n"
+def test_render_crossval_csv_golden():
+    """The fold means of each config, under the config path as given; a path
+    holding a comma or a quote is quoted, so every row keeps four fields."""
+    first = CrossvalSummary([report(mf1=50.0), report(mf1=40.0)])
+    second = CrossvalSummary([report(mf1=2 / 3)])
+    assert render_crossval_csv([("a.ini", first), ('runs/b,"2".ini', second)]) == (
+        "config,mf1,mcp,mcr\n"
+        "a.ini,45.00,43.33,55.56\n"
+        '"runs/b,""2"".ini",0.67,43.33,55.56\n')
+    assert render_crossval_csv([]) == "config,mf1,mcp,mcr\n"

@@ -19,7 +19,7 @@ from tricenter.evaluation import stratified_holdout
 from tricenter.losses import LossHyper
 from tricenter.training import (OptimizerConfig, Stage1Config, Stage2Config, TrainConfig,
                                 run_method, run_two_stage)
-from tricenter.workflows import run_holdout, run_sweep
+from tricenter.workflows import run_holdout
 
 H = LossHyper()
 
@@ -231,6 +231,7 @@ def test_miners_return_shape_zero_by_k_when_nothing_is_mined(name):
 
 
 @pytest.mark.parametrize("value", [2.5, 0, -3, float("nan")])
-def test_a_sweep_dimension_must_be_a_positive_integer(dataset, value):
+def test_a_sweep_dimension_must_be_a_positive_integer(value):
+    """A dimension sweep sets [model] embedding_dim, and the config refuses a bad one when built."""
     with pytest.raises(ContractError, match="dimension must be a positive integer"):
-        run_sweep("dimension", [8, value], config(), dataset, k=2)
+        config(embedding_dim=value)

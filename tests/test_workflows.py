@@ -1,7 +1,8 @@
-"""Cross-validation and sweeps share one cell runner: pool and serial runs agree,
-and a sweep row is the cross-validation of that point's config.  A holdout of
-zero scores the rows it trained on.  ``predict`` scores block by block and
-equals the whole-matrix predict it replaced."""
+"""Every cross-validation goes through one cell runner: pool and serial runs
+agree, and each run of a call over several is the cross-validation of that run
+alone, so a sweep (a crossval of configs that differ in one key) needs no code
+of its own.  A holdout of zero scores the rows it trained on.  ``predict``
+scores block by block and equals the whole-matrix predict it replaced."""
 
 import tracemalloc
 from dataclasses import replace
@@ -9,16 +10,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tricenter import workflows
+from tricenter import cli, workflows
 from tricenter.autodiff import Tensor, no_grad
 from tricenter.centers import FORWARD_CHUNK, CenterTable, embed_all, nearest_center_predict_batch
 from tricenter.datasets import gen_gaussian_imbalanced, preset_spec
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper
 from tricenter.nn import FeatureExtractor, LinearHead, config_fingerprint
-from tricenter.reports import render_run_record
+from tricenter.reports import render_crossval, render_run_record
 from tricenter.training import Stage1Config, Stage2Config, TrainConfig, run_method
-from tricenter.workflows import evaluate_record, predict, run_crossval, run_holdout, run_sweep
+from tricenter.workflows import evaluate_record, predict, run_crossval, run_holdout
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +75,20 @@ def test_a_holdout_of_zero_trains_on_every_row_and_scores_them(dataset, cfg):
 
 
 def test_sweep_rows_are_the_crossval_of_each_point_in_serial_and_pooled_runs(dataset):
-    values = [0.3, 0.1]
-    serial = run_sweep("margin", values, CONFIG, dataset, k=2)
-    assert run_sweep("margin", values, CONFIG, dataset, k=2, jobs=2) == serial
-    assert [row["value"] for row in serial] == [0.1, 0.3]
-    for row in serial:
-        point = replace(CONFIG, stage2=replace(CONFIG.stage2, alpha=row["value"]))
-        summary = run_crossval(point, dataset, k=2).summary
-        assert row == {"value": row["value"], "mf1": summary.mf1_mean,
-                       "mcp": summary.mcp_mean, "mcr": summary.mcr_mean}
+    """Runs of one call that differ in [stage2] alpha, data, k and small-class
+    threshold each equal their cross-validation alone."""
+    runs = [(replace(CONFIG, stage2=replace(CONFIG.stage2, alpha=0.3)), dataset, 3, 20),
+            (replace(CONFIG, stage2=replace(CONFIG.stage2, alpha=0.1)),
+             gen_gaussian_imbalanced(preset_spec("skin7-like", seed=6)), 2, 50)]
+    plans = [workflows._cells(*run) for run in runs]
+    serial = workflows._run_cells(plans, jobs=1)
+    pooled = workflows._run_cells(plans, jobs=2)
+    for (config, data, k, small), got, again in zip(runs, serial, pooled, strict=True):
+        want = run_crossval(config, data, k=k, small_threshold=small)
+        for result in (got, again):
+            assert_same_crossval(result, want)
+            assert (render_crossval(result.summary, result.small_summary)
+                    == render_crossval(want.summary, want.small_summary))
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -92,19 +98,28 @@ def test_the_cell_runner_rejects_jobs_below_one(dataset, jobs):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
-def test_a_sweep_margin_must_be_finite_and_nonnegative(dataset, value):
+def test_a_sweep_margin_must_be_finite_and_nonnegative(value):
+    """A margin sweep sets [stage2] alpha, and the config refuses a bad one when built."""
     with pytest.raises(ContractError, match="stage2 alpha must be finite and nonnegative"):
-        run_sweep("margin", [0.1, value], CONFIG, dataset, k=2, jobs=2)
+        replace(CONFIG, stage2=replace(CONFIG.stage2, alpha=value))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_quadruplet_margin_sweep_below_beta_fails_before_any_cell(dataset, monkeypatch, jobs):
+def test_a_quadruplet_margin_sweep_below_beta_fails_before_any_cell(tmp_path, monkeypatch, capsys,
+                                                                   jobs):
     calls = []
     monkeypatch.setattr(workflows, "_run_fold", lambda cell: calls.append(cell))
-    quadruplet = replace(CONFIG, loss_family="quadruplet")
-    with pytest.raises(ContractError, match="quadruplet losses need beta < alpha, got beta=0.25 alpha=0.1"):
-        run_sweep("margin", [0.4, 0.1], quadruplet, dataset, k=2, jobs=jobs)
+    configs = []
+    for alpha in ("0.4", "0.1"):
+        config = tmp_path / f"alpha{alpha}.ini"
+        config.write_text("[run]\nloss_family = quadruplet\n[data]\npreset = skin7-like\n"
+                          f"[stage2]\nalpha = {alpha}\n")
+        configs += ["--config", str(config)]
+    assert cli.main(["crossval", *configs, "--jobs", str(jobs), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: {configs[-1]}: quadruplet losses need beta < alpha, "
+                                       "got beta=0.25 alpha=0.1\n")
     assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_dimension_sweep_point_has_the_fingerprint_of_its_integer_config():
