@@ -123,14 +123,20 @@ def gen_gaussian_imbalanced(spec: SyntheticSpec) -> Dataset:
     """Draw class-k samples from an isotropic Gaussian at mean_k with std sigma_k.
 
     Rows come out grouped by class (class 0 first); deterministic under the
-    spec's seed.
+    spec's seed.  Each class's draws fill its row block of the one ``[N,
+    in_dim]`` matrix and are scaled and shifted there, with the rounding of
+    ``mean + sigma * z``.
     """
     rng = np.random.default_rng(spec.seed)
-    blocks, labels = [], []
-    for c, n in enumerate(spec.sizes):
-        blocks.append(spec.means[c] + spec.sigmas[c] * rng.standard_normal((n, spec.in_dim)))
-        labels.append(np.full(n, c, dtype=np.intp))
-    return Dataset(np.vstack(blocks), np.concatenate(labels))
+    features = np.empty((sum(spec.sizes), spec.in_dim))
+    start = 0
+    for mean, sigma, n in zip(spec.means, spec.sigmas, spec.sizes):
+        block = features[start:start + n]
+        rng.standard_normal(out=block)
+        np.multiply(sigma, block, out=block)
+        np.add(mean, block, out=block)
+        start += n
+    return Dataset(features, np.repeat(np.arange(spec.n_classes, dtype=np.intp), spec.sizes))
 
 
 # -- CSV ingestion -----------------------------------------------------------
@@ -170,7 +176,9 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
 
     ``_parse_plain`` reads the file first without holding its text or a list
     of its lines; when it declines the file, the line loop reads it whole
-    and decides, so both accept the same files with the same values.
+    and decides, so both accept the same files with the same values.  The
+    features of a file that ``_parse_plain`` reads are a view of its parsed
+    records, not a C-contiguous copy: rows ``in_dim + 1`` floats apart.
     """
     try:
         parsed = _parse_plain(path)
@@ -194,7 +202,9 @@ def _parse_plain(path):
     accepts.  numpy reads the file's lines as they come, without the
     whitespace-only ones the line loop skips.  A refusal, a wrong width, a
     negative label or a non-finite value declines the file, so the line loop
-    reports its line.
+    reports its line.  The features returned are the ``features`` field of
+    the parsed records, a view whose rows sit ``in_dim + 1`` floats apart,
+    so the file's values are held once.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -218,7 +228,7 @@ def _parse_plain(path):
     labels, features = table["label"], table["features"]
     if labels.min() < 0 or not np.isfinite(features).all():
         return None
-    return np.ascontiguousarray(features), labels.copy()
+    return features, labels.copy()
 
 
 def _parse_lines(path):

@@ -146,14 +146,25 @@ def stratified_holdout(index: DatasetIndex, test_fraction: float, seed: int):
 
 def compactness(embeddings: np.ndarray, labels, center_matrix: np.ndarray,
                 p_norm: int = 2):
-    """(mean within-class distance to own center, mean pairwise inter-center distance)."""
+    """(mean within-class distance to own center, mean pairwise inter-center distance).
+
+    ``embeddings`` is a non-empty ``[N, D]`` matrix with one label in
+    ``[0, K)`` per row, and ``center_matrix`` is ``[K, D]``; anything else
+    is a ``ContractError``."""
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     matrix = np.asarray(center_matrix, dtype=np.float64)
-    if labels.max() >= matrix.shape[0]:
-        raise ContractError("centers do not cover the observed classes")
-    within = lp_norm(emb - matrix[labels], p_norm)
+    if emb.ndim != 2 or labels.shape != emb.shape[:1]:
+        raise ContractError(f"embeddings {emb.shape} need one label each, got labels {labels.shape}")
+    if not labels.size:
+        raise ContractError("compactness needs at least one embedding")
+    if matrix.ndim != 2 or matrix.shape[1] != emb.shape[1]:
+        raise ContractError(f"centers {matrix.shape} do not match embeddings {emb.shape}")
     k = matrix.shape[0]
+    if labels.min() < 0 or labels.max() >= k:
+        bad = labels[(labels < 0) | (labels >= k)][0]
+        raise ContractError(f"label {bad} is out of range for {k} centers")
+    within = lp_norm(emb - matrix[labels], p_norm)
     pair_dists = lp_cdist(matrix, matrix, p_norm)[np.triu_indices(k, 1)]
     inter = float(np.mean(pair_dists)) if pair_dists.size else 0.0
     return float(within.mean()), inter

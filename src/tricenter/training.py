@@ -112,9 +112,8 @@ class TrainConfig:
                                 f"got {self.stage1.m_per_class}")
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
-        if not (self.embedding_dim >= 1 and self.embedding_dim % 1 == 0):  # nan and inf fail too
+        if not (isinstance(self.embedding_dim, (int, np.integer)) and self.embedding_dim >= 1):
             raise ContractError(f"embedding dimension must be a positive integer, got {self.embedding_dim!r}")
-        self.embedding_dim = int(self.embedding_dim)
         if not all(isinstance(h, (int, np.integer)) and h >= 1 for h in self.hidden):
             raise ContractError(f"hidden widths must be positive integers, got {self.hidden!r}")
         if self.activation not in ACTIVATIONS:

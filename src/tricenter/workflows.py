@@ -3,15 +3,15 @@
 A metric-learning run predicts by nearest class center; a baseline run
 predicts by argmax over its classifier head.  Cross-validation derives the
 fold training seed as ``seed + fold_index`` and splits folds with the base
-seed, so a whole protocol is reproducible from one integer.
+seed, so a whole protocol is reproducible from one integer.  The process
+pool (``concurrent.futures`` and ``multiprocessing``) is imported only when
+``jobs > 1``, so a serial run does not pay for it in memory or start-up.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -123,6 +123,9 @@ def _run_cells(plans: list, jobs: int) -> list:
         raise ContractError(f"jobs must be >= 1, got {jobs}")
     cells = [cell for plan in plans for cell in plan]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
             folds = list(pool.map(_run_fold, cells))
     else:

@@ -17,12 +17,25 @@ from tricenter.distance import lp_cdist
 from tricenter.nn import Checkpoint, FeatureExtractor, load_checkpoint, save_checkpoint
 
 
-def run_cli(*argv):
+def run_python(*argv):
     env = dict(os.environ)
     src = str(Path(tricenter.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "tricenter.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_cli(*argv):
+    return run_python("-m", "tricenter.cli", *argv)
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    """Only ``crossval --jobs`` above one runs a pool; every other command
+    would hold its modules in memory for nothing."""
+    done = run_python("-c", "import sys, tricenter.cli; "
+                      "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def untrained_eval_inputs(tmp_path, labels):

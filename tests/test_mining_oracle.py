@@ -444,3 +444,27 @@ def test_compactness_matches_the_center_pair_loop(p_norm, dim):
     emb, centers = rng.normal(size=(50, dim)), rng.normal(size=(6, dim))
     assert compactness(emb, labels, centers, p_norm) == compactness_reference(
         emb, labels, centers, p_norm)
+
+
+@pytest.mark.parametrize("label", [-1, 2], ids=["negative", "past_the_centers"])
+def test_compactness_refuses_a_label_outside_the_centers(label):
+    """numpy would measure a row labelled -1 against the last center."""
+    with pytest.raises(ContractError, match=f"label {label} is out of range for 2 centers"):
+        compactness([[1.0, 1.0], [10.0, 0.0]], [0, label], [[0.0, 0.0], [10.0, 0.0]])
+
+
+@pytest.mark.parametrize("rows, labels", [(1, [0, 0]), (2, [0])], ids=["more_labels", "fewer_labels"])
+def test_compactness_refuses_rows_and_labels_of_different_lengths(rows, labels):
+    """One row against two labels would broadcast to two distances."""
+    with pytest.raises(ContractError, match="need one label each"):
+        compactness(np.ones((rows, 2)), labels, [[0.0, 0.0], [10.0, 0.0]])
+
+
+def test_compactness_refuses_an_empty_input():
+    with pytest.raises(ContractError, match="at least one embedding"):
+        compactness(np.zeros((0, 2)), [], [[0.0, 0.0], [10.0, 0.0]])
+
+
+def test_compactness_refuses_centers_of_another_width():
+    with pytest.raises(ContractError, match=r"centers \(2, 3\) do not match embeddings \(1, 2\)"):
+        compactness([[10.0, 0.0]], [0], np.zeros((2, 3)))

@@ -230,8 +230,9 @@ def test_miners_return_shape_zero_by_k_when_nothing_is_mined(name):
     assert units.dtype == np.intp and units.shape == (0, k)
 
 
-@pytest.mark.parametrize("value", [2.5, 0, -3, float("nan")])
+@pytest.mark.parametrize("value", [2.5, 0, -3, float("nan"), 64.0])
 def test_a_sweep_dimension_must_be_a_positive_integer(value):
-    """A dimension sweep sets [model] embedding_dim, and the config refuses a bad one when built."""
+    """The config refuses a bad [model] embedding_dim when built; an integral
+    float such as 64.0 is not an integer either, as a hidden width is not."""
     with pytest.raises(ContractError, match="dimension must be a positive integer"):
         config(embedding_dim=value)

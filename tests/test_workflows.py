@@ -16,7 +16,7 @@ from tricenter.centers import FORWARD_CHUNK, CenterTable, embed_all, nearest_cen
 from tricenter.datasets import gen_gaussian_imbalanced, preset_spec
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper
-from tricenter.nn import FeatureExtractor, LinearHead, config_fingerprint
+from tricenter.nn import FeatureExtractor, LinearHead
 from tricenter.reports import render_crossval, render_run_record
 from tricenter.training import Stage1Config, Stage2Config, TrainConfig, run_method
 from tricenter.workflows import evaluate_record, predict, run_crossval, run_holdout
@@ -122,13 +122,6 @@ def test_a_quadruplet_margin_sweep_below_beta_fails_before_any_cell(tmp_path, mo
     assert not (tmp_path / "out").exists()
 
 
-def test_a_dimension_sweep_point_has_the_fingerprint_of_its_integer_config():
-    point = replace(CONFIG, embedding_dim=16.0)
-    assert type(point.embedding_dim) is int
-    assert config_fingerprint(point.to_dict()) == config_fingerprint(
-        replace(CONFIG, embedding_dim=16).to_dict())
-
-
 @pytest.mark.parametrize("change, message", [
     (dict(hyper=LossHyper(beta=-0.1)), "beta must be >= 0, got -0.1"),
     (dict(stage1=Stage1Config(m_per_class=1)), "triplet batches need m_per_class >= 2, got 1"),
@@ -166,6 +159,34 @@ def test_block_by_block_predict_equals_the_whole_matrix_predict(rows, scorer):
     assert got.dtype == np.intp and got.shape == (rows,)
     np.testing.assert_array_equal(got, want)
     assert rows < 2 or len(np.unique(want)) > 1
+
+
+def parsed_view(features):
+    """``features`` as ``load_csv`` hands them over: the field of structured
+    records, so rows sit one label and ``in_dim`` floats apart."""
+    dtype = np.dtype([("label", np.intp), ("features", np.float64, (features.shape[1],))])
+    records = np.zeros(features.shape[0], dtype=dtype)
+    records["features"] = features
+    return records["features"]
+
+
+@pytest.mark.parametrize("scorer", ["centers_p1", "centers_p2", "head"])
+def test_a_strided_feature_view_embeds_and_predicts_as_its_contiguous_copy(scorer):
+    rng = np.random.default_rng(7)
+    extractor = FeatureExtractor([16, 24, 8], rng=rng)
+    features = rng.normal(size=(1100, 16))  # three FORWARD_CHUNK blocks
+    view = parsed_view(features)
+    assert not view.flags.c_contiguous and view.strides == (17 * 8, 8)
+    assert view.tobytes() == features.tobytes()
+    assert embed_all(extractor, view).tobytes() == embed_all(extractor, features).tobytes()
+    if scorer == "head":
+        model = dict(head=LinearHead(8, 7, rng=rng))
+    else:
+        table = embed_all(extractor, rng.normal(size=(7, 16)))
+        model = dict(centers=CenterTable(Tensor(table), mode="computed", p_norm=int(scorer[-1])))
+    want = predict(extractor, features, **model)
+    assert predict(extractor, view, **model).tobytes() == want.tobytes()
+    assert len(np.unique(want)) > 1
 
 
 def test_predict_of_20400_rows_peaks_well_below_their_embedding_matrix():
