@@ -102,7 +102,7 @@ def _read(path) -> configparser.ConfigParser:
     # No interpolation: a "%" is read as written, so every value echoes as it was read.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError:
         raise ContractError(f"config file {path} not found") from None
     except UnicodeDecodeError:
@@ -140,6 +140,8 @@ def _build(cls, values: dict, prefix: str = ""):
 
 
 def load_settings(path) -> RunSettings:
+    """The settings of a UTF-8 INI file, with or without a byte-order mark;
+    any failure is a ``ContractError`` that names the file."""
     parser = _read(path)
     values = {}
     for section, key, attr, parse in _SCHEMA:

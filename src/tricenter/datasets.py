@@ -168,7 +168,8 @@ def load_csv(path, n_classes: int | None = None) -> Dataset:
 
     Each non-blank line after the header holds as many comma-separated fields
     as the header: a nonnegative label as ``int()`` reads it, then finite
-    features as ``float()`` reads them; no quoting, no comments.  The line
+    features as ``float()`` reads them; no quoting, no comments.  A leading
+    UTF-8 byte-order mark, as spreadsheets write one, is skipped.  The line
     loop defines a valid row.  The labels set the class count and every
     K-sized structure, so no label may reach the row count; with
     ``n_classes`` (the classes of a model that scores the rows) no label may
@@ -206,7 +207,7 @@ def _parse_plain(path):
     the parsed records, a view whose rows sit ``in_dim + 1`` floats apart,
     so the file's values are held once.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline()
         fields = header.rstrip("\n").split(",")
         if fields[0] != "label" or len(fields) < 2 or _loop_only(header):
@@ -234,8 +235,8 @@ def _parse_plain(path):
 def _parse_lines(path):
     """(features, labels) of a file by the line loop that defines a valid row."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:  # not utf-8-sig: a bad byte's offset
+            text = fh.read().removeprefix("\ufeff")  # counts the BOM, as the file does
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     lines = text.splitlines()

@@ -22,14 +22,7 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
-class _Module:
-    """Copying out the arrays of ``parameters()``."""
-
-    def state(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
-
-
-class FeatureExtractor(_Module):
+class FeatureExtractor:
     """MLP mapping input rows to embedding rows.
 
     ``layer_sizes`` runs from the input width to the embedding dimension.
@@ -67,8 +60,6 @@ class FeatureExtractor(_Module):
         return params
 
     def forward(self, batch: Tensor) -> Tensor:
-        if not isinstance(batch, Tensor):
-            batch = Tensor(batch)
         if batch.data.ndim != 2 or batch.data.shape[1] != self.in_dim:
             raise ShapeError(
                 f"expected batch of shape [B, {self.in_dim}], got {batch.data.shape}")
@@ -84,7 +75,7 @@ class FeatureExtractor(_Module):
     __call__ = forward
 
 
-class LinearHead(_Module):
+class LinearHead:
     """Single linear layer producing class logits from embeddings."""
 
     def __init__(self, in_dim: int, n_classes: int, rng: np.random.Generator | None = None):
@@ -214,11 +205,9 @@ def config_fingerprint(config_dict: dict) -> str:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    arrays = ckpt.extractor.state()
-    if ckpt.head is not None:
-        arrays += ckpt.head.state()
-    if ckpt.centers is not None:
-        arrays.append(ckpt.centers.matrix)
+    params = ckpt.extractor.parameters() + ([] if ckpt.head is None else ckpt.head.parameters())
+    # read as they are: ``Adam.step`` replaces a parameter's array, never writes into it
+    arrays = [p.data for p in params] + ([] if ckpt.centers is None else [ckpt.centers.matrix])
     header = {
         "version": 2,
         "epoch": int(ckpt.epoch),

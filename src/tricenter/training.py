@@ -230,11 +230,11 @@ def _center_stage_batch_loss(config: TrainConfig, emb: Tensor, plan,
     return family.score(units, [emb] + [centers.table] * (family.row_columns - 1), hyper)
 
 
-def _start(config: TrainConfig, dataset: Dataset, method: str) -> tuple[np.random.Generator, RunRecord]:
+def _start(config: TrainConfig, dataset: Dataset) -> tuple[np.random.Generator, RunRecord]:
     """The run's generator and a record holding a fresh extractor drawn from it."""
     rng = np.random.default_rng(config.seed)
     return rng, RunRecord(
-        method=method, seed=config.seed, config_fingerprint=config_fingerprint(config.to_dict()),
+        method=config.method, seed=config.seed, config_fingerprint=config_fingerprint(config.to_dict()),
         extractor=build_extractor(config, dataset.in_dim, rng))
 
 
@@ -302,9 +302,11 @@ def run_stage1(config: TrainConfig, dataset: Dataset, record: RunRecord,
 
 
 def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
-               rng: np.random.Generator) -> CenterTable | None:
-    """Center-involved fine-tuning of the record's extractor; returns the
-    final center table."""
+               rng: np.random.Generator) -> None:
+    """Center-involved fine-tuning of the record's extractor, in place.  A
+    trainable table, warm-started from the computed means, trains with the
+    extractor and stays on ``record.centers``; computed centers are refreshed
+    before each epoch and leave it unset."""
     s2 = config.stage2
     hyper = _stage2_hyper(config)
     _require_classes(config, dataset)
@@ -312,9 +314,10 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
     params = extractor.parameters()
 
     centers: CenterTable | None = None
-    if s2.center_mode == "trainable":  # warm start from the computed means
+    if s2.center_mode == "trainable":
         rows = compute_centers(extractor, features, dataset.index).matrix
-        centers = CenterTable(Tensor(rows, requires_grad=True), "trainable", p_norm=hyper.p_norm)
+        centers = record.centers = CenterTable(Tensor(rows, requires_grad=True), "trainable",
+                                               p_norm=hyper.p_norm)
         params = params + [centers.table]
 
     optimizer = config.optimizer if s2.lr is None else replace(config.optimizer, lr=s2.lr)
@@ -323,7 +326,7 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
     def epoch_plans(epoch):
         nonlocal centers
         if s2.center_mode == "computed" and (s2.refresh_each_epoch or centers is None):
-            fingerprint = params_fingerprint(extractor.state())
+            fingerprint = params_fingerprint(p.data for p in extractor.parameters())
             centers = compute_centers(extractor, features, dataset.index,
                                       source_epoch=epoch - 1, p_norm=hyper.p_norm)
             record.center_refreshes.append((epoch, fingerprint))
@@ -334,7 +337,6 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
         return _center_stage_batch_loss(config, emb, plan, centers, hyper, rng)
 
     _fit(record, 2, s2.epochs, opt, epoch_plans, batch_loss, "stage 2")
-    return centers
 
 
 def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
@@ -343,39 +345,36 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     With ``centered=False`` the stage-2 budget is spent on more stage-1 style
     training instead, which is the budget-matched plain-loss baseline for the
     loss-family extension comparisons.  Nearest-center prediction data is
-    always attached: trainable-center runs keep their learned rows; otherwise
-    the final centers are computed from the final parameters over the whole
-    training set.  No classifier head is built.
+    always attached: a trainable table that stage 2 left on the record stays;
+    otherwise the final centers are computed from the final parameters over
+    the whole training set.  No classifier head is built.
     """
-    rng, record = _start(config, dataset, config.method)
+    rng, record = _start(config, dataset)
     run_stage1(config, dataset, record, rng)
     record.stage1_extractor = copy.deepcopy(record.extractor)
 
-    centers = None
     if not config.centered:
         run_stage1(config, dataset, record, rng, stage=2)
     elif config.stage2.epochs > 0:
-        centers = run_stage2(config, dataset, record, rng)
+        run_stage2(config, dataset, record, rng)
 
-    if centers is not None and centers.mode == "trainable":
-        record.centers = centers
-    else:
+    if record.centers is None:
         record.centers = compute_centers(record.extractor, dataset.features, dataset.index,
                                          source_epoch=len(record.stage2_losses),
                                          p_norm=config.hyper.p_norm)
     return record
 
 
-def run_baseline(strategy: str, config: TrainConfig, dataset: Dataset) -> RunRecord:
-    """Single-stage classifier training with one of the imbalance strategies.
+def run_baseline(config: TrainConfig, dataset: Dataset) -> RunRecord:
+    """Single-stage classifier training with the imbalance strategy of
+    ``config.method`` (``baseline:<strategy>``).
 
     bce: plain cross entropy; wce: inverse-frequency weighted cross entropy;
     oce: plain cross entropy over an oversampled epoch stream; wfce:
     inverse-frequency weighted focal loss.
     """
-    if strategy not in BASELINES:
-        raise ContractError(f"unknown baseline {strategy!r}; expected one of {BASELINES}")
-    rng, record = _start(config, dataset, f"baseline:{strategy}")
+    strategy = config.method.split(":", 1)[1]
+    rng, record = _start(config, dataset)
     record.head = LinearHead(record.extractor.out_dim, dataset.n_classes, rng=rng)
     dataset.index.require_nonempty_classes()
 
@@ -406,4 +405,4 @@ def run_method(config: TrainConfig, dataset: Dataset) -> RunRecord:
     """Dispatch on config.method."""
     if config.method == "two_stage":
         return run_two_stage(config, dataset)
-    return run_baseline(config.method.split(":", 1)[1], config, dataset)
+    return run_baseline(config, dataset)

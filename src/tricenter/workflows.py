@@ -84,19 +84,15 @@ class CrossvalResult:
     small_summary: CrossvalSummary | None
 
 
-def _train_and_score(config: TrainConfig, dataset: Dataset, train_rows, test_rows,
-                     small_threshold: int) -> tuple[RunRecord, MetricsReport]:
-    """Train on ``train_rows``, score ``test_rows``; small classes are those of ``dataset``."""
-    record = run_method(config, dataset.subset(train_rows))
+def _run_fold(config: TrainConfig, dataset: Dataset, train_rows, test_rows, fold: int,
+              small_threshold: int) -> tuple[RunRecord, MetricsReport]:
+    """Train on ``train_rows`` with seed + ``fold`` and score ``test_rows``;
+    small classes are those of ``dataset``.  Every cross-validation cell and
+    every holdout run (as fold 0) trains and scores here."""
+    record = run_method(replace(config, seed=config.seed + fold), dataset.subset(train_rows))
     report = evaluate_record(record, dataset.subset(test_rows),
                              small_threshold=small_threshold, small_sizes=dataset.index.sizes)
     return record, report
-
-
-def _run_fold(args) -> tuple[RunRecord, MetricsReport]:
-    config, dataset, train_rows, test_rows, fold, small_threshold = args
-    return _train_and_score(replace(config, seed=config.seed + fold), dataset,
-                            train_rows, test_rows, small_threshold)
 
 
 def _crossval_result(folds: list) -> CrossvalResult:
@@ -110,10 +106,18 @@ def _crossval_result(folds: list) -> CrossvalResult:
 def _cells(config: TrainConfig, dataset: Dataset, k: int, small_threshold: int) -> list:
     """The k (config, fold) cells of one cross-validation.  Folds split with
     the config's seed and fold f trains with seed + f, so each cell is fixed
-    by its arguments."""
-    return [(config, dataset, train_rows, test_rows, fold, small_threshold)
-            for fold, (train_rows, test_rows)
-            in enumerate(stratified_kfold(dataset.index, k, seed=config.seed))]
+    by its arguments.  Every trainer refuses a training set that lacks a
+    class, so a fold whose training rows lack one is a ``ContractError`` here,
+    before any cell trains."""
+    cells = []
+    for fold, (train_rows, test_rows) in enumerate(stratified_kfold(dataset.index, k, seed=config.seed)):
+        held = np.bincount(dataset.labels[train_rows], minlength=dataset.n_classes)
+        if not held.all():
+            c = int(np.argmin(held))
+            raise ContractError(f"fold {fold} has no training rows of class {c}, "
+                                f"which has {dataset.index.sizes[c]} row(s) in all")
+        cells.append((config, dataset, train_rows, test_rows, fold, small_threshold))
+    return cells
 
 
 def _run_cells(plans: list, jobs: int) -> list:
@@ -127,9 +131,9 @@ def _run_cells(plans: list, jobs: int) -> list:
         from multiprocessing import get_context
 
         with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
-            folds = list(pool.map(_run_fold, cells))
+            folds = list(pool.map(_run_fold, *zip(*cells)))
     else:
-        folds = [_run_fold(cell) for cell in cells]
+        folds = [_run_fold(*cell) for cell in cells]
     done = iter(folds)
     return [_crossval_result(list(islice(done, len(plan)))) for plan in plans]
 
@@ -142,10 +146,11 @@ def run_crossval(config: TrainConfig, dataset: Dataset, k: int = 5,
 
 def run_holdout(config: TrainConfig, dataset: Dataset, test_fraction: float = 0.2,
                 small_threshold: int = 20) -> tuple[RunRecord, MetricsReport]:
-    """Train once on a stratified split and score its test side; at
-    ``test_fraction`` 0, train on every row and score those rows."""
+    """Train once on a stratified split and score its test side, as fold 0
+    (the config's own seed) of ``_run_fold``; at ``test_fraction`` 0, train
+    on every row and score those rows."""
     if test_fraction == 0:
         train_rows = test_rows = np.arange(len(dataset.labels))
     else:
         train_rows, test_rows = stratified_holdout(dataset.index, test_fraction, seed=config.seed)
-    return _train_and_score(config, dataset, train_rows, test_rows, small_threshold)
+    return _run_fold(config, dataset, train_rows, test_rows, 0, small_threshold)

@@ -12,7 +12,7 @@ from tricenter import cli, workflows
 from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable, embed_all
 from tricenter.datasets import (Dataset, SyntheticSpec, gen_gaussian_imbalanced, load_csv, save_csv,
-                                simplex_means)
+                                preset_spec, simplex_means)
 from tricenter.distance import lp_cdist
 from tricenter.nn import Checkpoint, FeatureExtractor, load_checkpoint, save_checkpoint
 
@@ -244,10 +244,10 @@ def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):
     assert stage1.config_fingerprint == final.config_fingerprint
     assert stage1.head is None and stage1.centers is None
     assert stage1.extractor.layer_sizes == final.extractor.layer_sizes == [16, 12, 8]
-    for got, want, trained in zip(stage1.extractor.state(), after_stage1.extractor.state(),
-                                  final.extractor.state()):
-        np.testing.assert_array_equal(got, want)
-        assert not np.array_equal(got, trained)
+    for got, want, trained in zip(stage1.extractor.parameters(), after_stage1.extractor.parameters(),
+                                  final.extractor.parameters()):
+        np.testing.assert_array_equal(got.data, want.data)
+        assert not np.array_equal(got.data, trained.data)
 
 
 SHORT = {"data": {"preset": "skin7-like"}, "stage1": {"epochs": "2"}, "stage2": {"epochs": "2"}}
@@ -454,6 +454,52 @@ def test_a_k_that_leaves_a_fold_without_rows_is_an_error(tmp_path, capsys):
         assert capsys.readouterr().err == (f"error: {named}: k = 336 leaves fold 335 with no rows; "
                                            "the largest class has 335 rows\n")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("run", [{}, {"run": {"method": "baseline:oce"}}], ids=["two_stage", "oce"])
+def test_a_class_with_one_row_fails_a_crossval_before_any_cell_trains(tmp_path, capsys, monkeypatch,
+                                                                     run, jobs):
+    """The fold that tests class 6's one row trains without it, which every
+    trainer refuses.  That used to fail only after fold 0 had trained, as
+    'classes [6] have no samples'."""
+    full = gen_gaussian_imbalanced(preset_spec("skin7-like", seed=0))
+    data = tmp_path / "one_row.csv"
+    save_csv(full.subset(np.flatnonzero(full.labels != 6).tolist() + [len(full.labels) - 1]), data)
+    calls = []
+    monkeypatch.setattr(workflows, "_run_fold", lambda *cell: calls.append(cell))
+    config = write_ini(tmp_path / "config.ini", SHORT, run)
+    assert cli.main(["crossval", "--config", str(config), "--data", str(data), "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: {config}: fold 1 has no training rows of class 6, "
+                                       "which has 1 row(s) in all\n")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["crossval", "--k", "2"]], ids=["train", "crossval"])
+def test_the_seed_flag_runs_as_the_seed_key_does(tmp_path, command):
+    """--seed 3 sets the seed of the run and of its preset data, as [run] seed = 3 does."""
+    small = {"model": {"embedding_dim": "8", "hidden": "12"}, "stage1": {"m_per_class": "4"}}
+    flagged = write_ini(tmp_path / "flagged.ini", SHORT, small)
+    keyed = write_ini(tmp_path / "keyed.ini", SHORT, small, {"run": {"seed": "3"}})
+    assert cli.main([*command, "--config", str(flagged), "--seed", "3",
+                     "--out", str(tmp_path / "flag")]) == 0
+    assert cli.main([*command, "--config", str(keyed), "--out", str(tmp_path / "key")]) == 0
+    got, want = artifacts(tmp_path / "flag"), artifacts(tmp_path / "key")
+    got.pop("train.log", None), want.pop("train.log", None)
+    assert got == want
+    assert "\nseed = 3\n" in got["config.echo.ini"].decode()
+
+
+def test_eval_on_a_csv_narrower_than_the_checkpoint_input_is_an_error(tmp_path, capsys):
+    ckpt, _ = untrained_eval_inputs(tmp_path, [0, 1, 2])
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("label,f0,f1\n0,1.0,2.0\n1,0.5,0.5\n2,3.0,1.0\n")
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(narrow),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: dataset width 2 does not match checkpoint input dim 3\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_checks_the_small_class_threshold_before_reading_anything(tmp_path, capsys):

@@ -143,6 +143,15 @@ def test_non_default_config_is_read_as_written(tmp_path):
     assert t.centered is False and t.stage2.refresh_each_epoch is False
 
 
+@pytest.mark.parametrize("text", [DEFAULT, NON_DEFAULT], ids=["default", "non_default"])
+def test_an_ini_saved_with_a_byte_order_mark_reads_as_without_one(tmp_path, text):
+    """Notepad and other editors save UTF-8 with a BOM; it used to put line 1
+    before any [section] header."""
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_settings(bom) == load_settings(write(tmp_path, text))
+
+
 @pytest.mark.parametrize("text, message", [
     ("[data]\npreset = skin7-like\n[stage3]\nepochs = 1\n", r"unknown config section \[stage3\]"),
     ("[data]\npreset = skin7-like\n[stage1]\nepoch = 1\n", r"unknown key\(s\) \['epoch'\]"),

@@ -233,6 +233,33 @@ def test_a_bad_utf8_byte_past_the_first_read_names_its_file_offset(tmp_path):
     assert str(error.value) == f"{path}: not UTF-8 text (byte {offset})"
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_csv_with_a_byte_order_mark_loads_as_without_one(tmp_path):
+    """Excel's "CSV UTF-8" starts with a BOM; it used to break the header on line 1.
+    The numpy parse reads such a file itself, and the line loop reads it alike."""
+    text = (HEADER + "".join(good_rows(50))).encode("utf-8")
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text)
+    bom.write_bytes(BOM + text)
+    want = load_csv(plain)
+    got, looped = load_counting_the_line_loop(bom)
+    assert not looped
+    assert_same_dataset(got, want)
+    assert_same_dataset(load_by_the_line_loop(bom), want)
+
+
+def test_a_bad_byte_after_a_byte_order_mark_names_its_file_offset(tmp_path):
+    text = BOM + (HEADER + "".join(good_rows(20))).encode("utf-8")
+    offset = len(text) - 30
+    path = tmp_path / "data.csv"
+    path.write_bytes(text[:offset] + b"\xff" + text[offset + 1:])
+    with pytest.raises(DataFormatError) as error:
+        load_csv(path)
+    assert str(error.value) == f"{path}: not UTF-8 text (byte {offset})"
+
+
 def test_a_class_count_bounds_the_labels_in_place_of_the_row_count(tmp_path):
     path = write(tmp_path / "rare.csv", HEADER + "6,0.5,1.0,2.0\n" * 3)
     with pytest.raises(DataFormatError, match="label 6 implies 7 classes, more than the 3 rows"):

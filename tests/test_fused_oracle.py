@@ -371,7 +371,7 @@ def test_flat_adam_matches_per_parameter_loop(freeze_layers):
         frozen_data = [p.data for p in frozen]
         assert len(frozen) == 2 * freeze_layers
         opt = optimizer(params, OptimizerConfig(lr=0.01, beta1=0.8, beta2=0.95, epsilon=1e-6))
-        steps = []
+        steps, read = [], []  # read: (an array read before a step, its values then)
         for step in range(6):
             draw = np.random.default_rng(step)
             x = draw.normal(size=(12, 6))
@@ -385,10 +385,13 @@ def test_flat_adam_matches_per_parameter_loop(freeze_layers):
             assert loss.item() > 0
             loss.backward()
             before = [p.data for p in params]
+            read += [(b, b.copy()) for b in before]
             opt.step()
             assert all(p.data is not b for p, b in zip(params, before))
             steps.append([p.data.copy() for p in params])
         assert all(p.data is d for p, d in zip(frozen, frozen_data))
+        for array, values in read:  # no step writes into an array it replaced, so a
+            assert_same_bits(array, values)  # checkpoint or fingerprint may read p.data as is
         runs.append((steps, opt))
     (flat_steps, flat), (loop_steps, loop) = runs
     for flat_params, loop_params in zip(flat_steps, loop_steps):

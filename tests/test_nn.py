@@ -123,10 +123,9 @@ class TestCheckpoint:
                                          centers=CenterTable(Tensor(centers), mode="computed",
                                                              source_epoch=6, p_norm=3)))
         loaded = load_checkpoint(path)
-        for a, b in zip(fx.state(), loaded.extractor.state()):
-            assert np.array_equal(a, b)
-        for a, b in zip(head.state(), loaded.head.state()):
-            assert np.array_equal(a, b)
+        for a, b in zip(fx.parameters() + head.parameters(),
+                        loaded.extractor.parameters() + loaded.head.parameters(), strict=True):
+            assert np.array_equal(a.data, b.data)
         assert np.array_equal(loaded.centers.matrix, centers)
         assert loaded.epoch == 7
         assert loaded.config_fingerprint == "abc123"
@@ -251,7 +250,7 @@ class TestCheckpoint:
                                          centers=CenterTable(Tensor(centers), mode="computed")))
         blob = path.read_bytes()
         (hlen,) = struct.unpack("<I", blob[4:8])
-        arrays = fx.state() + head.state() + [centers]
+        arrays = [p.data for p in fx.parameters() + head.parameters()] + [centers]
         assert blob[8 + hlen:] == b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
 
 

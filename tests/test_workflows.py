@@ -35,8 +35,8 @@ def assert_same_crossval(a, b):
     assert len(a.folds) == len(b.folds)
     for (record_a, report_a), (record_b, report_b) in zip(a.folds, b.folds):
         assert record_a.seed == record_b.seed
-        for p, q in zip(record_a.extractor.state(), record_b.extractor.state()):
-            np.testing.assert_array_equal(p, q)
+        for p, q in zip(record_a.extractor.parameters(), record_b.extractor.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
         np.testing.assert_array_equal(record_a.centers.matrix, record_b.centers.matrix)
         np.testing.assert_array_equal(report_a.f1, report_b.f1)
     assert a.summary.mf1_mean == b.summary.mf1_mean and a.summary.mf1_std == b.summary.mf1_std
@@ -68,8 +68,8 @@ def test_a_holdout_of_zero_trains_on_every_row_and_scores_them(dataset, cfg):
     want_record = run_method(cfg, dataset)
     want_report = evaluate_record(want_record, dataset)
     record, report = run_holdout(cfg, dataset, test_fraction=0)
-    for got, want in zip(record.extractor.state(), want_record.extractor.state(), strict=True):
-        np.testing.assert_array_equal(got, want)
+    for got, want in zip(record.extractor.parameters(), want_record.extractor.parameters(), strict=True):
+        np.testing.assert_array_equal(got.data, want.data)
     assert render_run_record(record) == render_run_record(want_record)
     assert_same_report(report, want_report)
 
@@ -108,7 +108,7 @@ def test_a_sweep_margin_must_be_finite_and_nonnegative(value):
 def test_a_quadruplet_margin_sweep_below_beta_fails_before_any_cell(tmp_path, monkeypatch, capsys,
                                                                    jobs):
     calls = []
-    monkeypatch.setattr(workflows, "_run_fold", lambda cell: calls.append(cell))
+    monkeypatch.setattr(workflows, "_run_fold", lambda *cell: calls.append(cell))
     configs = []
     for alpha in ("0.4", "0.1"):
         config = tmp_path / f"alpha{alpha}.ini"
