@@ -7,8 +7,8 @@ that requires them.  Gradients accumulate across repeated backward calls
 until the caller resets ``grad`` to None.
 
 Three fused ops cover the hot subgraphs of training, each as one graph
-node: ``affine`` (the dense layer ``x @ W + b``), ``lp_dist`` (the L_p
-distance over the last axis) and ``log_softmax_pick`` (the row-wise
+node: ``affine`` (the dense layer ``x @ W + b``), ``lp_dist`` (the
+Euclidean distance over the last axis) and ``log_softmax_pick`` (the row-wise
 log-softmax at the true class).  Each VJP replays, operation for operation
 and in the same order, the float arithmetic of the backward pass of the
 elementary-op chain it replaces, and each fused node lists its parents in
@@ -17,8 +17,8 @@ order and training stays bit for bit what the chain gave.  VJPs compute no
 gradient for a parent with ``requires_grad=False``.
 
 Where an op is not differentiable its gradient is defined as 0: relu at
-0, ``lp_dist`` at a zero coordinate of x - y for p = 1 and at a distance
-of 0 for p > 1, and ``pow`` with an exponent below 1 at 0.
+0, ``lp_dist`` at a distance of 0, and ``pow`` with an exponent below 1
+at 0.
 """
 
 from __future__ import annotations
@@ -168,36 +168,29 @@ class Tensor:
 
         return Tensor._from_op(data, (a,), vjp)
 
-    def lp_dist(self, other, p: int) -> "Tensor":
-        """L_p distance (sum |x - y|^p)^(1/p) along the last axis, for an integer p >= 1.
+    def lp_dist(self, other) -> "Tensor":
+        """Euclidean distance (sum (x - y)^2)^(1/2) along the last axis.
 
-        One node for the chain x + (-y), |.|^p, sum over the last axis,
-        ^(1/p).  The gradient is 0 where its chain defines it so: at a zero
-        coordinate (sign 0) and, for p > 1, at a distance of 0.
+        One node for the chain x + (-y), |.|^2, sum over the last axis,
+        ^(1/2).  At a distance of 0 the gradient is defined as 0.
         """
         x, y = self, self._lift(other)
         if x.data.shape != y.data.shape or x.data.ndim == 0:
             raise ShapeError(f"distance operands must share a shape with at least one axis, "
                              f"got {x.data.shape} vs {y.data.shape}")
-        if int(p) < 1:
-            raise ContractError(f"p_norm must be >= 1, got {p}")
-        fp = float(int(p))
-        q = 1.0 / fp
         diff = x.data + (-y.data)
         mag = np.abs(diff)
-        s = np.power(mag, fp).sum(axis=-1)
-        data = s if fp == 1.0 else np.power(s, q)
+        s = np.power(mag, 2.0).sum(axis=-1)
 
         def vjp(g):
-            if fp != 1.0:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    d = q * np.power(s, q - 1.0)
-                g = g * np.where(np.isfinite(d), d, 0.0)
-            g_diff = g[..., None] * (fp * np.power(mag, fp - 1.0)) * np.sign(diff)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = 0.5 * np.power(s, -0.5)
+            g = g * np.where(np.isfinite(d), d, 0.0)
+            g_diff = g[..., None] * (2.0 * mag) * np.sign(diff)
             return (g_diff if x.requires_grad else None,
                     -g_diff if y.requires_grad else None)
 
-        return Tensor._from_op(data, (x, y), vjp)
+        return Tensor._from_op(np.power(s, 0.5), (x, y), vjp)
 
     def log_softmax_pick(self, labels) -> "Tensor":
         """log softmax(row)[label] for each row of [B, K] logits; returns shape [B].

@@ -3,8 +3,8 @@
 A computed table holds the per-class mean embedding of the training set
 under a fixed extractor state (the state of the previous epoch during
 stage-2 training).  A trainable table is an ordinary parameter matrix
-updated by the optimizer together with the extractor.  Either table carries
-the L_p order it was trained under, and nearest-center prediction uses it.
+updated by the optimizer together with the extractor.  Nearest-center
+prediction measures Euclidean distances to the rows of either.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ CENTER_MODES = ("computed", "trainable")
 
 @dataclass
 class CenterTable:
-    """K x D class-center matrix, either computed or trainable, and the
-    L_p order ``p_norm`` that distances to its rows are measured in."""
+    """K x D class-center matrix, either computed or trainable."""
 
     table: Tensor
     mode: str  # one of CENTER_MODES
     source_epoch: int | None = None
-    p_norm: int = 2
 
     def __post_init__(self):
         if self.mode not in CENTER_MODES:
@@ -39,8 +37,6 @@ class CenterTable:
             raise ContractError("center table must be a K x D matrix")
         if not np.all(np.isfinite(self.table.data)):
             raise ContractError("center table holds non-finite values")
-        if not (isinstance(self.p_norm, int) and self.p_norm >= 1):
-            raise ContractError(f"center p_norm must be a positive integer, got {self.p_norm!r}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -67,20 +63,19 @@ def embed_all(extractor, features: np.ndarray) -> np.ndarray:
 
 
 def compute_centers(extractor, features: np.ndarray, index: DatasetIndex,
-                    source_epoch: int | None = None, p_norm: int = 2) -> CenterTable:
+                    source_epoch: int | None = None) -> CenterTable:
     """Average the embeddings of each class's training samples into a center row."""
     index.require_nonempty_classes()
     emb = embed_all(extractor, features)
     rows = np.stack([emb[members].mean(axis=0) for members in index.by_class])
-    return CenterTable(Tensor(rows), mode="computed", source_epoch=source_epoch, p_norm=p_norm)
+    return CenterTable(Tensor(rows), mode="computed", source_epoch=source_epoch)
 
 
 def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable):
-    """Nearest-center prediction under the table's L_p order; returns
-    (labels[N], distances[N, K]).
+    """Nearest-center prediction; returns (labels[N], distances[N, K]).
 
     Ties go to the smallest class id.  ``lp_cdist`` blocks the ``[rows, K, D]``
     difference to cache size, so it never spans the whole input.
     """
-    dists = lp_cdist(embeddings, centers.matrix, centers.p_norm)
+    dists = lp_cdist(embeddings, centers.matrix)
     return dists.argmin(axis=1), dists

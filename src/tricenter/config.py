@@ -103,8 +103,10 @@ def _read(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError:
+    except FileNotFoundError:
         raise ContractError(f"config file {path} not found") from None
+    except OSError as exc:
+        raise ContractError(f"{path}: cannot read config file ({exc.strerror})") from None
     except UnicodeDecodeError:
         raise ContractError(f"{path}: config file is not UTF-8 text") from None
     try:

@@ -144,8 +144,7 @@ def stratified_holdout(index: DatasetIndex, test_fraction: float, seed: int):
 
 # -- embedding diagnostics ------------------------------------------------------
 
-def compactness(embeddings: np.ndarray, labels, center_matrix: np.ndarray,
-                p_norm: int = 2):
+def compactness(embeddings: np.ndarray, labels, center_matrix: np.ndarray):
     """(mean within-class distance to own center, mean pairwise inter-center distance).
 
     ``embeddings`` is a non-empty ``[N, D]`` matrix with one label in
@@ -164,8 +163,8 @@ def compactness(embeddings: np.ndarray, labels, center_matrix: np.ndarray,
     if labels.min() < 0 or labels.max() >= k:
         bad = labels[(labels < 0) | (labels >= k)][0]
         raise ContractError(f"label {bad} is out of range for {k} centers")
-    within = lp_norm(emb - matrix[labels], p_norm)
-    pair_dists = lp_cdist(matrix, matrix, p_norm)[np.triu_indices(k, 1)]
+    within = lp_norm(emb - matrix[labels])
+    pair_dists = lp_cdist(matrix, matrix)[np.triu_indices(k, 1)]
     inter = float(np.mean(pair_dists)) if pair_dists.size else 0.0
     return float(within.mean()), inter
 

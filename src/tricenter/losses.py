@@ -5,8 +5,8 @@ quadruplet).  Each takes aligned [n, D] row tensors, one per role of a
 sampling unit, and returns the mean loss over the n units.  Stage 1 feeds
 it embedding rows.  Stage 2 feeds it the anchors' embedding rows with
 class-center rows in place of the positive and the negatives, which is how
-the center-involved losses are defined.  Distances are true L_p norms,
-never squared and never normalized.  Hinges use max(0, .) with gradient 0
+the center-involved losses are defined.  Distances are Euclidean, never
+squared and never normalized.  Hinges use max(0, .) with gradient 0
 at the kink.
 
 One classification loss, ``cross_entropy_mean`` with an optional focal
@@ -29,28 +29,19 @@ from .errors import ContractError, ShapeError
 
 @dataclass
 class LossHyper:
-    """Margins and distance order shared by the metric losses.
+    """Margins shared by the metric losses.
 
     alpha is the main margin (default 0.5), beta the secondary margin of the
-    quadruplet losses and must stay below alpha there, p_norm the order of
-    the L_p distance (default 2).
+    quadruplet losses and must stay below alpha there.
     """
 
     alpha: float = 0.5
     beta: float = 0.25
-    p_norm: int = 2
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0 and math.isfinite(self.beta)):
             raise ContractError(f"margins must be finite and alpha nonnegative, "
                                 f"got alpha={self.alpha}, beta={self.beta}")
-        try:
-            integral = int(self.p_norm) == self.p_norm
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral or self.p_norm < 1:
-            raise ContractError(f"p_norm must be a positive integer, got {self.p_norm!r}")
-        self.p_norm = int(self.p_norm)
 
     def require_quadruplet_margins(self):
         if not self.beta < self.alpha:
@@ -58,18 +49,15 @@ class LossHyper:
                 f"quadruplet losses need beta < alpha, got beta={self.beta} alpha={self.alpha}")
 
 
-def lp_distance_rows(x: Tensor, y: Tensor, p_norm: int = 2) -> Tensor:
-    """Row-wise L_p distances between two [n, D] tensors; returns shape [n].
-
-    For p > 1 a distance is differentiable wherever d > 0: a zero
-    coordinate of x - y is not a kink, so its only kink is at d = 0.  For
-    p = 1 every zero coordinate of x - y is a kink.
-    """
+def lp_distance_rows(x: Tensor, y: Tensor) -> Tensor:
+    """Row-wise Euclidean distances between two [n, D] tensors; returns
+    shape [n].  A distance is differentiable wherever d > 0, so its only
+    kink is at d = 0."""
     if x.data.shape != y.data.shape or x.data.ndim != 2:
         raise ShapeError(f"row distances need matching 2-D shapes, got {x.data.shape} vs {y.data.shape}")
     if x.data.shape[0] == 0:
         raise ContractError("no units to average; skip empty batches upstream")
-    return x.lp_dist(y, p_norm)
+    return x.lp_dist(y)
 
 
 def inverse_frequency_weights(class_sizes) -> np.ndarray:
@@ -82,8 +70,8 @@ def inverse_frequency_weights(class_sizes) -> np.ndarray:
 
 def triplet_loss_mean(a: Tensor, p: Tensor, n: Tensor, hyper: LossHyper) -> Tensor:
     """Mean hinge on d(a, p) + alpha - d(a, n) over aligned [n, D] rows."""
-    d_ap = lp_distance_rows(a, p, hyper.p_norm)
-    d_an = lp_distance_rows(a, n, hyper.p_norm)
+    d_ap = lp_distance_rows(a, p)
+    d_an = lp_distance_rows(a, n)
     return (d_ap + hyper.alpha - d_an).relu().mean()
 
 
@@ -93,7 +81,7 @@ def pairwise_loss_mean(a: Tensor, b: Tensor, same, hyper: LossHyper) -> Tensor:
     ``same`` holds one truth value per row.
     """
     same = np.asarray(same, dtype=np.float64)
-    d = lp_distance_rows(a, b, hyper.p_norm)
+    d = lp_distance_rows(a, b)
     same_part = (d * same).sum()
     diff_part = ((hyper.alpha - d).relu() * (1.0 - same)).sum()
     return (same_part + diff_part) * (1.0 / d.data.size)
@@ -107,9 +95,9 @@ def quadruplet_loss_mean(a: Tensor, p: Tensor, n1: Tensor, n2: Tensor,
     classes, both other than the anchor's.
     """
     hyper.require_quadruplet_margins()
-    d_ap = lp_distance_rows(a, p, hyper.p_norm)
-    first = (d_ap + hyper.alpha - lp_distance_rows(a, n1, hyper.p_norm)).relu()
-    second = (d_ap + hyper.beta - lp_distance_rows(n1, n2, hyper.p_norm)).relu()
+    d_ap = lp_distance_rows(a, p)
+    first = (d_ap + hyper.alpha - lp_distance_rows(a, n1)).relu()
+    second = (d_ap + hyper.beta - lp_distance_rows(n1, n2)).relu()
     return (first + second).mean()
 
 

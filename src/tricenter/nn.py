@@ -178,7 +178,8 @@ class Adam:
 #   bytes 4..7   uint32 header length H
 #   bytes 8..8+H utf-8 JSON header: version, epoch, config_fingerprint,
 #                extractor {layer_sizes, activation}, head {n_classes} or null,
-#                centers {mode, source_epoch, p_norm, n_classes} or null
+#                centers {mode, source_epoch, p_norm, n_classes} or null, where
+#                p_norm is always 2: every distance is Euclidean
 #   remainder    the extractor's parameters(), then the head's, then the
 #                center matrix, as raw little-endian float64 in C order
 # The header states the topology once; every array's shape follows from it.
@@ -190,7 +191,7 @@ _MAGIC = b"TCK1"
 @dataclass
 class Checkpoint:
     """A model on disk: the extractor, and a classifier head or a center
-    table (its matrix, mode, source epoch and ``p_norm``) when there is one."""
+    table (its matrix, mode and source epoch) when there is one."""
 
     extractor: FeatureExtractor
     epoch: int
@@ -217,7 +218,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "head": None if ckpt.head is None else {"n_classes": int(ckpt.head.bias.data.size)},
         "centers": None if ckpt.centers is None else {
             "mode": ckpt.centers.mode, "source_epoch": ckpt.centers.source_epoch,
-            "p_norm": int(ckpt.centers.p_norm), "n_classes": ckpt.centers.n_classes},
+            "p_norm": 2, "n_classes": ckpt.centers.n_classes},
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -252,10 +253,12 @@ def _header_fields(header: dict, path):
         raise malformed("head must be null or hold a positive integer n_classes")
     if centers is not None and not (isinstance(centers, dict)
                                     and centers.get("mode") in CENTER_MODES
-                                    and _count(centers.get("p_norm"), 1)
                                     and _count(centers.get("n_classes"), 1)):
         raise malformed(f"centers must be null or an object with a mode in {CENTER_MODES} "
-                        "and positive integers p_norm and n_classes")
+                        "and a positive integer n_classes")
+    if centers is not None and not (_count(centers.get("p_norm")) and centers["p_norm"] == 2):
+        raise malformed(f"centers.p_norm is {centers.get('p_norm')!r}, "
+                        "but every distance is Euclidean (2)")
     if not _count(epoch) or not isinstance(fingerprint, str):
         raise malformed("epoch must be a non-negative integer and config_fingerprint a string")
     return extractor, None if head is None else head["n_classes"], centers, epoch, fingerprint
@@ -309,7 +312,7 @@ def load_checkpoint(path) -> Checkpoint:
     centers = None
     if cmeta is not None:
         centers = CenterTable(Tensor(pieces[-1]), mode=cmeta["mode"],
-                              source_epoch=cmeta.get("source_epoch"), p_norm=cmeta["p_norm"])
+                              source_epoch=cmeta.get("source_epoch"))
     return Checkpoint(extractor=extractor, epoch=epoch, config_fingerprint=fingerprint,
                       head=head, centers=centers)
 

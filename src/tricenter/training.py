@@ -316,8 +316,7 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
     centers: CenterTable | None = None
     if s2.center_mode == "trainable":
         rows = compute_centers(extractor, features, dataset.index).matrix
-        centers = record.centers = CenterTable(Tensor(rows, requires_grad=True), "trainable",
-                                               p_norm=hyper.p_norm)
+        centers = record.centers = CenterTable(Tensor(rows, requires_grad=True), "trainable")
         params = params + [centers.table]
 
     optimizer = config.optimizer if s2.lr is None else replace(config.optimizer, lr=s2.lr)
@@ -327,8 +326,7 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
         nonlocal centers
         if s2.center_mode == "computed" and (s2.refresh_each_epoch or centers is None):
             fingerprint = params_fingerprint(p.data for p in extractor.parameters())
-            centers = compute_centers(extractor, features, dataset.index,
-                                      source_epoch=epoch - 1, p_norm=hyper.p_norm)
+            centers = compute_centers(extractor, features, dataset.index, source_epoch=epoch - 1)
             record.center_refreshes.append((epoch, fingerprint))
         return sampling.flat_batch_plans(dataset.labels, s2.batch_size, rng)
 
@@ -360,8 +358,7 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
 
     if record.centers is None:
         record.centers = compute_centers(record.extractor, dataset.features, dataset.index,
-                                         source_epoch=len(record.stage2_losses),
-                                         p_norm=config.hyper.p_norm)
+                                         source_epoch=len(record.stage2_losses))
     return record
 
 

@@ -26,8 +26,8 @@ from .training import RunRecord, TrainConfig, run_method
 
 
 def predict(extractor, features: np.ndarray, centers=None, head=None) -> np.ndarray:
-    """Labels for a feature matrix: the nearest center under the table's L_p
-    order when a center table is given, otherwise argmax over the classifier head.
+    """Labels for a feature matrix: the nearest center when a center table is
+    given, otherwise argmax over the classifier head.
 
     Rows are embedded and scored ``FORWARD_CHUNK`` at a time, the chunks of
     ``embed_all``, so the embeddings are those of one ``embed_all`` call and

@@ -29,24 +29,23 @@ def log(a: Tensor) -> Tensor:
     return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def lp_distance(x, y, p_norm: int = 2) -> Tensor:
-    """(sum |x_i - y_i|^p)^(1/p) between two same-length vectors.
+def lp_distance(x, y) -> Tensor:
+    """(sum (x_i - y_i)^2)^(1/2) between two same-length vectors.
 
-    For p > 1 the distance is differentiable wherever d > 0: a zero
-    coordinate of x - y is not a kink, so its only kink is at d = 0.  For
-    p = 1 every zero coordinate of x - y is a kink.
+    The distance is differentiable wherever d > 0: a zero coordinate of
+    x - y is not a kink, so its only kink is at d = 0.
     """
     x, y = _as_tensor(x), _as_tensor(y)
     if x.data.shape != y.data.shape or x.data.ndim != 1:
         raise ShapeError(f"distance operands must be vectors of one length, "
                          f"got {x.data.shape} vs {y.data.shape}")
-    return x.lp_dist(y, p_norm)
+    return x.lp_dist(y)
 
 
 def triplet_loss(f_a, f_p, f_n, hyper: LossHyper) -> Tensor:
     """Hinge on (anchor-positive distance + alpha - anchor-negative distance)."""
-    d_ap = lp_distance(f_a, f_p, hyper.p_norm)
-    d_an = lp_distance(f_a, f_n, hyper.p_norm)
+    d_ap = lp_distance(f_a, f_p)
+    d_an = lp_distance(f_a, f_n)
     return (d_ap + hyper.alpha - d_an).relu()
 
 
@@ -65,7 +64,7 @@ def center_triplet_loss(f_a, c_anchor, c_neg, hyper: LossHyper,
 
 def pairwise_loss(f_a, f_b, same_class: bool, hyper: LossHyper) -> Tensor:
     """Distance for same-class pairs, hinge(alpha - distance) for cross-class pairs."""
-    d = lp_distance(f_a, f_b, hyper.p_norm)
+    d = lp_distance(f_a, f_b)
     if same_class:
         return d
     return (hyper.alpha - d).relu()
@@ -83,10 +82,9 @@ def quadruplet_loss(f_a, f_p, f_n1, f_n2, hyper: LossHyper,
         anchor_cls, n1_cls, n2_cls = classes
         if n1_cls == anchor_cls or n2_cls == anchor_cls or n1_cls == n2_cls:
             raise ContractError(f"quadruplet classes must be pairwise distinct, got {classes}")
-    p = hyper.p_norm
-    d_ap = lp_distance(f_a, f_p, p)
-    first = (d_ap + hyper.alpha - lp_distance(f_a, f_n1, p)).relu()
-    second = (d_ap + hyper.beta - lp_distance(f_n1, f_n2, p)).relu()
+    d_ap = lp_distance(f_a, f_p)
+    first = (d_ap + hyper.alpha - lp_distance(f_a, f_n1)).relu()
+    second = (d_ap + hyper.beta - lp_distance(f_n1, f_n2)).relu()
     return first + second
 
 
@@ -161,8 +159,8 @@ def batch_mean(unit_losses) -> Tensor:
 
 
 def nearest_center_predict(embedding, centers: CenterTable):
-    """Classify one embedding to the closest center under the table's L_p
-    order; ties go to the smallest class id.
+    """Classify one embedding to the closest center; ties go to the
+    smallest class id.
 
     Returns (class_id, distance_vector) with one distance per class.
     """
@@ -170,5 +168,5 @@ def nearest_center_predict(embedding, centers: CenterTable):
     dim = centers.matrix.shape[1]
     if emb.ndim != 1 or emb.shape[0] != dim:
         raise ContractError(f"embedding shape {emb.shape} does not match center dim {dim}")
-    dists = lp_cdist(emb[None, :], centers.matrix, centers.p_norm)[0]
+    dists = lp_cdist(emb[None, :], centers.matrix)[0]
     return int(np.argmin(dists)), dists

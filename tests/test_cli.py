@@ -1,5 +1,7 @@
+import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -115,12 +117,12 @@ def test_the_config_echo_of_a_relative_data_path_reruns_from_another_directory(
         assert (work / "rel" / name).read_bytes() == (tmp_path / "rerun" / name).read_bytes(), name
 
 
-def test_eval_predicts_by_the_nearest_center_under_the_trained_lp_order(tmp_path, monkeypatch):
+def test_eval_predicts_by_the_nearest_euclidean_center(tmp_path, monkeypatch):
     assert cli.main(["gen-data", "--preset", "skin7-like", "--seed", "3", "--out", str(tmp_path)]) == 0
     data = tmp_path / "dataset.csv"
     config = tmp_path / "config.ini"
     config.write_text("[run]\nseed = 3\n[data]\npreset = skin7-like\n"
-                      "[model]\nembedding_dim = 16\nhidden = 24\n[hyper]\np_norm = 1\n"
+                      "[model]\nembedding_dim = 16\nhidden = 24\n"
                       "[stage1]\nepochs = 2\nm_per_class = 4\n[stage2]\nepochs = 2\n")
     run = tmp_path / "run"
     assert cli.main(["train", "--config", str(config), "--data", str(data), "--out", str(run)]) == 0
@@ -136,11 +138,11 @@ def test_eval_predicts_by_the_nearest_center_under_the_trained_lp_order(tmp_path
                      "--out", str(tmp_path / "eval")]) == 0
     ckpt = load_checkpoint(run / "final.ckpt")
     emb = embed_all(ckpt.extractor, load_csv(data).features)
-    nearest = {p: lp_cdist(emb, ckpt.centers.matrix, p).argmin(axis=1) for p in (1, 2)}
-    assert (nearest[1] != nearest[2]).any()  # so eval under L2 would be caught
+    nearest = lp_cdist(emb, ckpt.centers.matrix).argmin(axis=1)
+    l1_nearest = np.abs(emb[:, None, :] - ckpt.centers.matrix).sum(axis=2).argmin(axis=1)
+    assert (nearest != l1_nearest).any()  # so eval under L1 would be caught
     assert len(predicted) == 1
-    np.testing.assert_array_equal(predicted[0], nearest[1])
-    assert ckpt.centers.p_norm == 1
+    np.testing.assert_array_equal(predicted[0], nearest)
 
 
 def test_eval_on_a_csv_without_the_highest_class_scores_every_model_class(tmp_path):
@@ -190,6 +192,23 @@ def test_eval_on_a_rare_class_csv_with_a_label_past_the_model_classes_is_an_erro
     assert not (tmp_path / "out").exists()
 
 
+def test_eval_of_a_checkpoint_whose_centers_are_not_euclidean_is_an_error(tmp_path, capsys):
+    """A file from a run under another distance order fails in one line that
+    names the order, instead of being scored under the Euclidean distance."""
+    ckpt, data = untrained_eval_inputs(tmp_path, [0, 1, 2])
+    blob = ckpt.read_bytes()
+    (length,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + length])
+    header["centers"]["p_norm"] = 1
+    text = json.dumps(header).encode()
+    ckpt.write_bytes(blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + length:])
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: {ckpt}: malformed checkpoint header (centers.p_norm "
+                                       "is 1, but every distance is Euclidean (2))\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_of_a_checkpoint_with_neither_centers_nor_head_is_an_error(tmp_path):
     _, data = untrained_eval_inputs(tmp_path, [0, 1, 2])
     save_checkpoint(tmp_path / "bare.ckpt", Checkpoint(extractor=FeatureExtractor([3, 4, 2]), epoch=0,
@@ -198,6 +217,16 @@ def test_eval_of_a_checkpoint_with_neither_centers_nor_head_is_an_error(tmp_path
                      "--out", tmp_path / "out")
     assert result.returncode == 1
     assert result.stderr == "error: model has neither centers nor a classifier head\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_directory_as_the_config_is_an_error_that_does_not_say_not_found(tmp_path, capsys):
+    (tmp_path / "configs").mkdir()
+    assert cli.main(["train", "--config", str(tmp_path / "configs"),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'configs'}: cannot read config file (")
+    assert err.count("\n") == 1 and "not found" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -312,7 +341,6 @@ def write_ini(path, *layers):
     ({"hyper": {"alpha": "nan"}}, "margins must be finite"),
     ({"stage1": {"epochs": "-1"}}, "stage1 epochs must be >= 0"),
     ({"stage2": {"center_mode": "nope"}}, "unknown center mode 'nope'"),
-    ({"hyper": {"p_norm": "0"}}, "p_norm must be a positive integer"),
     ({"hyper": {"beta": "-0.1"}}, "beta must be >= 0"),
     ({"stage2": {"lr": "-1"}}, "stage2 lr must be finite and positive, got -1.0"),
     ({"run": {"loss_family": "quadruplet"}, "stage2": {"alpha": "0.2"}},
@@ -338,13 +366,14 @@ def write_ini(path, *layers):
     ({"stage2": {"center_init": "random"}}, "unknown key(s) ['center_init'] in section [stage2]"),
     ({"stage2": {"final_centers": "recomputed"}},
      "unknown key(s) ['final_centers'] in section [stage2]"),
-], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "zero_p_norm", "negative_beta",
+    ({"hyper": {"p_norm": "2"}}, "unknown key(s) ['p_norm'] in section [hyper]"),
+], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "negative_beta",
         "negative_stage2_lr", "quadruplet_stage2_alpha_below_beta",
         "quadruplet_alpha_at_beta", "negative_baseline_epochs", "triplet_one_per_class",
         "quadruplet_one_per_class", "pairwise_zero_per_class",
         "negative_seed", "nan_optimizer_lr", "nan_focal_gamma", "unknown_activation",
         "zero_hidden_width", "inf_optimizer_epsilon", "removed_lambda_ce", "removed_freeze_layers",
-        "removed_center_init", "removed_final_centers"])
+        "removed_center_init", "removed_final_centers", "removed_p_norm"])
 def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sections, message):
     config = write_ini(tmp_path / "config.ini", SHORT, sections)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1

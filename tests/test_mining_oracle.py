@@ -28,10 +28,9 @@ log = logging.getLogger(__name__)
 
 # -- reference oracles: the loop implementations, verbatim --------------------
 
-def _pairwise_distances(values: np.ndarray, p_norm: int) -> np.ndarray:
-    diff = np.abs(values[:, None, :] - values[None, :, :]) ** p_norm
-    s = diff.sum(axis=2)
-    return s if p_norm == 1 else s ** (1.0 / p_norm)
+def _pairwise_distances(values: np.ndarray) -> np.ndarray:
+    diff = np.abs(values[:, None, :] - values[None, :, :]) ** 2
+    return diff.sum(axis=2) ** 0.5
 
 
 def form_triplets(batch: BatchPlan, embeddings, strategy: str,
@@ -51,7 +50,7 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     if len(np.unique(labels)) < 2:
         raise ContractError("triplet formation needs at least 2 classes in the batch")
     values = np.asarray(embeddings, dtype=np.float64)
-    dist = _pairwise_distances(values, hyper.p_norm) if strategy == "random_hard" else None
+    dist = _pairwise_distances(values) if strategy == "random_hard" else None
     triplets = []
     for anchor in range(len(labels)):
         same = np.flatnonzero(labels == labels[anchor])
@@ -85,11 +84,8 @@ def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> list:
     matrix = centers.matrix if hasattr(centers, "matrix") else np.asarray(centers, dtype=np.float64)
     if matrix.ndim != 2:
         raise ContractError("center table must be a K x D matrix")
-    p = hyper.p_norm
-    d = np.abs(values[:, None, :] - matrix[None, :, :]) ** p
-    d = d.sum(axis=2)
-    if p != 1:
-        d = d ** (1.0 / p)
+    d = np.abs(values[:, None, :] - matrix[None, :, :]) ** 2
+    d = d.sum(axis=2) ** 0.5
     labels = batch.labels
     own = d[np.arange(len(labels)), labels]
     margin = own[:, None] + hyper.alpha - d
@@ -144,7 +140,7 @@ def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> list:
     Returns (anchor_slot, partner_class, same) units mirroring the
     all-qualifying-negatives rule of the center triplet stage.
     """
-    d = lp_cdist(np.asarray(embeddings, dtype=np.float64), centers, hyper.p_norm)
+    d = lp_cdist(np.asarray(embeddings, dtype=np.float64), centers)
     labels = batch.labels
     units = []
     for a in range(len(labels)):
@@ -176,20 +172,18 @@ def form_center_quadruplets(batch: BatchPlan, embeddings, centers, hyper,
     return units
 
 
-def compactness_reference(embeddings, labels, center_matrix, p_norm=2):
+def compactness_reference(embeddings, labels, center_matrix):
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     matrix = np.asarray(center_matrix, dtype=np.float64)
-    diff = np.abs(emb - matrix[labels]) ** p_norm
-    within = diff.sum(axis=1)
-    within = within if p_norm == 1 else within ** (1.0 / p_norm)
+    diff = np.abs(emb - matrix[labels]) ** 2
+    within = diff.sum(axis=1) ** 0.5
     k = matrix.shape[0]
     pair_dists = []
     for i in range(k):
         for j in range(i + 1, k):
-            d = np.abs(matrix[i] - matrix[j]) ** p_norm
-            d = d.sum()
-            pair_dists.append(d if p_norm == 1 else d ** (1.0 / p_norm))
+            d = np.abs(matrix[i] - matrix[j]) ** 2
+            pair_dists.append(d.sum() ** 0.5)
     inter = float(np.mean(pair_dists)) if pair_dists else 0.0
     return float(within.mean()), inter
 
@@ -251,23 +245,23 @@ def batches(seed, min_classes=2, make=random_batch):
 
 # -- the miners against their oracles ------------------------------------------
 
-@pytest.mark.parametrize("p_norm", [1, 2, 3])
-def test_semi_hard_triplets_match_the_loop(p_norm):
-    for batch, emb, alpha in batches(10 + p_norm, make=balanced_batch):
-        hyper = LossHyper(alpha=alpha, p_norm=p_norm)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_semi_hard_triplets_match_the_loop(seed):
+    for batch, emb, alpha in batches(10 + seed, make=balanced_batch):
+        hyper = LossHyper(alpha=alpha)
         assert_same_draws(sampling.form_triplets, form_triplets,
                           lambda fn, rng: fn(batch, emb, "random_hard", hyper, rng), 3)
 
 
-@pytest.mark.parametrize("p_norm", [1, 2, 3])
-def test_random_triplets_pairs_and_center_pairs_match_the_loop(p_norm):
-    for batch, emb, alpha in batches(20 + p_norm, make=balanced_batch):
-        hyper = LossHyper(alpha=alpha, p_norm=p_norm)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_triplets_pairs_and_center_pairs_match_the_loop(seed):
+    for batch, emb, alpha in batches(20 + seed, make=balanced_batch):
+        hyper = LossHyper(alpha=alpha)
         assert_same_draws(sampling.form_triplets, form_triplets,
                           lambda fn, r: fn(batch, emb, "random", hyper, r), 3)
-    rng = np.random.default_rng(20 + p_norm)
-    for batch, emb, alpha in batches(20 + p_norm):
-        hyper = LossHyper(alpha=alpha, p_norm=p_norm)
+    rng = np.random.default_rng(20 + seed)
+    for batch, emb, alpha in batches(20 + seed):
+        hyper = LossHyper(alpha=alpha)
         assert_same_draws(sampling.form_pairs, form_pairs, lambda fn, r: fn(batch, r), 3)
         centers = random_embeddings(rng, int(batch.labels.max()) + 1 + int(rng.integers(0, 2)),
                                     emb.shape[1])
@@ -281,13 +275,13 @@ def test_quadruplets_match_the_loop():
                           lambda fn, rng: fn(batch, rng), 4)
 
 
-@pytest.mark.parametrize("p_norm", [1, 2, 3])
-def test_center_miners_match_the_loop(p_norm):
-    rng = np.random.default_rng(40 + p_norm)
-    for batch, emb, alpha in batches(40 + p_norm, min_classes=3):
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_center_miners_match_the_loop(seed):
+    rng = np.random.default_rng(40 + seed)
+    for batch, emb, alpha in batches(40 + seed, min_classes=3):
         k = int(batch.labels.max()) + 1 + int(rng.integers(0, 2))
         centers = random_embeddings(rng, k, emb.shape[1])
-        hyper = LossHyper(alpha=alpha, p_norm=p_norm)
+        hyper = LossHyper(alpha=alpha)
         own = with_own_class(batch)
         assert_same_units(sampling.form_center_triplets(batch, emb, centers, hyper),
                           own(form_center_triplets(batch, emb, centers, hyper)), 3)
@@ -333,8 +327,8 @@ def test_semi_hard_band_counted_in_chunks_matches_the_loop(budget, monkeypatch):
     units and generator state as the loop."""
     monkeypatch.setattr(sampling, "BLOCK_FLOATS", budget)
     assert budget // 70 < 70 * 9  # a balanced batch's 630 pairs take several chunks
-    for p_norm in (1, 2, 3):
-        test_semi_hard_triplets_match_the_loop(p_norm)
+    for seed in (1, 2, 3):
+        test_semi_hard_triplets_match_the_loop(seed)
     test_balanced_batches_match_the_loop(10, 16)
 
 
@@ -405,19 +399,17 @@ def test_too_few_classes_still_rejected():
 
 # -- the distance kernel --------------------------------------------------------
 
-@pytest.mark.parametrize("p_norm", [1, 2, 3])
-def test_lp_cdist_equals_the_naive_formula_exactly(p_norm):
-    rng = np.random.default_rng(60 + p_norm)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lp_cdist_equals_the_naive_formula_exactly(seed):
+    rng = np.random.default_rng(60 + seed)
     # (rows of a, rows of b, D): one block; several blocks with a ragged last
     # one; a single row over the block budget; no rows at all
     shapes = [(9, 5, 37), (700, 7, 128), (3, 130, 1100), (0, 5, 37)]
     assert 700 * 7 * 128 > 2 * BLOCK_FLOATS and 130 * 1100 > BLOCK_FLOATS
     for n, m, dim in shapes:
         a, b = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
-        naive = (np.abs(a[:, None, :] - b[None, :, :]) ** p_norm).sum(axis=2)
-        if p_norm != 1:
-            naive = naive ** (1.0 / p_norm)
-        got = lp_cdist(a, b, p_norm)
+        naive = (np.abs(a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2) ** 0.5
+        got = lp_cdist(a, b)
         assert got.shape == (n, m) and got.dtype == naive.dtype
         assert got.tobytes() == naive.tobytes()
     # lp_cdist(a, a) computes the upper triangle and mirrors it: one block;
@@ -425,25 +417,21 @@ def test_lp_cdist_equals_the_naive_formula_exactly(p_norm):
     assert 300 * 300 * 16 > 2 * BLOCK_FLOATS and 300 % (BLOCK_FLOATS // (300 * 16))
     for n, dim in [(9, 37), (300, 16), (1, 37), (0, 37)]:
         a = rng.normal(size=(n, dim))
-        naive = (np.abs(a[:, None, :] - a[None, :, :]) ** p_norm).sum(axis=2)
-        if p_norm != 1:
-            naive = naive ** (1.0 / p_norm)
-        got = lp_cdist(a, a, p_norm)
+        naive = (np.abs(a[:, None, :] - a[None, :, :]) ** 2).sum(axis=2) ** 0.5
+        got = lp_cdist(a, a)
         assert got.shape == (n, n) and got.tobytes() == naive.tobytes()
         assert got.tobytes() == got.T.copy().tobytes()
     a, b = rng.normal(size=(2, 37)), rng.normal(size=(2, 37))
-    row = np.abs(a[0] - b[0]) ** p_norm
-    assert lp_norm(a[0] - b[0], p_norm) == (row.sum() if p_norm == 1 else row.sum() ** (1.0 / p_norm))
+    assert lp_norm(a[0] - b[0]) == (np.abs(a[0] - b[0]) ** 2).sum() ** 0.5
 
 
-@pytest.mark.parametrize("p_norm", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("dim", [1, 7, 128, 300])
-def test_compactness_matches_the_center_pair_loop(p_norm, dim):
-    rng = np.random.default_rng(dim + p_norm)
+def test_compactness_matches_the_center_pair_loop(seed, dim):
+    rng = np.random.default_rng(dim + seed)
     labels = rng.integers(0, 6, size=50)
     emb, centers = rng.normal(size=(50, dim)), rng.normal(size=(6, dim))
-    assert compactness(emb, labels, centers, p_norm) == compactness_reference(
-        emb, labels, centers, p_norm)
+    assert compactness(emb, labels, centers) == compactness_reference(emb, labels, centers)
 
 
 @pytest.mark.parametrize("label", [-1, 2], ids=["negative", "past_the_centers"])

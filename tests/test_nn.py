@@ -1,3 +1,4 @@
+import base64
 import json
 import struct
 
@@ -112,6 +113,18 @@ class TestAdam:
         np.testing.assert_array_equal(p.grad, [0.5])
 
 
+# A format-2 file written while the distance order was still a setting (at its
+# default 2): FeatureExtractor([2, 3, 2]) drawn at rng 5, computed centers
+# arange(4) / 4 of source epoch 1, epoch 2.
+EARLIER_CHECKPOINT = base64.b64decode(
+    "VENLMeIAAAB7ImNlbnRlcnMiOiB7Im1vZGUiOiAiY29tcHV0ZWQiLCAibl9jbGFzc2VzIjogMiwgInBfbm9ybSI6IDIs"
+    "ICJzb3VyY2VfZXBvY2giOiAxfSwgImNvbmZpZ19maW5nZXJwcmludCI6ICIwMTIzNDU2Nzg5YWJjZGVmIiwgImVwb2No"
+    "IjogMiwgImV4dHJhY3RvciI6IHsiYWN0aXZhdGlvbiI6ICJyZWx1IiwgImxheWVyX3NpemVzIjogWzIsIDMsIDJdfSwg"
+    "ImhlYWQiOiBudWxsLCAidmVyc2lvbiI6IDJ9tmzthx9i5T+Muwvw2ZblP6DpbXr0MKE/tJt2vMYI3r/Us89M80Xvv3wx"
+    "a6OJWtC/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAYI0t9s6qyb9jYVAoTOHvv5ruI0jLou+/TkXYu4x/8T+cEHBUX13V"
+    "P9RbqljznOK/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA0D8AAAAAAADgPwAAAAAAAOg/")
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         fx = FeatureExtractor([4, 8, 3], rng=np.random.default_rng(11))
@@ -121,7 +134,7 @@ class TestCheckpoint:
         save_checkpoint(path, Checkpoint(extractor=fx, epoch=7, config_fingerprint="abc123",
                                          head=head,
                                          centers=CenterTable(Tensor(centers), mode="computed",
-                                                             source_epoch=6, p_norm=3)))
+                                                             source_epoch=6)))
         loaded = load_checkpoint(path)
         for a, b in zip(fx.parameters() + head.parameters(),
                         loaded.extractor.parameters() + loaded.head.parameters(), strict=True):
@@ -130,7 +143,6 @@ class TestCheckpoint:
         assert loaded.epoch == 7
         assert loaded.config_fingerprint == "abc123"
         assert loaded.centers.mode == "computed" and loaded.centers.source_epoch == 6
-        assert loaded.centers.p_norm == 3
 
     def test_forward_identical_after_round_trip(self, tmp_path):
         fx = FeatureExtractor([6, 10, 4], activation="tanh", rng=np.random.default_rng(1))
@@ -204,6 +216,7 @@ class TestCheckpoint:
         lambda h: h["centers"].update(p_norm=0),
         lambda h: h["centers"].update(p_norm=True),
         lambda h: h["centers"].update(p_norm=1.5),
+        lambda h: h["centers"].update(p_norm=2.0),
         lambda h: h["centers"].pop("p_norm"),
         lambda h: h["centers"].pop("n_classes"),
         lambda h: h["centers"].update(n_classes="3"),
@@ -212,7 +225,8 @@ class TestCheckpoint:
         lambda h: h["centers"].pop("mode"),
     ], ids=["extractor_key", "centers_type", "head_type", "head_classes_type", "epoch_type",
             "layer_sizes_type", "layer_sizes_short", "activation_type", "p_norm_type",
-            "p_norm_zero", "p_norm_bool", "p_norm_float", "p_norm_missing",
+            "p_norm_zero", "p_norm_bool", "p_norm_float", "p_norm_two_as_float",
+            "p_norm_missing",
             "center_classes_missing", "center_classes_type", "center_classes_zero",
             "center_mode_unknown", "center_mode_missing"])
     def test_malformed_header_fields_raise_data_format_error(self, tmp_path, edit):
@@ -220,6 +234,19 @@ class TestCheckpoint:
         path.write_bytes(self._with_header(blob, edit))
         with pytest.raises(DataFormatError, match="malformed checkpoint header"):
             load_checkpoint(path)
+
+    def test_a_checkpoint_written_before_the_metric_was_fixed_loads_and_saves_unchanged(
+            self, tmp_path):
+        path = tmp_path / "earlier.ckpt"
+        path.write_bytes(EARLIER_CHECKPOINT)
+        loaded = load_checkpoint(path)
+        fx = FeatureExtractor([2, 3, 2], rng=np.random.default_rng(5))
+        for a, b in zip(fx.parameters(), loaded.extractor.parameters(), strict=True):
+            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(loaded.centers.matrix, np.arange(4.0).reshape(2, 2) / 4)
+        assert (loaded.epoch, loaded.centers.source_epoch, loaded.head) == (2, 1, None)
+        save_checkpoint(tmp_path / "again.ckpt", loaded)
+        assert (tmp_path / "again.ckpt").read_bytes() == EARLIER_CHECKPOINT
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["extractor"].update(layer_sizes=[3, 2 ** 21, 2 ** 21, 2]),

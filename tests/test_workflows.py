@@ -143,7 +143,7 @@ def whole_matrix_predict(extractor, features, centers=None, head=None):
 
 
 @pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1100])
-@pytest.mark.parametrize("scorer", ["centers_p1", "centers_p2", "head"])
+@pytest.mark.parametrize("scorer", ["centers", "head"])
 def test_block_by_block_predict_equals_the_whole_matrix_predict(rows, scorer):
     assert FORWARD_CHUNK == 512  # the row counts straddle its block edges
     rng = np.random.default_rng(rows)
@@ -153,7 +153,7 @@ def test_block_by_block_predict_equals_the_whole_matrix_predict(rows, scorer):
         model = dict(head=LinearHead(6, 4, rng=rng))
     else:  # centers among the embeddings, so that the rows split among the classes
         table = embed_all(extractor, rng.normal(size=(4, 5)))
-        model = dict(centers=CenterTable(Tensor(table), mode="computed", p_norm=int(scorer[-1])))
+        model = dict(centers=CenterTable(Tensor(table), mode="computed"))
     got = predict(extractor, features, **model)
     want = whole_matrix_predict(extractor, features, **model)
     assert got.dtype == np.intp and got.shape == (rows,)
@@ -170,7 +170,7 @@ def parsed_view(features):
     return records["features"]
 
 
-@pytest.mark.parametrize("scorer", ["centers_p1", "centers_p2", "head"])
+@pytest.mark.parametrize("scorer", ["centers", "head"])
 def test_a_strided_feature_view_embeds_and_predicts_as_its_contiguous_copy(scorer):
     rng = np.random.default_rng(7)
     extractor = FeatureExtractor([16, 24, 8], rng=rng)
@@ -183,7 +183,7 @@ def test_a_strided_feature_view_embeds_and_predicts_as_its_contiguous_copy(score
         model = dict(head=LinearHead(8, 7, rng=rng))
     else:
         table = embed_all(extractor, rng.normal(size=(7, 16)))
-        model = dict(centers=CenterTable(Tensor(table), mode="computed", p_norm=int(scorer[-1])))
+        model = dict(centers=CenterTable(Tensor(table), mode="computed"))
     want = predict(extractor, features, **model)
     assert predict(extractor, view, **model).tobytes() == want.tobytes()
     assert len(np.unique(want)) > 1
