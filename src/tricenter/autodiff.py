@@ -7,7 +7,7 @@ that requires them.  Gradients accumulate across repeated backward calls
 until the caller resets ``grad`` to None.
 
 Three fused ops cover the hot subgraphs of training, each as one graph
-node: ``affine`` (the dense layer ``x @ W + b``), ``lp_dist`` (the
+node: ``affine`` (the dense layer ``x @ W + b``), ``euclidean_dist`` (the
 Euclidean distance over the last axis) and ``log_softmax_pick`` (the row-wise
 log-softmax at the true class).  Each VJP replays, operation for operation
 and in the same order, the float arithmetic of the backward pass of the
@@ -17,7 +17,7 @@ order and training stays bit for bit what the chain gave.  VJPs compute no
 gradient for a parent with ``requires_grad=False``.
 
 Where an op is not differentiable its gradient is defined as 0: relu at
-0, ``lp_dist`` at a distance of 0, and ``pow`` with an exponent below 1
+0, ``euclidean_dist`` at a distance of 0, and ``pow`` with an exponent below 1
 at 0.
 """
 
@@ -168,7 +168,7 @@ class Tensor:
 
         return Tensor._from_op(data, (a,), vjp)
 
-    def lp_dist(self, other) -> "Tensor":
+    def euclidean_dist(self, other) -> "Tensor":
         """Euclidean distance (sum (x - y)^2)^(1/2) along the last axis.
 
         One node for the chain x + (-y), |.|^2, sum over the last axis,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .distance import lp_cdist
+from .distance import euclidean_cdist
 from .errors import ContractError
 from .sampling import DatasetIndex
 
@@ -74,8 +74,8 @@ def compute_centers(extractor, features: np.ndarray, index: DatasetIndex,
 def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable):
     """Nearest-center prediction; returns (labels[N], distances[N, K]).
 
-    Ties go to the smallest class id.  ``lp_cdist`` blocks the ``[rows, K, D]``
+    Ties go to the smallest class id.  ``euclidean_cdist`` blocks the ``[rows, K, D]``
     difference to cache size, so it never spans the whole input.
     """
-    dists = lp_cdist(embeddings, centers.matrix)
+    dists = euclidean_cdist(embeddings, centers.matrix)
     return dists.argmin(axis=1), dists

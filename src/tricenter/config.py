@@ -80,7 +80,7 @@ def _rows(section: str, prefix: str, keys) -> list:
 
 # (section, key, dotted RunSettings attribute, parser), in echo order.
 _SCHEMA = tuple((section, key, attr, _parser(attr)) for section, key, attr in [
-    *_rows("run", "train.", ["method", "loss_family", "centered", "seed"]),
+    *_rows("run", "train.", ["method", "loss_family", "seed"]),
     ("data", "source", "data_source"),
     ("data", "preset", "data_preset"),
     *_rows("data", "", ["holdout_fraction", "small_class_threshold"]),
@@ -115,7 +115,8 @@ def _read(path) -> configparser.ConfigParser:
         raise ContractError(f"{path}: line {exc.lineno} comes before any [section] header") from None
     except configparser.ParsingError as exc:  # its own text puts each bad line on a line of its own
         lineno = exc.errors[0][0]
-        line = text.splitlines()[lineno - 1].strip()
+        # configparser counts lines at "\n" only; splitlines() also splits at "\x0c", "\x85", ...
+        line = text.split("\n")[lineno - 1].strip()
         raise ContractError(
             f"{path}: line {lineno}: {line!r} is not a [section] or key = value line") from None
     except configparser.Error as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import lp_cdist, lp_norm
+from .distance import euclidean_cdist, euclidean_norm
 from .errors import ContractError
 from .sampling import DatasetIndex
 
@@ -163,8 +163,8 @@ def compactness(embeddings: np.ndarray, labels, center_matrix: np.ndarray):
     if labels.min() < 0 or labels.max() >= k:
         bad = labels[(labels < 0) | (labels >= k)][0]
         raise ContractError(f"label {bad} is out of range for {k} centers")
-    within = lp_norm(emb - matrix[labels])
-    pair_dists = lp_cdist(matrix, matrix)[np.triu_indices(k, 1)]
+    within = euclidean_norm(emb - matrix[labels])
+    pair_dists = euclidean_cdist(matrix, matrix)[np.triu_indices(k, 1)]
     inter = float(np.mean(pair_dists)) if pair_dists.size else 0.0
     return float(within.mean()), inter
 

@@ -49,7 +49,7 @@ class LossHyper:
                 f"quadruplet losses need beta < alpha, got beta={self.beta} alpha={self.alpha}")
 
 
-def lp_distance_rows(x: Tensor, y: Tensor) -> Tensor:
+def distance_rows(x: Tensor, y: Tensor) -> Tensor:
     """Row-wise Euclidean distances between two [n, D] tensors; returns
     shape [n].  A distance is differentiable wherever d > 0, so its only
     kink is at d = 0."""
@@ -57,7 +57,7 @@ def lp_distance_rows(x: Tensor, y: Tensor) -> Tensor:
         raise ShapeError(f"row distances need matching 2-D shapes, got {x.data.shape} vs {y.data.shape}")
     if x.data.shape[0] == 0:
         raise ContractError("no units to average; skip empty batches upstream")
-    return x.lp_dist(y)
+    return x.euclidean_dist(y)
 
 
 def inverse_frequency_weights(class_sizes) -> np.ndarray:
@@ -70,8 +70,8 @@ def inverse_frequency_weights(class_sizes) -> np.ndarray:
 
 def triplet_loss_mean(a: Tensor, p: Tensor, n: Tensor, hyper: LossHyper) -> Tensor:
     """Mean hinge on d(a, p) + alpha - d(a, n) over aligned [n, D] rows."""
-    d_ap = lp_distance_rows(a, p)
-    d_an = lp_distance_rows(a, n)
+    d_ap = distance_rows(a, p)
+    d_an = distance_rows(a, n)
     return (d_ap + hyper.alpha - d_an).relu().mean()
 
 
@@ -81,7 +81,7 @@ def pairwise_loss_mean(a: Tensor, b: Tensor, same, hyper: LossHyper) -> Tensor:
     ``same`` holds one truth value per row.
     """
     same = np.asarray(same, dtype=np.float64)
-    d = lp_distance_rows(a, b)
+    d = distance_rows(a, b)
     same_part = (d * same).sum()
     diff_part = ((hyper.alpha - d).relu() * (1.0 - same)).sum()
     return (same_part + diff_part) * (1.0 / d.data.size)
@@ -95,9 +95,9 @@ def quadruplet_loss_mean(a: Tensor, p: Tensor, n1: Tensor, n2: Tensor,
     classes, both other than the anchor's.
     """
     hyper.require_quadruplet_margins()
-    d_ap = lp_distance_rows(a, p)
-    first = (d_ap + hyper.alpha - lp_distance_rows(a, n1)).relu()
-    second = (d_ap + hyper.beta - lp_distance_rows(n1, n2)).relu()
+    d_ap = distance_rows(a, p)
+    first = (d_ap + hyper.alpha - distance_rows(a, n1)).relu()
+    second = (d_ap + hyper.beta - distance_rows(n1, n2)).relu()
     return (first + second).mean()
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import BLOCK_FLOATS, lp_cdist
+from .distance import BLOCK_FLOATS, euclidean_cdist
 from .errors import ContractError
 
 MINING_STRATEGIES = ("random", "random_hard")  # stage-1 negative choice of ``form_triplets``
@@ -184,7 +184,7 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     if strategy == "random":
         k = rng.integers(0, [m - 1, n - m], size=(n, 2))
         return _units(anchors, _kth(positive_mask, k[:, 0]), _kth(negative_mask, k[:, 1]))
-    dist = lp_cdist(embeddings, embeddings)
+    dist = euclidean_cdist(embeddings, embeddings)
     negative_dist = np.where(negative_mask, dist, np.inf)  # +inf is in no band (d_ap, d_ap + alpha)
     # The band size of every (anchor, candidate positive) pair, in chunks of
     # pairs: the drawn positive's band size bounds the next draw.  Anchor a's
@@ -219,7 +219,7 @@ def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> np.nda
     other than the anchor's whose center violates
     ||f_a - c_own|| + alpha > ||f_a - c_k||.
     """
-    d = lp_cdist(embeddings, centers)
+    d = euclidean_cdist(embeddings, centers)
     labels = batch.labels
     own = d[np.arange(len(labels)), labels]
     margin = own[:, None] + hyper.alpha - d
@@ -276,7 +276,7 @@ def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> np.ndarra
     Returns ``[anchor_slot, partner_class, same]`` units mirroring the
     all-qualifying-negatives rule of the center triplet stage.
     """
-    d = lp_cdist(embeddings, centers)
+    d = euclidean_cdist(embeddings, centers)
     labels = batch.labels
     # Column 0 is the own center, column 1 + k is class k.
     keep = np.concatenate([np.ones((len(labels), 1), dtype=bool), hyper.alpha - d > 0.0], axis=1)

@@ -83,7 +83,6 @@ class Stage2Config:
 class TrainConfig:
     method: str = "two_stage"  # "two_stage" | "baseline:bce" | ... | "baseline:wfce"
     loss_family: str = "triplet"
-    centered: bool = True  # False: spend the stage-2 budget on more stage-1 training
     stage1: Stage1Config = field(default_factory=Stage1Config)
     stage2: Stage2Config = field(default_factory=Stage2Config)
     hyper: LossHyper = field(default_factory=LossHyper)
@@ -272,16 +271,10 @@ def _fit(record: RunRecord, stage: int, epochs: int, opt: Adam, epoch_plans: Cal
 
 
 def run_stage1(config: TrainConfig, dataset: Dataset, record: RunRecord,
-               rng: np.random.Generator, stage: int = 1) -> None:
-    """Balanced-batch metric training of the record's extractor, in place.
-
-    ``stage=2`` spends the stage-2 budget on this training instead of the
-    center stage (``centered = false``) and records into the stage-2 lists.
-    Each call starts a fresh optimizer.
-    """
+               rng: np.random.Generator) -> None:
+    """Balanced-batch metric training of the record's extractor, in place."""
     s1 = config.stage1
-    epochs = s1.epochs if stage == 1 else config.stage2.epochs
-    if epochs == 0:
+    if s1.epochs == 0:
         return
     _require_classes(config, dataset)
     dataset.index.require_nonempty_classes()
@@ -298,7 +291,7 @@ def run_stage1(config: TrainConfig, dataset: Dataset, record: RunRecord,
         return _metric_batch_loss(config, extractor(Tensor(dataset.features[plan.indices])),
                                   plan, rng)
 
-    _fit(record, stage, epochs, opt, epoch_plans, batch_loss, "stage 1")
+    _fit(record, 1, s1.epochs, opt, epoch_plans, batch_loss, "stage 1")
 
 
 def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
@@ -340,20 +333,15 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
 def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     """Stage-1 balanced metric training followed by the center-involved stage.
 
-    With ``centered=False`` the stage-2 budget is spent on more stage-1 style
-    training instead, which is the budget-matched plain-loss baseline for the
-    loss-family extension comparisons.  Nearest-center prediction data is
-    always attached: a trainable table that stage 2 left on the record stays;
-    otherwise the final centers are computed from the final parameters over
-    the whole training set.  No classifier head is built.
+    Nearest-center prediction data is always attached: a trainable table
+    that stage 2 left on the record stays; otherwise the final centers are
+    computed from the final parameters over the whole training set.  No
+    classifier head is built.
     """
     rng, record = _start(config, dataset)
     run_stage1(config, dataset, record, rng)
     record.stage1_extractor = copy.deepcopy(record.extractor)
-
-    if not config.centered:
-        run_stage1(config, dataset, record, rng, stage=2)
-    elif config.stage2.epochs > 0:
+    if config.stage2.epochs > 0:
         run_stage2(config, dataset, record, rng)
 
     if record.centers is None:

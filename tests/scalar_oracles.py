@@ -15,7 +15,7 @@ import numpy as np
 
 from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable
-from tricenter.distance import lp_cdist
+from tricenter.distance import euclidean_cdist
 from tricenter.errors import ContractError, ShapeError
 from tricenter.losses import LossHyper
 
@@ -29,7 +29,7 @@ def log(a: Tensor) -> Tensor:
     return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def lp_distance(x, y) -> Tensor:
+def euclidean_distance(x, y) -> Tensor:
     """(sum (x_i - y_i)^2)^(1/2) between two same-length vectors.
 
     The distance is differentiable wherever d > 0: a zero coordinate of
@@ -39,13 +39,13 @@ def lp_distance(x, y) -> Tensor:
     if x.data.shape != y.data.shape or x.data.ndim != 1:
         raise ShapeError(f"distance operands must be vectors of one length, "
                          f"got {x.data.shape} vs {y.data.shape}")
-    return x.lp_dist(y)
+    return x.euclidean_dist(y)
 
 
 def triplet_loss(f_a, f_p, f_n, hyper: LossHyper) -> Tensor:
     """Hinge on (anchor-positive distance + alpha - anchor-negative distance)."""
-    d_ap = lp_distance(f_a, f_p)
-    d_an = lp_distance(f_a, f_n)
+    d_ap = euclidean_distance(f_a, f_p)
+    d_an = euclidean_distance(f_a, f_n)
     return (d_ap + hyper.alpha - d_an).relu()
 
 
@@ -64,7 +64,7 @@ def center_triplet_loss(f_a, c_anchor, c_neg, hyper: LossHyper,
 
 def pairwise_loss(f_a, f_b, same_class: bool, hyper: LossHyper) -> Tensor:
     """Distance for same-class pairs, hinge(alpha - distance) for cross-class pairs."""
-    d = lp_distance(f_a, f_b)
+    d = euclidean_distance(f_a, f_b)
     if same_class:
         return d
     return (hyper.alpha - d).relu()
@@ -82,9 +82,9 @@ def quadruplet_loss(f_a, f_p, f_n1, f_n2, hyper: LossHyper,
         anchor_cls, n1_cls, n2_cls = classes
         if n1_cls == anchor_cls or n2_cls == anchor_cls or n1_cls == n2_cls:
             raise ContractError(f"quadruplet classes must be pairwise distinct, got {classes}")
-    d_ap = lp_distance(f_a, f_p)
-    first = (d_ap + hyper.alpha - lp_distance(f_a, f_n1)).relu()
-    second = (d_ap + hyper.beta - lp_distance(f_n1, f_n2)).relu()
+    d_ap = euclidean_distance(f_a, f_p)
+    first = (d_ap + hyper.alpha - euclidean_distance(f_a, f_n1)).relu()
+    second = (d_ap + hyper.beta - euclidean_distance(f_n1, f_n2)).relu()
     return first + second
 
 
@@ -168,5 +168,5 @@ def nearest_center_predict(embedding, centers: CenterTable):
     dim = centers.matrix.shape[1]
     if emb.ndim != 1 or emb.shape[0] != dim:
         raise ContractError(f"embedding shape {emb.shape} does not match center dim {dim}")
-    dists = lp_cdist(emb[None, :], centers.matrix)[0]
+    dists = euclidean_cdist(emb[None, :], centers.matrix)[0]
     return int(np.argmin(dists)), dists

@@ -15,7 +15,7 @@ from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable, embed_all
 from tricenter.datasets import (Dataset, SyntheticSpec, gen_gaussian_imbalanced, load_csv, save_csv,
                                 preset_spec, simplex_means)
-from tricenter.distance import lp_cdist
+from tricenter.distance import euclidean_cdist
 from tricenter.nn import Checkpoint, FeatureExtractor, load_checkpoint, save_checkpoint
 
 
@@ -138,7 +138,7 @@ def test_eval_predicts_by_the_nearest_euclidean_center(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "eval")]) == 0
     ckpt = load_checkpoint(run / "final.ckpt")
     emb = embed_all(ckpt.extractor, load_csv(data).features)
-    nearest = lp_cdist(emb, ckpt.centers.matrix).argmin(axis=1)
+    nearest = euclidean_cdist(emb, ckpt.centers.matrix).argmin(axis=1)
     l1_nearest = np.abs(emb[:, None, :] - ckpt.centers.matrix).sum(axis=2).argmin(axis=1)
     assert (nearest != l1_nearest).any()  # so eval under L1 would be caught
     assert len(predicted) == 1

@@ -1,7 +1,7 @@
 """The fused autodiff ops and the one-buffer Adam against what they replaced.
 
 The functions below are the elementary-op chains that ``Tensor.affine``,
-``Tensor.lp_dist`` and ``Tensor.log_softmax_pick`` fold into one node, and
+``Tensor.euclidean_dist`` and ``Tensor.log_softmax_pick`` fold into one node, and
 the per-parameter Adam loop; ``matmul`` and ``abs_pow`` are the removed
 ``Tensor`` methods, and ``take_add_at`` is ``Tensor.take`` with the
 ``np.add.at`` VJP that its ``np.bincount`` VJP replaced, all kept verbatim;
@@ -64,7 +64,7 @@ def affine_chain(x, w, b):
     return matmul(x, w) + b
 
 
-def lp_chain(x, y):
+def euclidean_chain(x, y):
     diff = abs_pow(x - y, 2)
     s = diff.sum() if x.data.ndim == 1 else diff.sum(axis=1)
     return s.pow(0.5)
@@ -165,7 +165,7 @@ def test_affine_keeps_the_matmul_shape_checks():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("flags", GRAD_FLAGS2)
 @pytest.mark.parametrize("shape", [(11, 7), (7,)])
-def test_lp_dist_matches_chain(seed, flags, shape):
+def test_euclidean_dist_matches_chain(seed, flags, shape):
     rng = np.random.default_rng(seed)
     x = with_zeros(rng, shape)
     y = with_zeros(rng, shape)
@@ -173,8 +173,8 @@ def test_lp_dist_matches_chain(seed, flags, shape):
         y[3] = x[3]  # a distance of exactly 0
     weights = rng.normal(size=shape[:-1])
     fused, chain = leaves([x, y], flags), leaves([x, y], flags)
-    d_f = fused[0].lp_dist(fused[1])
-    d_c = lp_chain(*chain)
+    d_f = fused[0].euclidean_dist(fused[1])
+    d_c = euclidean_chain(*chain)
     assert_same_bits(d_f.data, d_c.data)
     (d_f * weights).sum().backward()
     (d_c * weights).sum().backward()
@@ -182,11 +182,11 @@ def test_lp_dist_matches_chain(seed, flags, shape):
 
 
 def fused_and_chain_distance(y):
-    """The summed distance to ``y``, once through ``lp_dist`` and once through its chain."""
-    return (lambda x: x.lp_dist(y).sum(), lambda x: lp_chain(x, Tensor(y)).sum())
+    """The summed distance to ``y``, once through ``euclidean_dist`` and once through its chain."""
+    return (lambda x: x.euclidean_dist(y).sum(), lambda x: euclidean_chain(x, Tensor(y)).sum())
 
 
-def test_lp_dist_kinks_at_zero_distance_not_at_a_zero_coordinate():
+def test_euclidean_dist_kinks_at_zero_distance_not_at_a_zero_coordinate():
     x = np.array([[1.0, -2.0], [3.0, 4.0]])
     for loss_fn in fused_and_chain_distance(np.array([[1.0, -2.0], [0.0, 0.0]])):  # row 0 at d = 0
         with pytest.raises(HingeKinkError):
@@ -196,11 +196,11 @@ def test_lp_dist_kinks_at_zero_distance_not_at_a_zero_coordinate():
         assert finite_diff_check(loss_fn, [x]) < 1e-8
 
 
-def test_lp_dist_rejects_bad_operands():
+def test_euclidean_dist_rejects_bad_operands():
     with pytest.raises(ShapeError):
-        Tensor(np.ones((2, 3))).lp_dist(np.ones((3, 2)))
+        Tensor(np.ones((2, 3))).euclidean_dist(np.ones((3, 2)))
     with pytest.raises(ShapeError):
-        Tensor(1.0).lp_dist(2.0)
+        Tensor(1.0).euclidean_dist(2.0)
 
 
 # -- row gather ---------------------------------------------------------------
@@ -234,8 +234,9 @@ def test_take_rejects_an_index_outside_the_rows(indices):
 # -- one tensor feeding several fused nodes -----------------------------------
 
 def chain_distances(monkeypatch):
-    """Route every ``lp_dist`` and ``take`` call, the losses' included, through the chain."""
-    monkeypatch.setattr(Tensor, "lp_dist", lambda x, y: lp_chain(x, Tensor._lift(y)))
+    """Route every ``euclidean_dist`` and ``take`` call, the losses' included,
+    through the chain."""
+    monkeypatch.setattr(Tensor, "euclidean_dist", lambda x, y: euclidean_chain(x, Tensor._lift(y)))
     monkeypatch.setattr(Tensor, "take", take_add_at)
 
 

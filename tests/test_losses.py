@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from tricenter.autodiff import Tensor
 from tricenter.errors import ContractError, ShapeError
 from tricenter.losses import (LossHyper, cross_entropy_mean, inverse_frequency_weights,
-                              lp_distance_rows, pairwise_loss_mean, quadruplet_loss_mean,
+                              distance_rows, pairwise_loss_mean, quadruplet_loss_mean,
                               triplet_loss_mean)
 
 from gradcheck import HingeKinkError, finite_diff_check
 from scalar_oracles import (batch_mean, center_pairwise_loss, center_quadruplet_loss,
-                            center_triplet_loss, cross_entropy, focal_loss, lp_distance,
+                            center_triplet_loss, cross_entropy, focal_loss, euclidean_distance,
                             pairwise_loss, quadruplet_loss, triplet_loss)
 
 H = LossHyper()  # alpha 0.5, beta 0.25
@@ -31,24 +31,24 @@ def vec_strategy(dim=4):
 
 class TestLpDistance:
     def test_zero_for_equal_vectors(self):
-        assert lp_distance(t(1.0, 2.0), t(1.0, 2.0)).item() == 0.0
+        assert euclidean_distance(t(1.0, 2.0), t(1.0, 2.0)).item() == 0.0
 
     def test_pythagorean(self):
-        assert abs(lp_distance(t(0.0, 0.0), t(3.0, 4.0)).item() - 5.0) < TOL
+        assert abs(euclidean_distance(t(0.0, 0.0), t(3.0, 4.0)).item() - 5.0) < TOL
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            lp_distance(t(1.0), t(1.0, 2.0))
+            euclidean_distance(t(1.0), t(1.0, 2.0))
 
     def test_zero_coordinate_is_not_a_kink(self):
         # x - y = (2, 0, 0): t^2 is smooth at t = 0, so the distance is
         # differentiable here and the zero coordinates get gradient 0.
         x0 = np.array([3.0, 1.0, -1.0])
         y = np.array([1.0, 1.0, -1.0])
-        err = finite_diff_check(lambda x: lp_distance(x, Tensor(y)), [x0])
+        err = finite_diff_check(lambda x: euclidean_distance(x, Tensor(y)), [x0])
         assert err < 1e-8
         x = Tensor(x0.copy(), requires_grad=True)
-        lp_distance(x, Tensor(y)).backward()
+        euclidean_distance(x, Tensor(y)).backward()
         np.testing.assert_allclose(x.grad, [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -226,8 +226,8 @@ def test_triplet_nonnegative_and_hinge_condition(a, p, n):
     fa, fp, fn = t(*a), t(*p), t(*n)
     v = triplet_loss(fa, fp, fn, H).item()
     assert v >= 0.0
-    d_ap = lp_distance(fa, fp).item()
-    d_an = lp_distance(fa, fn).item()
+    d_ap = euclidean_distance(fa, fp).item()
+    d_an = euclidean_distance(fa, fn).item()
     if d_an >= d_ap + H.alpha:
         assert v == 0.0
     else:
@@ -393,11 +393,11 @@ def test_losses_match_finite_differences_at_random_points():
     assert checks >= 12
 
 
-def test_lp_distance_rows_matches_scalar_path():
+def test_distance_rows_matches_scalar_path():
     rng = np.random.default_rng(10)
     x, y = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
-    rows = lp_distance_rows(Tensor(x), Tensor(y)).data
-    scalars = [lp_distance(Tensor(x[i]), Tensor(y[i])).item() for i in range(7)]
+    rows = distance_rows(Tensor(x), Tensor(y)).data
+    scalars = [euclidean_distance(Tensor(x[i]), Tensor(y[i])).item() for i in range(7)]
     np.testing.assert_allclose(rows, scalars, atol=1e-12)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tricenter import sampling
-from tricenter.distance import BLOCK_FLOATS, lp_cdist, lp_norm
+from tricenter.distance import BLOCK_FLOATS, euclidean_cdist, euclidean_norm
 from tricenter.errors import ContractError
 from tricenter.evaluation import compactness
 from tricenter.losses import LossHyper
@@ -140,7 +140,7 @@ def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> list:
     Returns (anchor_slot, partner_class, same) units mirroring the
     all-qualifying-negatives rule of the center triplet stage.
     """
-    d = lp_cdist(np.asarray(embeddings, dtype=np.float64), centers)
+    d = euclidean_cdist(np.asarray(embeddings, dtype=np.float64), centers)
     labels = batch.labels
     units = []
     for a in range(len(labels)):
@@ -400,7 +400,7 @@ def test_too_few_classes_still_rejected():
 # -- the distance kernel --------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_lp_cdist_equals_the_naive_formula_exactly(seed):
+def test_euclidean_cdist_equals_the_naive_formula_exactly(seed):
     rng = np.random.default_rng(60 + seed)
     # (rows of a, rows of b, D): one block; several blocks with a ragged last
     # one; a single row over the block budget; no rows at all
@@ -409,20 +409,20 @@ def test_lp_cdist_equals_the_naive_formula_exactly(seed):
     for n, m, dim in shapes:
         a, b = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
         naive = (np.abs(a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2) ** 0.5
-        got = lp_cdist(a, b)
+        got = euclidean_cdist(a, b)
         assert got.shape == (n, m) and got.dtype == naive.dtype
         assert got.tobytes() == naive.tobytes()
-    # lp_cdist(a, a) computes the upper triangle and mirrors it: one block;
+    # euclidean_cdist(a, a) computes the upper triangle and mirrors it: one block;
     # several blocks with a ragged last one; a single row; no rows at all
     assert 300 * 300 * 16 > 2 * BLOCK_FLOATS and 300 % (BLOCK_FLOATS // (300 * 16))
     for n, dim in [(9, 37), (300, 16), (1, 37), (0, 37)]:
         a = rng.normal(size=(n, dim))
         naive = (np.abs(a[:, None, :] - a[None, :, :]) ** 2).sum(axis=2) ** 0.5
-        got = lp_cdist(a, a)
+        got = euclidean_cdist(a, a)
         assert got.shape == (n, n) and got.tobytes() == naive.tobytes()
         assert got.tobytes() == got.T.copy().tobytes()
     a, b = rng.normal(size=(2, 37)), rng.normal(size=(2, 37))
-    assert lp_norm(a[0] - b[0]) == (np.abs(a[0] - b[0]) ** 2).sum() ** 0.5
+    assert euclidean_norm(a[0] - b[0]) == (np.abs(a[0] - b[0]) ** 2).sum() ** 0.5
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -149,8 +149,6 @@ def test_a_stage_two_that_mines_nothing_converges_early(center_mode):
 # 1+2 epochs, so that a second stage-2 epoch can skip its center refresh.
 CONFIG_PATHS = {
     "computed": (dict(), lambda r, cfg, ds: r.head is None and len(r.center_refreshes) == 2),
-    "uncentered": (dict(centered=False),
-                   lambda r, cfg, ds: not r.center_refreshes and len(r.stage2_losses) == 2),
     "no_refresh": (dict(stage2=Stage2Config(epochs=2, refresh_each_epoch=False)),
                    lambda r, cfg, ds: len(r.center_refreshes) == 1),
     "trainable": (dict(stage2=Stage2Config(epochs=2, center_mode="trainable")),
@@ -176,6 +174,18 @@ def test_the_stage1_extractor_is_a_copy_that_stage_two_leaves_alone(dataset, cen
     for got, want, last in zip(copied, stage1_only.extractor.parameters(), trained):
         assert np.array_equal(got.data, want.data)
         assert not np.array_equal(got.data, last.data)
+
+
+def test_a_longer_stage1_without_stage2_continues_the_shorter_run(dataset):
+    """A stage-1-only run of a + b epochs repeats the a-epoch run, then trains
+    on: plain triplet at a two-stage budget shares that budget's stage 1."""
+    short = run_two_stage(config(stage1=Stage1Config(epochs=3, m_per_class=4),
+                                 stage2=Stage2Config(epochs=0)), dataset)
+    long = run_two_stage(config(stage1=Stage1Config(epochs=5, m_per_class=4),
+                                stage2=Stage2Config(epochs=0)), dataset)
+    assert len(long.stage1_losses) == 5 and long.stage1_losses[:3] == short.stage1_losses
+    assert not long.stage2_losses and not long.center_refreshes
+    assert long.centers.mode == "computed" and long.centers.source_epoch == 0
 
 
 # The overflow that makes the loss non-finite warns first.
