@@ -9,8 +9,8 @@ Public API (``__all__``); everything else is imported from its module:
 
 - running: run_method, run_holdout, run_crossval, RunRecord
 - predicting: predict, compute_centers, CenterTable, evaluate_record
-- configs: TrainConfig, Stage1Config, Stage2Config, LossHyper,
-  OptimizerConfig, and the INI file's RunSettings via load_settings
+- configs: TrainConfig, Stage1Config, Stage2Config, LossHyper, and the
+  INI file's RunSettings via load_settings
 - datasets: Dataset, preset_spec, gen_gaussian_imbalanced, load_csv, save_csv
 - checkpoints: Checkpoint, save_checkpoint, load_checkpoint
 - errors: ContractError, DataFormatError, DivergenceError, ShapeError
@@ -22,14 +22,13 @@ from .datasets import Dataset, gen_gaussian_imbalanced, load_csv, preset_spec, s
 from .errors import ContractError, DataFormatError, DivergenceError, ShapeError
 from .losses import LossHyper
 from .nn import Checkpoint, load_checkpoint, save_checkpoint
-from .training import (OptimizerConfig, RunRecord, Stage1Config, Stage2Config,
-                       TrainConfig, run_method)
+from .training import RunRecord, Stage1Config, Stage2Config, TrainConfig, run_method
 from .workflows import evaluate_record, predict, run_crossval, run_holdout
 
 __all__ = [
     "run_method", "run_holdout", "run_crossval", "RunRecord",
     "predict", "compute_centers", "CenterTable", "evaluate_record",
-    "TrainConfig", "Stage1Config", "Stage2Config", "LossHyper", "OptimizerConfig",
+    "TrainConfig", "Stage1Config", "Stage2Config", "LossHyper",
     "RunSettings", "load_settings",
     "Dataset", "preset_spec", "gen_gaussian_imbalanced", "load_csv", "save_csv",
     "Checkpoint", "save_checkpoint", "load_checkpoint",

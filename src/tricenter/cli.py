@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,11 +51,16 @@ def _write_report(out: Path, report, title: str, prefix: str = ""):
 def _setup(args, config) -> tuple[RunSettings, Dataset]:
     """The settings of the ``config`` file with the --data, --seed (and --k)
     overrides, and the dataset.  The data source is recorded as an absolute
-    path, so the config echo reruns from any directory."""
+    path, so the config echo reruns from any directory; a path that an INI
+    value cannot hold is refused."""
     settings = load_settings(config)
     source = args.data or settings.data_source
     if source:
-        settings = replace(settings, data_source=os.path.abspath(source))
+        source = os.path.abspath(source)
+        if source != source.strip() or re.search(r"[\r\n]|\s[#;]", source):
+            raise ContractError(f"data path {source!r} cannot be echoed: an INI value ends at a "
+                                "line break or a '#' or ';' after whitespace, and is stripped")
+        settings = replace(settings, data_source=source)
     if args.seed is not None:
         settings = replace(settings, train=replace(settings.train, seed=args.seed))
     if getattr(args, "k", None) is not None:
@@ -82,10 +88,6 @@ def cmd_train(args) -> int:
     scored = "holdout" if settings.holdout_fraction > 0 else "training-set"
 
     _write(out / "config.echo.ini", echo_settings(settings))
-    if record.stage1_extractor is not None:
-        save_checkpoint(out / "stage1.ckpt", Checkpoint(
-            extractor=record.stage1_extractor, epoch=len(record.stage1_losses),
-            config_fingerprint=record.config_fingerprint))
     save_checkpoint(out / "final.ckpt", Checkpoint(
         extractor=record.extractor, epoch=len(record.stage1_losses) + len(record.stage2_losses),
         config_fingerprint=record.config_fingerprint, head=record.head,

@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 
 from .errors import ContractError
 from .losses import LossHyper
-from .training import OptimizerConfig, Stage1Config, Stage2Config, TrainConfig
+from .training import Stage1Config, Stage2Config, TrainConfig
 
 
 @dataclass
@@ -88,7 +88,7 @@ _SCHEMA = tuple((section, key, attr, _parser(attr)) for section, key, attr in [
     *_rows("stage1", "train.stage1.", Stage1Config),
     *_rows("stage2", "train.stage2.", Stage2Config),
     *_rows("hyper", "train.hyper.", LossHyper),
-    *_rows("optimizer", "train.optimizer.", OptimizerConfig),
+    ("optimizer", "lr", "train.lr"),
     ("baseline", "epochs", "train.baseline_epochs"),
     ("baseline", "batch_size", "train.baseline_batch_size"),
     ("baseline", "focal_gamma", "train.focal_gamma"),

@@ -93,23 +93,12 @@ class LinearHead:
     __call__ = forward
 
 
-@dataclass
-class OptimizerConfig:
-    """Adam's learning rate, moment decays and epsilon."""
-
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.99
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lr) and self.lr > 0 and math.isfinite(self.epsilon)
-                and self.epsilon > 0 and 0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ContractError(f"optimizer settings out of range: {self}")
+BETA1, BETA2, EPSILON = 0.9, 0.99, 1e-8  # Adam's moment decays and epsilon
 
 
 class Adam:
-    """Bias-corrected Adam over a list of parameter Tensors.
+    """Bias-corrected Adam over a list of parameter Tensors, at learning rate
+    ``lr`` with moment decays ``BETA1`` and ``BETA2`` and epsilon ``EPSILON``.
 
     Both moments live in one flat vector over all parameters (in list
     order), so each step runs its elementwise passes once, not once per
@@ -117,13 +106,15 @@ class Adam:
     in the same order, as in a per-parameter update.
     """
 
-    def __init__(self, params, settings: OptimizerConfig):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         if not self.params:
             raise ContractError("Adam needs at least one parameter")
         if len({id(p) for p in self.params}) != len(self.params):
             raise ContractError("Adam got the same parameter twice")
-        self.settings = settings
+        if not (math.isfinite(lr) and lr > 0):
+            raise ContractError(f"Adam's lr must be finite and positive, got {lr}")
+        self.lr = lr
         self.step_count = 0
         size = sum(p.data.size for p in self.params)
         self.first_moment = np.zeros(size)
@@ -147,19 +138,18 @@ class Adam:
                 raise ShapeError("gradient shape does not match parameter shape")
         self.step_count += 1
         t = self.step_count
-        s = self.settings
-        c1 = 1.0 - s.beta1 ** t
-        c2 = 1.0 - s.beta2 ** t
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
         g = np.concatenate([p.grad.ravel() for p in self.params])
         m, v = self.first_moment, self.second_moment
         step, denom = self._scratch
-        m *= s.beta1
-        m += np.multiply(1.0 - s.beta1, g, out=step)
-        v *= s.beta2
-        v += np.multiply(1.0 - s.beta2, np.multiply(g, g, out=g), out=g)
-        # data - lr * (m / c1) / (sqrt(v / c2) + epsilon), evaluated in place
-        np.multiply(s.lr, np.divide(m, c1, out=step), out=step)
-        np.add(np.sqrt(np.divide(v, c2, out=denom), out=denom), s.epsilon, out=denom)
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=step)
+        v *= BETA2
+        v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=g), out=g)
+        # data - lr * (m / c1) / (sqrt(v / c2) + EPSILON), evaluated in place
+        np.multiply(self.lr, np.divide(m, c1, out=step), out=step)
+        np.add(np.sqrt(np.divide(v, c2, out=denom), out=denom), EPSILON, out=denom)
         np.divide(step, denom, out=step)
         data = np.concatenate([p.data.ravel() for p in self.params])
         np.subtract(data, step, out=data)
@@ -247,8 +237,10 @@ def _header_fields(header: dict, path):
     if not (isinstance(extractor, dict) and isinstance(extractor.get("layer_sizes"), list)
             and len(extractor["layer_sizes"]) >= 2
             and all(_count(s, 1) for s in extractor["layer_sizes"])
-            and isinstance(extractor.get("activation"), str)):
-        raise malformed("extractor must hold >= 2 positive integer layer_sizes and an activation name")
+            and isinstance(extractor.get("activation"), str)
+            and extractor["activation"] in ACTIVATIONS):
+        raise malformed("extractor must hold >= 2 positive integer layer_sizes and an activation "
+                        f"in {sorted(ACTIVATIONS)}")
     if head is not None and not (isinstance(head, dict) and _count(head.get("n_classes"), 1)):
         raise malformed("head must be null or hold a positive integer n_classes")
     if centers is not None and not (isinstance(centers, dict)
@@ -256,6 +248,9 @@ def _header_fields(header: dict, path):
                                     and _count(centers.get("n_classes"), 1)):
         raise malformed(f"centers must be null or an object with a mode in {CENTER_MODES} "
                         "and a positive integer n_classes")
+    if centers is not None and not (centers.get("source_epoch") is None
+                                    or _count(centers["source_epoch"])):
+        raise malformed("centers.source_epoch must be null or a non-negative integer")
     if centers is not None and not (_count(centers.get("p_norm")) and centers["p_norm"] == 2):
         raise malformed(f"centers.p_norm is {centers.get('p_norm')!r}, "
                         "but every distance is Euclidean (2)")

@@ -19,7 +19,6 @@ qualifies); stage-1 miners and the baselines score every valid batch.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import time
@@ -34,8 +33,8 @@ from .centers import CENTER_MODES, CenterTable, compute_centers
 from .datasets import Dataset
 from .errors import ContractError, DivergenceError
 from .losses import LossHyper
-from .nn import (ACTIVATIONS, Adam, FeatureExtractor, LinearHead, OptimizerConfig,
-                 config_fingerprint, params_fingerprint)
+from .nn import (ACTIVATIONS, Adam, FeatureExtractor, LinearHead, config_fingerprint,
+                 params_fingerprint)
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +85,7 @@ class TrainConfig:
     stage1: Stage1Config = field(default_factory=Stage1Config)
     stage2: Stage2Config = field(default_factory=Stage2Config)
     hyper: LossHyper = field(default_factory=LossHyper)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    lr: float = 1e-4  # Adam's learning rate
     seed: int = 0
     embedding_dim: int = 128
     hidden: tuple = (64, 64)
@@ -101,6 +100,8 @@ class TrainConfig:
             raise ContractError(f"unknown method {self.method!r}")
         if self.loss_family not in _FAMILIES:
             raise ContractError(f"unknown loss family {self.loss_family!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractError(f"lr must be finite and positive, got {self.lr}")
         if self.hyper.beta < 0:
             raise ContractError(f"beta must be >= 0, got {self.hyper.beta}")
         if self.loss_family == "quadruplet":
@@ -144,7 +145,6 @@ class RunRecord:
     stage1_epoch_times: list = field(default_factory=list)
     stage2_epoch_times: list = field(default_factory=list)
     center_refreshes: list = field(default_factory=list)  # (epoch, source params fingerprint)
-    stage1_extractor: FeatureExtractor | None = None  # a copy of the extractor right after stage 1
     status: str = "completed"
 
 
@@ -279,7 +279,7 @@ def run_stage1(config: TrainConfig, dataset: Dataset, record: RunRecord,
     _require_classes(config, dataset)
     dataset.index.require_nonempty_classes()
     extractor = record.extractor
-    opt = Adam(extractor.parameters(), config.optimizer)
+    opt = Adam(extractor.parameters(), config.lr)
     batch_size = dataset.n_classes * s1.m_per_class
     n_batches = max(1, math.ceil(dataset.features.shape[0] / batch_size))
 
@@ -312,8 +312,7 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
         centers = record.centers = CenterTable(Tensor(rows, requires_grad=True), "trainable")
         params = params + [centers.table]
 
-    optimizer = config.optimizer if s2.lr is None else replace(config.optimizer, lr=s2.lr)
-    opt = Adam(params, optimizer)
+    opt = Adam(params, config.lr if s2.lr is None else s2.lr)
 
     def epoch_plans(epoch):
         nonlocal centers
@@ -340,7 +339,6 @@ def run_two_stage(config: TrainConfig, dataset: Dataset) -> RunRecord:
     """
     rng, record = _start(config, dataset)
     run_stage1(config, dataset, record, rng)
-    record.stage1_extractor = copy.deepcopy(record.extractor)
     if config.stage2.epochs > 0:
         run_stage2(config, dataset, record, rng)
 
@@ -371,7 +369,7 @@ def run_baseline(config: TrainConfig, dataset: Dataset) -> RunRecord:
     if epochs is None:
         epochs = config.stage1.epochs + config.stage2.epochs
     extractor, head = record.extractor, record.head
-    opt = Adam(extractor.parameters() + head.parameters(), config.optimizer)
+    opt = Adam(extractor.parameters() + head.parameters(), config.lr)
 
     def epoch_plans(epoch):
         order = sampling.oversample_indices(dataset.index, rng) if strategy == "oce" else None

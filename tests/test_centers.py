@@ -7,7 +7,7 @@ from tricenter.centers import CenterTable, compute_centers, embed_all, nearest_c
 from tricenter.distance import BLOCK_FLOATS
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper, triplet_loss_mean
-from tricenter.nn import Adam, FeatureExtractor, OptimizerConfig
+from tricenter.nn import Adam, FeatureExtractor
 from tricenter.sampling import DatasetIndex
 
 from gradcheck import finite_diff_check
@@ -73,7 +73,7 @@ class TestTrainableCenters:
         draws = np.random.default_rng(7).standard_normal((3, 2))
         table = CenterTable(Tensor(draws, requires_grad=True), "trainable")
         before = table.matrix.copy()
-        opt = Adam([table.table], OptimizerConfig(lr=0.01))
+        opt = Adam([table.table], 0.01)
         anchor = Tensor(np.array([[5.0, 5.0]]))
         # Row 1 (the anchor-class center) is farther from the anchor than
         # row 0 (the negative center), so the hinge is active and the table

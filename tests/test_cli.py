@@ -117,6 +117,22 @@ def test_the_config_echo_of_a_relative_data_path_reruns_from_another_directory(
         assert (work / "rel" / name).read_bytes() == (tmp_path / "rerun" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("command", ["train", "crossval"])
+def test_a_data_path_the_config_echo_cannot_hold_is_an_error(tmp_path, capsys, command):
+    """An INI value ends at a "#" after whitespace: echoed as it is, this
+    path would rerun from ".../my"."""
+    data = tmp_path / "my #1" / "dataset.csv"
+    assert cli.main(["gen-data", "--preset", "skin7-like", "--out", str(data.parent)]) == 0
+    config = write_ini(tmp_path / "config.ini", SHORT)
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: data path {str(data)!r} cannot be echoed") and err.count("\n") == 1
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_predicts_by_the_nearest_euclidean_center(tmp_path, monkeypatch):
     assert cli.main(["gen-data", "--preset", "skin7-like", "--seed", "3", "--out", str(tmp_path)]) == 0
     data = tmp_path / "dataset.csv"
@@ -256,27 +272,14 @@ def test_malformed_inputs_report_an_error_without_traceback(tmp_path, config, cs
     assert not (tmp_path / "out").exists()
 
 
-def test_stage1_checkpoint_holds_the_parameters_right_after_stage_1(tmp_path):
-    runs = {}
-    for stage2_epochs in (2, 0):
-        config = tmp_path / f"config{stage2_epochs}.ini"
-        config.write_text("[run]\nseed = 5\n[data]\npreset = skin7-like\n"
-                          "[model]\nembedding_dim = 8\nhidden = 12\n"
-                          f"[stage1]\nepochs = 3\nm_per_class = 4\n[stage2]\nepochs = {stage2_epochs}\n")
-        out = tmp_path / f"run{stage2_epochs}"
-        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
-        runs[stage2_epochs] = out
-    stage1 = load_checkpoint(runs[2] / "stage1.ckpt")
-    final = load_checkpoint(runs[2] / "final.ckpt")
-    after_stage1 = load_checkpoint(runs[0] / "final.ckpt")
-    assert stage1.epoch == 3 and final.epoch == 5
-    assert stage1.config_fingerprint == final.config_fingerprint
-    assert stage1.head is None and stage1.centers is None
-    assert stage1.extractor.layer_sizes == final.extractor.layer_sizes == [16, 12, 8]
-    for got, want, trained in zip(stage1.extractor.parameters(), after_stage1.extractor.parameters(),
-                                  final.extractor.parameters()):
-        np.testing.assert_array_equal(got.data, want.data)
-        assert not np.array_equal(got.data, trained.data)
+def test_train_writes_the_echo_the_final_checkpoint_the_reports_and_the_log(tmp_path):
+    """No stage-1 checkpoint: the ``[stage2] epochs = 0`` run at the same seed
+    holds that model, with centers that eval can score."""
+    config = write_ini(tmp_path / "config.ini", SHORT)
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "config.echo.ini", "final.ckpt", "metrics.txt", "per_class.csv", "run_record.txt",
+        "train.log"]
 
 
 SHORT = {"data": {"preset": "skin7-like"}, "stage1": {"epochs": "2"}, "stage2": {"epochs": "2"}}
@@ -355,32 +358,36 @@ def write_ini(path, *layers):
     ({"run": {"loss_family": "pairwise"}, "stage1": {"m_per_class": "0"}},
      "m_per_class must be >= 1, got 0"),
     ({"run": {"seed": "-1"}}, "seed must be >= 0, got -1"),
-    ({"optimizer": {"lr": "nan"}}, "optimizer settings out of range"),
+    ({"optimizer": {"lr": "nan"}}, "lr must be finite and positive, got nan"),
+    ({"optimizer": {"lr": "inf"}}, "lr must be finite and positive, got inf"),
     ({"run": {"method": "baseline:wfce"}, "baseline": {"focal_gamma": "nan"}},
      "focal_gamma must be finite and >= 0, got nan"),
     ({"model": {"activation": "sigmoid"}}, "unknown activation 'sigmoid'"),
     ({"model": {"hidden": "0,8"}}, "hidden widths must be positive integers, got (0, 8)"),
-    ({"optimizer": {"epsilon": "inf"}}, "optimizer settings out of range"),
     ({"stage1": {"lambda_ce": "0.5"}}, "unknown key(s) ['lambda_ce'] in section [stage1]"),
     ({"stage2": {"freeze_layers": "1"}}, "unknown key(s) ['freeze_layers'] in section [stage2]"),
     ({"stage2": {"center_init": "random"}}, "unknown key(s) ['center_init'] in section [stage2]"),
     ({"stage2": {"final_centers": "recomputed"}},
      "unknown key(s) ['final_centers'] in section [stage2]"),
     ({"hyper": {"p_norm": "2"}}, "unknown key(s) ['p_norm'] in section [hyper]"),
+    ({"optimizer": {"beta1": "0.9"}}, "unknown key(s) ['beta1'] in section [optimizer]"),
+    ({"optimizer": {"beta2": "0.99"}}, "unknown key(s) ['beta2'] in section [optimizer]"),
+    ({"optimizer": {"epsilon": "inf"}}, "unknown key(s) ['epsilon'] in section [optimizer]"),
 ], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "negative_beta",
         "negative_stage2_lr", "quadruplet_stage2_alpha_below_beta",
         "quadruplet_alpha_at_beta", "negative_baseline_epochs", "triplet_one_per_class",
         "quadruplet_one_per_class", "pairwise_zero_per_class",
-        "negative_seed", "nan_optimizer_lr", "nan_focal_gamma", "unknown_activation",
-        "zero_hidden_width", "inf_optimizer_epsilon", "removed_lambda_ce", "removed_freeze_layers",
-        "removed_center_init", "removed_final_centers", "removed_p_norm"])
+        "negative_seed", "nan_optimizer_lr", "inf_optimizer_lr", "nan_focal_gamma",
+        "unknown_activation", "zero_hidden_width", "removed_lambda_ce", "removed_freeze_layers",
+        "removed_center_init", "removed_final_centers", "removed_p_norm", "removed_beta1",
+        "removed_beta2", "removed_epsilon"])
 def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sections, message):
     config = write_ini(tmp_path / "config.ini", SHORT, sections)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: ")
     assert message in err
-    assert not (tmp_path / "out").exists()  # no stage1.ckpt or final.ckpt, not even the echo
+    assert not (tmp_path / "out").exists()  # no final.ckpt, not even the echo
 
 
 # A sweep is a crossval over INIs that differ in one key.

@@ -44,9 +44,6 @@ beta = 0.3
 
 [optimizer]
 lr = 0.0005
-beta1 = 0.8
-beta2 = 0.95
-epsilon = 1e-07
 
 [baseline]
 epochs = 7
@@ -97,9 +94,6 @@ beta = 0.25
 
 [optimizer]
 lr = 0.0001
-beta1 = 0.9
-beta2 = 0.99
-epsilon = 1e-08
 
 [baseline]
 batch_size = 32
@@ -123,8 +117,8 @@ def test_default_echo_is_pinned(tmp_path):
     assert echo_settings(load_settings(write(tmp_path, DEFAULT))) == DEFAULT_ECHO
 
 
-@pytest.mark.parametrize("text, fingerprint", [(DEFAULT, "bb368b981252841e"),
-                                               (NON_DEFAULT, "4016d6d7956c0dbb")],
+@pytest.mark.parametrize("text, fingerprint", [(DEFAULT, "86b5e4aa344be019"),
+                                               (NON_DEFAULT, "9edc478ebfd13a44")],
                          ids=["default", "non_default"])
 def test_config_fingerprints_are_pinned(tmp_path, text, fingerprint):
     """Checkpoint headers carry this hash; a schema refactor must not move it."""
@@ -134,7 +128,7 @@ def test_config_fingerprints_are_pinned(tmp_path, text, fingerprint):
 def test_non_default_config_is_read_as_written(tmp_path):
     settings = load_settings(write(tmp_path, NON_DEFAULT))
     t = settings.train
-    assert (t.stage2.alpha, t.stage2.lr, t.baseline_epochs) == (0.7, 0.001, 7)
+    assert (t.stage2.alpha, t.stage2.lr, t.lr, t.baseline_epochs) == (0.7, 0.001, 0.0005, 7)
     assert settings.holdout_fraction == 0.0 and t.hyper.beta == 0.3 and t.hidden == (32,)
     assert t.stage2.refresh_each_epoch is False
 
@@ -181,12 +175,15 @@ def test_a_line_that_is_neither_a_section_nor_a_key_is_named_in_one_line(tmp_pat
     ("hyper", "beta", "-0.1"),
     ("hyper", "p_norm", "2"),
     ("run", "centered", "false"),
+    ("optimizer", "beta1", "0.9"),
+    ("optimizer", "beta2", "0.99"),
+    ("optimizer", "epsilon", "1e-8"),
     ("hyper", "alpha", "nan"),
     ("hyper", "beta", "inf"),
     ("stage2", "alpha", "nan"),
 ], ids=["bool", "bool_digit", "int", "int_float", "float", "float_suffix",
-        "negative_alpha", "negative_beta", "removed_p_norm", "removed_centered", "nan_alpha",
-        "inf_beta", "nan_stage2_alpha"])
+        "negative_alpha", "negative_beta", "removed_p_norm", "removed_centered", "removed_beta1",
+        "removed_beta2", "removed_epsilon", "nan_alpha", "inf_beta", "nan_stage2_alpha"])
 def test_bad_values_raise_contract_error(tmp_path, section, key, value):
     text = f"[data]\npreset = skin7-like\n[{section}]\n{key} = {value}\n"
     with pytest.raises(ContractError):

@@ -23,7 +23,7 @@ from tricenter.centers import CenterTable
 from tricenter.errors import ContractError, ShapeError
 from tricenter.losses import (LossHyper, cross_entropy_mean, quadruplet_loss_mean,
                               triplet_loss_mean)
-from tricenter.nn import Adam, FeatureExtractor, LinearHead, OptimizerConfig
+from tricenter.nn import BETA1, BETA2, EPSILON, Adam, FeatureExtractor, LinearHead
 
 from gradcheck import HingeKinkError, finite_diff_check
 from scalar_oracles import log
@@ -83,10 +83,9 @@ def log_softmax_pick_chain(logits, labels):
 class LoopAdam:
     """Adam with one moment pair per parameter, updated parameter by parameter."""
 
-    def __init__(self, params, settings):
+    def __init__(self, params, lr):
         self.params = list(params)
-        self.lr, self.beta1 = settings.lr, settings.beta1
-        self.beta2, self.epsilon = settings.beta2, settings.epsilon
+        self.lr = lr
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
@@ -94,17 +93,17 @@ class LoopAdam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        c1 = 1.0 - BETA1 ** t
+        c2 = 1.0 - BETA2 ** t
         for i, p in enumerate(self.params):
             g = p.grad
             m = self.first_moment[i]
             v = self.second_moment[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
 
 
 # -- helpers ------------------------------------------------------------------
@@ -363,7 +362,7 @@ def test_flat_adam_matches_per_parameter_loop(freeze_layers):
         frozen = [p for p in extractor.parameters() if all(p is not q for q in params)]
         frozen_data = [p.data for p in frozen]
         assert len(frozen) == 2 * freeze_layers
-        opt = optimizer(params, OptimizerConfig(lr=0.01, beta1=0.8, beta2=0.95, epsilon=1e-6))
+        opt = optimizer(params, 0.01)
         steps, read = [], []  # read: (an array read before a step, its values then)
         for step in range(6):
             draw = np.random.default_rng(step)
@@ -397,6 +396,6 @@ def test_flat_adam_matches_per_parameter_loop(freeze_layers):
 def test_adam_rejects_an_empty_or_repeated_parameter_list():
     p = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(ContractError):
-        Adam([], OptimizerConfig())
+        Adam([], 1e-4)
     with pytest.raises(ContractError):
-        Adam([p, p], OptimizerConfig())
+        Adam([p, p], 1e-4)

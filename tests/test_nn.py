@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable
 from tricenter.errors import ContractError, DataFormatError, ShapeError
-from tricenter.nn import (Adam, Checkpoint, FeatureExtractor, LinearHead, OptimizerConfig,
-                          config_fingerprint, load_checkpoint, params_fingerprint,
-                          save_checkpoint)
+from tricenter.nn import (Adam, Checkpoint, FeatureExtractor, LinearHead, config_fingerprint,
+                          load_checkpoint, params_fingerprint, save_checkpoint)
+from tricenter.training import TrainConfig
 
 
 def identity_extractor():
@@ -62,14 +63,14 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         p = Tensor([1.0, -2.0], requires_grad=True)
         p.grad = np.zeros(2)
-        opt = Adam([p], OptimizerConfig(lr=0.1))
+        opt = Adam([p], 0.1)
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
         assert opt.step_count == 1
 
     def test_constant_positive_gradient_decreases_parameter(self):
         p = Tensor([1.0], requires_grad=True)
-        opt = Adam([p], OptimizerConfig(lr=0.01))
+        opt = Adam([p], 0.01)
         values = [p.data.item()]
         for _ in range(50):
             p.grad = np.array([2.5])
@@ -78,13 +79,14 @@ class TestAdam:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_first_step_matches_hand_recurrence(self):
-        # Scalar Adam oracle computed independently of the implementation.
+        # Scalar Adam oracle computed independently of the implementation,
+        # at the moment decays and epsilon that Adam fixes.
         lr, b1, b2, eps, g = 1e-4, 0.9, 0.99, 1e-8, 0.37
         m = (1 - b1) * g
         v = (1 - b2) * g * g
         expected_delta = lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
         p = Tensor([0.0], requires_grad=True)
-        opt = Adam([p], OptimizerConfig(lr=lr, beta1=b1, beta2=b2, epsilon=eps))
+        opt = Adam([p], lr)
         p.grad = np.array([g])
         opt.step()
         np.testing.assert_allclose(-p.data.item(), expected_delta, rtol=1e-12)
@@ -93,23 +95,22 @@ class TestAdam:
 
     def test_missing_gradient_raises(self):
         p = Tensor([1.0], requires_grad=True)
-        opt = Adam([p], OptimizerConfig())
+        opt = Adam([p], 1e-4)
         with pytest.raises(ContractError):
             opt.step()
 
-    @pytest.mark.parametrize("setting", [{"lr": float("nan")}, {"lr": float("inf")},
-                                         {"lr": 0.0}, {"epsilon": float("nan")},
-                                         {"epsilon": float("inf")}, {"epsilon": -1e-8}],
-                             ids=["nan_lr", "inf_lr", "zero_lr", "nan_epsilon", "inf_epsilon",
-                                  "negative_epsilon"])
-    def test_a_non_finite_or_non_positive_lr_or_epsilon_is_rejected(self, setting):
-        with pytest.raises(ContractError, match="optimizer settings out of range"):
-            OptimizerConfig(**setting)
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0],
+                             ids=["nan_lr", "inf_lr", "zero_lr"])
+    def test_a_non_finite_or_non_positive_lr_is_rejected(self, lr):
+        with pytest.raises(ContractError, match="lr must be finite and positive"):
+            Adam([Tensor([1.0], requires_grad=True)], lr)
+        with pytest.raises(ContractError, match="lr must be finite and positive"):
+            TrainConfig(lr=lr)
 
     def test_grads_untouched_by_step(self):
         p = Tensor([1.0], requires_grad=True)
         p.grad = np.array([0.5])
-        Adam([p], OptimizerConfig(lr=0.1)).step()
+        Adam([p], 0.1).step()
         np.testing.assert_array_equal(p.grad, [0.5])
 
 
@@ -223,16 +224,24 @@ class TestCheckpoint:
         lambda h: h["centers"].update(n_classes=0),
         lambda h: h["centers"].update(mode="learned"),
         lambda h: h["centers"].pop("mode"),
+        lambda h: h["extractor"].update(activation="sigmoid"),
+        lambda h: h["centers"].update(source_epoch="abc"),
+        lambda h: h["centers"].update(source_epoch=1.5),
+        lambda h: h["centers"].update(source_epoch=True),
+        lambda h: h["centers"].update(source_epoch=-7),
+        lambda h: h["centers"].update(source_epoch=[1]),
     ], ids=["extractor_key", "centers_type", "head_type", "head_classes_type", "epoch_type",
             "layer_sizes_type", "layer_sizes_short", "activation_type", "p_norm_type",
             "p_norm_zero", "p_norm_bool", "p_norm_float", "p_norm_two_as_float",
             "p_norm_missing",
             "center_classes_missing", "center_classes_type", "center_classes_zero",
-            "center_mode_unknown", "center_mode_missing"])
+            "center_mode_unknown", "center_mode_missing", "activation_unknown",
+            "source_epoch_text", "source_epoch_float", "source_epoch_bool",
+            "source_epoch_negative", "source_epoch_list"])
     def test_malformed_header_fields_raise_data_format_error(self, tmp_path, edit):
         path, blob = self._saved(tmp_path)
         path.write_bytes(self._with_header(blob, edit))
-        with pytest.raises(DataFormatError, match="malformed checkpoint header"):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: malformed checkpoint header"):
             load_checkpoint(path)
 
     def test_a_checkpoint_written_before_the_metric_was_fixed_loads_and_saves_unchanged(
