@@ -1,8 +1,9 @@
 """Command-line interface: gen-data, train, eval, crossval.
 
-Every command takes its settings from an INI config file (see config.py),
-with --data and --seed overriding the configured source and seed; the config
-echo records the overrides, so a rerun from it repeats the run.  crossval
+train and crossval take their settings from an INI config file (see
+config.py), with --data and --seed overriding the configured source and seed;
+the config echo records the overrides, so a rerun from it repeats the run.
+gen-data and eval read no config: their flags are all they take.  crossval
 takes --config more than once and cross-validates each config as it would
 alone, all of their folds in one pool: config i writes its artifacts under
 --out/i, and --out/crossval.csv holds one row per config.  All artifacts are
@@ -152,10 +153,14 @@ class _Parser(argparse.ArgumentParser):
         raise ContractError(message)
 
 
-def positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+def positive_int(text: str, low: int = 1) -> int:
+    if int(text) < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
     return int(text)
+
+
+def fold_count(text: str) -> int:
+    return positive_int(text, 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossval", parents=[run],
                        help="stratified k-fold cross-validation of one or more configs")
     p.add_argument("--config", required=True, action="append", help="repeat to cross-validate several")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=fold_count)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_crossval)
     return parser

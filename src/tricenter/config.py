@@ -84,14 +84,13 @@ _SCHEMA = tuple((section, key, attr, _parser(attr)) for section, key, attr in [
     ("data", "source", "data_source"),
     ("data", "preset", "data_preset"),
     *_rows("data", "", ["holdout_fraction", "small_class_threshold"]),
-    *_rows("model", "train.", ["embedding_dim", "hidden", "activation"]),
+    *_rows("model", "train.", ["embedding_dim", "hidden"]),
     *_rows("stage1", "train.stage1.", Stage1Config),
     *_rows("stage2", "train.stage2.", Stage2Config),
     *_rows("hyper", "train.hyper.", LossHyper),
     ("optimizer", "lr", "train.lr"),
     ("baseline", "epochs", "train.baseline_epochs"),
     ("baseline", "batch_size", "train.baseline_batch_size"),
-    ("baseline", "focal_gamma", "train.focal_gamma"),
     *_rows("eval", "", ["k_folds"]),
 ])
 _KEYS_OF = {section: {key for _, key, _, _ in rows}

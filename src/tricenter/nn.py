@@ -14,8 +14,6 @@ from .autodiff import Tensor
 from .centers import CENTER_MODES, CenterTable
 from .errors import ContractError, DataFormatError, ShapeError
 
-ACTIVATIONS = {"relu": Tensor.relu, "tanh": Tensor.tanh}
-
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     s = np.sqrt(6.0 / (fan_in + fan_out))
@@ -26,19 +24,17 @@ class FeatureExtractor:
     """MLP mapping input rows to embedding rows.
 
     ``layer_sizes`` runs from the input width to the embedding dimension.
-    The named activation is applied between layers; the embedding layer has
-    no activation and embeddings are not normalized.
+    tanh is applied between layers: bounded hiddens keep the hinge losses
+    stable.  The embedding layer has no activation and embeddings are not
+    normalized.
     """
 
-    def __init__(self, layer_sizes, activation: str = "relu", rng: np.random.Generator | None = None):
+    def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         if len(layer_sizes) < 2 or any(int(s) < 1 for s in layer_sizes):
             raise ContractError(f"layer_sizes must hold >= 2 positive extents, got {layer_sizes}")
-        if activation not in ACTIVATIONS:
-            raise ContractError(f"unknown activation {activation!r}")
         if rng is None:
             rng = np.random.default_rng(0)
         self.layer_sizes = [int(s) for s in layer_sizes]
-        self.activation = activation
         self.weights = []
         self.biases = []
         for n_in, n_out in zip(self.layer_sizes, self.layer_sizes[1:]):
@@ -63,13 +59,12 @@ class FeatureExtractor:
         if batch.data.ndim != 2 or batch.data.shape[1] != self.in_dim:
             raise ShapeError(
                 f"expected batch of shape [B, {self.in_dim}], got {batch.data.shape}")
-        act = ACTIVATIONS[self.activation]
         x = batch
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             x = x.affine(w, b)
             if i != last:
-                x = act(x)
+                x = x.tanh()
         return x
 
     __call__ = forward
@@ -169,7 +164,8 @@ class Adam:
 #   bytes 8..8+H utf-8 JSON header: version, epoch, config_fingerprint,
 #                extractor {layer_sizes, activation}, head {n_classes} or null,
 #                centers {mode, source_epoch, p_norm, n_classes} or null, where
-#                p_norm is always 2: every distance is Euclidean
+#                activation is always "tanh" (every extractor is tanh) and
+#                p_norm is always 2 (every distance is Euclidean)
 #   remainder    the extractor's parameters(), then the head's, then the
 #                center matrix, as raw little-endian float64 in C order
 # The header states the topology once; every array's shape follows from it.
@@ -204,7 +200,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "epoch": int(ckpt.epoch),
         "config_fingerprint": ckpt.config_fingerprint,
         "extractor": {"layer_sizes": ckpt.extractor.layer_sizes,
-                      "activation": ckpt.extractor.activation},
+                      "activation": "tanh"},
         "head": None if ckpt.head is None else {"n_classes": int(ckpt.head.bias.data.size)},
         "centers": None if ckpt.centers is None else {
             "mode": ckpt.centers.mode, "source_epoch": ckpt.centers.source_epoch,
@@ -236,11 +232,11 @@ def _header_fields(header: dict, path):
         raise malformed(f"missing {exc}") from None
     if not (isinstance(extractor, dict) and isinstance(extractor.get("layer_sizes"), list)
             and len(extractor["layer_sizes"]) >= 2
-            and all(_count(s, 1) for s in extractor["layer_sizes"])
-            and isinstance(extractor.get("activation"), str)
-            and extractor["activation"] in ACTIVATIONS):
-        raise malformed("extractor must hold >= 2 positive integer layer_sizes and an activation "
-                        f"in {sorted(ACTIVATIONS)}")
+            and all(_count(s, 1) for s in extractor["layer_sizes"])):
+        raise malformed("extractor must hold >= 2 positive integer layer_sizes")
+    if extractor.get("activation") != "tanh":
+        raise malformed(f"extractor.activation is {extractor.get('activation')!r}, "
+                        "but every extractor is tanh")
     if head is not None and not (isinstance(head, dict) and _count(head.get("n_classes"), 1)):
         raise malformed("head must be null or hold a positive integer n_classes")
     if centers is not None and not (isinstance(centers, dict)
@@ -264,7 +260,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     A damaged layout (cut or non-JSON header), a header value of the wrong
     type, or a payload whose length is not the one the header's topology
-    implies raises ``DataFormatError``, before any array or module is built.
+    implies raises ``DataFormatError``, before any array or module is built;
+    so does a non-finite payload value, before any module is built.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -298,9 +295,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataFormatError(f"{path}: checkpoint payload holds {len(blob) - offset} bytes "
                               f"where its header's topology needs {8 * sum(counts)}")
     values = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise DataFormatError(f"{path}: checkpoint payload holds non-finite values")
     pieces = [a.reshape(shape) for a, shape in zip(np.split(values, np.cumsum(counts)[:-1]), shapes)]
 
-    extractor = FeatureExtractor(sizes, activation=extractor_meta["activation"])
+    extractor = FeatureExtractor(sizes)
     head = None if n_head_classes is None else LinearHead(sizes[-1], n_head_classes)
     for p, a in zip(extractor.parameters() + ([] if head is None else head.parameters()), pieces):
         p.data = a

@@ -33,12 +33,13 @@ from .centers import CENTER_MODES, CenterTable, compute_centers
 from .datasets import Dataset
 from .errors import ContractError, DivergenceError
 from .losses import LossHyper
-from .nn import (ACTIVATIONS, Adam, FeatureExtractor, LinearHead, config_fingerprint,
-                 params_fingerprint)
+from .nn import Adam, FeatureExtractor, LinearHead, config_fingerprint, params_fingerprint
 
 log = logging.getLogger(__name__)
 
 BASELINES = ("bce", "wce", "oce", "wfce")
+FOCAL_GAMMA = 2.0  # wfce's focusing exponent, the focal-loss default
+STAGE2_BATCH_SIZE = 16  # rows per flat batch of the center stage
 
 
 @dataclass
@@ -59,7 +60,6 @@ class Stage1Config:
 @dataclass
 class Stage2Config:
     epochs: int = 200
-    batch_size: int = 16
     center_mode: str = "computed"  # "computed" | "trainable"
     alpha: float | None = None  # margin override for the center stage
     lr: float | None = None  # learning-rate override for the center stage
@@ -68,8 +68,6 @@ class Stage2Config:
     def __post_init__(self):
         if self.epochs < 0:
             raise ContractError("stage2 epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ContractError("stage2 batch_size must be >= 1")
         if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ContractError(f"stage2 alpha must be finite and nonnegative, got {self.alpha}")
         if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
@@ -89,8 +87,6 @@ class TrainConfig:
     seed: int = 0
     embedding_dim: int = 128
     hidden: tuple = (64, 64)
-    activation: str = "tanh"  # bounded hiddens keep the hinge losses stable
-    focal_gamma: float = 2.0
     baseline_epochs: int | None = None  # default: stage1.epochs + stage2.epochs
     baseline_batch_size: int = 32
 
@@ -116,15 +112,10 @@ class TrainConfig:
             raise ContractError(f"embedding dimension must be a positive integer, got {self.embedding_dim!r}")
         if not all(isinstance(h, (int, np.integer)) and h >= 1 for h in self.hidden):
             raise ContractError(f"hidden widths must be positive integers, got {self.hidden!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ContractError(f"unknown activation {self.activation!r}; expected one of "
-                                f"{sorted(ACTIVATIONS)}")
         if self.baseline_epochs is not None and self.baseline_epochs < 0:
             raise ContractError(f"baseline epochs must be >= 0, got {self.baseline_epochs}")
         if self.baseline_batch_size < 1:
             raise ContractError("baseline batch_size must be >= 1")
-        if not (math.isfinite(self.focal_gamma) and self.focal_gamma >= 0):
-            raise ContractError(f"focal_gamma must be finite and >= 0, got {self.focal_gamma}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -150,7 +141,7 @@ class RunRecord:
 
 def build_extractor(config: TrainConfig, in_dim: int, rng: np.random.Generator) -> FeatureExtractor:
     sizes = [in_dim, *config.hidden, config.embedding_dim]
-    return FeatureExtractor(sizes, activation=config.activation, rng=rng)
+    return FeatureExtractor(sizes, rng=rng)
 
 
 def _stage2_hyper(config: TrainConfig) -> LossHyper:
@@ -320,7 +311,7 @@ def run_stage2(config: TrainConfig, dataset: Dataset, record: RunRecord,
             fingerprint = params_fingerprint(p.data for p in extractor.parameters())
             centers = compute_centers(extractor, features, dataset.index, source_epoch=epoch - 1)
             record.center_refreshes.append((epoch, fingerprint))
-        return sampling.flat_batch_plans(dataset.labels, s2.batch_size, rng)
+        return sampling.flat_batch_plans(dataset.labels, STAGE2_BATCH_SIZE, rng)
 
     def batch_loss(plan):  # reads the current ``centers``
         emb = extractor(Tensor(features[plan.indices]))
@@ -354,7 +345,7 @@ def run_baseline(config: TrainConfig, dataset: Dataset) -> RunRecord:
 
     bce: plain cross entropy; wce: inverse-frequency weighted cross entropy;
     oce: plain cross entropy over an oversampled epoch stream; wfce:
-    inverse-frequency weighted focal loss.
+    inverse-frequency weighted focal loss of exponent ``FOCAL_GAMMA``.
     """
     strategy = config.method.split(":", 1)[1]
     rng, record = _start(config, dataset)
@@ -364,7 +355,7 @@ def run_baseline(config: TrainConfig, dataset: Dataset) -> RunRecord:
     weights = None
     if strategy in ("wce", "wfce"):
         weights = losses.inverse_frequency_weights(dataset.index.sizes)
-    gamma = config.focal_gamma if strategy == "wfce" else 0.0
+    gamma = FOCAL_GAMMA if strategy == "wfce" else 0.0
     epochs = config.baseline_epochs
     if epochs is None:
         epochs = config.stage1.epochs + config.stage2.epochs

@@ -23,7 +23,7 @@ def identity_extractor(dim):
 
 class TestComputeCenters:
     def test_singleton_class_center_equals_embedding(self):
-        fx = FeatureExtractor([3, 4], activation="tanh", rng=np.random.default_rng(1))
+        fx = FeatureExtractor([3, 4], rng=np.random.default_rng(1))
         features = np.random.default_rng(2).normal(size=(4, 3))
         index = DatasetIndex.from_labels([0, 0, 0, 1])
         table = compute_centers(fx, features, index)
@@ -61,7 +61,7 @@ class TestComputeCenters:
             compute_centers(fx, np.zeros((2, 2)), index)
 
     def test_chunked_pass_matches_single_pass(self, monkeypatch):
-        fx = FeatureExtractor([3, 5], activation="tanh", rng=np.random.default_rng(4))
+        fx = FeatureExtractor([3, 5], rng=np.random.default_rng(4))
         features = np.random.default_rng(5).normal(size=(40, 3))
         single = embed_all(fx, features)
         monkeypatch.setattr(centers, "FORWARD_CHUNK", 7)

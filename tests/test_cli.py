@@ -208,20 +208,43 @@ def test_eval_on_a_rare_class_csv_with_a_label_past_the_model_classes_is_an_erro
     assert not (tmp_path / "out").exists()
 
 
+def _patched(blob, edit_header=lambda h: None, first_value=None):
+    """``blob`` with its header edited and, given ``first_value``, its first payload value set."""
+    (length,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + length])
+    edit_header(header)
+    payload = np.frombuffer(blob, dtype="<f8", offset=8 + length).copy()
+    if first_value is not None:
+        payload[0] = first_value
+    text = json.dumps(header).encode()
+    return blob[:4] + struct.pack("<I", len(text)) + text + payload.astype("<f8").tobytes()
+
+
 def test_eval_of_a_checkpoint_whose_centers_are_not_euclidean_is_an_error(tmp_path, capsys):
     """A file from a run under another distance order fails in one line that
     names the order, instead of being scored under the Euclidean distance."""
     ckpt, data = untrained_eval_inputs(tmp_path, [0, 1, 2])
-    blob = ckpt.read_bytes()
-    (length,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8:8 + length])
-    header["centers"]["p_norm"] = 1
-    text = json.dumps(header).encode()
-    ckpt.write_bytes(blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + length:])
+    ckpt.write_bytes(_patched(ckpt.read_bytes(), lambda h: h["centers"].update(p_norm=1)))
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (f"error: {ckpt}: malformed checkpoint header (centers.p_norm "
                                        "is 1, but every distance is Euclidean (2))\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patch, reason", [
+    (dict(edit_header=lambda h: h["extractor"].update(activation="relu")),
+     "malformed checkpoint header (extractor.activation is 'relu', but every extractor is tanh)"),
+    (dict(first_value=float("nan")), "checkpoint payload holds non-finite values"),
+], ids=["relu", "nan_weight"])
+def test_eval_of_a_relu_or_non_finite_checkpoint_is_an_error(tmp_path, capsys, patch, reason):
+    """A NaN weight used to score a report with exit 0; a relu extractor would
+    be scored as the tanh one it is not."""
+    ckpt, data = untrained_eval_inputs(tmp_path, [0, 1, 2])
+    ckpt.write_bytes(_patched(ckpt.read_bytes(), **patch))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: {reason}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -340,6 +363,8 @@ def write_ini(path, *layers):
 # From negative_stage2_lr on, each value used to fail only once a run reached it
 # (after stage 1, say) or to pass silently; the config now refuses it when built.
 # The removed_* keys are no longer options; an INI that still sets one fails to load.
+# So do nan_focal_gamma and unknown_activation: wfce's exponent is 2 and every
+# extractor is tanh, and neither is a key any more.
 @pytest.mark.parametrize("sections, message", [
     ({"hyper": {"alpha": "nan"}}, "margins must be finite"),
     ({"stage1": {"epochs": "-1"}}, "stage1 epochs must be >= 0"),
@@ -361,8 +386,8 @@ def write_ini(path, *layers):
     ({"optimizer": {"lr": "nan"}}, "lr must be finite and positive, got nan"),
     ({"optimizer": {"lr": "inf"}}, "lr must be finite and positive, got inf"),
     ({"run": {"method": "baseline:wfce"}, "baseline": {"focal_gamma": "nan"}},
-     "focal_gamma must be finite and >= 0, got nan"),
-    ({"model": {"activation": "sigmoid"}}, "unknown activation 'sigmoid'"),
+     "unknown key(s) ['focal_gamma'] in section [baseline]"),
+    ({"model": {"activation": "sigmoid"}}, "unknown key(s) ['activation'] in section [model]"),
     ({"model": {"hidden": "0,8"}}, "hidden widths must be positive integers, got (0, 8)"),
     ({"stage1": {"lambda_ce": "0.5"}}, "unknown key(s) ['lambda_ce'] in section [stage1]"),
     ({"stage2": {"freeze_layers": "1"}}, "unknown key(s) ['freeze_layers'] in section [stage2]"),
@@ -373,6 +398,7 @@ def write_ini(path, *layers):
     ({"optimizer": {"beta1": "0.9"}}, "unknown key(s) ['beta1'] in section [optimizer]"),
     ({"optimizer": {"beta2": "0.99"}}, "unknown key(s) ['beta2'] in section [optimizer]"),
     ({"optimizer": {"epsilon": "inf"}}, "unknown key(s) ['epsilon'] in section [optimizer]"),
+    ({"stage2": {"batch_size": "16"}}, "unknown key(s) ['batch_size'] in section [stage2]"),
 ], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "negative_beta",
         "negative_stage2_lr", "quadruplet_stage2_alpha_below_beta",
         "quadruplet_alpha_at_beta", "negative_baseline_epochs", "triplet_one_per_class",
@@ -380,7 +406,7 @@ def write_ini(path, *layers):
         "negative_seed", "nan_optimizer_lr", "inf_optimizer_lr", "nan_focal_gamma",
         "unknown_activation", "zero_hidden_width", "removed_lambda_ce", "removed_freeze_layers",
         "removed_center_init", "removed_final_centers", "removed_p_norm", "removed_beta1",
-        "removed_beta2", "removed_epsilon"])
+        "removed_beta2", "removed_epsilon", "removed_stage2_batch_size"])
 def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sections, message):
     config = write_ini(tmp_path / "config.ini", SHORT, sections)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
@@ -434,6 +460,16 @@ def test_jobs_below_one_is_an_error(tmp_path, capsys, command, jobs):
     configs = ["--config", str(config)] * (2 if command == "sweep" else 1)
     assert cli.main(["crossval", *configs, "--jobs", jobs, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: argument --jobs: must be >= 1, got {jobs}\n"
+    assert not (tmp_path / "out").exists()  # rejected while parsing, before the config echo
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+def test_a_k_below_two_is_an_error_that_names_the_flag(tmp_path, capsys, k):
+    """It used to fail as ``k_folds must be >= 2``, naming neither the flag nor a file."""
+    config = write_ini(tmp_path / "config.ini", SHORT)
+    assert cli.main(["crossval", "--config", str(config), "--k", k,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: argument --k: must be >= 2, got {k}\n"
     assert not (tmp_path / "out").exists()  # rejected while parsing, before the config echo
 
 

@@ -23,7 +23,6 @@ small_class_threshold = 9
 [model]
 embedding_dim = 24
 hidden = 32
-activation = relu
 
 [stage1]
 epochs = 3
@@ -32,7 +31,6 @@ mining = random
 
 [stage2]
 epochs = 4
-batch_size = 8
 center_mode = trainable
 alpha = 0.7
 lr = 0.001
@@ -48,7 +46,6 @@ lr = 0.0005
 [baseline]
 epochs = 7
 batch_size = 16
-focal_gamma = 1.5
 
 [eval]
 k_folds = 3
@@ -75,7 +72,6 @@ small_class_threshold = 20
 [model]
 embedding_dim = 128
 hidden = 64,64
-activation = tanh
 
 [stage1]
 epochs = 200
@@ -84,7 +80,6 @@ mining = random_hard
 
 [stage2]
 epochs = 200
-batch_size = 16
 center_mode = computed
 refresh_each_epoch = true
 
@@ -97,7 +92,6 @@ lr = 0.0001
 
 [baseline]
 batch_size = 32
-focal_gamma = 2.0
 
 [eval]
 k_folds = 5
@@ -117,8 +111,8 @@ def test_default_echo_is_pinned(tmp_path):
     assert echo_settings(load_settings(write(tmp_path, DEFAULT))) == DEFAULT_ECHO
 
 
-@pytest.mark.parametrize("text, fingerprint", [(DEFAULT, "86b5e4aa344be019"),
-                                               (NON_DEFAULT, "9edc478ebfd13a44")],
+@pytest.mark.parametrize("text, fingerprint", [(DEFAULT, "3c2f7a0ba754b833"),
+                                               (NON_DEFAULT, "a1dfe287535df7d0")],
                          ids=["default", "non_default"])
 def test_config_fingerprints_are_pinned(tmp_path, text, fingerprint):
     """Checkpoint headers carry this hash; a schema refactor must not move it."""
@@ -178,12 +172,16 @@ def test_a_line_that_is_neither_a_section_nor_a_key_is_named_in_one_line(tmp_pat
     ("optimizer", "beta1", "0.9"),
     ("optimizer", "beta2", "0.99"),
     ("optimizer", "epsilon", "1e-8"),
+    ("model", "activation", "tanh"),
+    ("baseline", "focal_gamma", "2.0"),
+    ("stage2", "batch_size", "16"),
     ("hyper", "alpha", "nan"),
     ("hyper", "beta", "inf"),
     ("stage2", "alpha", "nan"),
 ], ids=["bool", "bool_digit", "int", "int_float", "float", "float_suffix",
         "negative_alpha", "negative_beta", "removed_p_norm", "removed_centered", "removed_beta1",
-        "removed_beta2", "removed_epsilon", "nan_alpha", "inf_beta", "nan_stage2_alpha"])
+        "removed_beta2", "removed_epsilon", "removed_activation", "removed_focal_gamma",
+        "removed_stage2_batch_size", "nan_alpha", "inf_beta", "nan_stage2_alpha"])
 def test_bad_values_raise_contract_error(tmp_path, section, key, value):
     text = f"[data]\npreset = skin7-like\n[{section}]\n{key} = {value}\n"
     with pytest.raises(ContractError):

@@ -345,7 +345,7 @@ def test_batch_losses_over_the_pick_match_chain(gamma):
 
 def _center_stage(seed, freeze_layers):
     rng = np.random.default_rng(seed)
-    extractor = FeatureExtractor([6, 9, 8, 4], activation="tanh", rng=rng)
+    extractor = FeatureExtractor([6, 9, 8, 4], rng=rng)
     centers = CenterTable(Tensor(rng.standard_normal((3, 4)), requires_grad=True), "trainable")
     head = LinearHead(4, 3, rng=rng)
     # the first ``freeze_layers`` (weight, bias) pairs are left out of the optimizer

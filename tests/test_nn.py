@@ -38,9 +38,9 @@ def test_zero_weights_yield_bias_rows():
 
 def test_two_layer_forward_matches_manual_matmul():
     rng = np.random.default_rng(42)
-    fx = FeatureExtractor([4, 5, 3], activation="relu", rng=np.random.default_rng(7))
+    fx = FeatureExtractor([4, 5, 3], rng=np.random.default_rng(7))
     x = rng.normal(size=(6, 4))
-    manual = np.maximum(x @ fx.weights[0].data + fx.biases[0].data, 0.0)
+    manual = np.tanh(x @ fx.weights[0].data + fx.biases[0].data)
     manual = manual @ fx.weights[1].data + fx.biases[1].data
     np.testing.assert_allclose(fx(Tensor(x)).data, manual, atol=1e-12)
 
@@ -114,13 +114,22 @@ class TestAdam:
         np.testing.assert_array_equal(p.grad, [0.5])
 
 
-# A format-2 file written while the distance order was still a setting (at its
+# Format-2 files written while the distance order was still a setting (at its
 # default 2): FeatureExtractor([2, 3, 2]) drawn at rng 5, computed centers
-# arange(4) / 4 of source epoch 1, epoch 2.
+# arange(4) / 4 of source epoch 1, epoch 2.  EARLIER_CHECKPOINT's extractor is
+# relu, which no extractor is any more.  TANH_CHECKPOINT's is tanh; the trees
+# before and after the activation became a constant write it byte for byte.
 EARLIER_CHECKPOINT = base64.b64decode(
     "VENLMeIAAAB7ImNlbnRlcnMiOiB7Im1vZGUiOiAiY29tcHV0ZWQiLCAibl9jbGFzc2VzIjogMiwgInBfbm9ybSI6IDIs"
     "ICJzb3VyY2VfZXBvY2giOiAxfSwgImNvbmZpZ19maW5nZXJwcmludCI6ICIwMTIzNDU2Nzg5YWJjZGVmIiwgImVwb2No"
     "IjogMiwgImV4dHJhY3RvciI6IHsiYWN0aXZhdGlvbiI6ICJyZWx1IiwgImxheWVyX3NpemVzIjogWzIsIDMsIDJdfSwg"
+    "ImhlYWQiOiBudWxsLCAidmVyc2lvbiI6IDJ9tmzthx9i5T+Muwvw2ZblP6DpbXr0MKE/tJt2vMYI3r/Us89M80Xvv3wx"
+    "a6OJWtC/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAYI0t9s6qyb9jYVAoTOHvv5ruI0jLou+/TkXYu4x/8T+cEHBUX13V"
+    "P9RbqljznOK/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA0D8AAAAAAADgPwAAAAAAAOg/")
+TANH_CHECKPOINT = base64.b64decode(
+    "VENLMeIAAAB7ImNlbnRlcnMiOiB7Im1vZGUiOiAiY29tcHV0ZWQiLCAibl9jbGFzc2VzIjogMiwgInBfbm9ybSI6IDIs"
+    "ICJzb3VyY2VfZXBvY2giOiAxfSwgImNvbmZpZ19maW5nZXJwcmludCI6ICIwMTIzNDU2Nzg5YWJjZGVmIiwgImVwb2No"
+    "IjogMiwgImV4dHJhY3RvciI6IHsiYWN0aXZhdGlvbiI6ICJ0YW5oIiwgImxheWVyX3NpemVzIjogWzIsIDMsIDJdfSwg"
     "ImhlYWQiOiBudWxsLCAidmVyc2lvbiI6IDJ9tmzthx9i5T+Muwvw2ZblP6DpbXr0MKE/tJt2vMYI3r/Us89M80Xvv3wx"
     "a6OJWtC/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAYI0t9s6qyb9jYVAoTOHvv5ruI0jLou+/TkXYu4x/8T+cEHBUX13V"
     "P9RbqljznOK/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA0D8AAAAAAADgPwAAAAAAAOg/")
@@ -146,7 +155,7 @@ class TestCheckpoint:
         assert loaded.centers.mode == "computed" and loaded.centers.source_epoch == 6
 
     def test_forward_identical_after_round_trip(self, tmp_path):
-        fx = FeatureExtractor([6, 10, 4], activation="tanh", rng=np.random.default_rng(1))
+        fx = FeatureExtractor([6, 10, 4], rng=np.random.default_rng(1))
         x = np.random.default_rng(2).normal(size=(9, 6))
         before = fx(Tensor(x)).data
         path = tmp_path / "m.ckpt"
@@ -247,7 +256,7 @@ class TestCheckpoint:
     def test_a_checkpoint_written_before_the_metric_was_fixed_loads_and_saves_unchanged(
             self, tmp_path):
         path = tmp_path / "earlier.ckpt"
-        path.write_bytes(EARLIER_CHECKPOINT)
+        path.write_bytes(TANH_CHECKPOINT)
         loaded = load_checkpoint(path)
         fx = FeatureExtractor([2, 3, 2], rng=np.random.default_rng(5))
         for a, b in zip(fx.parameters(), loaded.extractor.parameters(), strict=True):
@@ -255,7 +264,30 @@ class TestCheckpoint:
         assert np.array_equal(loaded.centers.matrix, np.arange(4.0).reshape(2, 2) / 4)
         assert (loaded.epoch, loaded.centers.source_epoch, loaded.head) == (2, 1, None)
         save_checkpoint(tmp_path / "again.ckpt", loaded)
-        assert (tmp_path / "again.ckpt").read_bytes() == EARLIER_CHECKPOINT
+        assert (tmp_path / "again.ckpt").read_bytes() == TANH_CHECKPOINT
+
+    def test_a_relu_checkpoint_is_refused_in_one_line_that_names_it(self, tmp_path):
+        path = tmp_path / "relu.ckpt"
+        path.write_bytes(EARLIER_CHECKPOINT)
+        with pytest.raises(DataFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (f"{path}: malformed checkpoint header (extractor.activation "
+                                   "is 'relu', but every extractor is tanh)")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first_weight", "last_center"])
+    def test_a_non_finite_payload_value_is_refused_in_one_line_that_names_it(
+            self, tmp_path, value, at):
+        # a NaN weight used to evaluate to a report; an inf center failed without the file's name
+        path, blob = self._saved(tmp_path)
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        values = np.frombuffer(blob, dtype="<f8", offset=8 + hlen).copy()
+        values[at] = value
+        path.write_bytes(blob[:8 + hlen] + values.astype("<f8").tobytes())
+        with pytest.raises(DataFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: checkpoint payload holds non-finite values"
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["extractor"].update(layer_sizes=[3, 2 ** 21, 2 ** 21, 2]),
