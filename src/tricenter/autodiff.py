@@ -134,8 +134,9 @@ class Tensor:
     def affine(self, weight, bias) -> "Tensor":
         """The dense layer ``self @ weight + bias`` as one node.
 
-        ``self`` is [B, n], ``weight`` [n, m] and ``bias`` broadcasts against
-        [B, m].  The VJP is that of the matmul node followed by the add node.
+        ``self`` is [B, n], ``weight`` [n, m] and ``bias`` broadcasts to
+        [B, m]; a bias that does not is a ``ShapeError``.  The VJP is that of
+        the matmul node followed by the add node.
         """
         x, w, b = self, self._lift(weight), self._lift(bias)
         if x.data.ndim != 2 or w.data.ndim != 2:
@@ -148,7 +149,12 @@ class Tensor:
                     x.data.T @ g if w.requires_grad else None,
                     _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-        return Tensor._from_op(x.data @ w.data + b.data, (x, w, b), vjp)
+        out = x.data @ w.data
+        try:  # in place on the fresh product: the bits of x @ w + b, one [B, m] array fewer
+            out += b.data
+        except ValueError:
+            raise ShapeError(f"bias shape {b.data.shape} does not broadcast to {out.shape}") from None
+        return Tensor._from_op(out, (x, w, b), vjp)
 
     def pow(self, p: float) -> "Tensor":
         """Elementwise power with a constant exponent.

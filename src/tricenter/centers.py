@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .distance import euclidean_cdist
+from .distance import euclidean_argmin
 from .errors import ContractError
 from .sampling import DatasetIndex
 
@@ -71,11 +71,11 @@ def compute_centers(extractor, features: np.ndarray, index: DatasetIndex,
     return CenterTable(Tensor(rows), mode="computed", source_epoch=source_epoch)
 
 
-def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable):
-    """Nearest-center prediction; returns (labels[N], distances[N, K]).
+def nearest_center_predict_batch(embeddings: np.ndarray, centers: CenterTable) -> np.ndarray:
+    """Nearest-center labels[N] of ``embeddings`` [N, D]; ties go to the smallest class id.
 
-    Ties go to the smallest class id.  ``euclidean_cdist`` blocks the ``[rows, K, D]``
-    difference to cache size, so it never spans the whole input.
+    The labels are exactly ``euclidean_cdist(embeddings, centers.matrix).argmin(axis=1)``:
+    ``euclidean_argmin`` decides each row from bracketed Gram values and
+    measures exact distances only for the rows it cannot decide.
     """
-    dists = euclidean_cdist(embeddings, centers.matrix)
-    return dists.argmin(axis=1), dists
+    return euclidean_argmin(embeddings, centers.matrix)

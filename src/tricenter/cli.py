@@ -54,8 +54,8 @@ def _setup(args, config) -> tuple[RunSettings, Dataset]:
     overrides, and the dataset.  The data source is recorded as an absolute
     path, so the config echo reruns from any directory; a path that an INI
     value cannot hold is refused."""
-    settings = load_settings(config)
-    source = args.data or settings.data_source
+    settings = load_settings(config, args.data)
+    source = settings.data_source
     if source:
         source = os.path.abspath(source)
         if source != source.strip() or re.search(r"[\r\n]|\s[#;]", source):

@@ -37,7 +37,7 @@ class RunSettings:
     k_folds: int = 5
 
     def __post_init__(self):
-        if self.data_source is None and self.data_preset is None:
+        if not self.data_source and not self.data_preset:  # an empty value sets neither
             raise ContractError("config needs [data] source=<csv> or preset=<name>")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ContractError("holdout_fraction must be in [0, 1)")
@@ -141,9 +141,11 @@ def _build(cls, values: dict, prefix: str = ""):
     return cls(**kwargs)
 
 
-def load_settings(path) -> RunSettings:
+def load_settings(path, data_source: str | None = None) -> RunSettings:
     """The settings of a UTF-8 INI file, with or without a byte-order mark;
-    any failure is a ``ContractError`` that names the file."""
+    any failure is a ``ContractError`` that names the file.  A ``data_source``
+    (the --data flag) overrides ``[data] source`` and may stand in for a
+    missing ``[data]`` section."""
     parser = _read(path)
     values = {}
     for section, key, attr, parse in _SCHEMA:
@@ -154,6 +156,8 @@ def load_settings(path) -> RunSettings:
             values[attr] = parse(text)
         except ValueError:
             raise ContractError(f"{path}: [{section}] {key}={text!r} is not a valid value") from None
+    if data_source:
+        values["data_source"] = data_source
     try:
         return _build(RunSettings, values)
     except ContractError as exc:

@@ -29,6 +29,9 @@ def predict(extractor, features: np.ndarray, centers=None, head=None) -> np.ndar
     """Labels for a feature matrix: the nearest center when a center table is
     given, otherwise argmax over the classifier head.
 
+    The nearest center is the argmin of the exact Euclidean distances, ties
+    to the smaller class id; ``nearest_center_predict_batch`` decides most
+    rows from bracketed Gram values without computing those distances.
     Rows are embedded and scored ``FORWARD_CHUNK`` at a time, the chunks of
     ``embed_all``, so the embeddings are those of one ``embed_all`` call and
     memory does not grow with the row count."""
@@ -40,7 +43,7 @@ def predict(extractor, features: np.ndarray, centers=None, head=None) -> np.ndar
         rows = slice(start, start + FORWARD_CHUNK)
         emb = embed_all(extractor, features[rows])
         if centers is not None:
-            labels[rows] = nearest_center_predict_batch(emb, centers)[0]
+            labels[rows] = nearest_center_predict_batch(emb, centers)
         else:
             with no_grad():
                 labels[rows] = head(Tensor(emb)).data.argmax(axis=1)

@@ -4,7 +4,7 @@ import pytest
 from tricenter import centers
 from tricenter.autodiff import Tensor
 from tricenter.centers import CenterTable, compute_centers, embed_all, nearest_center_predict_batch
-from tricenter.distance import BLOCK_FLOATS
+from tricenter.distance import BLOCK_FLOATS, euclidean_cdist
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper, triplet_loss_mean
 from tricenter.nn import Adam, FeatureExtractor
@@ -106,36 +106,37 @@ class TestNearestCenter:
         return CenterTable(Tensor(np.array(rows, dtype=float)), mode="computed")
 
     def predict_one(self, x, table):
-        labels, dists = nearest_center_predict_batch(np.asarray(x, dtype=float)[None], table)
-        return int(labels[0]), dists[0]
+        return int(nearest_center_predict_batch(np.asarray(x, dtype=float)[None], table)[0])
 
     def test_exact_center_hit(self):
         table = self.make_table([[0, 0], [1, 1], [2, 2], [3, 3]])
-        cls, dists = self.predict_one(np.array([3.0, 3.0]), table)
-        assert cls == 3
+        x = np.array([3.0, 3.0])
+        assert self.predict_one(x, table) == 3
+        dists = euclidean_cdist(x[None], table.matrix)[0]
         assert dists[3] == 0.0
         assert len(dists) == 4
 
     def test_tie_breaks_to_smallest_class_id(self):
-        table = self.make_table([[9, 9], [1, 0], [5, 5], [9, 0], [-1, 0]])
-        cls, _ = self.predict_one(np.array([0.0, 0.0]), table)
+        table = self.make_table([[9, 9], [1, 0], [5, 5], [9, 0], [-1, 0], [5, 5]])
+        cls = self.predict_one(np.array([0.0, 0.0]), table)
         assert cls == 1  # classes 1 and 4 are both at distance 1; smallest id wins
+        assert self.predict_one(np.array([5.0, 5.0]), table) == 2  # a hit on 2 and on 5
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(9)
         table = self.make_table(rng.normal(size=(6, 5)))
         for _ in range(100):
             x = rng.normal(size=5)
-            cls, dists = self.predict_one(x, table)
             brute = np.array([np.linalg.norm(x - row) for row in table.matrix])
-            assert cls == int(np.argmin(brute))
-            np.testing.assert_allclose(dists, brute, atol=1e-12)
+            assert self.predict_one(x, table) == int(np.argmin(brute))
+            np.testing.assert_allclose(euclidean_cdist(x[None], table.matrix)[0], brute, atol=1e-12)
 
     def test_batch_path_matches_scalar_path(self):
         rng = np.random.default_rng(10)
         table = self.make_table(rng.normal(size=(4, 3)))
         x = rng.normal(size=(20, 3))
-        batch_labels, batch_d = nearest_center_predict_batch(x, table)
+        batch_labels = nearest_center_predict_batch(x, table)
+        batch_d = euclidean_cdist(x, table.matrix)
         for i in range(20):
             cls, dists = nearest_center_predict(x[i], table)
             assert batch_labels[i] == cls
@@ -147,23 +148,22 @@ class TestNearestCenter:
         x = rng.normal(size=(1000, 128))  # about 7 blocks of BLOCK_FLOATS // (7 * 128) rows
         assert x.shape[0] > BLOCK_FLOATS // table.matrix.size
         naive = (np.abs(x[:, None, :] - table.matrix[None, :, :]) ** 2).sum(axis=2) ** 0.5
-        labels, dists = nearest_center_predict_batch(x, table)
-        assert dists.tobytes() == naive.tobytes()
-        np.testing.assert_array_equal(labels, naive.argmin(axis=1))
+        assert euclidean_cdist(x, table.matrix).tobytes() == naive.tobytes()
+        np.testing.assert_array_equal(nearest_center_predict_batch(x, table), naive.argmin(axis=1))
 
     def test_translation_invariance_of_argmin(self):
         rng = np.random.default_rng(11)
         rows = rng.normal(size=(5, 3))
         x = rng.normal(size=3)
         shift = rng.normal(size=3)
-        a, _ = self.predict_one(x, self.make_table(rows))
-        b, _ = self.predict_one(x + shift, self.make_table(rows + shift))
+        a = self.predict_one(x, self.make_table(rows))
+        b = self.predict_one(x + shift, self.make_table(rows + shift))
         assert a == b
 
     def test_scaling_invariance_of_argmin(self):
         rng = np.random.default_rng(12)
         rows = rng.normal(size=(5, 3))
         x = rng.normal(size=3)
-        a, _ = self.predict_one(x, self.make_table(rows))
-        b, _ = self.predict_one(3.7 * x, self.make_table(3.7 * rows))
+        a = self.predict_one(x, self.make_table(rows))
+        b = self.predict_one(3.7 * x, self.make_table(3.7 * rows))
         assert a == b

@@ -399,6 +399,7 @@ def write_ini(path, *layers):
     ({"optimizer": {"beta2": "0.99"}}, "unknown key(s) ['beta2'] in section [optimizer]"),
     ({"optimizer": {"epsilon": "inf"}}, "unknown key(s) ['epsilon'] in section [optimizer]"),
     ({"stage2": {"batch_size": "16"}}, "unknown key(s) ['batch_size'] in section [stage2]"),
+    ({"data": {"preset": "", "source": ""}}, "config needs [data] source=<csv> or preset=<name>"),
 ], ids=["nan_alpha", "negative_epochs", "unknown_center_mode", "negative_beta",
         "negative_stage2_lr", "quadruplet_stage2_alpha_below_beta",
         "quadruplet_alpha_at_beta", "negative_baseline_epochs", "triplet_one_per_class",
@@ -406,7 +407,7 @@ def write_ini(path, *layers):
         "negative_seed", "nan_optimizer_lr", "inf_optimizer_lr", "nan_focal_gamma",
         "unknown_activation", "zero_hidden_width", "removed_lambda_ce", "removed_freeze_layers",
         "removed_center_init", "removed_final_centers", "removed_p_norm", "removed_beta1",
-        "removed_beta2", "removed_epsilon", "removed_stage2_batch_size"])
+        "removed_beta2", "removed_epsilon", "removed_stage2_batch_size", "empty_data_source"])
 def test_a_value_the_config_rejects_names_the_config_file(tmp_path, capsys, sections, message):
     config = write_ini(tmp_path / "config.ini", SHORT, sections)
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
@@ -562,6 +563,30 @@ def test_the_seed_flag_runs_as_the_seed_key_does(tmp_path, command):
     got.pop("train.log", None), want.pop("train.log", None)
     assert got == want
     assert "\nseed = 3\n" in got["config.echo.ini"].decode()
+
+
+@pytest.mark.parametrize("command", [["train"], ["crossval", "--k", "2"]], ids=["train", "crossval"])
+def test_the_data_flag_stands_in_for_a_missing_data_section(tmp_path, capsys, command):
+    """--data overrides [data] source, so a config without [data] runs on it;
+    its echo holds the source, so a rerun from it needs no flag.  Without
+    --data the config still fails, naming the INI."""
+    assert cli.main(["gen-data", "--preset", "skin7-like", "--seed", "1", "--out", str(tmp_path)]) == 0
+    config = write_ini(tmp_path / "nodata.ini", {
+        "model": {"embedding_dim": "8", "hidden": "12"},
+        "stage1": {"epochs": "1", "m_per_class": "4"}, "stage2": {"epochs": "1"}})
+    capsys.readouterr()
+    assert cli.main([*command, "--config", str(config), "--out", str(tmp_path / "none")]) == 1
+    assert capsys.readouterr().err == (f"error: {config}: config needs [data] source=<csv> "
+                                       "or preset=<name>\n")
+    assert not (tmp_path / "none").exists()
+    data = str(tmp_path / "dataset.csv")
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert cli.main([*command, "--config", str(config), "--data", data, "--out", str(first)]) == 0
+    assert f"\n[data]\nsource = {data}\n" in (first / "config.echo.ini").read_text()
+    assert cli.main([*command, "--config", str(first / "config.echo.ini"), "--out", str(rerun)]) == 0
+    got, want = artifacts(first), artifacts(rerun)
+    got.pop("train.log", None), want.pop("train.log", None)
+    assert got == want
 
 
 def test_eval_on_a_csv_narrower_than_the_checkpoint_input_is_an_error(tmp_path, capsys):

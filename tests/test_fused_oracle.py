@@ -157,6 +157,10 @@ def test_affine_keeps_the_matmul_shape_checks():
         x.affine(np.ones((4, 2)), np.zeros(2))
     with pytest.raises(ShapeError, match="2-D"):
         Tensor(np.ones(3)).affine(np.ones((3, 2)), np.zeros(2))
+    # the bias is added in place, so it may not widen the [B, m] product
+    for rows, bias in ((1, np.zeros((2, 2))), (2, np.zeros((3, 2))), (2, np.zeros(3))):
+        with pytest.raises(ShapeError, match=rf"does not broadcast to \({rows}, 2\)"):
+            Tensor(np.ones((rows, 3))).affine(np.ones((3, 2)), bias)
 
 
 # -- Euclidean distance -------------------------------------------------------

@@ -12,8 +12,9 @@ import pytest
 
 from tricenter import cli, workflows
 from tricenter.autodiff import Tensor, no_grad
-from tricenter.centers import FORWARD_CHUNK, CenterTable, embed_all, nearest_center_predict_batch
+from tricenter.centers import FORWARD_CHUNK, CenterTable, embed_all
 from tricenter.datasets import gen_gaussian_imbalanced, preset_spec
+from tricenter.distance import euclidean_cdist
 from tricenter.errors import ContractError
 from tricenter.losses import LossHyper
 from tricenter.nn import FeatureExtractor, LinearHead
@@ -134,10 +135,11 @@ def test_a_train_config_rejects_what_the_ini_rejects(change, message):
 
 
 def whole_matrix_predict(extractor, features, centers=None, head=None):
-    """The predict that embedded every row first and scored the ``[N, D]`` matrix at once."""
+    """The predict that embedded every row first and scored the ``[N, D]`` matrix
+    at once, by the argmin of its exact distances."""
     emb = embed_all(extractor, features)
     if centers is not None:
-        return nearest_center_predict_batch(emb, centers)[0]
+        return euclidean_cdist(emb, centers.matrix).argmin(axis=1)
     with no_grad():
         return head(Tensor(emb)).data.argmax(axis=1)
 
@@ -191,7 +193,7 @@ def test_a_strided_feature_view_embeds_and_predicts_as_its_contiguous_copy(score
 
 def test_predict_of_20400_rows_peaks_well_below_their_embedding_matrix():
     """The [20400, 128] embedding matrix alone is 20.9 MB, and the whole-matrix
-    predict peaked at 23.2 MB.  Block by block, predict peaks at 2.6 MB."""
+    predict peaked at 23.2 MB.  Block by block, predict peaks at 2.1 MB."""
     rng = np.random.default_rng(0)
     extractor = FeatureExtractor([16, 64, 128], rng=rng)
     features = rng.normal(size=(20400, 16))
