@@ -5,13 +5,14 @@ goes through ``euclidean_norm``; the differentiable twin used by the losses
 is the fused autodiff op ``Tensor.euclidean_dist`` (one graph node, reached
 through ``losses.distance_rows``).  The values are bit for bit those of the naive
 ``((x - y) ** 2).sum(-1) ** 0.5``, so seeded mining and prediction do not
-change with the kernel, its ``BLOCK_FLOATS`` row blocks (rows are
-independent) or its mirrored self case (``|x - y|`` rounds as ``|y - x|``).
+change with the kernel or its ``BLOCK_FLOATS`` row blocks (rows are
+independent).
 
-Prediction needs only the nearest row, and ``euclidean_argmin`` decides it
-from bracketed Gram values ``|a|^2 + |b|^2 - 2 a.b``, which BLAS computes;
-only the rows the bracket cannot decide get exact distances.  Its labels are
-those of the naive formula's argmin, so they do not change with it either.
+Prediction needs only the nearest row, and stage-1 mining only which
+distances fall inside a band; both decide most of it from Gram values
+``|a|^2 + |b|^2 - 2 a.b``, which BLAS computes, bracketed by ``gram_bracket``.
+Only what the bracket cannot decide gets exact distances, so the labels and
+the mined units are those of the naive formula.
 """
 
 from __future__ import annotations
@@ -38,25 +39,19 @@ def euclidean_cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     This is the exact broadcast ``|a_i - b_j|^2`` form, not the Gram form
     ``|a|^2 + |b|^2 - 2 a @ b.T``: the Gram form is faster but differs from
-    the exact distance by about 5e-7 on typical embeddings, which moves
-    anchors across the edges of the semi-hard band and changes which
-    triplets a seeded run mines.  For ``euclidean_cdist(a, a)`` each row block
-    starts at the column of its first row, and the rest is mirrored.
+    the exact distance by about 5e-7 on typical embeddings, so it serves only
+    as a bracket (``gram_bracket``) that decides what it can and leaves the
+    rest to this form.
     """
     rows = max(1, BLOCK_FLOATS // max(1, b.size))
     out = np.empty((a.shape[0], b.shape[0]))
     for start in range(0, a.shape[0], rows):
-        first = start if b is a else 0
-        out[start:start + rows, first:] = euclidean_norm(
-            a[start:start + rows, None, :] - b[None, first:, :])
-    if b is a:
-        np.copyto(out, out.T, where=np.tri(len(a), k=-1, dtype=bool))
+        out[start:start + rows] = euclidean_norm(a[start:start + rows, None, :] - b[None, :, :])
     return out
 
 
-def euclidean_argmin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Index of the nearest row of ``b`` [M, D] for each row of ``a`` [N, D]:
-    exactly ``euclidean_cdist(a, b).argmin(axis=1)``, ties to the smaller index.
+def gram_bracket(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[N, M] bounds ``(lower, upper)`` on the squared sums behind ``euclidean_cdist(a, b)``.
 
     A computed inner product of length D errs by at most ``gamma_D sum |x_k y_k|``,
     where ``gamma_n = n u / (1 - n u)`` and ``u = eps / 2``, in any summation
@@ -70,16 +65,12 @@ def euclidean_argmin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the bracket ``g +- c (D + 3) eps t``, with ``t`` the computed N, takes
     ``c = 4``, which also covers ``t`` against N and the bracket's own
     rounding.  ``4 (D + 3) tiny`` adds the underflow of at most 5 D products,
-    ``tiny / 2`` each.
-
-    A row is decided when every other lower bound exceeds the best upper
-    bound times ``1 + 4 eps``, a gap that two correctly rounded square roots
-    cannot close.  The other rows get exact distances from ``euclidean_cdist``:
-    near-ties, hits on duplicated rows of ``b``, and non-finite or
-    overflowing values, since a comparison with NaN is false.
+    ``tiny / 2`` each.  Non-finite or overflowing values give a non-finite
+    ``upper`` or a NaN, which bounds nothing: callers treat such entries as
+    undecided.
     """
     dim = a.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are undecided
+    with np.errstate(over="ignore", invalid="ignore"):  # such entries are undecided
         norms = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)
         gram = a @ np.ascontiguousarray(b.T)  # BLAS runs about twice as fast as on b.T
         gram *= -2.0
@@ -88,6 +79,22 @@ def euclidean_argmin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         slack += 4 * (dim + 3) * TINY
         upper = gram + slack
         lower = np.subtract(gram, slack, out=gram)
+    return lower, upper
+
+
+def euclidean_argmin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Index of the nearest row of ``b`` [M, D] for each row of ``a`` [N, D]:
+    exactly ``euclidean_cdist(a, b).argmin(axis=1)``, ties to the smaller index.
+
+    A row is decided when every other lower bound of ``gram_bracket`` exceeds
+    the best upper bound times ``1 + 4 eps``, a gap that two correctly
+    rounded square roots cannot close.  The other rows get exact distances
+    from ``euclidean_cdist``: near-ties, hits on duplicated rows of ``b``,
+    and non-finite or overflowing values, since a comparison with NaN is
+    false.
+    """
+    lower, upper = gram_bracket(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are undecided
         best = upper.argmin(axis=1)
         rows = np.arange(a.shape[0])
         bound = upper[rows, best] * (1 + 4 * EPS)

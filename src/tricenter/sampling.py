@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import BLOCK_FLOATS, euclidean_cdist
+from .distance import BLOCK_FLOATS, euclidean_cdist, gram_bracket
 from .errors import ContractError
 
 MINING_STRATEGIES = ("random", "random_hard")  # stage-1 negative choice of ``form_triplets``
@@ -162,6 +162,83 @@ def _slots_per_class(labels: np.ndarray, min_classes: int) -> int:
     return int(counts[0])
 
 
+def _distance_bounds(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[N, N] bounds ``lo <= d <= hi`` on every distance of
+    ``euclidean_cdist(embeddings, embeddings)``: square roots of the
+    ``gram_bracket`` ends, which the monotone, correctly rounded square root
+    keeps in order.  Where the bracket bounds nothing (non-finite or
+    overflowing values) both are NaN, so every comparison with them is false."""
+    lower, upper = gram_bracket(embeddings, embeddings)
+    with np.errstate(invalid="ignore"):
+        unbounded = ~np.isfinite(upper)
+        lower[unbounded] = upper[unbounded] = np.nan
+        return np.sqrt(np.maximum(lower, 0.0, out=lower), out=lower), np.sqrt(upper, out=upper)
+
+
+def _band_counts(lo_an, hi_an, lo_ap, hi_ap, alpha):
+    """Per (anchor, candidate positive) pair: how many negatives the bounds
+    put inside the semi-hard band (d_ap, d_ap + alpha), and whether some
+    negative is neither surely inside nor surely out.
+
+    ``lo_an``, ``hi_an`` [A, n-m] bound each anchor's distances to its
+    negatives, ``lo_ap``, ``hi_ap`` [A, m-1] those to its candidate
+    positives.  Exact distances (lo = hi) give the band itself.  A NaN bound
+    is neither inside nor out."""
+    size, undecided = np.empty(lo_ap.shape, dtype=np.intp), np.empty(lo_ap.shape, dtype=bool)
+    chunk = max(1, BLOCK_FLOATS // (lo_ap.shape[1] * lo_an.shape[1]))  # anchors per block
+    for start in range(0, len(lo_an), chunk):
+        rows = slice(start, start + chunk)
+        lo_n, hi_n = lo_an[rows, None, :], hi_an[rows, None, :]
+        lo_p, hi_p = lo_ap[rows, :, None], hi_ap[rows, :, None]
+        inside = (lo_n > hi_p) & (hi_n < lo_p + alpha)
+        out = (hi_n <= lo_p) | (lo_n >= hi_p + alpha)
+        size[rows] = inside.sum(axis=2)
+        undecided[rows] = ~(inside | out).all(axis=2)
+    return size, undecided
+
+
+def _draw_pairs(band_sizes: list, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per anchor, the drawn candidate positive j and then, when the band of
+    (anchor, j) is not empty, the drawn band member (else -1): the draws of
+    the loop ``j = rng.integers(m - 1)``, ``rng.integers(band_sizes[a][j])``
+    over anchors in order, with its values and final generator state.
+
+    The loop's bounds depend on its own draws, so they are guessed: 2n draws
+    at bound m - 1 from a saved state, scanned as the loop would read them
+    (a band draw of bound 1 takes no random bits).  The guessed bound
+    sequence is then drawn in one call from the same state.  If every
+    positive of that call equals its guess, every bound was the loop's, by
+    induction, and so is every value; otherwise the state is restored and
+    the loop runs.  Each draw takes one 32-bit word unless it is rejected,
+    which happens with odds below bound / 2**32, so the guesses nearly
+    always hold.  At m = 2 a positive draw takes no bits either, and the
+    loop runs.
+    """
+    n, m = len(band_sizes), len(band_sizes[0]) + 1
+    if m > 2:
+        state = rng.bit_generator.state
+        guesses = rng.integers(m - 1, size=2 * n).tolist()
+        bounds, picked, sizes, at = [], [], [], 0
+        for row in band_sizes:
+            j, b = guesses[at], row[guesses[at]]
+            picked.append(j)
+            sizes.append(b)
+            bounds += [m - 1, b] if b else [m - 1]
+            at += 1 + (b > 1)
+        rng.bit_generator.state = state
+        values = np.append(rng.integers(0, bounds), -1)
+        sizes = np.array(sizes)
+        first = np.cumsum(1 + (sizes > 0)) - 1 - (sizes > 0)  # each anchor's positive in ``bounds``
+        if (values[first] == picked).all():
+            return values[first], np.where(sizes > 0, values[first + 1], -1)
+        rng.bit_generator.state = state
+    draws = []
+    for row in band_sizes:
+        j = int(rng.integers(m - 1))
+        draws.append((j, int(rng.integers(row[j])) if row[j] > 0 else -1))
+    return tuple(np.array(draws, dtype=np.intp).T)
+
+
 def form_triplets(batch: BatchPlan, embeddings, strategy: str,
                   hyper, rng: np.random.Generator) -> np.ndarray:
     """Form one ``[anchor, positive, negative]`` triplet per slot of a
@@ -172,6 +249,11 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     ``random_hard`` it is uniform over semi-hard negatives (anchor-negative
     distance inside (d_ap, d_ap + alpha)), falling back to the hardest
     negative when the semi-hard band is empty.
+
+    ``random_hard`` decides band membership and the hardest negative from
+    ``_distance_bounds``; an anchor's exact distances are measured only when
+    those bounds leave some comparison open, so the units are those of the
+    exact distances.
     """
     if strategy not in MINING_STRATEGIES:
         raise ContractError(f"unknown mining strategy {strategy!r}")
@@ -184,32 +266,47 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     if strategy == "random":
         k = rng.integers(0, [m - 1, n - m], size=(n, 2))
         return _units(anchors, _kth(positive_mask, k[:, 0]), _kth(negative_mask, k[:, 1]))
-    dist = euclidean_cdist(embeddings, embeddings)
-    negative_dist = np.where(negative_mask, dist, np.inf)  # +inf is in no band (d_ap, d_ap + alpha)
-    # The band size of every (anchor, candidate positive) pair, in chunks of
-    # pairs: the drawn positive's band size bounds the next draw.  Anchor a's
-    # m - 1 pairs are a*(m-1) .. a*(m-1) + m-2.
-    pair_anchors, pair_positives = np.nonzero(positive_mask)
-    pair_d_ap = dist[pair_anchors, pair_positives][:, None]
-    band_sizes = np.empty(len(pair_anchors), dtype=np.intp)
-    chunk = max(1, BLOCK_FLOATS // n)
-    for start in range(0, len(pair_anchors), chunk):
-        rows = slice(start, start + chunk)
-        d_an, d_ap = negative_dist[pair_anchors[rows]], pair_d_ap[rows]
-        band_sizes[rows] = ((d_an > d_ap) & (d_an < d_ap + hyper.alpha)).sum(axis=1)
-    band_sizes = band_sizes.tolist()
-    draws = []
-    for a in range(n):
-        pair = a * (m - 1) + int(rng.integers(m - 1))
-        draws.append((pair, int(rng.integers(band_sizes[pair])) if band_sizes[pair] > 0 else -1))
-    pairs, k_band = np.array(draws, dtype=np.intp).T
-    positives, d_ap = pair_positives[pairs], pair_d_ap[pairs]
-    band = (negative_dist > d_ap) & (negative_dist < d_ap + hyper.alpha)
-    hardest = negative_dist.argmin(axis=1)
-    # A row whose negatives are all at +inf puts argmin on slot 0.
-    hardest = np.where(negative_mask[anchors, hardest], hardest, negative_mask.argmax(axis=1))
-    negatives = np.where(k_band >= 0, _kth(band, k_band), hardest)
-    return _units(anchors, positives, negatives)
+    # Row a of the pair arrays holds anchor a's candidate positives, of the
+    # negative arrays its negatives, each in ascending slot order.
+    positive_slots = np.nonzero(positive_mask)[1].reshape(n, m - 1)
+    negative_slots = np.nonzero(negative_mask)[1].reshape(n, n - m)
+    lo, hi = _distance_bounds(embeddings)
+    lo_ap, hi_ap = np.take_along_axis(lo, positive_slots, 1), np.take_along_axis(hi, positive_slots, 1)
+    lo_an, hi_an = np.take_along_axis(lo, negative_slots, 1), np.take_along_axis(hi, negative_slots, 1)
+    exact = np.zeros(n, dtype=bool)
+
+    def measure(rows):  # exact distances for these anchors, as lo = hi
+        d = euclidean_cdist(embeddings[rows], embeddings)
+        lo_ap[rows] = hi_ap[rows] = np.take_along_axis(d, positive_slots[rows], 1)
+        lo_an[rows] = hi_an[rows] = np.take_along_axis(d, negative_slots[rows], 1)
+        exact[rows] = True
+
+    band_sizes, undecided = _band_counts(lo_an, hi_an, lo_ap, hi_ap, hyper.alpha)
+    rows = np.flatnonzero(undecided.any(axis=1))
+    if rows.size:
+        measure(rows)
+        band_sizes[rows] = _band_counts(lo_an[rows], hi_an[rows], lo_ap[rows], hi_ap[rows],
+                                        hyper.alpha)[0]
+    drawn, k_band = _draw_pairs(band_sizes.tolist(), rng)
+    picked = np.empty(n, dtype=np.intp)  # each anchor's negative, as a column of the negative arrays
+    banded = np.flatnonzero(k_band >= 0)
+    d_lo, d_hi = lo_ap[banded, drawn[banded], None], hi_ap[banded, drawn[banded], None]
+    band = (lo_an[banded] > d_hi) & (hi_an[banded] < d_lo + hyper.alpha)
+    picked[banded] = _kth(band, k_band[banded])
+    # The hardest negative of an empty band: decided where every other lower
+    # bound exceeds the best upper bound, else the argmin of exact distances,
+    # which takes the first of equal values, the first NaN, and the first
+    # negative when all are +inf.
+    empty = np.flatnonzero(k_band < 0)
+    best = hi_an[empty].argmin(axis=1)
+    others = lo_an[empty]
+    others[np.arange(len(empty)), best] = np.inf
+    tied = empty[~(others > hi_an[empty, best][:, None]).all(axis=1)]
+    if not exact[tied].all():
+        measure(tied[~exact[tied]])
+    picked[empty] = best
+    picked[tied] = lo_an[tied].argmin(axis=1)
+    return _units(anchors, positive_slots[anchors, drawn], negative_slots[anchors, picked])
 
 
 def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> np.ndarray:

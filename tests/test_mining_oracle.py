@@ -323,13 +323,123 @@ def test_balanced_quadruplets_match_the_loop(labels):
 
 @pytest.mark.parametrize("budget", [1, 200])
 def test_semi_hard_band_counted_in_chunks_matches_the_loop(budget, monkeypatch):
-    """Band sizes counted a few (anchor, positive) pairs at a time: the same
-    units and generator state as the loop."""
+    """Band sizes counted a few anchors at a time: the same units and
+    generator state as the loop."""
     monkeypatch.setattr(sampling, "BLOCK_FLOATS", budget)
-    assert budget // 70 < 70 * 9  # a balanced batch's 630 pairs take several chunks
+    assert budget // (9 * 60) < 70  # a balanced batch's 70 anchors take several chunks
     for seed in (1, 2, 3):
         test_semi_hard_triplets_match_the_loop(seed)
     test_balanced_batches_match_the_loop(10, 16)
+
+
+# The semi-hard miner decides from Gram bounds; these inputs sit where such
+# bounds are loosest or bound nothing.
+HARD_SCALES = [1e-160, 1e-150, 1e-12, 1e-3, 1.0, 1e3, 1e150, 1e160]  # the outer two under- and overflow
+
+
+def hard_batch(rng, k, m, dim, scale, kind):
+    """A balanced plan of k classes of m slots and embeddings like
+    ``test_distance.hard_rows``: random rows, duplicated rows, midpoints of
+    two rows and rows a rounding apart.  ``kind`` "non_finite" adds a NaN
+    row, an infinite row and rows with one NaN or -inf coordinate;
+    "overflow" sets the first coordinate of every row to 1e200, whose square
+    overflows every Gram value while the exact distances stay finite."""
+    n = k * m
+    base = rng.normal(size=(max(2, n // 2), dim)) * scale
+    pick = lambda: base[rng.integers(0, len(base), n)]  # noqa: E731
+    pool = np.concatenate([rng.normal(size=(n, dim)) * scale, pick(), (pick() + pick()) / 2,
+                           pick() * (1 + rng.choice([-1, 1], size=(n, 1)) * 2e-16)])
+    emb = pool[rng.choice(len(pool), n, replace=False)]
+    if kind == "non_finite":
+        rows = rng.choice(n, 4, replace=False)
+        emb[rows[0]], emb[rows[1]] = np.nan, np.inf
+        emb[rows[2], 0], emb[rows[3], -1] = np.nan, -np.inf
+    elif kind == "overflow":
+        emb[:, 0] = 1e200
+    return BatchPlan(indices=np.arange(n), labels=rng.permutation(np.repeat(np.arange(k), m))), emb
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-12, 0.5, 3.0])
+@pytest.mark.parametrize("m", [2, 3, 10])
+@pytest.mark.parametrize("dim", [1, 2, 16, 128])
+def test_semi_hard_triplets_match_the_loop_at_hard_inputs(dim, m, alpha):
+    rng = np.random.default_rng(1000 * dim + 10 * m + int(alpha * 10))
+    hyper = LossHyper(alpha=alpha)
+    for scale in HARD_SCALES:
+        for kind in ("finite", "non_finite", "overflow"):
+            plan, emb = hard_batch(rng, 3, m, dim, scale, kind)
+            with np.errstate(all="ignore"):  # squares of the largest scale overflow
+                assert_same_draws(sampling.form_triplets, form_triplets,
+                                  lambda fn, r: fn(plan, emb, "random_hard", hyper, r), 3)
+
+
+def separated_batch(seed):
+    """A 70-slot balanced plan of 7 classes and 128-wide embeddings far apart."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(7), 10))
+    return BatchPlan(indices=np.arange(70), labels=labels), rng.normal(size=(70, 128)) * 10
+
+
+def counted_exact_rows(monkeypatch) -> list:
+    """The anchor rows of every exact distance the semi-hard miner measures."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.copy())
+        return euclidean_cdist(a, b)
+
+    monkeypatch.setattr(sampling, "euclidean_cdist", counted)
+    return calls
+
+
+def test_well_separated_batch_measures_no_exact_distance(monkeypatch):
+    calls = counted_exact_rows(monkeypatch)
+    for alpha in ALPHAS:
+        plan, emb = separated_batch(80)
+        assert_same_draws(sampling.form_triplets, form_triplets,
+                          lambda fn, r: fn(plan, emb, "random_hard", LossHyper(alpha=alpha), r), 3)
+    assert calls == []
+
+
+def test_duplicated_negative_slot_measures_only_the_anchor_it_ties_for(monkeypatch):
+    """alpha = 0 leaves every band empty, so each anchor takes its hardest
+    negative.  Two slots of one class hold the same row close to anchor 0,
+    so anchor 0's hardest negative is a tie, which only exact distances
+    decide; every other anchor is decided from the bounds."""
+    plan, emb = separated_batch(81)
+    same = np.flatnonzero(plan.labels == (plan.labels[0] + 1) % 7)[:2]
+    emb[same] = emb[0] + 0.1
+    calls = counted_exact_rows(monkeypatch)
+    assert_same_draws(sampling.form_triplets, form_triplets,
+                      lambda fn, r: fn(plan, emb, "random_hard", LossHyper(alpha=0.0), r), 3)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], emb[:1])
+
+
+class MisguessingGenerator:
+    """A generator whose draws with ``size`` (the miner's guesses) are off
+    by one, so the one-call draw never matches them; every other draw and
+    the state are those of the generator it wraps."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator = rng, rng.bit_generator
+
+    def integers(self, high, *args, size=None):
+        if size is None:
+            return self.rng.integers(high, *args)
+        return (self.rng.integers(high, size=size) + 1) % high
+
+
+@pytest.mark.parametrize("m", [3, 10])
+def test_a_wrong_guess_falls_back_to_the_loop(m):
+    index = sampling.DatasetIndex.from_labels(np.repeat(np.arange(5), 20))
+    rng = np.random.default_rng(90)
+    for alpha in ALPHAS:
+        plan = sampling.build_balanced_batch(index, m, rng)
+        emb = rng.normal(size=(len(plan), 8))
+        hyper = LossHyper(alpha=alpha)
+        assert_same_draws(lambda *args: sampling.form_triplets(*args[:4], MisguessingGenerator(args[4])),
+                          form_triplets, lambda fn, r: fn(plan, emb, "random_hard", hyper, r), 3)
 
 
 def test_empty_band_falls_back_to_the_hardest_negative():
@@ -412,7 +522,7 @@ def test_euclidean_cdist_equals_the_naive_formula_exactly(seed):
         got = euclidean_cdist(a, b)
         assert got.shape == (n, m) and got.dtype == naive.dtype
         assert got.tobytes() == naive.tobytes()
-    # euclidean_cdist(a, a) computes the upper triangle and mirrors it: one block;
+    # euclidean_cdist(a, a) is symmetric, since |x - y| rounds as |y - x|: one block;
     # several blocks with a ragged last one; a single row; no rows at all
     assert 300 * 300 * 16 > 2 * BLOCK_FLOATS and 300 % (BLOCK_FLOATS // (300 * 16))
     for n, dim in [(9, 37), (300, 16), (1, 37), (0, 37)]:
