@@ -33,9 +33,10 @@ units and leaves the generator in the same state as the loop did.  In a
 balanced plan every bound is known up front, so the draws are made in one
 ``rng.integers(0, bounds)`` call, which yields the same values as the
 scalar calls one after another, and ``_kth`` reads each drawn slot off the
-candidate mask.  Only the semi-hard band draw of ``form_triplets`` stays a
-scalar call in a loop: its bound is the band size of the drawn positive,
-counted for every candidate positive before the loop.
+candidate mask.  The semi-hard draws of ``form_triplets`` are the exception:
+a band draw's bound is the band size of the positive just drawn.
+``_draw_pairs`` guesses the positives, makes the draws those guesses imply
+in one checked call, and runs the scalar loop only when a guess fails.
 """
 
 from __future__ import annotations
@@ -176,15 +177,16 @@ def _distance_bounds(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band_counts(lo_an, hi_an, lo_ap, hi_ap, alpha):
-    """Per (anchor, candidate positive) pair: how many negatives the bounds
-    put inside the semi-hard band (d_ap, d_ap + alpha), and whether some
-    negative is neither surely inside nor surely out.
+    """How many negatives the bounds put inside the semi-hard band
+    (d_ap, d_ap + alpha) of each (anchor, candidate positive) pair, and for
+    each anchor whether some negative is neither surely inside nor surely
+    out of one of its bands.
 
     ``lo_an``, ``hi_an`` [A, n-m] bound each anchor's distances to its
     negatives, ``lo_ap``, ``hi_ap`` [A, m-1] those to its candidate
-    positives.  Exact distances (lo = hi) give the band itself.  A NaN bound
-    is neither inside nor out."""
-    size, undecided = np.empty(lo_ap.shape, dtype=np.intp), np.empty(lo_ap.shape, dtype=bool)
+    positives.  Exact distances (lo = hi) give the bands themselves.  A NaN
+    bound is neither inside nor out."""
+    size, undecided = np.empty(lo_ap.shape, dtype=np.intp), np.empty(len(lo_ap), dtype=bool)
     chunk = max(1, BLOCK_FLOATS // (lo_ap.shape[1] * lo_an.shape[1]))  # anchors per block
     for start in range(0, len(lo_an), chunk):
         rows = slice(start, start + chunk)
@@ -193,11 +195,11 @@ def _band_counts(lo_an, hi_an, lo_ap, hi_ap, alpha):
         inside = (lo_n > hi_p) & (hi_n < lo_p + alpha)
         out = (hi_n <= lo_p) | (lo_n >= hi_p + alpha)
         size[rows] = inside.sum(axis=2)
-        undecided[rows] = ~(inside | out).all(axis=2)
+        undecided[rows] = ~(inside | out).reshape(len(inside), -1).all(axis=1)
     return size, undecided
 
 
-def _draw_pairs(band_sizes: list, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _draw_pairs(band_sizes: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per anchor, the drawn candidate positive j and then, when the band of
     (anchor, j) is not empty, the drawn band member (else -1): the draws of
     the loop ``j = rng.integers(m - 1)``, ``rng.integers(band_sizes[a][j])``
@@ -214,26 +216,28 @@ def _draw_pairs(band_sizes: list, rng: np.random.Generator) -> tuple[np.ndarray,
     always hold.  At m = 2 a positive draw takes no bits either, and the
     loop runs.
     """
-    n, m = len(band_sizes), len(band_sizes[0]) + 1
+    n, m = band_sizes.shape[0], band_sizes.shape[1] + 1
+    rows = band_sizes.tolist()
     if m > 2:
         state = rng.bit_generator.state
-        guesses = rng.integers(m - 1, size=2 * n).tolist()
-        bounds, picked, sizes, at = [], [], [], 0
-        for row in band_sizes:
-            j, b = guesses[at], row[guesses[at]]
-            picked.append(j)
-            sizes.append(b)
-            bounds += [m - 1, b] if b else [m - 1]
-            at += 1 + (b > 1)
+        guesses = rng.integers(m - 1, size=2 * n)
+        reads, at, guessed = [], 0, guesses.tolist()  # the guess each positive is read from
+        for row in rows:
+            reads.append(at)
+            at += 1 + (row[guessed[at]] > 1)
+        picked = guesses[reads]
+        sizes = band_sizes[np.arange(n), picked]
+        banded = sizes > 0
+        first = np.cumsum(1 + banded) - 1 - banded  # each anchor's positive in ``bounds``
+        bounds = np.full(n + banded.sum(), m - 1)
+        bounds[first[banded] + 1] = sizes[banded]
         rng.bit_generator.state = state
         values = np.append(rng.integers(0, bounds), -1)
-        sizes = np.array(sizes)
-        first = np.cumsum(1 + (sizes > 0)) - 1 - (sizes > 0)  # each anchor's positive in ``bounds``
         if (values[first] == picked).all():
-            return values[first], np.where(sizes > 0, values[first + 1], -1)
+            return picked, np.where(banded, values[first + 1], -1)
         rng.bit_generator.state = state
     draws = []
-    for row in band_sizes:
+    for row in rows:
         j = int(rng.integers(m - 1))
         draws.append((j, int(rng.integers(row[j])) if row[j] > 0 else -1))
     return tuple(np.array(draws, dtype=np.intp).T)
@@ -262,33 +266,36 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     if m == 1:
         return np.empty((0, 3), dtype=np.intp)
     anchors = np.arange(n)
-    negative_mask, positive_mask = _class_masks(labels)
     if strategy == "random":
+        negative_mask, positive_mask = _class_masks(labels)
         k = rng.integers(0, [m - 1, n - m], size=(n, 2))
         return _units(anchors, _kth(positive_mask, k[:, 0]), _kth(negative_mask, k[:, 1]))
-    # Row a of the pair arrays holds anchor a's candidate positives, of the
-    # negative arrays its negatives, each in ascending slot order.
-    positive_slots = np.nonzero(positive_mask)[1].reshape(n, m - 1)
-    negative_slots = np.nonzero(negative_mask)[1].reshape(n, n - m)
+    # Row a of ``others`` holds anchor a's m - 1 candidate positives, then its
+    # n - m negatives, each in ascending slot order; so do the bound arrays.
+    by_class = np.argsort(labels, kind="stable").reshape(-1, m)  # row c: class c's slots
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_class] = np.arange(m)  # each slot's place in its class
+    skip = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])  # row r: 0..m-1 but r
+    negatives = np.nonzero(labels != np.arange(len(by_class))[:, None])[1].reshape(-1, n - m)
+    others = np.concatenate([by_class[labels[:, None], skip[rank]], negatives[labels]], axis=1)
     lo, hi = _distance_bounds(embeddings)
-    lo_ap, hi_ap = np.take_along_axis(lo, positive_slots, 1), np.take_along_axis(hi, positive_slots, 1)
-    lo_an, hi_an = np.take_along_axis(lo, negative_slots, 1), np.take_along_axis(hi, negative_slots, 1)
+    lo, hi = lo[anchors[:, None], others], hi[anchors[:, None], others]
+    lo_ap, hi_ap, lo_an, hi_an = lo[:, :m - 1], hi[:, :m - 1], lo[:, m - 1:], hi[:, m - 1:]
     exact = np.zeros(n, dtype=bool)
 
     def measure(rows):  # exact distances for these anchors, as lo = hi
         d = euclidean_cdist(embeddings[rows], embeddings)
-        lo_ap[rows] = hi_ap[rows] = np.take_along_axis(d, positive_slots[rows], 1)
-        lo_an[rows] = hi_an[rows] = np.take_along_axis(d, negative_slots[rows], 1)
+        lo[rows] = hi[rows] = d[np.arange(len(rows))[:, None], others[rows]]
         exact[rows] = True
 
     band_sizes, undecided = _band_counts(lo_an, hi_an, lo_ap, hi_ap, hyper.alpha)
-    rows = np.flatnonzero(undecided.any(axis=1))
+    rows = np.flatnonzero(undecided)
     if rows.size:
         measure(rows)
         band_sizes[rows] = _band_counts(lo_an[rows], hi_an[rows], lo_ap[rows], hi_ap[rows],
                                         hyper.alpha)[0]
-    drawn, k_band = _draw_pairs(band_sizes.tolist(), rng)
-    picked = np.empty(n, dtype=np.intp)  # each anchor's negative, as a column of the negative arrays
+    drawn, k_band = _draw_pairs(band_sizes, rng)
+    picked = np.empty(n, dtype=np.intp)  # each anchor's negative, as a column of ``lo_an``
     banded = np.flatnonzero(k_band >= 0)
     d_lo, d_hi = lo_ap[banded, drawn[banded], None], hi_ap[banded, drawn[banded], None]
     band = (lo_an[banded] > d_hi) & (hi_an[banded] < d_lo + hyper.alpha)
@@ -299,14 +306,14 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     # negative when all are +inf.
     empty = np.flatnonzero(k_band < 0)
     best = hi_an[empty].argmin(axis=1)
-    others = lo_an[empty]
-    others[np.arange(len(empty)), best] = np.inf
-    tied = empty[~(others > hi_an[empty, best][:, None]).all(axis=1)]
+    rivals = lo_an[empty]
+    rivals[np.arange(len(empty)), best] = np.inf
+    tied = empty[~(rivals > hi_an[empty, best][:, None]).all(axis=1)]
     if not exact[tied].all():
         measure(tied[~exact[tied]])
     picked[empty] = best
     picked[tied] = lo_an[tied].argmin(axis=1)
-    return _units(anchors, positive_slots[anchors, drawn], negative_slots[anchors, picked])
+    return _units(anchors, others[anchors, drawn], others[anchors, m - 1 + picked])
 
 
 def form_center_triplets(batch: BatchPlan, embeddings, centers, hyper) -> np.ndarray:
