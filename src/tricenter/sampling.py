@@ -273,11 +273,10 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     # Row a of ``others`` holds anchor a's m - 1 candidate positives, then its
     # n - m negatives, each in ascending slot order; so do the bound arrays.
     by_class = np.argsort(labels, kind="stable").reshape(-1, m)  # row c: class c's slots
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_class] = np.arange(m)  # each slot's place in its class
-    skip = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])  # row r: 0..m-1 but r
-    negatives = np.nonzero(labels != np.arange(len(by_class))[:, None])[1].reshape(-1, n - m)
-    others = np.concatenate([by_class[labels[:, None], skip[rank]], negatives[labels]], axis=1)
+    rest = np.nonzero(labels != np.arange(len(by_class))[:, None])[1]  # row c: the other slots
+    own = by_class[labels]
+    others = np.concatenate([own[own != anchors[:, None]].reshape(n, m - 1),
+                             rest.reshape(-1, n - m)[labels]], axis=1)
     lo, hi = _distance_bounds(embeddings)
     lo, hi = lo[anchors[:, None], others], hi[anchors[:, None], others]
     lo_ap, hi_ap, lo_an, hi_an = lo[:, :m - 1], hi[:, :m - 1], lo[:, m - 1:], hi[:, m - 1:]
