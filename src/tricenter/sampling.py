@@ -170,10 +170,9 @@ def _distance_bounds(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keeps in order.  Where the bracket bounds nothing (non-finite or
     overflowing values) both are NaN, so every comparison with them is false."""
     lower, upper = gram_bracket(embeddings, embeddings)
-    with np.errstate(invalid="ignore"):
-        unbounded = ~np.isfinite(upper)
-        lower[unbounded] = upper[unbounded] = np.nan
-        return np.sqrt(np.maximum(lower, 0.0, out=lower), out=lower), np.sqrt(upper, out=upper)
+    unbounded = ~np.isfinite(upper)
+    lower[unbounded] = upper[unbounded] = np.nan
+    return np.sqrt(np.maximum(lower, 0.0, out=lower), out=lower), np.sqrt(upper, out=upper)
 
 
 def _band_counts(lo_an, hi_an, lo_ap, hi_ap, alpha):
@@ -272,11 +271,12 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
         return _units(anchors, _kth(positive_mask, k[:, 0]), _kth(negative_mask, k[:, 1]))
     # Row a of ``others`` holds anchor a's m - 1 candidate positives, then its
     # n - m negatives, each in ascending slot order; so do the bound arrays.
+    # Row c of ``outside`` holds the slots of every class but c.
     by_class = np.argsort(labels, kind="stable").reshape(-1, m)  # row c: class c's slots
-    rest = np.nonzero(labels != np.arange(len(by_class))[:, None])[1]  # row c: the other slots
+    outside = np.nonzero(labels != np.arange(len(by_class))[:, None])[1].reshape(-1, n - m)
     own = by_class[labels]
-    others = np.concatenate([own[own != anchors[:, None]].reshape(n, m - 1),
-                             rest.reshape(-1, n - m)[labels]], axis=1)
+    others = np.concatenate([own[own != anchors[:, None]].reshape(n, m - 1), outside[labels]],
+                            axis=1)
     lo, hi = _distance_bounds(embeddings)
     lo, hi = lo[anchors[:, None], others], hi[anchors[:, None], others]
     lo_ap, hi_ap, lo_an, hi_an = lo[:, :m - 1], hi[:, :m - 1], lo[:, m - 1:], hi[:, m - 1:]

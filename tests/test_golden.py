@@ -173,8 +173,9 @@ def test_seeded_train_outputs_are_the_golden_ones(name, golden, tmp_path, monkey
 def test_seeded_crossval_outputs_are_the_golden_ones(golden, tmp_path, monkeypatch, capsys):
     want, exact = golden
     with capsys.disabled():
-        mode = "exact" if exact else f"rtol {RTOL} (recorded in {want['environment']})"
-        print(f"\ngolden outputs compared in {mode} mode, here {environment()}")
+        mode = "exactly" if exact else f"at rtol {RTOL}, hashes skipped"
+        print(f"\ngolden outputs compared {mode}: recorded in {want['environment']}, "
+              f"run in {environment()}")
     assert_matches(observe_crossval(tmp_path, monkeypatch), want["crossval"], exact)
 
 

@@ -16,6 +16,7 @@ import logging
 import numpy as np
 import pytest
 
+from test_distance import SCALES, hard_rows
 from tricenter import sampling
 from tricenter.distance import BLOCK_FLOATS, euclidean_cdist, euclidean_norm
 from tricenter.errors import ContractError
@@ -333,27 +334,25 @@ def test_semi_hard_band_counted_in_chunks_matches_the_loop(budget, monkeypatch):
 
 
 # The semi-hard miner decides from Gram bounds; these inputs sit where such
-# bounds are loosest or bound nothing.
-HARD_SCALES = [1e-160, 1e-150, 1e-12, 1e-3, 1.0, 1e3, 1e150, 1e160]  # the outer two under- and overflow
+# bounds are loosest or bound nothing.  1e-12 puts distances at the scale of
+# the 1e-12 margin.
+HARD_SCALES = [*SCALES, 1e-12]
 
 
 def hard_batch(rng, k, m, dim, scale, kind):
-    """A balanced plan of k classes of m slots and embeddings like
-    ``test_distance.hard_rows``: random rows, duplicated rows, midpoints of
-    two rows and rows a rounding apart.  ``kind`` "non_finite" adds a NaN
-    row, an infinite row and rows with one NaN or -inf coordinate;
-    "overflow" sets the first coordinate of every row to 1e200, whose square
-    overflows every Gram value while the exact distances stay finite."""
+    """A balanced plan of k classes of m slots whose embeddings are drawn
+    from ``hard_rows``: random rows, duplicated rows, midpoints of two rows
+    and rows a rounding apart.  ``kind`` "non_finite" adds a NaN row, an
+    infinite row and rows with one NaN or -inf coordinate; "overflow" sets
+    the first coordinate of every row to 1e200, whose square overflows every
+    Gram value while the exact distances stay finite."""
     n = k * m
-    base = rng.normal(size=(max(2, n // 2), dim)) * scale
-    pick = lambda: base[rng.integers(0, len(base), n)]  # noqa: E731
-    pool = np.concatenate([rng.normal(size=(n, dim)) * scale, pick(), (pick() + pick()) / 2,
-                           pick() * (1 + rng.choice([-1, 1], size=(n, 1)) * 2e-16)])
-    emb = pool[rng.choice(len(pool), n, replace=False)]
+    rows = hard_rows(rng, rng.normal(size=(max(2, n // 2), dim)) * scale, n)
+    emb = rows[rng.choice(len(rows), n, replace=False)]
     if kind == "non_finite":
-        rows = rng.choice(n, 4, replace=False)
-        emb[rows[0]], emb[rows[1]] = np.nan, np.inf
-        emb[rows[2], 0], emb[rows[3], -1] = np.nan, -np.inf
+        picks = rng.choice(n, 4, replace=False)
+        emb[picks[0]], emb[picks[1]] = np.nan, np.inf
+        emb[picks[2], 0], emb[picks[3], -1] = np.nan, -np.inf
     elif kind == "overflow":
         emb[:, 0] = 1e200
     return BatchPlan(indices=np.arange(n), labels=rng.permutation(np.repeat(np.arange(k), m))), emb
