@@ -153,7 +153,6 @@ def assert_matches(seen: dict, want: dict, exact: bool):
     assert seen["floats"].keys() == want["floats"].keys()
     if exact:
         assert seen["sha256"] == want["sha256"]
-        assert seen["floats"] == want["floats"]
     for part, values in want["floats"].items():
         np.testing.assert_allclose(seen["floats"][part], values, rtol=RTOL, err_msg=part)
 
