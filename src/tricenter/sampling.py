@@ -280,12 +280,10 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     lo, hi = _distance_bounds(embeddings)
     lo, hi = lo[anchors[:, None], others], hi[anchors[:, None], others]
     lo_ap, hi_ap, lo_an, hi_an = lo[:, :m - 1], hi[:, :m - 1], lo[:, m - 1:], hi[:, m - 1:]
-    exact = np.zeros(n, dtype=bool)
 
     def measure(rows):  # exact distances for these anchors, as lo = hi
         d = euclidean_cdist(embeddings[rows], embeddings)
         lo[rows] = hi[rows] = d[np.arange(len(rows))[:, None], others[rows]]
-        exact[rows] = True
 
     band_sizes, undecided = _band_counts(lo_an, hi_an, lo_ap, hi_ap, hyper.alpha)
     rows = np.flatnonzero(undecided)
@@ -308,8 +306,8 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     rivals = lo_an[empty]
     rivals[np.arange(len(empty)), best] = np.inf
     tied = empty[~(rivals > hi_an[empty, best][:, None]).all(axis=1)]
-    if not exact[tied].all():
-        measure(tied[~exact[tied]])
+    if tied.size:
+        measure(tied)
     picked[empty] = best
     picked[tied] = lo_an[tied].argmin(axis=1)
     return _units(anchors, others[anchors, drawn], others[anchors, m - 1 + picked])
