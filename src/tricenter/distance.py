@@ -9,10 +9,12 @@ change with the kernel or its ``BLOCK_FLOATS`` row blocks (rows are
 independent).
 
 Prediction needs only the nearest row, and stage-1 mining only which
-distances fall inside a band; both decide most of it from Gram values
-``|a|^2 + |b|^2 - 2 a.b``, which BLAS computes, bracketed by ``gram_bracket``.
-Only what the bracket cannot decide gets exact distances, so the labels and
-the mined units are those of the naive formula.
+distances fall inside a band and which is the smallest; both decide most of
+it from Gram values ``|a|^2 + |b|^2 - 2 a.b``, which BLAS computes.
+``euclidean_bounds`` turns them into bounds ``lo <= d <= hi`` on each
+distance, and ``bounded_argmin`` is the one rule that decides a smallest
+distance from such bounds.  Only what the bounds cannot decide gets exact
+distances, so the labels and the mined units are those of the naive formula.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ def euclidean_cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     This is the exact broadcast ``|a_i - b_j|^2`` form, not the Gram form
     ``|a|^2 + |b|^2 - 2 a @ b.T``: the Gram form is faster but differs from
     the exact distance by about 5e-7 on typical embeddings, so it serves only
-    as a bracket (``gram_bracket``) that decides what it can and leaves the
-    rest to this form.
+    for bounds (``euclidean_bounds``) that decide what they can, through
+    ``bounded_argmin`` or a band test, and leave the rest to this form.
     """
     rows = max(1, BLOCK_FLOATS // max(1, b.size))
     out = np.empty((a.shape[0], b.shape[0]))
@@ -50,10 +52,11 @@ def euclidean_cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_bracket(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[N, M] bounds ``(lower, upper)`` on the squared sums behind ``euclidean_cdist(a, b)``.
+def euclidean_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[N, M] bounds ``lo <= d <= hi`` on every distance d of ``euclidean_cdist(a, b)``.
 
-    A computed inner product of length D errs by at most ``gamma_D sum |x_k y_k|``,
+    They are the square roots of a bracket on the squared sums behind d.  A
+    computed inner product of length D errs by at most ``gamma_D sum |x_k y_k|``,
     where ``gamma_n = n u / (1 - n u)`` and ``u = eps / 2``, in any summation
     order, FMA or not (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2002, section 3.1).  With ``N = |a|^2 + |b|^2`` and
@@ -65,12 +68,14 @@ def gram_bracket(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the bracket ``g +- c (D + 3) eps t``, with ``t`` the computed N, takes
     ``c = 4``, which also covers ``t`` against N and the bracket's own
     rounding.  ``4 (D + 3) tiny`` adds the underflow of at most 5 D products,
-    ``tiny / 2`` each.  Non-finite or overflowing values give a non-finite
-    ``upper`` or a NaN, which bounds nothing: callers treat such entries as
-    undecided.
+    ``tiny / 2`` each.  A correctly rounded square root is monotone, so the
+    roots of the bracket ends bound d, the root of the squared sum.
+    Non-finite or overflowing values give a non-finite upper end, which
+    bounds nothing: there both bounds are NaN, so every comparison with them
+    is false and leaves the entry undecided.
     """
     dim = a.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # such entries are undecided
+    with np.errstate(over="ignore", invalid="ignore"):  # such entries become NaN below
         norms = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)
         gram = a @ np.ascontiguousarray(b.T)  # BLAS runs about twice as fast as on b.T
         gram *= -2.0
@@ -79,28 +84,36 @@ def gram_bracket(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         slack += 4 * (dim + 3) * TINY
         upper = gram + slack
         lower = np.subtract(gram, slack, out=gram)
-    return lower, upper
+    unbounded = ~np.isfinite(upper)
+    lower[unbounded] = upper[unbounded] = np.nan
+    return np.sqrt(np.maximum(lower, 0.0, out=lower), out=lower), np.sqrt(upper, out=upper)
+
+
+def bounded_argmin(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the [N, M] bounds ``lo <= d <= hi``, the column of the
+    smallest ``hi``, and the rows the bounds leave open.
+
+    A row's column is its argmin of d, ties to the smaller index, unless some
+    other ``lo`` of the row does not exceed that column's ``hi``; those rows
+    (near-ties, equal distances, NaN bounds) are returned, ascending, for the
+    caller to decide from exact distances.  Neither input is modified.
+    """
+    rows = np.arange(len(hi))
+    best = hi.argmin(axis=1)
+    beaten = lo > hi[rows, best][:, None]
+    beaten[rows, best] = True
+    return best, np.flatnonzero(~beaten.all(axis=1))
 
 
 def euclidean_argmin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Index of the nearest row of ``b`` [M, D] for each row of ``a`` [N, D]:
     exactly ``euclidean_cdist(a, b).argmin(axis=1)``, ties to the smaller index.
 
-    A row is decided when every other lower bound of ``gram_bracket`` exceeds
-    the best upper bound times ``1 + 4 eps``, a gap that two correctly
-    rounded square roots cannot close.  The other rows get exact distances
-    from ``euclidean_cdist``: near-ties, hits on duplicated rows of ``b``,
-    and non-finite or overflowing values, since a comparison with NaN is
-    false.
+    ``bounded_argmin`` decides each row from ``euclidean_bounds``; the rows it
+    leaves open get exact distances from ``euclidean_cdist``: near-ties, hits
+    on duplicated rows of ``b``, and non-finite or overflowing values.
     """
-    lower, upper = gram_bracket(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are undecided
-        best = upper.argmin(axis=1)
-        rows = np.arange(a.shape[0])
-        bound = upper[rows, best] * (1 + 4 * EPS)
-        lower[rows, best] = np.inf
-        decided = (lower > bound[:, None]).all(axis=1) & np.isfinite(bound)
-    undecided = np.flatnonzero(~decided)
+    best, undecided = bounded_argmin(*euclidean_bounds(a, b))
     if undecided.size:
         best[undecided] = euclidean_cdist(a[undecided], b).argmin(axis=1)
     return best

@@ -32,9 +32,11 @@ candidate list in ascending slot or class order, which is what
 units and leaves the generator in the same state as the loop did.  In a
 balanced plan every bound is known up front, so the draws are made in one
 ``rng.integers(0, bounds)`` call, which yields the same values as the
-scalar calls one after another, and ``_kth`` reads each drawn slot off the
-candidate mask.  The semi-hard draws of ``form_triplets`` are the exception:
-a band draw's bound is the band size of the positive just drawn.
+scalar calls one after another, and each drawn slot is read from the
+ascending slot tables of ``_balanced_slots``.  Only ``form_pairs``, which
+takes ragged plans, and the band pick of ``form_triplets`` read slots off a
+mask, with ``_kth``.  The semi-hard draws of ``form_triplets`` are the
+exception: a band draw's bound is the band size of the positive just drawn.
 ``_draw_pairs`` guesses the positives, makes the draws those guesses imply
 in one checked call, and runs the scalar loop only when a guess fails.
 """
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import BLOCK_FLOATS, euclidean_cdist, gram_bracket
+from .distance import BLOCK_FLOATS, bounded_argmin, euclidean_bounds, euclidean_cdist
 from .errors import ContractError
 
 MINING_STRATEGIES = ("random", "random_hard")  # stage-1 negative choice of ``form_triplets``
@@ -135,14 +137,6 @@ def flat_batch_plans(labels, batch_size: int, rng: np.random.Generator,
     return plans
 
 
-def _class_masks(labels: np.ndarray):
-    """([N, N] different-class mask, [N, N] same-class-other-slot mask)."""
-    same = labels[:, None] == labels[None, :]
-    positive = same.copy()
-    np.fill_diagonal(positive, False)
-    return ~same, positive
-
-
 def _kth(mask: np.ndarray, k) -> np.ndarray:
     """Column of the k-th (0-based) True entry of each row of ``mask``."""
     return (mask.cumsum(axis=1) > np.asarray(k)[:, None]).argmax(axis=1)
@@ -153,26 +147,24 @@ def _units(*columns) -> np.ndarray:
     return np.stack(columns, axis=1).astype(np.intp, copy=False)
 
 
-def _slots_per_class(labels: np.ndarray, min_classes: int) -> int:
-    """The slot count m of a balanced plan: every class 0..K-1 has m slots
-    and K >= ``min_classes``."""
+def _balanced_slots(labels: np.ndarray, min_classes: int):
+    """The slots of a balanced plan: every class 0..K-1 has the same m slots
+    and K >= ``min_classes``, else a ``ContractError``.
+
+    Returns m, the [K, m] slots of each class and the [n, n - 1] ``others``
+    table, whose row a holds slot a's m - 1 candidate positives, then its
+    n - m negatives, each in ascending slot order."""
     counts = np.bincount(labels)
     if len(counts) < min_classes or (counts != counts[0]).any():
         raise ContractError(f"stage-1 mining needs a balanced plan over >= {min_classes} classes "
                             f"0..K-1, got class counts {counts.tolist()}")
-    return int(counts[0])
-
-
-def _distance_bounds(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[N, N] bounds ``lo <= d <= hi`` on every distance of
-    ``euclidean_cdist(embeddings, embeddings)``: square roots of the
-    ``gram_bracket`` ends, which the monotone, correctly rounded square root
-    keeps in order.  Where the bracket bounds nothing (non-finite or
-    overflowing values) both are NaN, so every comparison with them is false."""
-    lower, upper = gram_bracket(embeddings, embeddings)
-    unbounded = ~np.isfinite(upper)
-    lower[unbounded] = upper[unbounded] = np.nan
-    return np.sqrt(np.maximum(lower, 0.0, out=lower), out=lower), np.sqrt(upper, out=upper)
+    n, m = len(labels), int(counts[0])
+    slots = np.argsort(labels, kind="stable").reshape(-1, m)
+    # row c of ``outside``: the slots of every class but c
+    outside = np.nonzero(labels != np.arange(len(slots))[:, None])[1].reshape(-1, n - m)
+    own = slots[labels]
+    positives = own[own != np.arange(n)[:, None]].reshape(n, m - 1)
+    return m, slots, np.concatenate([positives, outside[labels]], axis=1)
 
 
 def _band_counts(lo_an, hi_an, lo_ap, hi_ap, alpha):
@@ -253,32 +245,23 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     distance inside (d_ap, d_ap + alpha)), falling back to the hardest
     negative when the semi-hard band is empty.
 
-    ``random_hard`` decides band membership and the hardest negative from
-    ``_distance_bounds``; an anchor's exact distances are measured only when
-    those bounds leave some comparison open, so the units are those of the
-    exact distances.
+    ``random_hard`` decides band membership from ``euclidean_bounds``, and
+    the hardest negative from them through ``bounded_argmin``; an anchor's
+    exact distances are measured only when those bounds leave some
+    comparison open, so the units are those of the exact distances.
     """
     if strategy not in MINING_STRATEGIES:
         raise ContractError(f"unknown mining strategy {strategy!r}")
-    labels = batch.labels
-    n, m = len(labels), _slots_per_class(labels, 2)
+    m, _, others = _balanced_slots(batch.labels, 2)
     if m == 1:
         return np.empty((0, 3), dtype=np.intp)
+    n = len(others)
     anchors = np.arange(n)
     if strategy == "random":
-        negative_mask, positive_mask = _class_masks(labels)
         k = rng.integers(0, [m - 1, n - m], size=(n, 2))
-        return _units(anchors, _kth(positive_mask, k[:, 0]), _kth(negative_mask, k[:, 1]))
-    # Row a of ``others`` holds anchor a's m - 1 candidate positives, then its
-    # n - m negatives, each in ascending slot order; so do the bound arrays.
-    # Row c of ``outside`` holds the slots of every class but c.
-    by_class = np.argsort(labels, kind="stable").reshape(-1, m)  # row c: class c's slots
-    outside = np.nonzero(labels != np.arange(len(by_class))[:, None])[1].reshape(-1, n - m)
-    own = by_class[labels]
-    others = np.concatenate([own[own != anchors[:, None]].reshape(n, m - 1), outside[labels]],
-                            axis=1)
-    lo, hi = _distance_bounds(embeddings)
-    lo, hi = lo[anchors[:, None], others], hi[anchors[:, None], others]
+        return _units(anchors, others[anchors, k[:, 0]], others[anchors, m - 1 + k[:, 1]])
+    lo, hi = euclidean_bounds(embeddings, embeddings)
+    lo, hi = lo[anchors[:, None], others], hi[anchors[:, None], others]  # laid out as ``others``
     lo_ap, hi_ap, lo_an, hi_an = lo[:, :m - 1], hi[:, :m - 1], lo[:, m - 1:], hi[:, m - 1:]
 
     def measure(rows):  # exact distances for these anchors, as lo = hi
@@ -297,19 +280,15 @@ def form_triplets(batch: BatchPlan, embeddings, strategy: str,
     d_lo, d_hi = lo_ap[banded, drawn[banded], None], hi_ap[banded, drawn[banded], None]
     band = (lo_an[banded] > d_hi) & (hi_an[banded] < d_lo + hyper.alpha)
     picked[banded] = _kth(band, k_band[banded])
-    # The hardest negative of an empty band: decided where every other lower
-    # bound exceeds the best upper bound, else the argmin of exact distances,
-    # which takes the first of equal values, the first NaN, and the first
-    # negative when all are +inf.
+    # The hardest negative of an empty band; where the bounds leave it open,
+    # the argmin of exact distances, which takes the first of equal values,
+    # the first NaN, and the first negative when all are +inf.
     empty = np.flatnonzero(k_band < 0)
-    best = hi_an[empty].argmin(axis=1)
-    rivals = lo_an[empty]
-    rivals[np.arange(len(empty)), best] = np.inf
-    tied = empty[~(rivals > hi_an[empty, best][:, None]).all(axis=1)]
+    picked[empty], tied = bounded_argmin(lo_an[empty], hi_an[empty])
+    tied = empty[tied]
     if tied.size:
         measure(tied)
-    picked[empty] = best
-    picked[tied] = lo_an[tied].argmin(axis=1)
+        picked[tied] = lo_an[tied].argmin(axis=1)
     return _units(anchors, others[anchors, drawn], others[anchors, m - 1 + picked])
 
 
@@ -334,12 +313,14 @@ def form_pairs(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
     labels = batch.labels
     if len(np.unique(labels)) < 2:
         raise ContractError("pair formation needs at least 2 classes in the batch")
-    negative_mask, positive_mask = _class_masks(labels)
-    # Per slot a positive draw (when the slot has one), then a negative draw.
-    bounds = np.stack([positive_mask.sum(axis=1), negative_mask.sum(axis=1)], axis=1)
+    same = labels[:, None] == labels
+    # [N, 2, N]: per slot its same-class other slots, then its other-class slots;
+    # a positive draw (when the slot has one), then a negative draw.
+    masks = np.stack([same & ~np.eye(len(labels), dtype=bool), ~same], axis=1)
+    bounds = masks.sum(axis=2)
     slots, column = np.nonzero(bounds)
     k = rng.integers(0, bounds[slots, column])
-    partners = _kth(np.stack([positive_mask, negative_mask], axis=1)[slots, column], k)
+    partners = _kth(masks[slots, column], k)
     return _units(slots, partners, 1 - column)
 
 
@@ -355,20 +336,19 @@ def form_quadruplets(batch: BatchPlan, rng: np.random.Generator) -> np.ndarray:
     uniform, for every slot of a balanced plan; none when each class has a
     single slot."""
     labels = batch.labels
-    m = _slots_per_class(labels, 3)
+    m, slots, others = _balanced_slots(labels, 3)
     if m == 1:
         return np.empty((0, 4), dtype=np.intp)
-    n_other = len(labels) // m - 1
+    n_other = len(slots) - 1
     # Per anchor: positive, first class, second class, then one slot of each
     # class.  A class's rank among the others is its label, skipping the
     # anchor's own.
     k = rng.integers(0, [m - 1, n_other, n_other - 1, m, m], size=(len(labels), 5))
     k[:, 1] += k[:, 1] >= labels
     k[:, 2] = _other_class(k[:, 2], labels, k[:, 1])
-    _, positive_mask = _class_masks(labels)
-    by_class = np.argsort(labels, kind="stable")  # class c's slots are by_class[c*m:(c+1)*m]
-    return _units(np.arange(len(labels)), _kth(positive_mask, k[:, 0]),
-                  by_class[k[:, 1] * m + k[:, 3]], by_class[k[:, 2] * m + k[:, 4]])
+    anchors = np.arange(len(labels))
+    return _units(anchors, others[anchors, k[:, 0]], slots[k[:, 1], k[:, 3]],
+                  slots[k[:, 2], k[:, 4]])
 
 
 def form_center_pairs(batch: BatchPlan, embeddings, centers, hyper) -> np.ndarray:

@@ -1,16 +1,19 @@
-"""``euclidean_argmin`` against the exact argmin it stands for.
+"""``euclidean_bounds`` against the exact distances it bounds, and
+``euclidean_argmin`` against the exact argmin it stands for.
 
 ``test_euclidean_cdist_equals_the_naive_formula_exactly`` pins the bits of
-``euclidean_cdist``; these tests pin ``euclidean_argmin`` to its argmin,
-from underflowing to overflowing scales, on exact hits, duplicated and
+``euclidean_cdist``; these tests pin the bounds and ``euclidean_argmin`` to
+it, from underflowing to overflowing scales, on exact hits, duplicated and
 near-duplicated rows, ties and non-finite rows.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from tricenter import distance
-from tricenter.distance import euclidean_argmin, euclidean_cdist
+from tricenter.distance import bounded_argmin, euclidean_argmin, euclidean_bounds, euclidean_cdist
 
 SCALES = [1e-160, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e160]  # the outer two under- and overflow
 
@@ -25,6 +28,46 @@ def hard_rows(rng, b, n):
             (b[rng.integers(0, k, n)] + b[rng.integers(0, k, n)]) / 2,
             b[rng.integers(0, k, n)] * (1 + rng.choice([-1, 1], size=(n, 1)) * 2e-16)]
     return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 128, 1000])
+def test_euclidean_bounds_hold_every_exact_distance(dim):
+    rng = np.random.default_rng(dim)
+    for scale in SCALES:
+        b = rng.normal(size=(7, dim)) * scale
+        a = hard_rows(rng, b, 15)
+        a[0], a[1] = np.nan, np.inf
+        a[2, 0], a[3, -1] = np.nan, -np.inf
+        # no floating-point warning escapes; underflow, which the bounds' slack
+        # covers, stays ignored, as numpy's default has it
+        with np.errstate(divide="warn", over="warn", invalid="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = euclidean_bounds(a, b)
+        with np.errstate(over="ignore"):  # the squares of the largest scale overflow
+            d = euclidean_cdist(a, b)
+        bounded = ~np.isnan(hi)
+        np.testing.assert_array_equal(np.isnan(lo), ~bounded, err_msg=f"scale {scale}")
+        assert not bounded[:4].any(), f"scale {scale}"  # the non-finite rows bound nothing
+        assert bounded[4:].all() or scale > 1e150, f"scale {scale}"
+        assert (lo[bounded] <= d[bounded]).all() and (d[bounded] <= hi[bounded]).all(), \
+            f"scale {scale}"
+
+
+def test_bounded_argmin_decides_only_what_the_bounds_separate():
+    lo = np.array([[2.0, 1.0, 3.0],  # column 1 is below every other lower bound
+                   [1.0, 1.0, 2.0],  # an exact tie of columns 0 and 1
+                   [1.0, np.nan, 3.0]])  # a NaN bound
+    hi = np.array([[2.5, 1.5, 4.0],
+                   [1.0, 1.0, 2.0],
+                   [1.5, np.nan, 4.0]])
+    inputs = lo.copy(), hi.copy()
+    best, open_rows = bounded_argmin(lo, hi)
+    np.testing.assert_array_equal(best[0], 1)
+    np.testing.assert_array_equal(open_rows, [1, 2])
+    np.testing.assert_array_equal((lo, hi), inputs)
+    best, open_rows = bounded_argmin(np.array([[5.0]]), np.array([[7.0]]))  # a single column
+    np.testing.assert_array_equal(best, [0])
+    assert open_rows.size == 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 50])
